@@ -375,7 +375,9 @@ def _serialize(obj):
     raise ConfigInvalid("output", f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[dict, int]:
+def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
+    """Run a pipeline config; return the canonical report text and the
+    exit code. With out_dir, the same text goes to report.json."""
     config = load_json(config_path)
     if not isinstance(config, dict):
         raise ConfigInvalid(config_path, "config root must be an object")
@@ -428,21 +430,22 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[dict, int]:
         if not all(r.passed for r in check_reports):
             exit_code = 4
 
+    text = dump_canonical(report)
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "report.json").write_text(dump_canonical(report))
+        (out_path / "report.json").write_text(text)
         for entry in stage_reports:
             (out_path / f"{entry['out']}.json").write_text(
                 dump_canonical(entry["result"])
             )
-    return report, exit_code
+    return text, exit_code
 
 
 def _cmd_run(args) -> int:
     started = time.perf_counter()
-    report, exit_code = _run_pipeline(args.config, args.out)
-    sys.stdout.write(dump_canonical(report))
+    text, exit_code = _run_pipeline(args.config, args.out)
+    sys.stdout.write(text)
     sys.stderr.write(f"pipeline wall time: {time.perf_counter() - started:.3f}s\n")
     return exit_code
 

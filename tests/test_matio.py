@@ -1,10 +1,14 @@
 """JSON matrix schema: exclusions, masks, and canonical dumps."""
 
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attnkit.errors import ConfigInvalid
 from attnkit.matio import (
@@ -103,3 +107,108 @@ def test_load_json_diagnostics(tmp_path):
     good = tmp_path / "good.json"
     good.write_text('{"k": [1, 2]}')
     assert load_json(good) == {"k": [1, 2]}
+
+
+def _reference_matrix_from_json(rows, where="matrix"):
+    """Entry-by-entry parser: the reference for matrix_from_json."""
+    width = len(rows[0])
+    values = np.zeros((len(rows), width))
+    mask = np.ones((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ConfigInvalid(where, f"row {i} has length {len(row)}, expected {width}")
+        for j, entry in enumerate(row):
+            if entry == "-inf":
+                mask[i, j] = False
+            elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
+                if not math.isfinite(entry):
+                    if entry == -math.inf:
+                        mask[i, j] = False
+                    else:
+                        raise ConfigInvalid(where, f"non-finite entry at ({i},{j})")
+                else:
+                    values[i, j] = float(entry)
+            else:
+                raise ConfigInvalid(where, f"entry at ({i},{j}) is not a number or '-inf'")
+    return values, mask
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.just("-inf"),
+    st.sampled_from([-math.inf, math.inf, math.nan, True, None, "x", "inf"]),
+)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_matrix_from_json_agrees_with_reference_parser(data):
+    width = data.draw(st.integers(0, 4))
+    row = st.lists(_ENTRIES, min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        ragged = data.draw(st.lists(_ENTRIES, max_size=5))
+        rows.insert(data.draw(st.integers(0, len(rows))), ragged)
+    try:
+        expected = _reference_matrix_from_json(rows)
+    except ConfigInvalid as exc:
+        with pytest.raises(ConfigInvalid) as got:
+            matrix_from_json(rows)
+        assert str(got.value) == str(exc)
+        return
+    values, mask = matrix_from_json(rows)
+    assert values.tobytes() == expected[0].tobytes()
+    npt.assert_array_equal(mask, expected[1])
+
+
+def _masked_matrices():
+    """(values, mask, rows to blank, columns to blank)."""
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return shapes.flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, shape, elements=finite),
+            arrays(np.bool_, shape),
+            st.lists(st.integers(0, shape[0] - 1), max_size=2),
+            st.lists(st.integers(0, shape[1] - 1), max_size=2),
+        )
+    )
+
+
+@settings(deadline=None)
+@given(_masked_matrices())
+def test_matrix_round_trip_through_canonical_text(case):
+    values, mask, hole_rows, hole_cols = case
+    mask = mask.copy()
+    mask[hole_rows, :] = False
+    mask[:, hole_cols] = False
+    text = dump_canonical(matrix_to_json(values, mask))
+    back_values, back_mask = matrix_from_json(json.loads(text))
+    npt.assert_array_equal(back_mask, mask)
+    assert back_values.tobytes() == np.where(mask, values, 0.0).tobytes()
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -(2**63) - 1, 2**200]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.sampled_from(["\u00e9t\u00e9", "\u2603\U0001f600", 'q"uo\\te', "tab\tnl\n\x00", "-inf"]),
+)
+
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(), inner, max_size=6),
+    max_leaves=60,
+)
+
+
+@settings(deadline=None)
+@given(_PAYLOADS)
+def test_dump_canonical_is_json_dumps_indent_2_sorted(obj):
+    assert dump_canonical(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
