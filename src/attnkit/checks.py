@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .anchor import (
+    ConditionalFamily,
     Marginals,
     generalized_kl,
     row_anchor,
@@ -49,9 +50,9 @@ from .staged import (
     StagedConfig,
     StagedPipeline,
     StagePlan,
-    barrier_check,
     influence_relation,
     predecessor_set,
+    run_pipeline_stages,
 )
 
 
@@ -195,24 +196,35 @@ def _feasible_transport_instance(rng, n_max):
     return kernel, marginals
 
 
-def _cycle_perturbation(rng, plan, mask):
-    n_x, n_y = plan.shape
-    for _ in range(200):
-        i1, i2 = rng.choice(n_x, size=2, replace=False)
-        j1, j2 = rng.choice(n_y, size=2, replace=False)
-        if not (mask[i1, j1] and mask[i1, j2] and mask[i2, j1] and mask[i2, j2]):
-            continue
-        cap = min(plan[i1, j2], plan[i2, j1])
-        if cap <= 0:
-            continue
-        step = float(rng.uniform(0.1, 0.5)) * cap
+def _cycle_perturbations(rng, plan, mask, count=100):
+    """Yield up to count feasible 2x2 rewirings of plan on mask.
+
+    One batch of count * 200 candidate corner pairs (i1, j1), (i2, j2)
+    is drawn uniformly from the mask support, which makes every
+    admissible ordered rectangle equally likely. The first count
+    candidates, in draw order, whose off-corners (i1, j2), (i2, j1) are
+    on the mask and carry mass move a uniform 10-50% of the smaller
+    off-corner mass onto the corners, so both marginals stay fixed.
+    """
+    support = np.flatnonzero(mask)
+    # A rectangle needs two rows, two columns and four support entries.
+    if min(mask.shape) < 2 or support.size < 4:
+        return
+    n_y = mask.shape[1]
+    i1, j1 = divmod(support[rng.integers(support.size, size=count * 200)], n_y)
+    i2, j2 = divmod(support[rng.integers(support.size, size=count * 200)], n_y)
+    keep = np.flatnonzero((i1 != i2) & (j1 != j2) & mask[i1, j2] & mask[i2, j1])
+    caps = np.minimum(plan[i1[keep], j2[keep]], plan[i2[keep], j1[keep]])
+    has_mass = caps > 0
+    keep, caps = keep[has_mass][:count], caps[has_mass][:count]
+    steps = rng.uniform(0.1, 0.5, keep.size) * caps
+    for k, step in zip(keep, steps):
         out = plan.copy()
-        out[i1, j1] += step
-        out[i2, j2] += step
-        out[i1, j2] -= step
-        out[i2, j1] -= step
-        return out
-    return None
+        out[i1[k], j1[k]] += step
+        out[i2[k], j2[k]] += step
+        out[i1[k], j2[k]] -= step
+        out[i2[k], j1[k]] -= step
+        yield out
 
 
 def check_transport_anchor(rng, tol=None):
@@ -246,10 +258,7 @@ def check_transport_anchor(rng, tol=None):
             witnesses[1] = {"case": i, "shape": list(kernel.shape), "deviation": dev}
 
         base_kl = generalized_kl(plan.values, kernel.values)
-        for _ in range(100):
-            other = _cycle_perturbation(rng, plan.values, kernel.mask)
-            if other is None:
-                continue
+        for other in _cycle_perturbations(rng, plan.values, kernel.mask):
             gap = base_kl - generalized_kl(other, kernel.values)
             if gap > optimality_worst:
                 optimality_worst = gap
@@ -416,8 +425,6 @@ def check_mixture_flattening(rng, tol=None):
             raw = np.where(mask, rng.uniform(0.1, 2.0, (n_x, n_y)), 0.0)
             family_values = raw / raw.sum(axis=1, keepdims=True)
             field_values = rng.normal(size=(n_y, d))
-            from .anchor import ConditionalFamily
-
             cond_branches.append(
                 (ConditionalFamily(family_values, mask), ValueField(field_values))
             )
@@ -503,24 +510,33 @@ def check_influence_barrier(rng, tol=None):
             tuple(stages),
             StagedConfig(chart=ChartSpec("rms_norm")),
         )
-        inf = influence_relation(pipeline.masks())
+        masks = pipeline.masks()
+        inf = influence_relation(masks)
+        outside = {}
         for t in range(1, depth + 1):
             for x in range(n):
                 pre = predecessor_set(inf, x, t)
-                oracle = _oracle_predecessors(pipeline.masks(), x, t)
-                if pre != oracle:
+                if pre != _oracle_predecessors(masks, x, t):
                     pre_mismatches += 1
                     if witnesses[1] is None:
                         witnesses[1] = {"case": i, "x": x, "t": t}
                 for u in range(n):
-                    if u in pre:
-                        continue
-                    checked += 1
-                    delta = rng.normal(size=d)
-                    if not barrier_check(pipeline, x, t, u, delta):
-                        mismatches += 1
-                        if witnesses[0] is None:
-                            witnesses[0] = {"case": i, "x": x, "t": t, "u": u}
+                    if u not in pre:
+                        outside.setdefault(u, []).append((x, t))
+        # One perturbed run per row u answers every (x, t) it lies
+        # outside of: a full-depth run gives the same stage-t bits as a
+        # run stopped at t.
+        base = run_pipeline_stages(pipeline).updates
+        for u in sorted(outside):
+            perturbed = pipeline.initial.copy()
+            perturbed[u] = perturbed[u] + rng.normal(size=d)
+            bumped = run_pipeline_stages(replace(pipeline, initial=perturbed)).updates
+            for x, t in outside[u]:
+                checked += 1
+                if not np.array_equal(base[t - 1][x], bumped[t - 1][x]):
+                    mismatches += 1
+                    if witnesses[0] is None:
+                        witnesses[0] = {"case": i, "x": x, "t": t, "u": u}
     return [
         _result(
             "barrier_outside_predecessors",

@@ -343,6 +343,16 @@ class TestBarrier:
                 trace.updates[s], trace.records[s + 1] - trace.records[s], atol=0
             )
 
+    def test_stopping_early_leaves_earlier_updates_bitwise_equal(self):
+        # The barrier suite reads stage t from one full-depth run.
+        rng = np.random.default_rng(132)
+        pipeline = build_pipeline(rng, 5, 3, 4, chart="rms_norm")
+        full = run_pipeline_stages(pipeline).updates
+        for t in range(1, 5):
+            stopped = run_pipeline_stages(pipeline, upto=t).updates
+            assert len(stopped) == t
+            assert all(np.array_equal(a, b) for a, b in zip(stopped, full))
+
     def test_distance_two_on_the_chain(self):
         # On the causal chain, row 0 at stage 1 can only see row 0, so a
         # perturbation two steps downstream cannot reach it.
