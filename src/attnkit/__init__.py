@@ -86,6 +86,7 @@ from .staged import (
     full_history_readout,
     influence_relation,
     predecessor_set,
+    predecessor_sets,
     run_block,
     run_schedule,
 )

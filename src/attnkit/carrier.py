@@ -65,7 +65,7 @@ class RefinementMap:
             raise ValueError("refinement map must be a nonempty 1-d index array")
         if arr.min() < 0 or arr.max() >= self.n_coarse:
             raise ValueError("refinement map entry out of coarse range")
-        if np.unique(arr).size != self.n_coarse:
+        if not np.bincount(arr, minlength=self.n_coarse).all():
             raise ValueError(
                 f"refinement {self.fine!r}->{self.coarse!r} misses a coarse bucket"
             )

@@ -58,7 +58,7 @@ from .staged import (
     ScheduleStep,
     StagedConfig,
     influence_relation,
-    predecessor_set,
+    predecessor_sets,
     run_schedule,
 )
 
@@ -603,10 +603,7 @@ def _cmd_stage_run(args) -> int:
         payload["influence"] = {
             "mode": "markov",
             "depth": depth,
-            "predecessors": [
-                sorted(predecessor_set(inf, x, depth))
-                for x in range(trace.masks[0].shape[0])
-            ],
+            "predecessors": [sorted(pre) for pre in predecessor_sets(inf, depth)],
         }
     sys.stdout.write(dump_canonical(payload))
     return 0

@@ -237,13 +237,28 @@ def predecessor_set(inf: InfluenceData, x: int, t: int) -> set:
     n = inf.n
     if not 0 <= x < n:
         raise IndexOutOfRange(f"row {x} out of range for n={n}")
+    start = np.zeros((1, n))
+    start[0, x] = 1.0
+    return _reachable(inf, start, t)[0]
+
+
+def predecessor_sets(inf: InfluenceData, t: int) -> list:
+    """Pre_t(x) for every row x, in row order, one matrix product per stage."""
+    if not inf.relations:
+        raise IndexOutOfRange("no stages recorded")
+    return _reachable(inf, np.eye(inf.n), t)
+
+
+def _reachable(inf: InfluenceData, start: np.ndarray, t: int) -> list:
+    # start is a (k, n) 0/1 matrix. A product entry counts paths of one
+    # step, at most n, so float64 BLAS is exact and > 0 is the boolean
+    # product.
     if not 0 <= t <= len(inf.relations):
         raise IndexOutOfRange(f"depth {t} out of range")
-    reach = np.zeros(n, dtype=bool)
-    reach[x] = True
+    reach = start
     for s in range(t - 1, -1, -1):
-        reach = (reach.astype(np.int64) @ inf.relations[s].astype(np.int64)) > 0
-    return set(int(u) for u in np.flatnonzero(reach))
+        reach = (reach @ inf.relations[s].astype(np.float64) > 0).astype(np.float64)
+    return [set(np.flatnonzero(row).tolist()) for row in reach]
 
 
 @dataclass(frozen=True)

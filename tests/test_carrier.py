@@ -84,6 +84,21 @@ def test_refinement_must_be_surjective():
         RefinementMap("a", "b", [0, 2], 2)
 
 
+@pytest.mark.parametrize(
+    "entries, n_coarse",
+    [([0, 0, 0], 2), ([1, 1], 2), ([0, 2, 2, 0], 3), ([3, 0, 1, 3], 5)],
+)
+def test_refinement_names_the_missed_bucket_error(entries, n_coarse):
+    with pytest.raises(ValueError, match="'a'->'b' misses a coarse bucket"):
+        RefinementMap("a", "b", entries, n_coarse)
+
+
+@pytest.mark.parametrize("entries", [[0, 2], [-1, 0, 1], [0, 1, 5]])
+def test_refinement_rejects_an_entry_out_of_coarse_range(entries):
+    with pytest.raises(ValueError, match="out of coarse range"):
+        RefinementMap("a", "b", entries, 2)
+
+
 def test_pushforward_all_ones_pairing():
     values = np.ones((4, 4))
     kernel = EvidenceKernel(values, values > 0)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -327,3 +331,23 @@ def test_ffn_check_passes_then_fails_on_forced_tolerance(tmp_path, capsys):
     forced = write_config(tmp_path, "ffn_forced.json", payload)
     assert main(["ffn-check", forced]) == 4
     assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_stage_run_never_imports_scipy():
+    # Importing scipy.special would more than double ga's start-up time;
+    # the library computes gelu's erf itself and keeps scipy for tests.
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from attnkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['stage-run', sys.argv[1]])\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(json.dumps({'code': code, 'scipy': sorted(loaded)}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(root / "tests/golden/stage_run_causal.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == {"code": 0, "scipy": []}

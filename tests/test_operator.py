@@ -1,10 +1,13 @@
 """Attention, feedforward, and mixture operators against naive oracles."""
 
+import hashlib
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnkit.anchor import (
     ConditionalFamily,
@@ -26,6 +29,8 @@ from attnkit.operator import (
     AttentionParams,
     FfnParams,
     ValueField,
+    _erf,
+    _gelu,
     attention,
     conditional_update,
     ffn_apply,
@@ -378,6 +383,83 @@ class TestFfn:
         expected = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         npt.assert_allclose(ffn_apply([[1.0]], params), [[expected]], atol=1e-15)
         npt.assert_allclose(ffn_apply([[0.0]], params), [[0.0]], atol=1e-15)
+
+
+def scipy_erf():
+    # scipy is the oracle only; the library itself never imports it.
+    from scipy.special import erf
+
+    return erf
+
+
+def scipy_gelu(x):
+    return 0.5 * x * (1.0 + scipy_erf()(x / math.sqrt(2.0)))
+
+
+def assert_same_bits(ours, oracle):
+    ours = np.asarray(ours, dtype=np.float64)
+    oracle = np.asarray(oracle, dtype=np.float64)
+    assert ours.shape == oracle.shape
+    diff = np.flatnonzero(ours.view(np.int64) != oracle.view(np.int64))
+    assert diff.size == 0, (
+        f"{diff.size} entries differ, first at {diff[0]}: "
+        f"{ours.flat[diff[0]]!r} vs {oracle.flat[diff[0]]!r}"
+    )
+
+
+EDGES = np.array(
+    [
+        0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.0, 26.5, 26.6, 27.0, -26.6,
+        np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1e-310, -1e-310, 1.7976931348623157e308,
+    ]
+    + [math.sqrt(2.0) * v for v in (1.0, -1.0, 8.0, -8.0)]
+)
+# NaNs with a payload and with the sign bit set: scipy returns its own NaN.
+NAN_PAYLOADS = np.array(
+    [0x7FF8000000000123, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64
+).view(np.float64)
+
+
+class TestErf:
+    def test_matches_scipy_bitwise_on_seeded_draws(self):
+        # 10M draws over scales from deep inside |x| <= 1 to far past 8,
+        # so every branch and both branch boundaries see millions.
+        rng = np.random.default_rng(2016)
+        for sigma in (1e-3, 0.1, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, 8.0, 30.0):
+            x = rng.standard_normal(1_000_000) * sigma
+            assert_same_bits(_erf(x), scipy_erf()(x))
+
+    # gelu(-inf) = -inf * 0 and the signalling NaN raise numpy's invalid
+    # flag, on the oracle as on the port.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_scipy_bitwise_on_edges_and_neighbours(self):
+        x = np.concatenate([EDGES, NAN_PAYLOADS])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+        assert_same_bits(_erf(x), scipy_erf()(x))
+        assert_same_bits(_gelu(x), scipy_gelu(x))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_matches_scipy_bitwise_on_any_float(self, v):
+        x = np.array([v, -v])
+        assert_same_bits(_erf(x), scipy_erf()(x))
+        assert_same_bits(_gelu(x), scipy_gelu(x))
+
+    def test_keeps_the_input_shape(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert _erf(x).shape == (2, 3, 4)
+        assert_same_bits(_gelu(x), scipy_gelu(x))
+
+    def test_gelu_at_size_is_pinned(self):
+        # sha256 of the exact-erf gelu on a 128 x 256 N(0, 1) hidden
+        # layer, recorded from the scipy-backed implementation.
+        x = np.random.default_rng(0).standard_normal((128, 256))
+        digest = hashlib.sha256(_gelu(x).tobytes()).hexdigest()
+        assert digest == (
+            "498fbbf122b8f0c03acc3e15417576224cb36dafa643991f3dc1fefc26b92c89"
+        )
 
 
 class TestMixtures:

@@ -3,6 +3,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attnkit.carrier import RefinementMap
 from attnkit.errors import (
@@ -28,6 +31,7 @@ from attnkit.staged import (
     full_history_readout,
     influence_relation,
     predecessor_set,
+    predecessor_sets,
     run_block,
     run_pipeline_stages,
     run_schedule,
@@ -306,6 +310,28 @@ class TestInfluence:
             for x in range(n):
                 for t in range(depth + 1):
                     assert predecessor_set(inf, x, t) == oracle_pre(masks, x, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_all_rows_match_one_row_at_a_time(self, data):
+        n = data.draw(st.integers(1, 9))
+        depth = data.draw(st.integers(1, 5))
+        masks = [data.draw(arrays(np.bool_, (n, n))) for _ in range(depth)]
+        inf = influence_relation(masks)
+        t = data.draw(st.integers(0, depth))
+        rows = predecessor_sets(inf, t)
+        assert rows == [predecessor_set(inf, x, t) for x in range(n)]
+        assert rows == [oracle_pre(masks, x, t) for x in range(n)]
+
+    def test_all_rows_validate_the_depth(self):
+        inf = influence_relation([chain_mask(3)])
+        assert predecessor_sets(inf, 1) == [{0}, {0, 1}, {1, 2}]
+        with pytest.raises(IndexOutOfRange):
+            predecessor_sets(inf, 2)
+        with pytest.raises(IndexOutOfRange):
+            predecessor_sets(inf, -1)
+        with pytest.raises(IndexOutOfRange):
+            predecessor_sets(InfluenceData("markov", ()), 0)
 
     def test_index_validation(self):
         inf = influence_relation([chain_mask(3)])
