@@ -4,9 +4,11 @@ Two families are implemented. Row anchoring normalizes each row of the
 kernel into a conditional distribution (the softmax route). Transport
 anchoring fits a nonnegative coupling to marginal data by Sinkhorn
 scaling, either with hard marginal constraints (balanced) or with KL
-penalties on the marginals (unbalanced). Both solvers run in the log
-domain so kernels with dynamic range well past 1e12 still scale
-cleanly.
+penalties on the marginals (unbalanced). Both solvers use stabilized
+scaling (Schmitzer 2016): two matrix-vector products per iteration
+against exp(log K + f + g), with the scalings folded into the log
+potentials f and g whenever an entry leaves [1e-100, 1e100], so the
+products stay in range on kernels whose entries span e^±200 and more.
 
 The generalized KL divergence both anchors optimize is also here.
 """
@@ -166,16 +168,22 @@ def _log_kernel(kernel: EvidenceKernel) -> np.ndarray:
     return out
 
 
-def _lse_rows(log_m: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp that tolerates -inf entries (empty rows ->
-    -inf)."""
-    peak = log_m.max(axis=1)
-    out = np.full(log_m.shape[0], -np.inf)
-    finite = np.isfinite(peak)
-    if finite.any():
-        shifted = np.exp(log_m[finite] - peak[finite][:, None])
-        out[finite] = peak[finite] + np.log(shifted.sum(axis=1))
-    return out
+def _check_budget(tol: float, max_iter: int) -> None:
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+
+
+def _stabilized_kernel(log_k: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.exp(log_k + f[:, None] + g[None, :])
+
+
+def _marginal_error(plan, mu_out, mu_in) -> float:
+    return float(
+        np.abs(plan.sum(axis=1) - mu_out).sum()
+        + np.abs(plan.sum(axis=0) - mu_in).sum()
+    )
 
 
 def sinkhorn_balanced(
@@ -186,18 +194,20 @@ def sinkhorn_balanced(
 ) -> TransportPlan:
     """Fit Pi = diag(a) K diag(b) to both marginals exactly (up to tol).
 
-    Convergence is measured as the L1 error of the achieved marginals
-    against the targets. Infeasible masks are diagnosed when that error
-    stalls: no improvement by factor 0.999 over 100 consecutive
-    iterations.
+    Stabilized scaling (Schmitzer 2016): a and b act on K~ = exp(log K
+    + f + g), from f = -rowmax(log K), g = 0, and fold into f and g once
+    an entry leaves [1e-100, 1e100]. The L1 marginal error is read from
+    the next half-step's products; an error that does not improve by a
+    factor 0.999 over 100 iterations raises Infeasible. The returned
+    error and converged flag come from the plan's own marginals.
+    Raises ValueError for max_iter < 1 or a negative or NaN tol.
     """
+    _check_budget(tol, max_iter)
     n_x, n_y = kernel.shape
     mu_out = _as_positive_vector(marginals.mu_out, n_x, "mu_out")
     mu_in = _as_positive_vector(marginals.mu_in, n_y, "mu_in")
     if not marginals.matched():
-        raise Infeasible(
-            f"total masses differ: {mu_out.sum()} vs {mu_in.sum()}"
-        )
+        raise Infeasible(f"total masses differ: {mu_out.sum()} vs {mu_in.sum()}")
     empty_rows = np.flatnonzero(~kernel.mask.any(axis=1))
     if empty_rows.size:
         raise EmptyRow(int(empty_rows[0]), "masked-out row cannot carry positive marginal")
@@ -206,29 +216,20 @@ def sinkhorn_balanced(
         raise EmptyCol(int(empty_cols[0]), "masked-out column cannot carry positive marginal")
 
     log_k = _log_kernel(kernel)
-    log_mu_out = np.log(mu_out)
-    log_mu_in = np.log(mu_in)
-    f = np.zeros(n_x)
-    g = np.zeros(n_y)
-
-    best_error = math.inf
-    stalled = 0
-    error = math.inf
-    iterations = 0
-    plan = np.exp(log_k)
+    f, g = -log_k.max(axis=1), np.zeros(n_y)
+    k_tilde = _stabilized_kernel(log_k, f, g)
+    k_b = k_tilde.sum(axis=1)
+    best_error, stalled = math.inf, 0
     for iterations in range(1, max_iter + 1):
-        f = log_mu_out - _lse_rows(log_k + g[None, :])
-        g = log_mu_in - _lse_rows((log_k + f[:, None]).T)
-        plan = np.exp(f[:, None] + log_k + g[None, :])
-        error = float(
-            np.abs(plan.sum(axis=1) - mu_out).sum()
-            + np.abs(plan.sum(axis=0) - mu_in).sum()
-        )
+        a = mu_out / k_b
+        kt_a = a @ k_tilde
+        b = mu_in / kt_a
+        k_b = k_tilde @ b
+        error = float(np.abs(a * k_b - mu_out).sum() + np.abs(b * kt_a - mu_in).sum())
         if error <= tol:
             break
-        # Stall detection doubles as the infeasibility diagnosis: a mask
-        # that admits no coupling leaves the marginal error bounded away
-        # from zero while the scalings drift.
+        # The stall rule doubles as the infeasibility diagnosis: a mask with
+        # no coupling keeps the error bounded away from zero as scalings drift.
         if error <= 0.999 * best_error:
             best_error = error
             stalled = 0
@@ -238,12 +239,15 @@ def sinkhorn_balanced(
                 raise Infeasible(
                     f"marginal error stalled at {error:.3e} after {iterations} iterations"
                 )
+        if max(a.max(), b.max()) > 1e100 or min(a.min(), b.min()) < 1e-100:
+            f, g = f + np.log(a), g + np.log(b)
+            k_tilde = _stabilized_kernel(log_k, f, g)
+            a, b = np.ones(n_x), np.ones(n_y)
+            k_b = k_tilde.sum(axis=1)
+    plan = k_tilde * np.outer(a, b)
+    error = _marginal_error(plan, mu_out, mu_in)
     return TransportPlan(
-        plan,
-        kernel.mask,
-        converged=error <= tol,
-        iterations=iterations,
-        marginal_error=error,
+        plan, kernel.mask, converged=error <= tol, iterations=iterations, marginal_error=error
     )
 
 
@@ -260,53 +264,49 @@ def sinkhorn_unbalanced(
     The damped updates
         a <- (mu_out / (K b)) ** (lam_out / (lam_out + 1))
         b <- (mu_in / (K^T a)) ** (lam_in / (lam_in + 1))
-    run in the log domain until the scaling vectors move less than tol
-    in the max norm. On iteration exhaustion the best iterate is
-    returned with converged=False rather than raising.
+    run as the balanced anchor's stabilized scaling, folding into F and
+    G at the same range, until the total log scalings F + log a and
+    G + log b (0 off the mask) move at most tol in the max norm. On
+    exhaustion the last iterate is returned with converged=False.
+    Raises ValueError for max_iter < 1 or a negative or NaN tol.
     """
     if not (lam_out > 0 and lam_in > 0):
         raise ValueError("marginal penalties must be strictly positive")
+    _check_budget(tol, max_iter)
     n_x, n_y = kernel.shape
     mu_out = _as_positive_vector(marginals.mu_out, n_x, "mu_out")
     mu_in = _as_positive_vector(marginals.mu_in, n_y, "mu_in")
     if not kernel.mask.any():
         raise ValueError("kernel mask is empty; nothing to anchor")
 
-    frac_out = lam_out / (lam_out + 1.0)
-    frac_in = lam_in / (lam_in + 1.0)
+    frac_out, frac_in = lam_out / (lam_out + 1.0), lam_in / (lam_in + 1.0)
     log_k = _log_kernel(kernel)
-    log_mu_out = np.log(mu_out)
-    log_mu_in = np.log(mu_in)
-    rows_live = kernel.mask.any(axis=1)
-    cols_live = kernel.mask.any(axis=0)
-
-    f = np.zeros(n_x)
-    g = np.zeros(n_y)
+    log_mu_out, log_mu_in = np.log(mu_out), np.log(mu_in)
+    rows_live, cols_live = kernel.mask.any(axis=1), kernel.mask.any(axis=0)
+    big_f, big_g = np.where(rows_live, -log_k.max(axis=1), 0.0), np.zeros(n_y)
+    k_tilde = _stabilized_kernel(log_k, big_f, big_g)
+    f, g, b = np.zeros(n_x), np.zeros(n_y), np.ones(n_y)
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        f_new = frac_out * (log_mu_out - _lse_rows(log_k + g[None, :]))
-        f_new[~rows_live] = 0.0  # dead rows carry no mass either way
-        g_new = frac_in * (log_mu_in - _lse_rows((log_k + f_new[:, None]).T))
-        g_new[~cols_live] = 0.0
-        step = max(
-            float(np.abs(f_new - f).max()), float(np.abs(g_new - g).max())
-        )
+        log_k_b = np.log(k_tilde @ b, where=rows_live, out=np.zeros(n_x))
+        f_new = np.where(rows_live, frac_out * (log_mu_out - log_k_b + big_f), 0.0)
+        a = np.exp(f_new - big_f)
+        log_kt_a = np.log(a @ k_tilde, where=cols_live, out=np.zeros(n_y))
+        g_new = np.where(cols_live, frac_in * (log_mu_in - log_kt_a + big_g), 0.0)
+        b = np.exp(g_new - big_g)
+        step = max(float(np.abs(f_new - f).max()), float(np.abs(g_new - g).max()))
         f, g = f_new, g_new
         if step <= tol:
             converged = True
             break
-    plan = np.exp(f[:, None] + log_k + g[None, :])
-    error = float(
-        np.abs(plan.sum(axis=1) - mu_out).sum()
-        + np.abs(plan.sum(axis=0) - mu_in).sum()
-    )
+        if max(a.max(), b.max()) > 1e100 or min(a.min(), b.min()) < 1e-100:
+            big_f, big_g = f, g
+            k_tilde = _stabilized_kernel(log_k, big_f, big_g)
+            a, b = np.ones(n_x), np.ones(n_y)
+    plan = k_tilde * np.outer(a, b)
+    error = _marginal_error(plan, mu_out, mu_in)
     return TransportPlan(
-        plan,
-        kernel.mask,
-        converged=converged,
-        iterations=iterations,
-        marginal_error=error,
+        plan, kernel.mask, converged=converged, iterations=iterations, marginal_error=error
     )
 
 

@@ -182,12 +182,23 @@ def _marginals_arg(stage, ctx, where) -> Marginals:
     )
 
 
+def _solver_budget(stage, where) -> dict:
+    """tol and max_iter of a Sinkhorn stage. A budget the solver cannot
+    run with is a config error on its field, not a traceback."""
+    max_iter = int(stage.get("max_iter", 10000))
+    tol = float(stage.get("tol", 1e-9))
+    if max_iter < 1:
+        raise ConfigInvalid(f"{where}.max_iter", f"must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ConfigInvalid(f"{where}.tol", f"must be nonnegative, got {tol!r}")
+    return {"tol": tol, "max_iter": max_iter}
+
+
 def _op_sinkhorn_balanced(stage, ctx, where):
     return sinkhorn_balanced(
         _kernel_arg(stage, "kernel", ctx, where),
         _marginals_arg(stage, ctx, where),
-        tol=float(stage.get("tol", 1e-9)),
-        max_iter=int(stage.get("max_iter", 10000)),
+        **_solver_budget(stage, where),
     )
 
 
@@ -197,8 +208,7 @@ def _op_sinkhorn_unbalanced(stage, ctx, where):
         _marginals_arg(stage, ctx, where),
         lam_out=float(stage.get("lam_out", 1.0)),
         lam_in=float(stage.get("lam_in", 1.0)),
-        tol=float(stage.get("tol", 1e-9)),
-        max_iter=int(stage.get("max_iter", 10000)),
+        **_solver_budget(stage, where),
     )
 
 

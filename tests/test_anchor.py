@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from attnkit import anchor
 from attnkit.anchor import (
     ConditionalFamily,
     Marginals,
@@ -81,6 +82,148 @@ def cycle_perturbations(rng, plan_values, mask, eps, count):
         perturbed[i2, j1] -= step
         out.append(perturbed)
     return out
+
+
+def _reference_lse_rows(log_m):
+    """Row-wise log-sum-exp that tolerates -inf entries (empty rows ->
+    -inf)."""
+    peak = log_m.max(axis=1)
+    out = np.full(log_m.shape[0], -np.inf)
+    finite = np.isfinite(peak)
+    if finite.any():
+        shifted = np.exp(log_m[finite] - peak[finite][:, None])
+        out[finite] = peak[finite] + np.log(shifted.sum(axis=1))
+    return out
+
+
+def _reference_log_kernel(kernel):
+    out = np.full(kernel.shape, -np.inf)
+    out[kernel.mask] = np.log(kernel.values[kernel.mask])
+    return out
+
+
+def _reference_plan(log_k, f, g, mu_out, mu_in):
+    plan = np.exp(f[:, None] + log_k + g[None, :])
+    error = float(
+        np.abs(plan.sum(axis=1) - mu_out).sum()
+        + np.abs(plan.sum(axis=0) - mu_in).sum()
+    )
+    return plan, error
+
+
+def reference_balanced(kernel, marginals, tol=1e-9, max_iter=10000):
+    """The log-domain balanced loop: one n x n log-sum-exp per
+    half-step and a full plan with its marginal error every iteration.
+    Same stall rule as the library solver."""
+    log_k = _reference_log_kernel(kernel)
+    mu_out, mu_in = marginals.mu_out, marginals.mu_in
+    f = np.zeros(kernel.shape[0])
+    g = np.zeros(kernel.shape[1])
+    best_error = math.inf
+    stalled = 0
+    for iterations in range(1, max_iter + 1):
+        f = np.log(mu_out) - _reference_lse_rows(log_k + g[None, :])
+        g = np.log(mu_in) - _reference_lse_rows((log_k + f[:, None]).T)
+        plan, error = _reference_plan(log_k, f, g, mu_out, mu_in)
+        if error <= tol:
+            break
+        if error <= 0.999 * best_error:
+            best_error = error
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 100:
+                raise Infeasible(
+                    f"marginal error stalled at {error:.3e} after {iterations} iterations"
+                )
+    return plan, iterations, error <= tol
+
+
+def reference_unbalanced(kernel, marginals, lam_out, lam_in, tol=1e-9, max_iter=10000):
+    """The log-domain damped loop, stopping when the log scalings move
+    at most tol in the max norm."""
+    log_k = _reference_log_kernel(kernel)
+    mu_out, mu_in = marginals.mu_out, marginals.mu_in
+    frac_out = lam_out / (lam_out + 1.0)
+    frac_in = lam_in / (lam_in + 1.0)
+    rows_live = kernel.mask.any(axis=1)
+    cols_live = kernel.mask.any(axis=0)
+    f = np.zeros(kernel.shape[0])
+    g = np.zeros(kernel.shape[1])
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        f_new = frac_out * (np.log(mu_out) - _reference_lse_rows(log_k + g[None, :]))
+        f_new[~rows_live] = 0.0
+        g_new = frac_in * (np.log(mu_in) - _reference_lse_rows((log_k + f_new[:, None]).T))
+        g_new[~cols_live] = 0.0
+        step = max(float(np.abs(f_new - f).max()), float(np.abs(g_new - g).max()))
+        f, g = f_new, g_new
+        if step <= tol:
+            converged = True
+            break
+    plan, _ = _reference_plan(log_k, f, g, mu_out, mu_in)
+    return plan, iterations, converged
+
+
+def wide_range_instance(rng, n_x, n_y, spread, dead=False):
+    """Masked kernel exp(U(-spread, spread)) with feasible marginals.
+
+    With dead=True row 0 and column 0 are masked out and the marginals
+    are unrelated draws, for the unbalanced anchor.
+    """
+    first_live = 1 if dead else 0
+    while True:
+        mask = rng.random((n_x, n_y)) < 0.6
+        mask[:first_live] = False
+        mask[:, :first_live] = False
+        live = mask[first_live:, first_live:]
+        if live.any(axis=1).all() and live.any(axis=0).all():
+            break
+    values = np.where(mask, np.exp(rng.uniform(-spread, spread, (n_x, n_y))), 0.0)
+    if dead:
+        marginals = Marginals(rng.uniform(0.5, 2.0, n_x), rng.uniform(0.5, 2.0, n_y))
+    else:
+        witness = np.where(mask, rng.uniform(0.2, 3.0, (n_x, n_y)), 0.0)
+        marginals = Marginals(witness.sum(axis=1), witness.sum(axis=0))
+    return EvidenceKernel(values, mask), marginals
+
+
+def band_instance(rng, n=256, window=48):
+    """Band mask |i-j| <= window, kernel exp(N(0, 1)), marginals of a
+    positive plan on the band: the `ga run` window workload's shape."""
+    idx = np.arange(n)
+    mask = np.abs(idx[:, None] - idx[None, :]) <= window
+    witness = np.where(mask, rng.uniform(0.2, 3.0, (n, n)), 0.0)
+    values = np.where(mask, np.exp(rng.normal(size=(n, n))), 0.0)
+    return (
+        EvidenceKernel(values, mask),
+        Marginals(witness.sum(axis=1), witness.sum(axis=0)),
+    )
+
+
+@pytest.fixture
+def fold_count(monkeypatch):
+    """Counts how often a solver folds its scalings into the potentials
+    (every K~ build after the first)."""
+    builds = []
+    real = anchor._stabilized_kernel
+
+    def counting(*args):
+        builds.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(anchor, "_stabilized_kernel", counting)
+    return lambda: len(builds) - 1
+
+
+def assert_plans_agree(plan, reference, mask):
+    ref_values, ref_iterations, ref_converged = reference
+    assert plan.iterations == ref_iterations
+    assert plan.converged == ref_converged
+    # Subnormal entries carry no 1e-11 relative precision.
+    npt.assert_allclose(
+        plan.values[mask], ref_values[mask], rtol=1e-11, atol=np.finfo(float).tiny
+    )
 
 
 class TestRowAnchor:
@@ -292,6 +435,141 @@ class TestSinkhornUnbalanced:
         plan = sinkhorn_unbalanced(kernel, marginals, 3.0, 3.0, tol=1e-14, max_iter=2)
         assert not plan.converged
         assert plan.iterations == 2
+
+
+class TestSolverBudget:
+    @pytest.mark.parametrize(
+        "budget, field",
+        [
+            ({"max_iter": 0}, "max_iter"),
+            ({"max_iter": -1}, "max_iter"),
+            ({"tol": -1e-12}, "tol"),
+            ({"tol": math.nan}, "tol"),
+        ],
+    )
+    @pytest.mark.parametrize("unbalanced", [False, True])
+    def test_budget_that_cannot_run_is_rejected(self, budget, field, unbalanced):
+        kernel = EvidenceKernel(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
+        marginals = Marginals([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=field):
+            if unbalanced:
+                sinkhorn_unbalanced(kernel, marginals, 1.0, 1.0, **budget)
+            else:
+                sinkhorn_balanced(kernel, marginals, **budget)
+
+    def test_zero_tolerance_and_one_iteration_run(self):
+        kernel = EvidenceKernel(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
+        plan = sinkhorn_balanced(
+            kernel, Marginals([1.0, 1.0], [1.0, 1.0]), tol=0.0, max_iter=1
+        )
+        assert plan.iterations == 1
+        npt.assert_allclose(plan.values, 0.5, rtol=1e-15)
+
+
+class TestAgainstLogDomainReference:
+    """The stabilized scaling loops against the log-domain loops they
+    replaced, kept above as reference_balanced/reference_unbalanced."""
+
+    @pytest.mark.parametrize(
+        "spread, seed, folds",
+        [
+            (1.0, 0, 0),
+            (1.0, 1, 0),
+            (1.0, 2, 0),
+            (30.0, 0, 0),
+            (30.0, 1, 0),
+            (30.0, 2, 0),
+            (200.0, 0, 0),
+            # Needs scalings past 1e100, so the loop folds them into
+            # the potentials once.
+            (200.0, 37, 1),
+        ],
+    )
+    def test_balanced_matches_on_wide_range_kernels(self, spread, seed, folds, fold_count):
+        rng = np.random.default_rng(seed)
+        n_x, n_y = (int(v) for v in rng.integers(2, 25, 2))
+        kernel, marginals = wide_range_instance(rng, n_x, n_y, spread)
+        plan = sinkhorn_balanced(kernel, marginals)
+        assert fold_count() == folds
+        assert_plans_agree(plan, reference_balanced(kernel, marginals), kernel.mask)
+
+    def test_balanced_exhausted_on_a_fold_returns_that_iterate(self, fold_count):
+        # This instance folds right after its first iteration.
+        rng = np.random.default_rng(37)
+        n_x, n_y = (int(v) for v in rng.integers(2, 25, 2))
+        kernel, marginals = wide_range_instance(rng, n_x, n_y, 200.0)
+        plan = sinkhorn_balanced(kernel, marginals, max_iter=1)
+        assert fold_count() == 1
+        reference = reference_balanced(kernel, marginals, max_iter=1)
+        assert_plans_agree(plan, reference, kernel.mask)
+
+    def test_balanced_may_stop_one_iteration_earlier_at_the_tolerance(self):
+        # At e^200 the reference's plan, an exp of potential sums, reads
+        # its marginal error to about 1e-11, so where that error crosses
+        # tol within one iteration the two loops can stop one apart. 2 of
+        # the 18 converging draws of seeds 0-39 do; the stabilized plan
+        # then meets tol by its own row and column sums.
+        rng = np.random.default_rng(9)
+        n_x, n_y = (int(v) for v in rng.integers(2, 25, 2))
+        kernel, marginals = wide_range_instance(rng, n_x, n_y, 200.0)
+        plan = sinkhorn_balanced(kernel, marginals)
+        _, ref_iterations, ref_converged = reference_balanced(kernel, marginals)
+        assert ref_converged and plan.converged
+        assert plan.iterations == ref_iterations - 1
+        assert plan.marginal_error <= 1e-9
+
+    def test_balanced_matches_on_a_window_band(self):
+        kernel, marginals = band_instance(np.random.default_rng(5))
+        plan = sinkhorn_balanced(kernel, marginals)
+        assert plan.iterations > 100
+        assert_plans_agree(plan, reference_balanced(kernel, marginals), kernel.mask)
+
+    @pytest.mark.parametrize("seed, folds", [(0, 0), (1, 0), (4, 1)])
+    def test_same_stall_at_e340(self, seed, folds, fold_count):
+        rng = np.random.default_rng(seed)
+        n_x, n_y = (int(v) for v in rng.integers(2, 25, 2))
+        kernel, marginals = wide_range_instance(rng, n_x, n_y, 340.0)
+        with pytest.raises(Infeasible) as ref:
+            reference_balanced(kernel, marginals)
+        with pytest.raises(Infeasible) as got:
+            sinkhorn_balanced(kernel, marginals)
+        # Same stalled error and the same iteration.
+        assert str(got.value) == str(ref.value)
+        assert fold_count() == folds
+
+    @pytest.mark.parametrize(
+        "spread, dead, folds",
+        [
+            (1.0, False, 0),
+            (30.0, False, 0),
+            (200.0, False, 0),
+            (1.0, True, 0),
+            (200.0, True, 0),
+            (600.0, True, 1),
+        ],
+    )
+    def test_unbalanced_matches(self, spread, dead, folds, fold_count):
+        rng = np.random.default_rng(83)
+        n_x, n_y = (int(v) for v in rng.integers(3, 25, 2))
+        kernel, marginals = wide_range_instance(rng, n_x, n_y, spread, dead=dead)
+        plan = sinkhorn_unbalanced(kernel, marginals, 2.0, 0.5)
+        assert fold_count() == folds
+        assert_plans_agree(
+            plan, reference_unbalanced(kernel, marginals, 2.0, 0.5), kernel.mask
+        )
+        if dead:
+            assert (plan.values[0] == 0).all() and (plan.values[:, 0] == 0).all()
+
+
+    def test_unbalanced_exhausted_on_a_fold_returns_that_iterate(self, fold_count):
+        # This instance folds right after its second iteration.
+        rng = np.random.default_rng(83)
+        n_x, n_y = (int(v) for v in rng.integers(3, 25, 2))
+        kernel, marginals = wide_range_instance(rng, n_x, n_y, 600.0, dead=True)
+        plan = sinkhorn_unbalanced(kernel, marginals, 2.0, 0.5, max_iter=2)
+        assert fold_count() == 1
+        reference = reference_unbalanced(kernel, marginals, 2.0, 0.5, max_iter=2)
+        assert_plans_agree(plan, reference, kernel.mask)
 
 
 class TestPlanToConditional:

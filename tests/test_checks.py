@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -103,6 +104,27 @@ def _first_cycle(plan, mask):
                 if min(plan[i1, j2], plan[i2, j1]) > 0:
                     return i1, i2, j1, j2
     return None
+
+
+@pytest.mark.parametrize("seed, kl_cases", [(0, 30), (5, 28)])
+def test_sinkhorn_kl_line_counts_only_instances_with_a_rewiring(
+    monkeypatch, seed, kl_cases
+):
+    # Seed 5 draws two instances whose masks admit no rectangle with
+    # mass to move; the KL property compares nothing on them.
+    compared = []
+    real = checks._cycle_perturbations
+
+    def counting(rng, plan, mask, count=100):
+        found = list(real(rng, plan, mask, count))
+        compared.append(bool(found))
+        yield from found
+
+    monkeypatch.setattr(checks, "_cycle_perturbations", counting)
+    results = _by_name(run_criterion("transport_anchor", seed=seed))
+    assert results["sinkhorn_marginals"].cases == 30
+    assert results["sinkhorn_scaling_invariance"].cases == 30
+    assert results["sinkhorn_kl_optimality"].cases == sum(compared) == kl_cases
 
 
 def test_sinkhorn_suite_catches_a_feasible_but_suboptimal_plan(monkeypatch):

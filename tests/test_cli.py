@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from attnkit.cli import main
 
@@ -265,6 +266,60 @@ def test_anchor_subcommand_row_mode(tmp_path, capsys):
     assert result["kind"] == "conditional"
     assert result["matrix"]["rows"][0] == [0.25, 0.75]
     assert result["matrix"]["rows"][1] == ["-inf", 1.0]
+
+
+@pytest.mark.parametrize("mode", ["balanced", "unbalanced"])
+@pytest.mark.parametrize(
+    "budget, field",
+    [
+        ({"max_iter": 0}, "anchor.max_iter"),
+        ({"max_iter": -3}, "anchor.max_iter"),
+        ({"tol": -1e-9}, "anchor.tol"),
+        ({"tol": math.nan}, "anchor.tol"),
+    ],
+)
+def test_anchor_rejects_a_solver_budget_that_cannot_run(
+    tmp_path, capsys, mode, budget, field
+):
+    spec = {
+        "mode": mode,
+        "kernel": [[1.0, 3.0], ["-inf", 2.0]],
+        "mu_out": [1.0, 1.0],
+        "mu_in": [0.5, 1.5],
+        **budget,
+    }
+    path = write_config(tmp_path, "anchor.json", spec)
+    assert main(["anchor", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {field}:" in out.err
+
+
+def test_run_rejects_a_zero_iteration_budget_on_the_stage(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        "budget.json",
+        {
+            "version": "1",
+            "inputs": {
+                "kernel": [[1.0, 1.0], [1.0, 1.0]],
+                "mu_out": [1.0, 1.0],
+                "mu_in": [1.0, 1.0],
+            },
+            "stages": [
+                {
+                    "op": "sinkhorn_balanced",
+                    "kernel": "kernel",
+                    "mu_out": "mu_out",
+                    "mu_in": "mu_in",
+                    "max_iter": 0,
+                    "out": "plan",
+                }
+            ],
+        },
+    )
+    assert main(["run", config]) == 2
+    assert "stages[0].max_iter" in capsys.readouterr().err
 
 
 def test_chart_subcommand_reports_residual(tmp_path, capsys):
