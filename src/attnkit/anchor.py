@@ -4,11 +4,16 @@ Two families are implemented. Row anchoring normalizes each row of the
 kernel into a conditional distribution (the softmax route). Transport
 anchoring fits a nonnegative coupling to marginal data by Sinkhorn
 scaling, either with hard marginal constraints (balanced) or with KL
-penalties on the marginals (unbalanced). Both solvers use stabilized
-scaling (Schmitzer 2016): two matrix-vector products per iteration
-against exp(log K + f + g), with the scalings folded into the log
-potentials f and g whenever an entry leaves [1e-100, 1e100], so the
-products stay in range on kernels whose entries span e^±200 and more.
+penalties on the marginals (unbalanced). Both solvers run their first
+iteration in the log domain and every later one as stabilized scaling
+(Schmitzer 2016): two matrix-vector products against
+K~ = exp(log K + f + g), with the scalings folded into the log
+potentials f and g whenever an entry leaves [1e-100, 1e100], or an
+entry K~ holds below the normal doubles grows back into the plan's
+normal range. So every plan entry that is a normal double comes from a
+normal entry of K~, and a wide kernel range costs no accuracy; only an
+unbalanced plan with a whole row or column far below the range of
+doubles makes the solver give up, with NoConvergence.
 
 The generalized KL divergence both anchors optimize is also here.
 """
@@ -20,7 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCol, EmptyRow, Infeasible, ShapeMismatch, ZeroMarginal
+from .errors import (
+    EmptyCol,
+    EmptyRow,
+    Infeasible,
+    InvalidBudget,
+    NoConvergence,
+    ShapeMismatch,
+    ZeroMarginal,
+)
 from .score import EvidenceKernel, _as_mask, _as_matrix
 
 
@@ -161,6 +174,9 @@ def generalized_kl(a, b) -> float:
     return total
 
 
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+
+
 def _log_kernel(kernel: EvidenceKernel) -> np.ndarray:
     out = np.full(kernel.shape, -np.inf)
     m = kernel.mask
@@ -168,15 +184,53 @@ def _log_kernel(kernel: EvidenceKernel) -> np.ndarray:
     return out
 
 
+def _log_sum_exp(log_m: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp along an axis that tolerates -inf entries (an all
+    -inf slice gives -inf)."""
+    peak = log_m.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return peak.squeeze(axis) + np.log(np.exp(log_m - peak).sum(axis=axis))
+
+
 def _check_budget(tol: float, max_iter: int) -> None:
     if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        raise InvalidBudget("max_iter", f"must be at least 1, got {max_iter}")
     if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+        raise InvalidBudget("tol", f"must be nonnegative, got {tol!r}")
 
 
-def _stabilized_kernel(log_k: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.exp(log_k + f[:, None] + g[None, :])
+def _fold(log_k: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """Rebuild K~ at the total log scalings f and g.
+
+    Returns K~, its potentials, the scalings a and b against it, and the
+    entries K~ holds below the normal doubles (rows, columns, logs). K~
+    is exp(log K + f + g) with a = b = 1, except that a column, then a
+    row, of K~ that peaks below e^-300 is lifted by up to e^220, and a
+    or b, still inside the fold range, undoes the lift. So K~ b and a K~
+    stay positive where the plan falls far below the range of doubles.
+    """
+    log_plan = log_k + f[:, None] + g[None, :]
+    lift_g = np.clip(-300.0 - log_plan.max(axis=0), 0.0, 220.0)
+    log_plan += lift_g
+    lift_f = np.clip(-300.0 - log_plan.max(axis=1), 0.0, 220.0)
+    log_plan += lift_f[:, None]
+    rows, cols = np.nonzero((log_plan < _LOG_TINY) & (log_plan > -np.inf))
+    flushed = (rows, cols, log_plan[rows, cols])
+    a = np.exp(-lift_f)
+    b = np.exp(-lift_g)
+    return np.exp(log_plan), f + lift_f, g + lift_g, a, b, flushed
+
+
+def _needs_fold(a: np.ndarray, b: np.ndarray, flushed) -> bool:
+    """An entry of a or b left [1e-100, 1e100], or an entry K~ holds
+    below the normal doubles has grown into a normal plan entry."""
+    if max(a.max(), b.max()) > 1e100 or min(a.min(), b.min()) < 1e-100:
+        return True
+    rows, cols, log_k_tilde = flushed
+    if not rows.size:
+        return False
+    return (log_k_tilde + np.log(a)[rows] + np.log(b)[cols]).max() >= _LOG_TINY
 
 
 def _marginal_error(plan, mu_out, mu_in) -> float:
@@ -184,6 +238,15 @@ def _marginal_error(plan, mu_out, mu_in) -> float:
         np.abs(plan.sum(axis=1) - mu_out).sum()
         + np.abs(plan.sum(axis=0) - mu_in).sum()
     )
+
+
+def _final_plan(k_tilde, a, b, iterations: int) -> np.ndarray:
+    plan = k_tilde * np.outer(a, b)
+    if not np.isfinite(plan).all():
+        raise NoConvergence(
+            f"scalings left the range of doubles by iteration {iterations}"
+        )
+    return plan
 
 
 def sinkhorn_balanced(
@@ -194,20 +257,33 @@ def sinkhorn_balanced(
 ) -> TransportPlan:
     """Fit Pi = diag(a) K diag(b) to both marginals exactly (up to tol).
 
-    Stabilized scaling (Schmitzer 2016): a and b act on K~ = exp(log K
-    + f + g), from f = -rowmax(log K), g = 0, and fold into f and g once
-    an entry leaves [1e-100, 1e100]. The L1 marginal error is read from
-    the next half-step's products; an error that does not improve by a
-    factor 0.999 over 100 iterations raises Infeasible. The returned
-    error and converged flag come from the plan's own marginals.
-    Raises ValueError for max_iter < 1 or a negative or NaN tol.
+    Convergence is measured as the L1 error of the achieved marginals
+    against the targets. Infeasible masks are diagnosed when that error
+    stalls: no improvement by factor 0.999 over 100 consecutive
+    iterations.
+
+    The first iteration runs in the log domain and leaves potentials f
+    and g. The others use stabilized scaling (Schmitzer 2016): scalings
+    a and b against K~ = exp(log K + f + g), two matrix-vector products
+    per iteration, which also give the error the stall rule reads.
+    Whenever an entry of a or b leaves [1e-100, 1e100], or an entry K~
+    holds below the normal doubles would now be a normal plan entry, a
+    and b are folded into f and g and K~ is rebuilt. The returned
+    marginal_error and converged flag come from the plan's own row and
+    column sums.
+
+    Raises InvalidBudget, a ValueError, for max_iter < 1 or a negative
+    or NaN tol, and NoConvergence if the scalings leave the range of
+    doubles.
     """
     _check_budget(tol, max_iter)
     n_x, n_y = kernel.shape
     mu_out = _as_positive_vector(marginals.mu_out, n_x, "mu_out")
     mu_in = _as_positive_vector(marginals.mu_in, n_y, "mu_in")
     if not marginals.matched():
-        raise Infeasible(f"total masses differ: {mu_out.sum()} vs {mu_in.sum()}")
+        raise Infeasible(
+            f"total masses differ: {mu_out.sum()} vs {mu_in.sum()}"
+        )
     empty_rows = np.flatnonzero(~kernel.mask.any(axis=1))
     if empty_rows.size:
         raise EmptyRow(int(empty_rows[0]), "masked-out row cannot carry positive marginal")
@@ -216,20 +292,22 @@ def sinkhorn_balanced(
         raise EmptyCol(int(empty_cols[0]), "masked-out column cannot carry positive marginal")
 
     log_k = _log_kernel(kernel)
-    f, g = -log_k.max(axis=1), np.zeros(n_y)
-    k_tilde = _stabilized_kernel(log_k, f, g)
-    k_b = k_tilde.sum(axis=1)
-    best_error, stalled = math.inf, 0
-    for iterations in range(1, max_iter + 1):
-        a = mu_out / k_b
-        kt_a = a @ k_tilde
-        b = mu_in / kt_a
-        k_b = k_tilde @ b
-        error = float(np.abs(a * k_b - mu_out).sum() + np.abs(b * kt_a - mu_in).sum())
-        if error <= tol:
-            break
-        # The stall rule doubles as the infeasibility diagnosis: a mask with
-        # no coupling keeps the error bounded away from zero as scalings drift.
+    # K~ starts as the first iteration's plan: its columns sum to mu_in,
+    # so no row or column of it underflows to zero, whatever the range
+    # of the kernel.
+    f = np.log(mu_out) - _log_sum_exp(log_k, axis=1)
+    g = np.log(mu_in) - _log_sum_exp(log_k + f[:, None], axis=0)
+    k_tilde, f, g, a, b, flushed = _fold(log_k, f, g)
+    k_b = k_tilde @ b
+    error = _marginal_error(k_tilde * np.outer(a, b), mu_out, mu_in)
+
+    best_error = math.inf
+    stalled = 0
+    iterations = 1
+    while error > tol:
+        # Stall detection doubles as the infeasibility diagnosis: a mask
+        # that admits no coupling leaves the marginal error bounded away
+        # from zero while the scalings drift.
         if error <= 0.999 * best_error:
             best_error = error
             stalled = 0
@@ -239,15 +317,25 @@ def sinkhorn_balanced(
                 raise Infeasible(
                     f"marginal error stalled at {error:.3e} after {iterations} iterations"
                 )
-        if max(a.max(), b.max()) > 1e100 or min(a.min(), b.min()) < 1e-100:
-            f, g = f + np.log(a), g + np.log(b)
-            k_tilde = _stabilized_kernel(log_k, f, g)
-            a, b = np.ones(n_x), np.ones(n_y)
-            k_b = k_tilde.sum(axis=1)
-    plan = k_tilde * np.outer(a, b)
+        if iterations == max_iter:
+            break
+        if _needs_fold(a, b, flushed):
+            k_tilde, f, g, a, b, flushed = _fold(log_k, f + np.log(a), g + np.log(b))
+            k_b = k_tilde @ b
+        iterations += 1
+        a = mu_out / k_b
+        kt_a = a @ k_tilde
+        b = mu_in / kt_a
+        k_b = k_tilde @ b
+        error = float(np.abs(a * k_b - mu_out).sum() + np.abs(b * kt_a - mu_in).sum())
+    plan = _final_plan(k_tilde, a, b, iterations)
     error = _marginal_error(plan, mu_out, mu_in)
     return TransportPlan(
-        plan, kernel.mask, converged=error <= tol, iterations=iterations, marginal_error=error
+        plan,
+        kernel.mask,
+        converged=error <= tol,
+        iterations=iterations,
+        marginal_error=error,
     )
 
 
@@ -264,11 +352,18 @@ def sinkhorn_unbalanced(
     The damped updates
         a <- (mu_out / (K b)) ** (lam_out / (lam_out + 1))
         b <- (mu_in / (K^T a)) ** (lam_in / (lam_in + 1))
-    run as the balanced anchor's stabilized scaling, folding into F and
-    G at the same range, until the total log scalings F + log a and
-    G + log b (0 off the mask) move at most tol in the max norm. On
-    exhaustion the last iterate is returned with converged=False.
-    Raises ValueError for max_iter < 1 or a negative or NaN tol.
+    run until the total log scalings F + log a and G + log b (0 on
+    empty rows and columns) move at most tol in the max norm. On
+    iteration exhaustion the last iterate is returned with
+    converged=False rather than raising.
+
+    As in the balanced anchor, the first iteration runs in the log
+    domain and the others scale against K~ = exp(log K + F + G), with a
+    and b folded into F and G by the same two rules. A row or column of
+    the plan can fall far below the range of doubles here; K~ keeps it
+    by a lift of up to e^220 (see _fold), and past that the scalings
+    overflow and NoConvergence is raised. Raises InvalidBudget, a
+    ValueError, for max_iter < 1 or a negative or NaN tol.
     """
     if not (lam_out > 0 and lam_in > 0):
         raise ValueError("marginal penalties must be strictly positive")
@@ -279,15 +374,27 @@ def sinkhorn_unbalanced(
     if not kernel.mask.any():
         raise ValueError("kernel mask is empty; nothing to anchor")
 
-    frac_out, frac_in = lam_out / (lam_out + 1.0), lam_in / (lam_in + 1.0)
+    frac_out = lam_out / (lam_out + 1.0)
+    frac_in = lam_in / (lam_in + 1.0)
     log_k = _log_kernel(kernel)
-    log_mu_out, log_mu_in = np.log(mu_out), np.log(mu_in)
-    rows_live, cols_live = kernel.mask.any(axis=1), kernel.mask.any(axis=0)
-    big_f, big_g = np.where(rows_live, -log_k.max(axis=1), 0.0), np.zeros(n_y)
-    k_tilde = _stabilized_kernel(log_k, big_f, big_g)
-    f, g, b = np.zeros(n_x), np.zeros(n_y), np.ones(n_y)
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    log_mu_out = np.log(mu_out)
+    log_mu_in = np.log(mu_in)
+    rows_live = kernel.mask.any(axis=1)
+    cols_live = kernel.mask.any(axis=0)
+
+    # f and g are the total log scalings; K~ starts as the first
+    # iteration's plan, and big_f, big_g are the potentials it carries.
+    # Dead rows and columns carry no mass either way and stay at 0.
+    f = np.where(rows_live, frac_out * (log_mu_out - _log_sum_exp(log_k, axis=1)), 0.0)
+    g = frac_in * (log_mu_in - _log_sum_exp(log_k + f[:, None], axis=0))
+    g = np.where(cols_live, g, 0.0)
+    step = max(float(np.abs(f).max()), float(np.abs(g).max()))
+    k_tilde, big_f, big_g, a, b, flushed = _fold(log_k, f, g)
+    iterations = 1
+    while step > tol and iterations < max_iter:
+        if _needs_fold(a, b, flushed):
+            k_tilde, big_f, big_g, a, b, flushed = _fold(log_k, f, g)
+        iterations += 1
         log_k_b = np.log(k_tilde @ b, where=rows_live, out=np.zeros(n_x))
         f_new = np.where(rows_live, frac_out * (log_mu_out - log_k_b + big_f), 0.0)
         a = np.exp(f_new - big_f)
@@ -295,18 +402,15 @@ def sinkhorn_unbalanced(
         g_new = np.where(cols_live, frac_in * (log_mu_in - log_kt_a + big_g), 0.0)
         b = np.exp(g_new - big_g)
         step = max(float(np.abs(f_new - f).max()), float(np.abs(g_new - g).max()))
-        f, g = f_new, g_new
-        if step <= tol:
-            converged = True
-            break
-        if max(a.max(), b.max()) > 1e100 or min(a.min(), b.min()) < 1e-100:
-            big_f, big_g = f, g
-            k_tilde = _stabilized_kernel(log_k, big_f, big_g)
-            a, b = np.ones(n_x), np.ones(n_y)
-    plan = k_tilde * np.outer(a, b)
-    error = _marginal_error(plan, mu_out, mu_in)
+        f = f_new
+        g = g_new
+    plan = _final_plan(k_tilde, a, b, iterations)
     return TransportPlan(
-        plan, kernel.mask, converged=converged, iterations=iterations, marginal_error=error
+        plan,
+        kernel.mask,
+        converged=step <= tol,
+        iterations=iterations,
+        marginal_error=_marginal_error(plan, mu_out, mu_in),
     )
 
 

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
     EmptyCol,
     EmptyRow,
     Infeasible,
+    InvalidBudget,
     NoConvergence,
     UnknownSuite,
     ZeroMarginal,
@@ -182,34 +184,36 @@ def _marginals_arg(stage, ctx, where) -> Marginals:
     )
 
 
-def _solver_budget(stage, where) -> dict:
-    """tol and max_iter of a Sinkhorn stage. A budget the solver cannot
-    run with is a config error on its field, not a traceback."""
-    max_iter = int(stage.get("max_iter", 10000))
-    tol = float(stage.get("tol", 1e-9))
-    if max_iter < 1:
-        raise ConfigInvalid(f"{where}.max_iter", f"must be at least 1, got {max_iter}")
-    if not tol >= 0:
-        raise ConfigInvalid(f"{where}.tol", f"must be nonnegative, got {tol!r}")
-    return {"tol": tol, "max_iter": max_iter}
+@contextmanager
+def _solver_budget(where):
+    """A tol or max_iter the solver rejects is a config error on that
+    field, not a traceback."""
+    try:
+        yield
+    except InvalidBudget as exc:
+        raise ConfigInvalid(f"{where}.{exc.field}", str(exc)) from exc
 
 
 def _op_sinkhorn_balanced(stage, ctx, where):
-    return sinkhorn_balanced(
-        _kernel_arg(stage, "kernel", ctx, where),
-        _marginals_arg(stage, ctx, where),
-        **_solver_budget(stage, where),
-    )
+    with _solver_budget(where):
+        return sinkhorn_balanced(
+            _kernel_arg(stage, "kernel", ctx, where),
+            _marginals_arg(stage, ctx, where),
+            tol=float(stage.get("tol", 1e-9)),
+            max_iter=int(stage.get("max_iter", 10000)),
+        )
 
 
 def _op_sinkhorn_unbalanced(stage, ctx, where):
-    return sinkhorn_unbalanced(
-        _kernel_arg(stage, "kernel", ctx, where),
-        _marginals_arg(stage, ctx, where),
-        lam_out=float(stage.get("lam_out", 1.0)),
-        lam_in=float(stage.get("lam_in", 1.0)),
-        **_solver_budget(stage, where),
-    )
+    with _solver_budget(where):
+        return sinkhorn_unbalanced(
+            _kernel_arg(stage, "kernel", ctx, where),
+            _marginals_arg(stage, ctx, where),
+            lam_out=float(stage.get("lam_out", 1.0)),
+            lam_in=float(stage.get("lam_in", 1.0)),
+            tol=float(stage.get("tol", 1e-9)),
+            max_iter=int(stage.get("max_iter", 10000)),
+        )
 
 
 def _op_plan_update(stage, ctx, where):

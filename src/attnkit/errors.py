@@ -46,6 +46,14 @@ class Infeasible(AttnKitError):
     """The mask cannot support a coupling with the requested marginals."""
 
 
+class InvalidBudget(AttnKitError, ValueError):
+    """An iteration budget (max_iter or tol) a solver cannot run with."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
 class ZeroMarginal(AttnKitError):
     def __init__(self, index: int):
         self.index = index

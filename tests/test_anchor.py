@@ -18,7 +18,7 @@ from attnkit.anchor import (
     sinkhorn_unbalanced,
     unbalanced_objective,
 )
-from attnkit.errors import EmptyRow, Infeasible, ShapeMismatch, ZeroMarginal
+from attnkit.errors import EmptyRow, Infeasible, NoConvergence, ShapeMismatch, ZeroMarginal
 from attnkit.score import EvidenceKernel
 
 
@@ -206,13 +206,13 @@ def fold_count(monkeypatch):
     """Counts how often a solver folds its scalings into the potentials
     (every K~ build after the first)."""
     builds = []
-    real = anchor._stabilized_kernel
+    real = anchor._fold
 
     def counting(*args):
         builds.append(1)
         return real(*args)
 
-    monkeypatch.setattr(anchor, "_stabilized_kernel", counting)
+    monkeypatch.setattr(anchor, "_fold", counting)
     return lambda: len(builds) - 1
 
 
@@ -480,9 +480,10 @@ class TestAgainstLogDomainReference:
             (30.0, 1, 0),
             (30.0, 2, 0),
             (200.0, 0, 0),
-            # Needs scalings past 1e100, so the loop folds them into
-            # the potentials once.
-            (200.0, 37, 1),
+            (200.0, 37, 0),
+            # Needs scalings past 1e100 against the first iteration's
+            # plan, so the loop folds them into the potentials once.
+            (250.0, 21, 1),
         ],
     )
     def test_balanced_matches_on_wide_range_kernels(self, spread, seed, folds, fold_count):
@@ -494,14 +495,27 @@ class TestAgainstLogDomainReference:
         assert_plans_agree(plan, reference_balanced(kernel, marginals), kernel.mask)
 
     def test_balanced_exhausted_on_a_fold_returns_that_iterate(self, fold_count):
-        # This instance folds right after its first iteration.
-        rng = np.random.default_rng(37)
+        # This instance folds after iteration 188, so its last iteration
+        # runs against the rebuilt K~.
+        rng = np.random.default_rng(21)
         n_x, n_y = (int(v) for v in rng.integers(2, 25, 2))
-        kernel, marginals = wide_range_instance(rng, n_x, n_y, 200.0)
-        plan = sinkhorn_balanced(kernel, marginals, max_iter=1)
+        kernel, marginals = wide_range_instance(rng, n_x, n_y, 250.0)
+        plan = sinkhorn_balanced(kernel, marginals, max_iter=189)
         assert fold_count() == 1
-        reference = reference_balanced(kernel, marginals, max_iter=1)
+        reference = reference_balanced(kernel, marginals, max_iter=189)
         assert_plans_agree(plan, reference, kernel.mask)
+
+    @pytest.mark.parametrize("exponent", [200, 300, 308])
+    def test_balanced_keeps_a_column_far_below_its_rows(self, exponent):
+        # Column 1 sits 10^(2 * exponent) below each row's maximum, far
+        # past the range of doubles.
+        kernel = EvidenceKernel(
+            np.array([[10.0**exponent, 10.0**-exponent]] * 2), np.ones((2, 2), dtype=bool)
+        )
+        marginals = Marginals([1.0, 1.0], [1.0, 1.0])
+        plan = sinkhorn_balanced(kernel, marginals)
+        assert_plans_agree(plan, reference_balanced(kernel, marginals), kernel.mask)
+        npt.assert_allclose(plan.values, 0.5, rtol=1e-13)
 
     def test_balanced_may_stop_one_iteration_earlier_at_the_tolerance(self):
         # At e^200 the reference's plan, an exp of potential sums, reads
@@ -538,18 +552,21 @@ class TestAgainstLogDomainReference:
         assert fold_count() == folds
 
     @pytest.mark.parametrize(
-        "spread, dead, folds",
+        "spread, dead, seed, folds",
         [
-            (1.0, False, 0),
-            (30.0, False, 0),
-            (200.0, False, 0),
-            (1.0, True, 0),
-            (200.0, True, 0),
-            (600.0, True, 1),
+            (1.0, False, 83, 0),
+            (30.0, False, 83, 0),
+            (200.0, False, 83, 0),
+            (1.0, True, 83, 0),
+            (200.0, True, 83, 0),
+            # Folds only because plan entries that K~ holds below the
+            # normal doubles grow back into the normal range.
+            (600.0, True, 83, 2),
+            (600.0, True, 94, 1),
         ],
     )
-    def test_unbalanced_matches(self, spread, dead, folds, fold_count):
-        rng = np.random.default_rng(83)
+    def test_unbalanced_matches(self, spread, dead, seed, folds, fold_count):
+        rng = np.random.default_rng(seed)
         n_x, n_y = (int(v) for v in rng.integers(3, 25, 2))
         kernel, marginals = wide_range_instance(rng, n_x, n_y, spread, dead=dead)
         plan = sinkhorn_unbalanced(kernel, marginals, 2.0, 0.5)
@@ -560,16 +577,44 @@ class TestAgainstLogDomainReference:
         if dead:
             assert (plan.values[0] == 0).all() and (plan.values[:, 0] == 0).all()
 
-
     def test_unbalanced_exhausted_on_a_fold_returns_that_iterate(self, fold_count):
-        # This instance folds right after its second iteration.
-        rng = np.random.default_rng(83)
+        # This instance folds after iteration 2.
+        rng = np.random.default_rng(94)
         n_x, n_y = (int(v) for v in rng.integers(3, 25, 2))
         kernel, marginals = wide_range_instance(rng, n_x, n_y, 600.0, dead=True)
-        plan = sinkhorn_unbalanced(kernel, marginals, 2.0, 0.5, max_iter=2)
+        plan = sinkhorn_unbalanced(kernel, marginals, 2.0, 0.5, max_iter=3)
         assert fold_count() == 1
-        reference = reference_unbalanced(kernel, marginals, 2.0, 0.5, max_iter=2)
+        reference = reference_unbalanced(kernel, marginals, 2.0, 0.5, max_iter=3)
         assert_plans_agree(plan, reference, kernel.mask)
+
+    @pytest.mark.parametrize("exponent", [200, 300, 308])
+    @pytest.mark.parametrize("lam_out, lam_in", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_unbalanced_keeps_a_column_far_below_its_rows(
+        self, exponent, lam_out, lam_in, transpose
+    ):
+        # At 10^300 or more the plan's column 1 is subnormal for (2, 0.5),
+        # and so is row 1 of the transposed kernel for (0.5, 2); K~ keeps
+        # them only by lifting them at each fold.
+        values = np.array([[10.0**exponent, 10.0**-exponent]] * 2)
+        kernel = EvidenceKernel(
+            values.T if transpose else values, np.ones((2, 2), dtype=bool)
+        )
+        marginals = Marginals([1.0, 1.0], [1.0, 1.0])
+        plan = sinkhorn_unbalanced(kernel, marginals, lam_out, lam_in)
+        reference = reference_unbalanced(kernel, marginals, lam_out, lam_in)
+        assert_plans_agree(plan, reference, kernel.mask)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unbalanced_column_past_the_lift_is_a_numeric_failure(self):
+        # The plan's column 1 is about e^-1370, more than the lift can
+        # bring back into K~; the log-domain reference returns zeros there.
+        kernel = EvidenceKernel(
+            np.array([[1e300, 1e-300]] * 2), np.ones((2, 2), dtype=bool)
+        )
+        marginals = Marginals([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(NoConvergence, match="range of doubles"):
+            sinkhorn_unbalanced(kernel, marginals, 100.0, 0.001)
 
 
 class TestPlanToConditional:

@@ -9,12 +9,12 @@ contract and must be deliberate.
 
 `run_pipeline`, `anchor_unbalanced` and `check_sinkhorn_barrier_seed0`
 were re-pinned once when both Sinkhorn anchors moved from log-domain
-iteration to stabilized scaling: plan entries moved by 1-2 ulp, which
-moves the printed plans, everything computed from them in the run
-pipeline, and the two sinkhorn `max_deviation` lines of the check
-report. Iteration counts, `converged` flags and every other report line
-kept their bytes; `check_gauge_seed0` and `stage_run_causal` never call
-an anchor and did not change.
+iteration to stabilized scaling: plan entries moved by a few ulp, which
+moves the printed plans, their marginal errors, everything computed
+from them in the run pipeline, and the two sinkhorn `max_deviation`
+lines of the check report. Iteration counts, `converged` flags and
+every other report line kept their bytes; `check_gauge_seed0` and
+`stage_run_causal` never call an anchor and did not change.
 """
 
 from pathlib import Path
