@@ -178,10 +178,38 @@ def _op_row_anchor(stage, ctx, where):
 
 
 def _marginals_arg(stage, ctx, where) -> Marginals:
-    return Marginals(
-        _vector_arg(stage, "mu_out", ctx, where),
-        _vector_arg(stage, "mu_in", ctx, where),
-    )
+    masses = []
+    for key in ("mu_out", "mu_in"):
+        mu = _vector_arg(stage, key, ctx, where)
+        if mu.size == 0 or not (np.isfinite(mu).all() and (mu > 0).all()):
+            raise ConfigInvalid(
+                f"{where}.{key}", "expected a nonempty vector of finite, positive masses"
+            )
+        masses.append(mu)
+    return Marginals(*masses)
+
+
+def _int_field(stage, key, default, where) -> int:
+    """An integer field, read strictly: 2.7, "ten" and true are errors,
+    not 2, a traceback and 1."""
+    value = stage.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{where}.{key}", f"expected an integer, got {value!r}")
+    return value
+
+
+def _float_field(stage, key, default, where) -> float:
+    value = stage.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{where}.{key}", f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _penalty_field(stage, key, where) -> float:
+    value = _float_field(stage, key, 1.0, where)
+    if not value > 0:
+        raise ConfigInvalid(f"{where}.{key}", f"must be strictly positive, got {value!r}")
+    return value
 
 
 @contextmanager
@@ -199,8 +227,8 @@ def _op_sinkhorn_balanced(stage, ctx, where):
         return sinkhorn_balanced(
             _kernel_arg(stage, "kernel", ctx, where),
             _marginals_arg(stage, ctx, where),
-            tol=float(stage.get("tol", 1e-9)),
-            max_iter=int(stage.get("max_iter", 10000)),
+            tol=_float_field(stage, "tol", 1e-9, where),
+            max_iter=_int_field(stage, "max_iter", 10000, where),
         )
 
 
@@ -209,10 +237,10 @@ def _op_sinkhorn_unbalanced(stage, ctx, where):
         return sinkhorn_unbalanced(
             _kernel_arg(stage, "kernel", ctx, where),
             _marginals_arg(stage, ctx, where),
-            lam_out=float(stage.get("lam_out", 1.0)),
-            lam_in=float(stage.get("lam_in", 1.0)),
-            tol=float(stage.get("tol", 1e-9)),
-            max_iter=int(stage.get("max_iter", 10000)),
+            lam_out=_penalty_field(stage, "lam_out", where),
+            lam_in=_penalty_field(stage, "lam_in", where),
+            tol=_float_field(stage, "tol", 1e-9, where),
+            max_iter=_int_field(stage, "max_iter", 10000, where),
         )
 
 
@@ -449,11 +477,26 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
         (out_path / "report.json").write_text(text)
-        for entry in stage_reports:
-            (out_path / f"{entry['out']}.json").write_text(
-                dump_canonical(entry["result"])
-            )
+        for entry, stage_text in zip(stage_reports, _stage_results(text)):
+            (out_path / f"{entry['out']}.json").write_text(stage_text)
     return text, exit_code
+
+
+def _stage_results(text: str):
+    """Yield dump_canonical(result) of each stage, in order, cut from
+    the report text instead of formatting every float again.
+
+    A stage result opens after the six-space key `"result": ` and closes
+    before the four-space `}` of its stage; every line inside it is
+    indented deeper, and no canonical string holds a raw newline, so
+    dropping six spaces after each newline re-indents it to the top.
+    """
+    key = '\n      "result": '
+    pos = text.find('\n  "stages": [')
+    while (pos := text.find(key, pos)) >= 0:
+        end = text.index("\n    }", pos)
+        yield text[pos + len(key) : end].replace("\n      ", "\n") + "\n"
+        pos = end
 
 
 def _cmd_run(args) -> int:

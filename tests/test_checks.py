@@ -1,4 +1,4 @@
-"""The property harness itself: its rewiring sampler, and that each
+"""The property harness itself: its rewiring sampler and KL gaps, and that each
 suite fails when the code it verifies is broken."""
 
 from itertools import combinations
@@ -11,8 +11,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import attnkit.checks as checks
-from attnkit.anchor import TransportPlan
-from attnkit.checks import _cycle_perturbations, run_criterion
+from attnkit.anchor import TransportPlan, generalized_kl, sinkhorn_balanced
+from attnkit.checks import (
+    _cycle_perturbations,
+    _feasible_transport_instance,
+    _kl_gaps,
+    run_criterion,
+)
+from attnkit.score import EvidenceKernel
+
+
+def _rewired(plan, rewirings):
+    """The full plans that the (rows, cols, steps) arrays describe."""
+    plans = []
+    for (i1, i2), (j1, j2), step in zip(*rewirings):
+        out = plan.copy()
+        out[[i1, i2], [j1, j2]] += step
+        out[[i1, i2], [j2, j1]] -= step
+        plans.append(out)
+    return plans
 
 
 @st.composite
@@ -35,9 +52,9 @@ def plans_on_masks(draw):
 @given(plans_on_masks(), st.integers(0, 2**32 - 1), st.integers(1, 20))
 def test_rewirings_are_feasible_two_by_two_cycles(instance, seed, count):
     plan, mask = instance
-    rewirings = list(
-        _cycle_perturbations(np.random.default_rng(seed), plan, mask, count)
-    )
+    rows, cols, steps = _cycle_perturbations(np.random.default_rng(seed), plan, mask, count)
+    assert rows.shape == cols.shape == (steps.size, 2)
+    rewirings = _rewired(plan, (rows, cols, steps))
     assert len(rewirings) <= count
     for out in rewirings:
         npt.assert_allclose(out.sum(axis=1), plan.sum(axis=1), rtol=1e-12, atol=0)
@@ -53,7 +70,7 @@ def test_full_mask_yields_the_full_count():
     rng = np.random.default_rng(3)
     plan = rng.uniform(0.1, 2.0, (5, 7))
     mask = np.ones((5, 7), dtype=bool)
-    assert len(list(_cycle_perturbations(rng, plan, mask, count=100))) == 100
+    assert len(_rewired(plan, _cycle_perturbations(rng, plan, mask, count=100))) == 100
 
 
 def test_rewirings_move_mass_only_on_the_mask():
@@ -62,7 +79,7 @@ def test_rewirings_move_mass_only_on_the_mask():
     rng = np.random.default_rng(7)
     plan = rng.uniform(0.1, 2.0, (6, 6))
     mask = rng.random((6, 6)) < 0.6
-    rewirings = list(_cycle_perturbations(rng, plan, mask, count=50))
+    rewirings = _rewired(plan, _cycle_perturbations(rng, plan, mask, count=50))
     assert rewirings
     for out in rewirings:
         assert mask[out != plan].all()
@@ -78,7 +95,47 @@ def test_masks_without_a_rectangle_yield_nothing():
         np.zeros((3, 3), dtype=bool),
     ):
         plan = np.where(mask, 1.0, 0.0)
-        assert list(_cycle_perturbations(rng, plan, mask)) == []
+        assert _rewired(plan, _cycle_perturbations(rng, plan, mask)) == []
+
+
+def test_kl_gaps_match_the_difference_of_full_kls():
+    rng = np.random.default_rng(11)
+    off_optimum_gaps = []
+    for _ in range(8):
+        kernel, marginals = _feasible_transport_instance(rng, 16)
+        optimal = sinkhorn_balanced(kernel, marginals).values
+        # The optimal plan of another kernel on the same mask meets the
+        # same marginals without being KL-optimal for this one.
+        reweighted = EvidenceKernel(
+            kernel.values * rng.uniform(0.1, 10.0, kernel.shape), kernel.mask
+        )
+        off_optimum = sinkhorn_balanced(reweighted, marginals).values
+        for plan in (optimal, off_optimum):
+            rewirings = _cycle_perturbations(rng, plan, kernel.mask)
+            gaps = _kl_gaps(plan, kernel.values, *rewirings)
+            base = generalized_kl(plan, kernel.values)
+            full = [
+                base - generalized_kl(other, kernel.values)
+                for other in _rewired(plan, rewirings)
+            ]
+            assert gaps.shape == (len(full),)
+            npt.assert_allclose(gaps, full, rtol=0, atol=1e-12)
+        off_optimum_gaps.extend(gaps)  # the last plan compared is off the optimum
+    assert len(off_optimum_gaps) >= 400
+    assert max(off_optimum_gaps) > 0
+
+
+def test_kl_gaps_take_zero_log_zero_on_empty_corners():
+    plan = np.array([[0.0, 1.0], [1.0, 0.0]])
+    kernel = np.array([[1.0, 2.0], [3.0, 4.0]])
+    rewiring = (np.array([[0, 1]]), np.array([[0, 1]]), np.array([0.25]))
+    (other,) = _rewired(plan, rewiring)
+    npt.assert_allclose(
+        _kl_gaps(plan, kernel, *rewiring),
+        [generalized_kl(plan, kernel) - generalized_kl(other, kernel)],
+        rtol=0,
+        atol=1e-15,
+    )
 
 
 def _by_name(results):
@@ -116,9 +173,9 @@ def test_sinkhorn_kl_line_counts_only_instances_with_a_rewiring(
     real = checks._cycle_perturbations
 
     def counting(rng, plan, mask, count=100):
-        found = list(real(rng, plan, mask, count))
-        compared.append(bool(found))
-        yield from found
+        found = real(rng, plan, mask, count)
+        compared.append(bool(_rewired(plan, found)))
+        return found
 
     monkeypatch.setattr(checks, "_cycle_perturbations", counting)
     results = _by_name(run_criterion("transport_anchor", seed=seed))

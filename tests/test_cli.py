@@ -295,6 +295,63 @@ def test_anchor_rejects_a_solver_budget_that_cannot_run(
     assert f"error: {field}:" in out.err
 
 
+@pytest.mark.parametrize(
+    "mode, bad, field",
+    [
+        ("balanced", {"max_iter": "ten"}, "anchor.max_iter"),
+        ("unbalanced", {"max_iter": "ten"}, "anchor.max_iter"),
+        ("balanced", {"max_iter": 2.7}, "anchor.max_iter"),
+        ("unbalanced", {"max_iter": 2.7}, "anchor.max_iter"),
+        ("balanced", {"max_iter": True}, "anchor.max_iter"),
+        ("balanced", {"tol": "tiny"}, "anchor.tol"),
+        ("unbalanced", {"lam_out": 0}, "anchor.lam_out"),
+        ("unbalanced", {"lam_in": -1.0}, "anchor.lam_in"),
+        ("balanced", {"mu_out": [1.0, 0.0]}, "anchor.mu_out"),
+        ("unbalanced", {"mu_in": [0.0, 2.0]}, "anchor.mu_in"),
+        ("balanced", {"mu_in": []}, "anchor.mu_in"),
+    ],
+)
+def test_anchor_rejects_bad_sinkhorn_fields_with_exit_2(tmp_path, capsys, mode, bad, field):
+    spec = {
+        "mode": mode,
+        "kernel": [[1.0, 3.0], ["-inf", 2.0]],
+        "mu_out": [1.0, 1.0],
+        "mu_in": [0.5, 1.5],
+        **bad,
+    }
+    path = write_config(tmp_path, "anchor.json", spec)
+    assert main(["anchor", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {field}:" in out.err
+
+
+def test_run_names_the_stage_field_of_a_zero_marginal(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        "marginal.json",
+        {
+            "version": "1",
+            "inputs": {
+                "kernel": [[1.0, 1.0], [1.0, 1.0]],
+                "mu_out": [1.0, 0.0],
+                "mu_in": [0.5, 0.5],
+            },
+            "stages": [
+                {
+                    "op": "sinkhorn_unbalanced",
+                    "kernel": "kernel",
+                    "mu_out": "mu_out",
+                    "mu_in": "mu_in",
+                    "out": "plan",
+                }
+            ],
+        },
+    )
+    assert main(["run", config]) == 2
+    assert "error: stages[0].mu_out:" in capsys.readouterr().err
+
+
 def test_run_rejects_a_zero_iteration_budget_on_the_stage(tmp_path, capsys):
     config = write_config(
         tmp_path,
