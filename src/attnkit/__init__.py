@@ -76,11 +76,8 @@ from .staged import (
     ChartSpec,
     CompSpec,
     InfluenceData,
-    ReadoutSpec,
     ScheduleStep,
-    StagePlan,
     StagedConfig,
-    StagedPipeline,
     StageTrace,
     barrier_check,
     full_history_readout,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,12 +46,11 @@ from .operator import (
 from .score import EvidenceKernel, Link, MaskedScore, assemble_kernel
 from .staged import (
     ChartSpec,
+    ScheduleStep,
     StagedConfig,
-    StagedPipeline,
-    StagePlan,
     influence_relation,
     predecessor_set,
-    run_pipeline_stages,
+    run_schedule,
 )
 
 
@@ -487,12 +486,12 @@ def check_influence_barrier(rng, tol=None):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(2, 5))
         depth = int(rng.integers(1, 5))
-        stages = []
+        schedule = []
         for _ in range(depth):
             mask = rng.random((n, n)) < rng.uniform(0.2, 0.8)
             mask[np.arange(n), np.arange(n)] = True
-            stages.append(
-                StagePlan(
+            schedule.append(
+                ScheduleStep(
                     mask=mask,
                     attn=AttentionParams(
                         w_q=rng.normal(size=(d, d)) * 0.4,
@@ -508,12 +507,9 @@ def check_influence_barrier(rng, tol=None):
                     ),
                 )
             )
-        pipeline = StagedPipeline(
-            rng.normal(size=(n, d)),
-            tuple(stages),
-            StagedConfig(chart=ChartSpec("rms_norm")),
-        )
-        masks = pipeline.masks()
+        initial = rng.normal(size=(n, d))
+        cfg = StagedConfig(chart=ChartSpec("rms_norm"))
+        masks = [step.mask for step in schedule]
         inf = influence_relation(masks)
         outside = {}
         for t in range(1, depth + 1):
@@ -529,11 +525,11 @@ def check_influence_barrier(rng, tol=None):
         # One perturbed run per row u answers every (x, t) it lies
         # outside of: a full-depth run gives the same stage-t bits as a
         # run stopped at t.
-        base = run_pipeline_stages(pipeline).updates
+        base = run_schedule(initial, schedule, cfg).updates
         for u in sorted(outside):
-            perturbed = pipeline.initial.copy()
+            perturbed = initial.copy()
             perturbed[u] = perturbed[u] + rng.normal(size=d)
-            bumped = run_pipeline_stages(replace(pipeline, initial=perturbed)).updates
+            bumped = run_schedule(perturbed, schedule, cfg).updates
             for x, t in outside[u]:
                 checked += 1
                 if not np.array_equal(base[t - 1][x], bumped[t - 1][x]):

@@ -104,9 +104,7 @@ def _ctx_lookup(ctx, name, where: str):
 
 
 def _as_matrix_pair(obj, where: str):
-    if isinstance(obj, EvidenceKernel):
-        return obj.values, obj.mask
-    if isinstance(obj, (ConditionalFamily, TransportPlan)):
+    if isinstance(obj, (EvidenceKernel, ConditionalFamily, TransportPlan)):
         return obj.values, obj.mask
     if isinstance(obj, tuple) and len(obj) == 2:
         return obj
@@ -136,6 +134,18 @@ def _vector_arg(stage, key, ctx, where: str):
     return vector_from_json(value, f"{where}.{key}")
 
 
+@contextmanager
+def _config_errors(where: str):
+    """A value a constructor rejects, or a key it misses, is a config
+    error on that field, not a traceback."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigInvalid(where, f"missing field {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise ConfigInvalid(where, str(exc)) from exc
+
+
 def _kernel_arg(stage, key, ctx, where: str) -> EvidenceKernel:
     values, mask = _matrix_arg(stage, key, ctx, where)
     obj = stage[key]
@@ -143,7 +153,8 @@ def _kernel_arg(stage, key, ctx, where: str) -> EvidenceKernel:
         found = ctx[obj]
         if isinstance(found, EvidenceKernel):
             return found
-    return EvidenceKernel(np.where(mask, values, 0.0), mask)
+    with _config_errors(f"{where}.{key}"):
+        return EvidenceKernel(np.where(mask, values, 0.0), mask)
 
 
 def _link_from_spec(spec, where: str) -> Link:
@@ -151,14 +162,12 @@ def _link_from_spec(spec, where: str) -> Link:
         return Link("exp")
     if not isinstance(spec, dict):
         raise ConfigInvalid(where, "link must be an object")
-    try:
+    with _config_errors(where):
         return Link(
             kind=spec.get("kind", "exp"),
             tau=float(spec.get("tau", 1.0)),
             slope=float(spec.get("slope", 1.0)),
         )
-    except ValueError as exc:
-        raise ConfigInvalid(where, str(exc)) from exc
 
 
 def _op_assemble_kernel(stage, ctx, where):
@@ -189,19 +198,23 @@ def _marginals_arg(stage, ctx, where) -> Marginals:
     return Marginals(*masses)
 
 
+def _field(where, key) -> str:
+    return f"{where}.{key}" if where else key
+
+
 def _int_field(stage, key, default, where) -> int:
     """An integer field, read strictly: 2.7, "ten" and true are errors,
-    not 2, a traceback and 1."""
+    not 2, a traceback and 1. An empty where names a top-level key."""
     value = stage.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(f"{where}.{key}", f"expected an integer, got {value!r}")
+        raise ConfigInvalid(_field(where, key), f"expected an integer, got {value!r}")
     return value
 
 
 def _float_field(stage, key, default, where) -> float:
     value = stage.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{where}.{key}", f"expected a number, got {value!r}")
+        raise ConfigInvalid(_field(where, key), f"expected a number, got {value!r}")
     return float(value)
 
 
@@ -266,7 +279,8 @@ def _op_center_scores(stage, ctx, where):
     values, mask = _matrix_arg(stage, "scores", ctx, where)
     if not mask.all():
         raise ConfigInvalid(f"{where}.scores", "centering needs a fully finite matrix")
-    return center_scores(values, mode=stage.get("mode", "double"))
+    with _config_errors(f"{where}.mode"):
+        return center_scores(values, mode=stage.get("mode", "double"))
 
 
 def _op_score_normal_form(stage, ctx, where):
@@ -275,23 +289,19 @@ def _op_score_normal_form(stage, ctx, where):
         raise ConfigInvalid(f"{where}.scores", "charting needs a fully finite matrix")
     if "rank" not in stage:
         raise ConfigInvalid(f"{where}.rank", "missing required field")
-    return score_normal_form(values, int(stage["rank"]))
+    return score_normal_form(values, _int_field(stage, "rank", None, where))
 
 
 def _refinement_from_spec(spec, where: str) -> RefinementMap:
     if not isinstance(spec, dict):
         raise ConfigInvalid(where, "refinement must be an object")
-    try:
+    with _config_errors(where):
         return RefinementMap(
             fine=spec.get("fine", "fine"),
             coarse=spec.get("coarse", "coarse"),
             map=[int(v) for v in spec["map"]],
             n_coarse=int(spec["n_coarse"]),
         )
-    except KeyError as exc:
-        raise ConfigInvalid(where, f"missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigInvalid(where, str(exc)) from exc
 
 
 def _op_pushforward(stage, ctx, where):
@@ -335,7 +345,7 @@ def _attention_params(stage, ctx, where) -> AttentionParams:
     key_bias = (
         _vector_arg(stage, "key_bias", ctx, where) if "key_bias" in stage else None
     )
-    try:
+    with _config_errors(where):
         return AttentionParams(
             w_q=w_q,
             w_k=w_k,
@@ -345,8 +355,6 @@ def _attention_params(stage, ctx, where) -> AttentionParams:
             prior=prior,
             mask=mask,
         )
-    except ValueError as exc:
-        raise ConfigInvalid(where, str(exc)) from exc
 
 
 def _op_attention(stage, ctx, where):
@@ -417,14 +425,19 @@ def _serialize(obj):
     raise ConfigInvalid("output", f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _load_object(path: str) -> dict:
+    root = load_json(path)
+    if not isinstance(root, dict):
+        raise ConfigInvalid(path, "input root must be an object")
+    return root
+
+
 def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     """Run a pipeline config; return the canonical report text and the
     exit code. With out_dir, the same text goes to report.json."""
-    config = load_json(config_path)
-    if not isinstance(config, dict):
-        raise ConfigInvalid(config_path, "config root must be an object")
+    config = _load_object(config_path)
     base_dir = Path(config_path).parent
-    seed = _seed_from_env(int(config.get("seed", 0)))
+    seed = _seed_from_env(_int_field(config, "seed", 0, ""))
 
     ctx: dict = {}
     for name, spec in (config.get("inputs") or {}).items():
@@ -529,27 +542,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_attn(args) -> int:
-    spec = load_json(args.inputs)
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(args.inputs, "input root must be an object")
+    spec = _load_object(args.inputs)
     result = _op_attention(spec, {}, "attn")
     sys.stdout.write(dump_canonical(_serialize(result)))
     return 0
 
 
 def _cmd_chart(args) -> int:
-    spec = load_json(args.inputs)
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(args.inputs, "input root must be an object")
+    spec = _load_object(args.inputs)
     chart = _op_score_normal_form(spec, {}, "chart")
     sys.stdout.write(dump_canonical(_serialize(chart)))
     return 0
 
 
 def _cmd_anchor(args) -> int:
-    spec = load_json(args.inputs)
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(args.inputs, "input root must be an object")
+    spec = _load_object(args.inputs)
     mode = spec.get("mode", "row")
     if mode == "row":
         result = _op_row_anchor(spec, {}, "anchor")
@@ -566,10 +573,8 @@ def _cmd_anchor(args) -> int:
 def _chart_spec(spec, where: str) -> ChartSpec:
     if spec is None:
         return ChartSpec()
-    try:
+    with _config_errors(where):
         return ChartSpec(spec.get("kind", "rms_norm"), float(spec.get("eps", 1e-6)))
-    except ValueError as exc:
-        raise ConfigInvalid(where, str(exc)) from exc
 
 
 def _comp_spec(spec, where: str) -> CompSpec:
@@ -578,19 +583,17 @@ def _comp_spec(spec, where: str) -> CompSpec:
     gate = None
     if "gate" in spec:
         gate, _ = matrix_from_json(spec["gate"], f"{where}.gate")
-    try:
+    with _config_errors(where):
         return CompSpec(
             kind=spec.get("kind", "additive"),
             gate=gate,
             norm=spec.get("norm", "rms_norm"),
             eps=float(spec.get("eps", 1e-6)),
         )
-    except ValueError as exc:
-        raise ConfigInvalid(where, str(exc)) from exc
 
 
 def _ffn_params(spec, where: str) -> FfnParams:
-    try:
+    with _config_errors(where):
         return FfnParams(
             w1=matrix_from_json(spec["w1"], f"{where}.w1")[0],
             b1=vector_from_json(spec["b1"], f"{where}.b1"),
@@ -598,25 +601,24 @@ def _ffn_params(spec, where: str) -> FfnParams:
             b2=vector_from_json(spec["b2"], f"{where}.b2"),
             activation=spec.get("activation", "gelu"),
         )
-    except KeyError as exc:
-        raise ConfigInvalid(where, f"missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ConfigInvalid(where, str(exc)) from exc
 
 
 def _cmd_stage_run(args) -> int:
-    spec = load_json(args.inputs)
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(args.inputs, "input root must be an object")
+    spec = _load_object(args.inputs)
     initial, initial_mask = matrix_from_json(spec.get("initial"), "stage-run.initial")
     if not initial_mask.all():
         raise ConfigInvalid("stage-run.initial", "records must be fully finite")
     cfg_spec = spec.get("cfg") or {}
+    zero_update_on_empty = cfg_spec.get("zero_update_on_empty", False)
+    if not isinstance(zero_update_on_empty, bool):
+        raise ConfigInvalid(
+            "stage-run.cfg.zero_update_on_empty",
+            f"expected true or false, got {zero_update_on_empty!r}",
+        )
     cfg = StagedConfig(
-        memory="markov",
         chart=_chart_spec(cfg_spec.get("chart"), "stage-run.cfg.chart"),
         comp=_comp_spec(cfg_spec.get("comp"), "stage-run.cfg.comp"),
-        zero_update_on_empty=bool(cfg_spec.get("zero_update_on_empty", False)),
+        zero_update_on_empty=zero_update_on_empty,
     )
     schedule = []
     raw_steps = spec.get("schedule")
@@ -667,17 +669,17 @@ def _cmd_stage_run(args) -> int:
 
 
 def _cmd_ffn_check(args) -> int:
-    spec = load_json(args.inputs)
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(args.inputs, "input root must be an object")
+    spec = _load_object(args.inputs)
     params = _ffn_params(spec, "ffn-check")
-    tolerance = float(spec.get("tolerance", 1e-10))
+    tolerance = _float_field(spec, "tolerance", 1e-10, "ffn-check")
     deviations = []
     if "x" in spec:
         xs = [vector_from_json(spec["x"], "ffn-check.x")]
     else:
-        samples = int(spec.get("samples", 20))
-        seed = _seed_from_env(int(spec.get("seed", 0)))
+        samples = _int_field(spec, "samples", 20, "ffn-check")
+        if samples < 1:
+            raise ConfigInvalid("ffn-check.samples", f"must be at least 1, got {samples}")
+        seed = _seed_from_env(_int_field(spec, "seed", 0, "ffn-check"))
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=params.d_model) for _ in range(samples)]
     for x in xs:

@@ -72,6 +72,13 @@ def svd(matrix) -> SvdResult:
     return SvdResult(u, s, v)
 
 
+def _svd_at_rank(matrix, rank: int) -> SvdResult:
+    result = svd(matrix)
+    if not 0 <= rank <= result.sigma.size:
+        raise RankOutOfRange(f"rank {rank} not in [0, {result.sigma.size}]")
+    return result
+
+
 def truncate(matrix, rank: int) -> tuple[np.ndarray, float]:
     """Best rank-r approximation in Frobenius norm plus its residual.
 
@@ -80,9 +87,7 @@ def truncate(matrix, rank: int) -> tuple[np.ndarray, float]:
     that.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    result = svd(m)
-    if not 0 <= rank <= result.sigma.size:
-        raise RankOutOfRange(f"rank {rank} not in [0, {result.sigma.size}]")
+    result = _svd_at_rank(m, rank)
     approx = (result.U[:, :rank] * result.sigma[:rank]) @ result.V[:, :rank].T
     residual = float(np.linalg.norm(m - approx))
     return approx, residual
@@ -100,10 +105,7 @@ def degenerate_truncation(sigma, rank: int) -> bool:
 
 def extract_qk(matrix, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Split the rank-r SVD symmetrically: Q = U sqrt(S), L = V sqrt(S)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    result = svd(m)
-    if not 0 <= rank <= result.sigma.size:
-        raise RankOutOfRange(f"rank {rank} not in [0, {result.sigma.size}]")
+    result = _svd_at_rank(matrix, rank)
     root = np.sqrt(result.sigma[:rank])
     return result.U[:, :rank] * root, result.V[:, :rank] * root
 
@@ -152,9 +154,7 @@ def score_normal_form(scores, rank: int) -> LowRankChart:
     """
     decomposition = center_scores(scores, mode="double")
     interaction = decomposition.interaction
-    result = svd(interaction)
-    if not 0 <= rank <= result.sigma.size:
-        raise RankOutOfRange(f"rank {rank} not in [0, {result.sigma.size}]")
+    result = _svd_at_rank(interaction, rank)
     root = np.sqrt(result.sigma[:rank])
     q = result.U[:, :rank] * root
     l = result.V[:, :rank] * root

@@ -387,11 +387,36 @@ def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     return direct, ga_form
 
 
-def _branch_value_concat(branches) -> ValueField:
-    dims = {field.d for _, field in branches}
-    if len(dims) != 1:
-        raise ShapeMismatch("branch value fields must share the feature dimension")
-    return ValueField(np.concatenate([field.values for _, field in branches], axis=0))
+def _mixture_gates(gates, branches) -> np.ndarray:
+    g = np.asarray(gates, dtype=np.float64)
+    if not branches:
+        raise ShapeMismatch("a mixture needs at least one branch")
+    if g.ndim != 2 or g.shape[1] != len(branches):
+        raise ShapeMismatch("gates must be n_x by number of branches")
+    return g
+
+
+def _flatten_mixture(gates: np.ndarray, branches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mixed update sum_b gate(., b) * (W_b @ v_b), plus the
+    flattened weights gate(x, b) * W_b(x, y) and their mask on the
+    branch-union carrier."""
+    n_x = gates.shape[0]
+    d = branches[0][1].d
+    blocks = []
+    masks = []
+    out = np.zeros((n_x, d))
+    for b, (weights, field) in enumerate(branches):
+        if weights.shape[0] != n_x:
+            raise ShapeMismatch("branches must share the query carrier")
+        if field.d != d:
+            raise ShapeMismatch("branch value fields must share the feature dimension")
+        gate = gates[:, b : b + 1]
+        out += gate * _weighted_update(
+            weights.values, weights.mask, field, AlignmentMaps.identity()
+        )
+        blocks.append(gate * weights.values)
+        masks.append((gate > 0) & weights.mask)
+    return out, np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
 
 
 def gated_mixture_conditional(gates, branches) -> tuple[np.ndarray, ConditionalFamily]:
@@ -401,27 +426,13 @@ def gated_mixture_conditional(gates, branches) -> tuple[np.ndarray, ConditionalF
     branch-union carrier has entries gate(x,b) * pi_b(y|x); updating
     with it reproduces the mixed output up to summation order.
     """
-    alpha = np.asarray(gates, dtype=np.float64)
-    if alpha.ndim != 2 or alpha.shape[1] != len(branches):
-        raise ShapeMismatch("gates must be n_x by number of branches")
+    alpha = _mixture_gates(gates, branches)
     if (alpha < 0).any() or not np.isfinite(alpha).all():
         raise GateNotStochastic("gates must be nonnegative and finite")
     if (np.abs(alpha.sum(axis=1) - 1.0) > 1e-12).any():
         raise GateNotStochastic("gate rows must sum to 1 within 1e-12")
-    n_x = alpha.shape[0]
-    blocks = []
-    masks = []
-    out = np.zeros((n_x, branches[0][1].d))
-    for b, (family, field) in enumerate(branches):
-        if family.shape[0] != n_x:
-            raise ShapeMismatch("branch families must share the query carrier")
-        out += alpha[:, b : b + 1] * conditional_update(family, field)
-        blocks.append(alpha[:, b : b + 1] * family.values)
-        masks.append((alpha[:, b : b + 1] > 0) & family.mask)
-    flattened = ConditionalFamily(
-        np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
-    )
-    return out, flattened
+    out, values, mask = _flatten_mixture(alpha, branches)
+    return out, ConditionalFamily(values, mask)
 
 
 def gated_mixture_plan(gates, branches) -> tuple[np.ndarray, EvidenceKernel]:
@@ -430,25 +441,11 @@ def gated_mixture_plan(gates, branches) -> tuple[np.ndarray, EvidenceKernel]:
     gates only needs to be nonnegative. Flattened kernel entries are
     gate(x,b) * K_b(x,y) over the branch-union carrier.
     """
-    beta = np.asarray(gates, dtype=np.float64)
-    if beta.ndim != 2 or beta.shape[1] != len(branches):
-        raise ShapeMismatch("gates must be n_x by number of branches")
+    beta = _mixture_gates(gates, branches)
     if (beta < 0).any() or not np.isfinite(beta).all():
         raise NegativeGate("plan gates must be nonnegative and finite")
-    n_x = beta.shape[0]
-    blocks = []
-    masks = []
-    out = np.zeros((n_x, branches[0][1].d))
-    for b, (kernel, field) in enumerate(branches):
-        if kernel.shape[0] != n_x:
-            raise ShapeMismatch("branch kernels must share the query carrier")
-        out += beta[:, b : b + 1] * (kernel.values @ field.values)
-        blocks.append(beta[:, b : b + 1] * kernel.values)
-        masks.append((beta[:, b : b + 1] > 0) & kernel.mask)
-    flattened = EvidenceKernel(
-        np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
-    )
-    return out, flattened
+    out, values, mask = _flatten_mixture(beta, branches)
+    return out, EvidenceKernel(values, mask)
 
 
 @dataclass(frozen=True)

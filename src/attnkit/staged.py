@@ -6,12 +6,14 @@ residual, or post-norm), then does the same with a rowwise feedforward
 update. Stacking stages gives the usual pre-norm block tower; a
 schedule may also coarse-grain the carrier between stages, pooling
 records within buckets and pushing the admissible relation forward.
+A schedule without coarse-graining steps keeps the carrier fixed, which
+is the plain fixed-token stack; run_schedule runs both.
 
 Influence relations record which rows can reach which across stages.
 Composing the per-stage relations gives the predecessor set Pre_t(x);
 perturbing any row outside it leaves the stage-t update at x bitwise
 unchanged, and barrier_check verifies exactly that by running the
-pipeline twice. Note the mask semantics this relies on: the residual
+schedule twice. Note the mask semantics this relies on: the residual
 path makes every row depend on its own past, so stage masks should
 contain the diagonal for the composed relation to cover all routes
 (causal masks do).
@@ -76,35 +78,10 @@ class CompSpec:
 
 
 @dataclass(frozen=True)
-class ReadoutSpec:
-    """Full-history readout data: per-stage gates and placement maps.
-
-    alpha[k] is a gate vector over the current carrier; phi[k] is either
-    None (identity) or an (n_now, n_k) matrix that places the stage-k
-    record into the current carrier by acting on the token axis.
-    """
-
-    alpha: tuple
-    phi: tuple
-
-    def __post_init__(self):
-        if len(self.alpha) != len(self.phi):
-            raise ShapeMismatch("alpha and phi must cover the same stages")
-
-
-@dataclass(frozen=True)
 class StagedConfig:
-    memory: str = "markov"
     chart: ChartSpec = ChartSpec()
     comp: CompSpec = CompSpec()
-    readout: ReadoutSpec | None = None
     zero_update_on_empty: bool = False
-
-    def __post_init__(self):
-        if self.memory not in ("markov", "full_history"):
-            raise ValueError(f"unknown memory mode {self.memory!r}")
-        if (self.memory == "full_history") != (self.readout is not None):
-            raise ValueError("readout must be present exactly for full_history memory")
 
 
 def apply_chart(records, chart: ChartSpec) -> np.ndarray:
@@ -191,24 +168,18 @@ class InfluenceData:
     """Per-stage influence relations as boolean matrices.
 
     relations[t][x, u] is true when row u can influence the stage-t
-    update at row x in one step. markov mode takes the stage
-    admissibility relation itself; full mode is the complete relation.
+    update at row x in one step: the stage admissibility relation
+    itself (Markov dependence).
     """
 
-    dep_mode: str
     relations: tuple
 
     @property
     def n(self) -> int:
         return self.relations[0].shape[0] if self.relations else 0
 
-    def predecessors(self, x: int, t: int) -> set:
-        return predecessor_set(self, x, t)
 
-
-def influence_relation(masks, dep_mode: str = "markov") -> InfluenceData:
-    if dep_mode not in ("markov", "full"):
-        raise ValueError(f"unknown dependence mode {dep_mode!r}")
+def influence_relation(masks) -> InfluenceData:
     relations = []
     n = None
     for i, mask in enumerate(masks):
@@ -219,11 +190,8 @@ def influence_relation(masks, dep_mode: str = "markov") -> InfluenceData:
             n = m.shape[0]
         elif m.shape[0] != n:
             raise NonSquareMask("stage masks disagree on the carrier size")
-        if dep_mode == "full":
-            relations.append(np.ones((n, n), dtype=bool))
-        else:
-            relations.append(m.astype(bool))
-    return InfluenceData(dep_mode=dep_mode, relations=tuple(relations))
+        relations.append(m.astype(bool))
+    return InfluenceData(relations=tuple(relations))
 
 
 def predecessor_set(inf: InfluenceData, x: int, t: int) -> set:
@@ -262,39 +230,6 @@ def _reachable(inf: InfluenceData, start: np.ndarray, t: int) -> list:
 
 
 @dataclass(frozen=True)
-class StagePlan:
-    """Mask plus operator parameters for one stage of a pipeline."""
-
-    mask: np.ndarray
-    attn: AttentionParams
-    ffn: FfnParams
-
-    def __post_init__(self):
-        m = np.asarray(self.mask)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquareMask(f"stage mask has shape {m.shape}")
-        object.__setattr__(self, "mask", m.astype(bool))
-
-
-@dataclass(frozen=True)
-class StagedPipeline:
-    initial: np.ndarray
-    stages: tuple
-    cfg: StagedConfig
-
-    def __post_init__(self):
-        initial = np.array(self.initial, dtype=np.float64, copy=True)
-        if initial.ndim != 2:
-            raise ShapeMismatch("initial records must be an n x d matrix")
-        initial.setflags(write=False)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "stages", tuple(self.stages))
-
-    def masks(self) -> list:
-        return [stage.mask for stage in self.stages]
-
-
-@dataclass(frozen=True)
 class StageTrace:
     """Records R_0..R_T with the per-stage updates, masks, and carriers."""
 
@@ -302,63 +237,6 @@ class StageTrace:
     updates: tuple
     masks: tuple
     carrier_ids: tuple
-
-
-def run_pipeline_stages(pipeline: StagedPipeline, upto: int | None = None) -> StageTrace:
-    """Run the pipeline and keep the full trace.
-
-    updates[s] is R_{s+1} - R_s, the total stage increment the barrier
-    arguments are about.
-    """
-    count = len(pipeline.stages) if upto is None else upto
-    if not 0 <= count <= len(pipeline.stages):
-        raise IndexOutOfRange(f"stage count {count} out of range")
-    records = [pipeline.initial]
-    updates = []
-    masks = []
-    current = pipeline.initial
-    for stage in pipeline.stages[:count]:
-        staged_attn = replace(stage.attn, mask=stage.mask)
-        nxt, update = _block_with_update(current, staged_attn, stage.ffn, pipeline.cfg)
-        records.append(nxt)
-        updates.append(update)
-        masks.append(stage.mask)
-        current = nxt
-    return StageTrace(
-        records=tuple(records),
-        updates=tuple(updates),
-        masks=tuple(masks),
-        carrier_ids=tuple("stage" for _ in records),
-    )
-
-
-def barrier_check(pipeline: StagedPipeline, x: int, t: int, u: int, delta) -> bool:
-    """Dual run: does perturbing row u of R_0 change the stage-t update at x?
-
-    Returns True when the updates are bitwise identical. Whenever
-    u lies outside Pre_t(x) (composed stage masks), identical is the
-    guaranteed outcome; inside the set a difference is typical but not
-    promised.
-    """
-    n = pipeline.initial.shape[0]
-    if not (0 <= x < n and 0 <= u < n):
-        raise IndexOutOfRange("row index out of range")
-    if not 1 <= t <= len(pipeline.stages):
-        raise IndexOutOfRange(f"stage index {t} out of range")
-    delta = np.asarray(delta, dtype=np.float64)
-    perturbed = pipeline.initial.copy()
-    if delta.ndim == 1:
-        perturbed[u] = perturbed[u] + delta
-    elif delta.ndim == 2 and delta.shape == perturbed.shape:
-        touched = np.flatnonzero(np.any(delta != 0, axis=1))
-        if not set(touched.tolist()) <= {u}:
-            raise ValueError("matrix perturbation touches rows other than u")
-        perturbed = perturbed + delta
-    else:
-        raise ShapeMismatch("perturbation must be a row vector or a full matrix")
-    base = run_pipeline_stages(pipeline, upto=t)
-    bumped = run_pipeline_stages(replace(pipeline, initial=perturbed), upto=t)
-    return bool(np.array_equal(base.updates[t - 1][x], bumped.updates[t - 1][x]))
 
 
 @dataclass(frozen=True)
@@ -439,3 +317,36 @@ def run_schedule(initial, schedule, cfg: StagedConfig, carrier_id: str = "base")
         masks=tuple(masks),
         carrier_ids=tuple(carrier_ids),
     )
+
+
+def barrier_check(initial, schedule, cfg: StagedConfig, x: int, t: int, u: int, delta) -> bool:
+    """Dual run: does perturbing row u of R_0 change the stage-t update at x?
+
+    Runs schedule[:t] from the initial and from the perturbed records
+    and returns True when the stage-t updates at x are bitwise
+    identical. Whenever u lies outside Pre_t(x) (composed stage masks),
+    identical is the guaranteed outcome; inside the set a difference is
+    typical but not promised.
+    """
+    perturbed = np.array(initial, dtype=np.float64)
+    if perturbed.ndim != 2:
+        raise ShapeMismatch("initial records must be an n x d matrix")
+    if not 0 <= u < perturbed.shape[0]:
+        raise IndexOutOfRange(f"row {u} out of range for the initial records")
+    if not 1 <= t <= len(schedule):
+        raise IndexOutOfRange(f"stage index {t} out of range")
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.ndim == 1:
+        perturbed[u] = perturbed[u] + delta
+    elif delta.ndim == 2 and delta.shape == perturbed.shape:
+        touched = np.flatnonzero(np.any(delta != 0, axis=1))
+        if not set(touched.tolist()) <= {u}:
+            raise ValueError("matrix perturbation touches rows other than u")
+        perturbed = perturbed + delta
+    else:
+        raise ShapeMismatch("perturbation must be a row vector or a full matrix")
+    base = run_schedule(initial, schedule[:t], cfg).updates[t - 1]
+    if not 0 <= x < base.shape[0]:
+        raise IndexOutOfRange(f"row {x} out of range for the stage-{t} carrier")
+    bumped = run_schedule(perturbed, schedule[:t], cfg).updates[t - 1]
+    return bool(np.array_equal(base[x], bumped[x]))

@@ -463,3 +463,52 @@ def test_stage_run_never_imports_scipy():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert json.loads(done.stdout) == {"code": 0, "scipy": []}
+
+
+FFN_2X2 = {"w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0],
+           "w2": [[1.0, 0.0], [0.0, 1.0]], "b2": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "command, spec, field",
+    [
+        ("chart", {"scores": [[1.0, 2.0], [3.0, 5.0]], "rank": 1.7}, "chart.rank"),
+        ("chart", {"scores": [[1.0, 2.0], [3.0, 5.0]], "rank": "two"}, "chart.rank"),
+        ("run", {"seed": "x", "stages": []}, "seed"),
+        ("ffn-check", {**FFN_2X2, "samples": 2.5}, "ffn-check.samples"),
+        ("ffn-check", {**FFN_2X2, "samples": 0}, "ffn-check.samples"),
+        ("ffn-check", {**FFN_2X2, "seed": "x"}, "ffn-check.seed"),
+        ("ffn-check", {**FFN_2X2, "tolerance": "x"}, "ffn-check.tolerance"),
+        ("anchor", {"mode": "row", "kernel": [[1, 0], [1, 1]]}, "anchor.kernel"),
+        (
+            "run",
+            {"stages": [{"op": "center_scores", "out": "c",
+                         "scores": [[1.0, 2.0], [3.0, 4.0]], "mode": "bogus"}]},
+            "stages[0].mode",
+        ),
+    ],
+)
+def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
+    path = write_config(tmp_path, "input.json", spec)
+    assert main([command, path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("flag, code", [("no", 2), (None, 3), (True, 0)])
+def test_stage_run_reads_zero_update_on_empty_as_a_json_boolean(tmp_path, capsys, flag, code):
+    # Row 1 of the mask is empty: without zero-updates that is EmptyRow.
+    step = {
+        "attn": {"w_q": [[1.0, 0.0], [0.0, 1.0]], "w_k": [[1.0, 0.0], [0.0, 1.0]],
+                 "w_v": [[1.0, 0.0], [0.0, 1.0]]},
+        "ffn": FFN_2X2,
+        "mask": [[1, 0], [0, 0]],
+    }
+    spec = {"initial": [[1.0, 0.0], [0.0, 1.0]], "schedule": [step]}
+    if flag is not None:
+        spec["cfg"] = {"zero_update_on_empty": flag}
+    assert main(["stage-run", write_config(tmp_path, "stage.json", spec)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: stage-run.cfg.zero_update_on_empty:")

@@ -21,6 +21,11 @@ suites, pinned from the per-comparison loops of the property harness
 just before they were batched: the KL rewirings became closed-form
 gaps over the four entries each one touches, and the Eckart-Young
 contenders one block of draws. Same draws, same report bytes.
+
+`check_all_seed5` is the whole `ga check --seed 5` report, pinned just
+before the fixed-carrier pipeline runner was folded into
+`run_schedule`. Seed 5 draws other barrier, mixture and Eckart-Young
+instances than seed 0, and fewer KL comparisons in the sinkhorn suite.
 """
 
 import json
@@ -38,6 +43,7 @@ CASES = {
     "stage_run_causal": ["stage-run", str(GOLDEN / "stage_run_causal.json")],
     "anchor_unbalanced": ["anchor", str(GOLDEN / "anchor_unbalanced.json")],
     "check_all_seed0": ["check", "--seed", "0"],
+    "check_all_seed5": ["check", "--seed", "5"],
     "check_gauge_seed0": ["check", "--suite", "gauge", "--seed", "0"],
     "check_sinkhorn_barrier_seed0": [
         "check", "--suite", "sinkhorn", "--suite", "barrier", "--seed", "0"

@@ -551,6 +551,31 @@ class TestMixtures:
         with pytest.raises(NegativeGate):
             gated_mixture_plan(np.array([[-0.5]]), [(kernel, field)])
 
+    @pytest.mark.parametrize(
+        "mix, weights_type",
+        [
+            (gated_mixture_conditional, ConditionalFamily),
+            (gated_mixture_plan, EvidenceKernel),
+        ],
+        ids=["conditional", "plan"],
+    )
+    @pytest.mark.parametrize(
+        "case", ["no_branches", "gate_width", "query_size", "value_width"]
+    )
+    def test_branch_shapes_are_checked(self, mix, weights_type, case):
+        field = ValueField(np.array([[1.0]]))
+        one_row = (weights_type(np.array([[1.0]]), np.array([[True]])), field)
+        two_rows = (weights_type(np.ones((2, 1)), np.ones((2, 1), dtype=bool)), field)
+        wide = (one_row[0], ValueField(np.array([[1.0, 2.0]])))
+        gates, branches = {
+            "no_branches": (np.zeros((2, 0)), []),
+            "gate_width": (np.array([[0.5, 0.5]]), [one_row]),
+            "query_size": (np.array([[0.5, 0.5]]), [one_row, two_rows]),
+            "value_width": (np.array([[0.5, 0.5]]), [one_row, wide]),
+        }[case]
+        with pytest.raises(ShapeMismatch):
+            mix(gates, branches)
+
 
 class TestIntegralView:
     def test_integrals_are_bitwise_the_plan_update(self):

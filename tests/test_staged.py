@@ -20,11 +20,8 @@ from attnkit.staged import (
     ChartSpec,
     CompSpec,
     InfluenceData,
-    ReadoutSpec,
     ScheduleStep,
     StagedConfig,
-    StagedPipeline,
-    StagePlan,
     apply_chart,
     apply_comp,
     barrier_check,
@@ -33,7 +30,6 @@ from attnkit.staged import (
     predecessor_set,
     predecessor_sets,
     run_block,
-    run_pipeline_stages,
     run_schedule,
 )
 
@@ -264,14 +260,6 @@ class TestFullHistoryReadout:
         with pytest.raises(ShapeMismatch):
             full_history_readout([np.ones((2, 2))], [np.ones(2)], [None, None])
 
-    def test_config_pairs_memory_with_readout(self):
-        readout = ReadoutSpec(alpha=(np.ones(2),), phi=(None,))
-        StagedConfig(memory="full_history", readout=readout)
-        with pytest.raises(ValueError):
-            StagedConfig(memory="full_history")
-        with pytest.raises(ValueError):
-            StagedConfig(memory="markov", readout=readout)
-
 
 def chain_mask(n):
     mask = np.zeros((n, n), dtype=bool)
@@ -288,10 +276,6 @@ class TestInfluence:
         inf = influence_relation(masks)
         npt.assert_array_equal(inf.relations[0], masks[0])
         npt.assert_array_equal(inf.relations[1], masks[1])
-
-    def test_full_mode_is_complete(self):
-        inf = influence_relation([chain_mask(3)], dep_mode="full")
-        assert inf.relations[0].all()
 
     def test_chain_predecessors_frozen(self):
         inf = influence_relation([chain_mask(4), chain_mask(4)])
@@ -331,7 +315,7 @@ class TestInfluence:
         with pytest.raises(IndexOutOfRange):
             predecessor_sets(inf, -1)
         with pytest.raises(IndexOutOfRange):
-            predecessor_sets(InfluenceData("markov", ()), 0)
+            predecessor_sets(InfluenceData(()), 0)
 
     def test_index_validation(self):
         inf = influence_relation([chain_mask(3)])
@@ -341,28 +325,26 @@ class TestInfluence:
             predecessor_set(inf, 0, 2)
         with pytest.raises(NonSquareMask):
             influence_relation([np.ones((2, 3), dtype=bool)])
-        with pytest.raises(ValueError):
-            influence_relation([chain_mask(2)], dep_mode="maybe")
 
 
-def build_pipeline(rng, n, d, depth, chart="identity"):
-    stages = tuple(
-        StagePlan(
+def build_schedule(rng, n, d, depth, chart="identity"):
+    schedule = [
+        ScheduleStep(
             mask=diagonal_mask(rng, n),
             attn=make_attn(rng, d),
             ffn=make_ffn(rng, d),
         )
         for _ in range(depth)
-    )
+    ]
     cfg = StagedConfig(chart=ChartSpec(chart))
-    return StagedPipeline(rng.normal(size=(n, d)), stages, cfg)
+    return rng.normal(size=(n, d)), schedule, cfg
 
 
 class TestBarrier:
     def test_trace_updates_are_record_differences(self):
         rng = np.random.default_rng(131)
-        pipeline = build_pipeline(rng, 4, 3, 3)
-        trace = run_pipeline_stages(pipeline)
+        initial, schedule, cfg = build_schedule(rng, 4, 3, 3)
+        trace = run_schedule(initial, schedule, cfg)
         assert len(trace.records) == 4 and len(trace.updates) == 3
         for s in range(3):
             npt.assert_allclose(
@@ -372,10 +354,10 @@ class TestBarrier:
     def test_stopping_early_leaves_earlier_updates_bitwise_equal(self):
         # The barrier suite reads stage t from one full-depth run.
         rng = np.random.default_rng(132)
-        pipeline = build_pipeline(rng, 5, 3, 4, chart="rms_norm")
-        full = run_pipeline_stages(pipeline).updates
+        initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
+        full = run_schedule(initial, schedule, cfg).updates
         for t in range(1, 5):
-            stopped = run_pipeline_stages(pipeline, upto=t).updates
+            stopped = run_schedule(initial, schedule[:t], cfg).updates
             assert len(stopped) == t
             assert all(np.array_equal(a, b) for a, b in zip(stopped, full))
 
@@ -384,24 +366,23 @@ class TestBarrier:
         # perturbation two steps downstream cannot reach it.
         rng = np.random.default_rng(133)
         n, d = 4, 3
-        stages = tuple(
-            StagePlan(chain_mask(n), make_attn(rng, d), make_ffn(rng, d))
+        schedule = [
+            ScheduleStep(make_attn(rng, d), make_ffn(rng, d), mask=chain_mask(n))
             for _ in range(2)
-        )
-        pipeline = StagedPipeline(
-            rng.normal(size=(n, d)), stages, StagedConfig(chart=ChartSpec("identity"))
-        )
+        ]
+        initial = rng.normal(size=(n, d))
+        cfg = StagedConfig(chart=ChartSpec("identity"))
         delta = rng.normal(size=d)
-        assert barrier_check(pipeline, x=0, t=1, u=2, delta=delta)
-        assert barrier_check(pipeline, x=0, t=2, u=3, delta=delta)
+        assert barrier_check(initial, schedule, cfg, x=0, t=1, u=2, delta=delta)
+        assert barrier_check(initial, schedule, cfg, x=0, t=2, u=3, delta=delta)
         # Inside the predecessor set the update does move for a generic
         # perturbation.
-        assert not barrier_check(pipeline, x=2, t=1, u=1, delta=delta)
+        assert not barrier_check(initial, schedule, cfg, x=2, t=1, u=1, delta=delta)
 
     def test_zero_perturbation_never_moves_anything(self):
         rng = np.random.default_rng(135)
-        pipeline = build_pipeline(rng, 3, 2, 2)
-        assert barrier_check(pipeline, x=1, t=2, u=0, delta=np.zeros(2))
+        initial, schedule, cfg = build_schedule(rng, 3, 2, 2)
+        assert barrier_check(initial, schedule, cfg, x=1, t=2, u=0, delta=np.zeros(2))
 
     def test_outside_predecessors_is_always_bitwise_clean(self):
         rng = np.random.default_rng(137)
@@ -409,8 +390,8 @@ class TestBarrier:
             n = int(rng.integers(2, 6))
             d = int(rng.integers(2, 4))
             depth = int(rng.integers(1, 4))
-            pipeline = build_pipeline(rng, n, d, depth, chart="rms_norm")
-            inf = influence_relation(pipeline.masks())
+            initial, schedule, cfg = build_schedule(rng, n, d, depth, chart="rms_norm")
+            inf = influence_relation([step.mask for step in schedule])
             for t in range(1, depth + 1):
                 for x in range(n):
                     pre = predecessor_set(inf, x, t)
@@ -418,25 +399,42 @@ class TestBarrier:
                         if u in pre:
                             continue
                         delta = rng.normal(size=d)
-                        assert barrier_check(pipeline, x, t, u, delta)
+                        assert barrier_check(initial, schedule, cfg, x, t, u, delta)
 
     def test_matrix_perturbation_form(self):
         rng = np.random.default_rng(139)
-        pipeline = build_pipeline(rng, 3, 2, 1)
+        initial, schedule, cfg = build_schedule(rng, 3, 2, 1)
         full = np.zeros((3, 2))
         full[1] = [0.5, -0.5]
-        barrier_check(pipeline, x=0, t=1, u=1, delta=full)
+        barrier_check(initial, schedule, cfg, x=0, t=1, u=1, delta=full)
         full[2] = [1.0, 0.0]
         with pytest.raises(ValueError):
-            barrier_check(pipeline, x=0, t=1, u=1, delta=full)
+            barrier_check(initial, schedule, cfg, x=0, t=1, u=1, delta=full)
 
     def test_index_validation(self):
         rng = np.random.default_rng(141)
-        pipeline = build_pipeline(rng, 3, 2, 1)
+        initial, schedule, cfg = build_schedule(rng, 3, 2, 1)
         with pytest.raises(IndexOutOfRange):
-            barrier_check(pipeline, x=9, t=1, u=0, delta=np.zeros(2))
+            barrier_check(initial, schedule, cfg, x=9, t=1, u=0, delta=np.zeros(2))
         with pytest.raises(IndexOutOfRange):
-            barrier_check(pipeline, x=0, t=2, u=0, delta=np.zeros(2))
+            barrier_check(initial, schedule, cfg, x=0, t=1, u=3, delta=np.zeros(2))
+        with pytest.raises(IndexOutOfRange):
+            barrier_check(initial, schedule, cfg, x=0, t=2, u=0, delta=np.zeros(2))
+        with pytest.raises(ShapeMismatch):
+            barrier_check(initial[0], schedule, cfg, x=0, t=1, u=0, delta=np.zeros(2))
+
+    def test_row_x_indexes_the_stage_carrier(self):
+        # After a merge to two rows, row 2 of the initial records exists
+        # but the stage-1 update has no row 2.
+        rng = np.random.default_rng(142)
+        d = 2
+        refine = RefinementMap("base", "half", [0, 0, 1, 1], 2)
+        schedule = [ScheduleStep(make_attn(rng, d), make_ffn(rng, d), refine=refine)]
+        initial = rng.normal(size=(4, d))
+        cfg = StagedConfig(chart=ChartSpec("identity"))
+        assert not barrier_check(initial, schedule, cfg, x=1, t=1, u=3, delta=np.ones(d))
+        with pytest.raises(IndexOutOfRange):
+            barrier_check(initial, schedule, cfg, x=2, t=1, u=3, delta=np.ones(d))
 
 
 class TestRunSchedule:
