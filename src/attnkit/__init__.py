@@ -66,6 +66,7 @@ from .score import (
     BaselinePrior,
     EvidenceKernel,
     Link,
+    MaskedMatrix,
     MaskedScore,
     assemble_kernel,
     check_link_compositionality,

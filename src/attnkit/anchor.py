@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,52 +35,37 @@ from .errors import (
     ShapeMismatch,
     ZeroMarginal,
 )
-from .score import EvidenceKernel, _as_mask, _as_matrix
+from .score import EvidenceKernel, MaskedMatrix
 
 
-def _as_positive_vector(values, n: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1 or arr.size != n:
-        raise ShapeMismatch(f"{name} must be a vector of length {n}")
-    if not np.isfinite(arr).all() or (arr <= 0).any():
-        raise ValueError(f"{name} entries must be finite and strictly positive")
-    arr.setflags(write=False)
-    return arr
+def _marginal_vectors(marginals: Marginals, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The target masses, checked against the kernel shape; Marginals
+    has already checked that they are finite and strictly positive."""
+    for name, arr, n in zip(("mu_out", "mu_in"), (marginals.mu_out, marginals.mu_in), shape):
+        if arr.size != n:
+            raise ShapeMismatch(f"{name} must be a vector of length {n}")
+    return marginals.mu_out, marginals.mu_in
 
 
 @dataclass(frozen=True)
-class ConditionalFamily:
+class ConditionalFamily(MaskedMatrix):
     """Row-stochastic family supported on the mask.
 
     Rows whose mask is empty are identically zero; every other row sums
     to 1 within 1e-12.
     """
 
-    values: np.ndarray
-    mask: np.ndarray
+    kind: ClassVar[str] = "conditional"
 
     def __post_init__(self):
-        values = _as_matrix(self.values, "conditional values")
-        mask = _as_mask(self.mask, values.shape)
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("conditional values must be finite and nonnegative")
-        if (values[~mask] != 0).any():
-            raise ValueError("conditional values must vanish off the mask")
-        sums = values.sum(axis=1)
-        nonempty = mask.any(axis=1)
+        super().__post_init__()
+        sums = self.values.sum(axis=1)
+        nonempty = self.mask.any(axis=1)
         if (np.abs(sums[nonempty] - 1.0) > 1e-12).any():
             worst = int(np.argmax(np.abs(sums - 1.0) * nonempty))
             raise ValueError(
                 f"row {worst} sums to {sums[worst]!r}, not 1 within 1e-12"
             )
-        if (sums[~nonempty] != 0).any():
-            raise ValueError("rows with empty mask must be zero")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -108,11 +94,11 @@ class Marginals:
 
 
 @dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(MaskedMatrix):
     """Nonnegative coupling with its achieved marginals and solver state."""
 
-    values: np.ndarray
-    mask: np.ndarray
+    kind: ClassVar[str] = "plan"
+
     converged: bool
     iterations: int
     marginal_error: float = 0.0
@@ -120,24 +106,13 @@ class TransportPlan:
     col_marginal: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        values = _as_matrix(self.values, "plan values")
-        mask = _as_mask(self.mask, values.shape)
-        if not np.isfinite(values).all() or (values < 0).any():
-            raise ValueError("plan values must be finite and nonnegative")
-        if (values[~mask] != 0).any():
-            raise ValueError("plan places mass off the mask")
-        row_marginal = values.sum(axis=1)
-        col_marginal = values.sum(axis=0)
+        super().__post_init__()
+        row_marginal = self.values.sum(axis=1)
+        col_marginal = self.values.sum(axis=0)
         row_marginal.setflags(write=False)
         col_marginal.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "row_marginal", row_marginal)
         object.__setattr__(self, "col_marginal", col_marginal)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 def row_anchor(kernel: EvidenceKernel) -> ConditionalFamily:
@@ -277,9 +252,7 @@ def sinkhorn_balanced(
     doubles.
     """
     _check_budget(tol, max_iter)
-    n_x, n_y = kernel.shape
-    mu_out = _as_positive_vector(marginals.mu_out, n_x, "mu_out")
-    mu_in = _as_positive_vector(marginals.mu_in, n_y, "mu_in")
+    mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)
     if not marginals.matched():
         raise Infeasible(
             f"total masses differ: {mu_out.sum()} vs {mu_in.sum()}"
@@ -369,8 +342,7 @@ def sinkhorn_unbalanced(
         raise ValueError("marginal penalties must be strictly positive")
     _check_budget(tol, max_iter)
     n_x, n_y = kernel.shape
-    mu_out = _as_positive_vector(marginals.mu_out, n_x, "mu_out")
-    mu_in = _as_positive_vector(marginals.mu_in, n_y, "mu_in")
+    mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)
     if not kernel.mask.any():
         raise ValueError("kernel mask is empty; nothing to anchor")
 

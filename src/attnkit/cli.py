@@ -52,8 +52,16 @@ from .matio import (
     vector_from_json,
     vector_to_json,
 )
-from .operator import AttentionParams, FfnParams, ValueField, attention, ffn_as_ga
-from .score import BaselinePrior, EvidenceKernel, Link, MaskedScore, assemble_kernel
+from .operator import (
+    AttentionParams,
+    FfnParams,
+    ValueField,
+    attention,
+    conditional_update,
+    ffn_as_ga,
+    plan_update,
+)
+from .score import BaselinePrior, EvidenceKernel, Link, MaskedMatrix, MaskedScore, assemble_kernel
 from .staged import (
     ChartSpec,
     CompSpec,
@@ -67,19 +75,24 @@ from .staged import (
 _NUMERIC_ERRORS = (NoConvergence, Infeasible, EmptyRow, EmptyCol, ZeroMarginal)
 
 
-def _seed_from_env(default: int) -> int:
+def _seed_from_env(seed: int, where: str) -> int:
+    """GA_SEED if it is set, else seed, read from where; the one used
+    must be a nonnegative integer."""
     raw = os.environ.get("GA_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigInvalid("GA_SEED", f"not an integer: {raw!r}") from exc
+    if raw is not None:
+        where = "GA_SEED"
+        try:
+            seed = int(raw)
+        except ValueError as exc:
+            raise ConfigInvalid(where, f"not an integer: {raw!r}") from exc
+    if seed < 0:
+        raise ConfigInvalid(where, f"must be nonnegative, got {seed}")
+    return seed
 
 
 def _resolve_input(spec, base_dir: Path, where: str):
     """One named input: inline matrix, inline vector, or file reference."""
-    if isinstance(spec, dict) and "file" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("file"), str):
         target = base_dir / spec["file"]
         if not target.exists():
             raise ConfigInvalid(where, f"referenced file {str(target)!r} does not exist")
@@ -104,7 +117,7 @@ def _ctx_lookup(ctx, name, where: str):
 
 
 def _as_matrix_pair(obj, where: str):
-    if isinstance(obj, (EvidenceKernel, ConditionalFamily, TransportPlan)):
+    if isinstance(obj, MaskedMatrix):
         return obj.values, obj.mask
     if isinstance(obj, tuple) and len(obj) == 2:
         return obj
@@ -122,6 +135,14 @@ def _matrix_arg(stage, key, ctx, where: str):
     return matrix_from_json(value, f"{where}.{key}")
 
 
+def _dense_arg(stage, key, ctx, where: str) -> np.ndarray:
+    """A matrix field that must be fully finite: '-inf' is an error here."""
+    values, mask = _matrix_arg(stage, key, ctx, where)
+    if mask.all():
+        return values
+    raise ConfigInvalid(f"{where}.{key}", "expected a fully finite matrix, without '-inf'")
+
+
 def _vector_arg(stage, key, ctx, where: str):
     if key not in stage:
         raise ConfigInvalid(f"{where}.{key}", "missing required field")
@@ -136,50 +157,46 @@ def _vector_arg(stage, key, ctx, where: str):
 
 @contextmanager
 def _config_errors(where: str):
-    """A value a constructor rejects, or a key it misses, is a config
-    error on that field, not a traceback."""
+    """A value a constructor rejects is a config error on that field,
+    not a traceback."""
     try:
         yield
-    except KeyError as exc:
-        raise ConfigInvalid(where, f"missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ConfigInvalid(where, str(exc)) from exc
 
 
 def _kernel_arg(stage, key, ctx, where: str) -> EvidenceKernel:
+    name = stage.get(key)
+    if isinstance(name, str) and isinstance(ctx.get(name), EvidenceKernel):
+        return ctx[name]
     values, mask = _matrix_arg(stage, key, ctx, where)
-    obj = stage[key]
-    if isinstance(obj, str):
-        found = ctx[obj]
-        if isinstance(found, EvidenceKernel):
-            return found
     with _config_errors(f"{where}.{key}"):
-        return EvidenceKernel(np.where(mask, values, 0.0), mask)
+        return EvidenceKernel(values, mask)
 
 
-def _link_from_spec(spec, where: str) -> Link:
-    if spec is None:
-        return Link("exp")
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(where, "link must be an object")
+def _prior_arg(stage, ctx, where: str) -> BaselinePrior | None:
+    if "prior" not in stage:
+        return None
+    values = _dense_arg(stage, "prior", ctx, where)
+    with _config_errors(f"{where}.prior"):
+        return BaselinePrior(values)
+
+
+def _link_arg(stage, where: str) -> Link:
+    spec = _object_field(stage, "link", {}, where)
+    where = f"{where}.link"
     with _config_errors(where):
         return Link(
             kind=spec.get("kind", "exp"),
-            tau=float(spec.get("tau", 1.0)),
-            slope=float(spec.get("slope", 1.0)),
+            tau=_float_field(spec, "tau", 1.0, where),
+            slope=_float_field(spec, "slope", 1.0, where),
         )
 
 
 def _op_assemble_kernel(stage, ctx, where):
     values, mask = _matrix_arg(stage, "scores", ctx, where)
-    link = _link_from_spec(stage.get("link"), f"{where}.link")
-    prior = None
-    if "prior" in stage:
-        p_values, p_mask = _matrix_arg(stage, "prior", ctx, where)
-        if not p_mask.all():
-            raise ConfigInvalid(f"{where}.prior", "prior cannot contain exclusions")
-        prior = BaselinePrior(p_values)
-    return assemble_kernel(MaskedScore(values, mask), prior, link)
+    link = _link_arg(stage, where)
+    return assemble_kernel(MaskedScore(values, mask), _prior_arg(stage, ctx, where), link)
 
 
 def _op_row_anchor(stage, ctx, where):
@@ -202,20 +219,32 @@ def _field(where, key) -> str:
     return f"{where}.{key}" if where else key
 
 
-def _int_field(stage, key, default, where) -> int:
-    """An integer field, read strictly: 2.7, "ten" and true are errors,
-    not 2, a traceback and 1. An empty where names a top-level key."""
+def _typed_field(stage, key, default, where, types, noun):
+    """stage[key], or default when it is absent, read strictly: its
+    exact JSON type must be one of types, so true is not the integer 1.
+    An empty where names a top-level key."""
     value = stage.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(_field(where, key), f"expected an integer, got {value!r}")
+    if type(value) not in types:
+        raise ConfigInvalid(_field(where, key), f"expected {noun}, got {value!r}")
     return value
 
 
+def _int_field(stage, key, default, where) -> int:
+    """An integer field: 2.7, "ten" and true are errors, not 2, a
+    traceback and 1."""
+    return _typed_field(stage, key, default, where, (int,), "an integer")
+
+
 def _float_field(stage, key, default, where) -> float:
-    value = stage.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(_field(where, key), f"expected a number, got {value!r}")
-    return float(value)
+    return float(_typed_field(stage, key, default, where, (int, float), "a number"))
+
+
+def _str_field(stage, key, default, where) -> str:
+    return _typed_field(stage, key, default, where, (str,), "a string")
+
+
+def _object_field(stage, key, default, where) -> dict:
+    return _typed_field(stage, key, default, where, (dict,), "a JSON object")
 
 
 def _penalty_field(stage, key, where) -> float:
@@ -257,12 +286,22 @@ def _op_sinkhorn_unbalanced(stage, ctx, where):
         )
 
 
+def _value_field_arg(stage, weights: MaskedMatrix, ctx, where) -> ValueField:
+    """The values an update integrates, one row per weight column."""
+    values = _dense_arg(stage, "values", ctx, where)
+    if values.shape[0] != weights.shape[1]:
+        raise ConfigInvalid(
+            f"{where}.values",
+            f"has {values.shape[0]} rows, the weights have {weights.shape[1]} columns",
+        )
+    return ValueField(values)
+
+
 def _op_plan_update(stage, ctx, where):
     plan = _ctx_lookup(ctx, stage.get("plan"), f"{where}.plan")
     if not isinstance(plan, TransportPlan):
         raise ConfigInvalid(f"{where}.plan", "referenced value is not a plan")
-    values, _ = _matrix_arg(stage, "values", ctx, where)
-    return plan.values @ values
+    return plan_update(plan, _value_field_arg(stage, plan, ctx, where))
 
 
 def _op_conditional_update(stage, ctx, where):
@@ -271,47 +310,42 @@ def _op_conditional_update(stage, ctx, where):
         family = plan_to_conditional(family, family.row_marginal)
     if not isinstance(family, ConditionalFamily):
         raise ConfigInvalid(f"{where}.family", "referenced value is not a conditional")
-    values, _ = _matrix_arg(stage, "values", ctx, where)
-    return family.values @ values
+    return conditional_update(family, _value_field_arg(stage, family, ctx, where))
 
 
 def _op_center_scores(stage, ctx, where):
-    values, mask = _matrix_arg(stage, "scores", ctx, where)
-    if not mask.all():
-        raise ConfigInvalid(f"{where}.scores", "centering needs a fully finite matrix")
+    values = _dense_arg(stage, "scores", ctx, where)
+    mode = _str_field(stage, "mode", "double", where)
     with _config_errors(f"{where}.mode"):
-        return center_scores(values, mode=stage.get("mode", "double"))
+        return center_scores(values, mode=mode)
 
 
 def _op_score_normal_form(stage, ctx, where):
-    values, mask = _matrix_arg(stage, "scores", ctx, where)
-    if not mask.all():
-        raise ConfigInvalid(f"{where}.scores", "charting needs a fully finite matrix")
+    values = _dense_arg(stage, "scores", ctx, where)
     if "rank" not in stage:
         raise ConfigInvalid(f"{where}.rank", "missing required field")
     return score_normal_form(values, _int_field(stage, "rank", None, where))
 
 
-def _refinement_from_spec(spec, where: str) -> RefinementMap:
-    if not isinstance(spec, dict):
-        raise ConfigInvalid(where, "refinement must be an object")
+def _refinement_arg(stage, key, where: str) -> RefinementMap:
+    spec = _object_field(stage, key, None, where)
+    where = f"{where}.{key}"
+    buckets = spec.get("map")
+    if type(buckets) is not list or any(type(v) is not int for v in buckets):
+        raise ConfigInvalid(f"{where}.map", f"expected a list of integers, got {buckets!r}")
     with _config_errors(where):
         return RefinementMap(
-            fine=spec.get("fine", "fine"),
-            coarse=spec.get("coarse", "coarse"),
-            map=[int(v) for v in spec["map"]],
-            n_coarse=int(spec["n_coarse"]),
+            fine=_str_field(spec, "fine", "fine", where),
+            coarse=_str_field(spec, "coarse", "coarse", where),
+            map=buckets,
+            n_coarse=_int_field(spec, "n_coarse", None, where),
         )
 
 
 def _op_pushforward(stage, ctx, where):
     kernel = _kernel_arg(stage, "kernel", ctx, where)
-    rho_x = _refinement_from_spec(stage.get("map_x"), f"{where}.map_x")
-    rho_y = (
-        _refinement_from_spec(stage["map_y"], f"{where}.map_y")
-        if "map_y" in stage
-        else rho_x
-    )
+    rho_x = _refinement_arg(stage, "map_x", where)
+    rho_y = _refinement_arg(stage, "map_y", where) if "map_y" in stage else rho_x
     return pushforward_kernel(kernel, rho_x, rho_y)
 
 
@@ -324,9 +358,6 @@ def _op_scale_kernel(stage, ctx, where):
 
 
 def _attention_params(stage, ctx, where) -> AttentionParams:
-    w_q, _ = _matrix_arg(stage, "w_q", ctx, where)
-    w_k, _ = _matrix_arg(stage, "w_k", ctx, where)
-    w_v, _ = _matrix_arg(stage, "w_v", ctx, where)
     mask = None
     if "mask" in stage:
         value = stage["mask"]
@@ -336,29 +367,23 @@ def _attention_params(stage, ctx, where) -> AttentionParams:
             )
         else:
             mask = mask_from_json(value, f"{where}.mask")
-    prior = None
-    if "prior" in stage:
-        p_values, p_mask = _matrix_arg(stage, "prior", ctx, where)
-        if not p_mask.all():
-            raise ConfigInvalid(f"{where}.prior", "prior cannot contain exclusions")
-        prior = BaselinePrior(p_values)
     key_bias = (
         _vector_arg(stage, "key_bias", ctx, where) if "key_bias" in stage else None
     )
     with _config_errors(where):
         return AttentionParams(
-            w_q=w_q,
-            w_k=w_k,
-            w_v=w_v,
-            tau=float(stage.get("tau", 1.0)),
+            w_q=_dense_arg(stage, "w_q", ctx, where),
+            w_k=_dense_arg(stage, "w_k", ctx, where),
+            w_v=_dense_arg(stage, "w_v", ctx, where),
+            tau=_float_field(stage, "tau", 1.0, where),
             key_bias=key_bias,
-            prior=prior,
+            prior=_prior_arg(stage, ctx, where),
             mask=mask,
         )
 
 
 def _op_attention(stage, ctx, where):
-    embeddings, _ = _matrix_arg(stage, "embeddings", ctx, where)
+    embeddings = _dense_arg(stage, "embeddings", ctx, where)
     params = _attention_params(stage, ctx, where)
     family, out = attention(embeddings, params)
     return {"weights": family, "output": out}
@@ -380,20 +405,17 @@ _OPS = {
 
 
 def _serialize(obj):
-    if isinstance(obj, EvidenceKernel):
-        return {"kind": "kernel", "matrix": matrix_to_json(obj.values, obj.mask)}
-    if isinstance(obj, ConditionalFamily):
-        return {"kind": "conditional", "matrix": matrix_to_json(obj.values, obj.mask)}
-    if isinstance(obj, TransportPlan):
-        return {
-            "kind": "plan",
-            "matrix": matrix_to_json(obj.values, obj.mask),
-            "converged": obj.converged,
-            "iterations": obj.iterations,
-            "marginal_error": obj.marginal_error,
-            "row_marginal": vector_to_json(obj.row_marginal),
-            "col_marginal": vector_to_json(obj.col_marginal),
-        }
+    if isinstance(obj, MaskedMatrix):
+        out = {"kind": obj.kind, "matrix": matrix_to_json(obj.values, obj.mask)}
+        if isinstance(obj, TransportPlan):
+            out.update(
+                converged=obj.converged,
+                iterations=obj.iterations,
+                marginal_error=obj.marginal_error,
+                row_marginal=vector_to_json(obj.row_marginal),
+                col_marginal=vector_to_json(obj.col_marginal),
+            )
+        return out
     if isinstance(obj, CenteredDecomposition):
         return {
             "kind": "centered",
@@ -437,21 +459,19 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     exit code. With out_dir, the same text goes to report.json."""
     config = _load_object(config_path)
     base_dir = Path(config_path).parent
-    seed = _seed_from_env(_int_field(config, "seed", 0, ""))
+    seed = _seed_from_env(_int_field(config, "seed", 0, ""), "seed")
 
     ctx: dict = {}
-    for name, spec in (config.get("inputs") or {}).items():
+    for name, spec in _object_field(config, "inputs", {}, "").items():
         ctx[name] = _resolve_input(spec, base_dir, f"inputs.{name}")
 
-    stages = config.get("stages")
-    if not isinstance(stages, list):
-        raise ConfigInvalid("stages", "config must carry a list of stages")
+    stages = _typed_field(config, "stages", None, "", (list,), "a list of stages")
     stage_reports = []
     for i, stage in enumerate(stages):
         where = f"stages[{i}]"
         if not isinstance(stage, dict):
             raise ConfigInvalid(where, "stage must be an object")
-        op = stage.get("op")
+        op = _str_field(stage, "op", None, where)
         if op not in _OPS:
             known = ", ".join(sorted(_OPS))
             raise ConfigInvalid(f"{where}.op", f"unknown operation {op!r}; known: {known}")
@@ -522,7 +542,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     suites = args.suite or list(SUITES)
-    seed = _seed_from_env(args.seed)
+    seed = _seed_from_env(args.seed, "--seed")
     started = time.perf_counter()
     reports = run_checks(suites, seed=seed, tol=args.tol)
     payload = {
@@ -541,84 +561,65 @@ def _cmd_check(args) -> int:
     return 0 if payload["passed"] else 4
 
 
-def _cmd_attn(args) -> int:
+_ANCHOR_OPS = {
+    "row": "row_anchor",
+    "balanced": "sinkhorn_balanced",
+    "unbalanced": "sinkhorn_unbalanced",
+}
+
+
+def _cmd_one_stage(args) -> int:
+    """`ga attn`, `ga chart` and `ga anchor`: the input object is one
+    `ga run` stage of op args.op; anchor picks the op by its mode."""
     spec = _load_object(args.inputs)
-    result = _op_attention(spec, {}, "attn")
-    sys.stdout.write(dump_canonical(_serialize(result)))
-    return 0
-
-
-def _cmd_chart(args) -> int:
-    spec = _load_object(args.inputs)
-    chart = _op_score_normal_form(spec, {}, "chart")
-    sys.stdout.write(dump_canonical(_serialize(chart)))
-    return 0
-
-
-def _cmd_anchor(args) -> int:
-    spec = _load_object(args.inputs)
-    mode = spec.get("mode", "row")
-    if mode == "row":
-        result = _op_row_anchor(spec, {}, "anchor")
-    elif mode == "balanced":
-        result = _op_sinkhorn_balanced(spec, {}, "anchor")
-    elif mode == "unbalanced":
-        result = _op_sinkhorn_unbalanced(spec, {}, "anchor")
-    else:
-        raise ConfigInvalid("anchor.mode", f"unknown mode {mode!r}")
-    sys.stdout.write(dump_canonical(_serialize(result)))
+    op = args.op
+    if op is None:
+        mode = _str_field(spec, "mode", "row", "anchor")
+        if mode not in _ANCHOR_OPS:
+            raise ConfigInvalid("anchor.mode", f"unknown mode {mode!r}")
+        op = _ANCHOR_OPS[mode]
+    sys.stdout.write(dump_canonical(_serialize(_OPS[op](spec, {}, args.command))))
     return 0
 
 
 def _chart_spec(spec, where: str) -> ChartSpec:
-    if spec is None:
-        return ChartSpec()
     with _config_errors(where):
-        return ChartSpec(spec.get("kind", "rms_norm"), float(spec.get("eps", 1e-6)))
+        return ChartSpec(spec.get("kind", "rms_norm"), _float_field(spec, "eps", 1e-6, where))
 
 
 def _comp_spec(spec, where: str) -> CompSpec:
-    if spec is None:
-        return CompSpec()
-    gate = None
-    if "gate" in spec:
-        gate, _ = matrix_from_json(spec["gate"], f"{where}.gate")
+    gate = _dense_arg(spec, "gate", {}, where) if "gate" in spec else None
     with _config_errors(where):
         return CompSpec(
             kind=spec.get("kind", "additive"),
             gate=gate,
             norm=spec.get("norm", "rms_norm"),
-            eps=float(spec.get("eps", 1e-6)),
+            eps=_float_field(spec, "eps", 1e-6, where),
         )
 
 
 def _ffn_params(spec, where: str) -> FfnParams:
     with _config_errors(where):
         return FfnParams(
-            w1=matrix_from_json(spec["w1"], f"{where}.w1")[0],
-            b1=vector_from_json(spec["b1"], f"{where}.b1"),
-            w2=matrix_from_json(spec["w2"], f"{where}.w2")[0],
-            b2=vector_from_json(spec["b2"], f"{where}.b2"),
-            activation=spec.get("activation", "gelu"),
+            w1=_dense_arg(spec, "w1", {}, where),
+            b1=_vector_arg(spec, "b1", {}, where),
+            w2=_dense_arg(spec, "w2", {}, where),
+            b2=_vector_arg(spec, "b2", {}, where),
+            activation=_str_field(spec, "activation", "gelu", where),
         )
 
 
 def _cmd_stage_run(args) -> int:
     spec = _load_object(args.inputs)
-    initial, initial_mask = matrix_from_json(spec.get("initial"), "stage-run.initial")
-    if not initial_mask.all():
-        raise ConfigInvalid("stage-run.initial", "records must be fully finite")
-    cfg_spec = spec.get("cfg") or {}
-    zero_update_on_empty = cfg_spec.get("zero_update_on_empty", False)
-    if not isinstance(zero_update_on_empty, bool):
-        raise ConfigInvalid(
-            "stage-run.cfg.zero_update_on_empty",
-            f"expected true or false, got {zero_update_on_empty!r}",
-        )
+    initial = _dense_arg(spec, "initial", {}, "stage-run")
+    cfg_spec = _object_field(spec, "cfg", {}, "stage-run")
+    where = "stage-run.cfg"
     cfg = StagedConfig(
-        chart=_chart_spec(cfg_spec.get("chart"), "stage-run.cfg.chart"),
-        comp=_comp_spec(cfg_spec.get("comp"), "stage-run.cfg.comp"),
-        zero_update_on_empty=zero_update_on_empty,
+        chart=_chart_spec(_object_field(cfg_spec, "chart", {}, where), f"{where}.chart"),
+        comp=_comp_spec(_object_field(cfg_spec, "comp", {}, where), f"{where}.comp"),
+        zero_update_on_empty=_typed_field(
+            cfg_spec, "zero_update_on_empty", False, where, (bool,), "true or false"
+        ),
     )
     schedule = []
     raw_steps = spec.get("schedule")
@@ -626,26 +627,24 @@ def _cmd_stage_run(args) -> int:
         raise ConfigInvalid("stage-run.schedule", "expected a nonempty list of steps")
     for i, step in enumerate(raw_steps):
         where = f"stage-run.schedule[{i}]"
-        if not isinstance(step, dict) or "attn" not in step or "ffn" not in step:
-            raise ConfigInvalid(where, "each step needs attn and ffn parameter objects")
+        if not isinstance(step, dict):
+            raise ConfigInvalid(where, "each step must be an object")
         mask = (
             mask_from_json(step["mask"], f"{where}.mask") if "mask" in step else None
         )
-        refine = (
-            _refinement_from_spec(step["refine"], f"{where}.refine")
-            if "refine" in step
-            else None
-        )
+        refine = _refinement_arg(step, "refine", where) if "refine" in step else None
+        attn = _object_field(step, "attn", None, where)
+        ffn = _object_field(step, "ffn", None, where)
         schedule.append(
             ScheduleStep(
-                attn=_attention_params(step["attn"], {}, f"{where}.attn"),
-                ffn=_ffn_params(step["ffn"], f"{where}.ffn"),
+                attn=_attention_params(attn, {}, f"{where}.attn"),
+                ffn=_ffn_params(ffn, f"{where}.ffn"),
                 mask=mask,
                 refine=refine,
             )
         )
     trace = run_schedule(
-        initial, schedule, cfg, carrier_id=spec.get("carrier", "base")
+        initial, schedule, cfg, carrier_id=_str_field(spec, "carrier", "base", "stage-run")
     )
     payload = {
         "records": [matrix_to_json(r) for r in trace.records],
@@ -679,7 +678,7 @@ def _cmd_ffn_check(args) -> int:
         samples = _int_field(spec, "samples", 20, "ffn-check")
         if samples < 1:
             raise ConfigInvalid("ffn-check.samples", f"must be at least 1, got {samples}")
-        seed = _seed_from_env(_int_field(spec, "seed", 0, "ffn-check"))
+        seed = _seed_from_env(_int_field(spec, "seed", 0, "ffn-check"), "ffn-check.seed")
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=params.d_model) for _ in range(samples)]
     for x in xs:
@@ -727,16 +726,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check_p.set_defaults(fn=_cmd_check)
 
-    for name, fn, blurb in (
-        ("attn", _cmd_attn, "one attention call from a JSON input file"),
-        ("chart", _cmd_chart, "low-rank normal form of a score matrix"),
-        ("anchor", _cmd_anchor, "anchor a kernel (row, balanced, unbalanced)"),
-        ("stage-run", _cmd_stage_run, "run a staged schedule and dump the trace"),
-        ("ffn-check", _cmd_ffn_check, "verify the feedforward kernel form"),
+    for name, fn, op, blurb in (
+        ("attn", _cmd_one_stage, "attention", "one attention call from a JSON input file"),
+        ("chart", _cmd_one_stage, "score_normal_form", "low-rank normal form of a score matrix"),
+        ("anchor", _cmd_one_stage, None, "anchor a kernel (row, balanced, unbalanced)"),
+        ("stage-run", _cmd_stage_run, None, "run a staged schedule and dump the trace"),
+        ("ffn-check", _cmd_ffn_check, None, "verify the feedforward kernel form"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("inputs", help="path to the input JSON")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, op=op)
     return parser
 
 

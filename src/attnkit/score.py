@@ -15,7 +15,8 @@ check has both passing and failing witnesses to chew on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -142,27 +143,45 @@ class Link:
 
 
 @dataclass(frozen=True)
-class EvidenceKernel:
-    """Nonnegative kernel whose support equals the admissibility mask."""
+class MaskedMatrix:
+    """Nonnegative weights on the carrier, supported on the admissible mask.
+
+    values is a read-only float64 copy, finite, nonnegative and zero off
+    the mask; mask is a read-only boolean array of the same shape. The
+    kernel, conditional and plan types add their own law on top.
+    """
+
+    kind: ClassVar[str] = "matrix"
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        values = _as_matrix(self.values, "kernel values")
+        values = _as_matrix(self.values, f"{self.kind} values")
         mask = _as_mask(self.mask, values.shape)
-        if not np.isfinite(values).all():
-            raise ValueError("kernel values must be finite")
-        if (values < 0).any():
-            raise ValueError("kernel values must be nonnegative")
-        if ((values > 0) != mask).any():
-            raise ValueError("kernel support must equal the mask exactly")
+        if not np.isfinite(values).all() or (values < 0).any():
+            raise ValueError(f"{self.kind} values must be finite and nonnegative")
+        if ((values != 0) & ~mask).any():
+            raise ValueError(f"{self.kind} places mass off the mask")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+
+@dataclass(frozen=True)
+class EvidenceKernel(MaskedMatrix):
+    """Nonnegative kernel whose support equals the admissibility mask."""
+
+    kind: ClassVar[str] = "kernel"
+
+    def __post_init__(self):
+        super().__post_init__()
+        # Nothing lies off the mask, so equal counts mean no zero on it.
+        if np.count_nonzero(self.values) != np.count_nonzero(self.mask):
+            raise ValueError("kernel support must equal the mask exactly")
 
 
 def assemble_kernel(score: MaskedScore, prior: BaselinePrior | None, link: Link) -> EvidenceKernel:

@@ -46,6 +46,8 @@ class ChartSpec:
     def __post_init__(self):
         if self.kind not in ("identity", "rms_norm", "layer_norm"):
             raise ValueError(f"unknown chart kind {self.kind!r}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be strictly positive, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,8 @@ class CompSpec:
             object.__setattr__(self, "gate", gate)
         if self.norm not in ("rms_norm", "layer_norm"):
             raise ValueError(f"unknown postnorm kind {self.norm!r}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be strictly positive, got {self.eps!r}")
 
 
 @dataclass(frozen=True)

@@ -467,6 +467,16 @@ def test_stage_run_never_imports_scipy():
 
 FFN_2X2 = {"w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0],
            "w2": [[1.0, 0.0], [0.0, 1.0]], "b2": [0.0, 0.0]}
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+ATTN_2X2 = {"embeddings": EYE, "w_q": EYE, "w_k": EYE, "w_v": EYE}
+STEP_2X2 = {"attn": {"w_q": EYE, "w_k": EYE, "w_v": EYE}, "ffn": FFN_2X2}
+STAGE_RUN_2X2 = {"initial": EYE, "schedule": [STEP_2X2]}
+PUSHFORWARD = {"op": "pushforward_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]], "out": "k",
+               "map_x": {"map": [0, 0], "n_coarse": 1}}
+
+
+def run_stage(stage, **inputs):
+    return {"inputs": inputs, "stages": [{"out": "r", **stage}]}
 
 
 @pytest.mark.parametrize(
@@ -486,6 +496,67 @@ FFN_2X2 = {"w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0],
                          "scores": [[1.0, 2.0], [3.0, 4.0]], "mode": "bogus"}]},
             "stages[0].mode",
         ),
+        # A "-inf" where only finite matrices make sense.
+        ("attn", {**ATTN_2X2, "embeddings": [[1.0, "-inf"], [0.0, 1.0]]}, "attn.embeddings"),
+        ("attn", {**ATTN_2X2, "w_v": [[1.0, "-inf"], [0.0, 1.0]]}, "attn.w_v"),
+        ("ffn-check", {**FFN_2X2, "w1": [["-inf", 0.0], [0.0, 1.0]]}, "ffn-check.w1"),
+        (
+            "run",
+            {"stages": [{"op": "row_anchor", "kernel": [[1.0, 1.0]], "out": "c"},
+                        {"op": "conditional_update", "family": "c",
+                         "values": [[1.0], ["-inf"]], "out": "u"}]},
+            "stages[1].values",
+        ),
+        ("stage-run", {**STAGE_RUN_2X2, "initial": [[1.0, "-inf"], [0.0, 1.0]]},
+         "stage-run.initial"),
+        # Values whose rows do not match the weight columns.
+        (
+            "run",
+            {"stages": [{"op": "row_anchor", "kernel": [[1.0, 1.0]], "out": "c"},
+                        {"op": "conditional_update", "family": "c", "values": [[1.0]],
+                         "out": "u"}]},
+            "stages[1].values",
+        ),
+        # Numbers, strings and objects read strictly.
+        ("attn", {**ATTN_2X2, "tau": "0.5"}, "attn.tau"),
+        ("attn", {**ATTN_2X2, "tau": True}, "attn.tau"),
+        ("attn", {**ATTN_2X2, "tau": []}, "attn.tau"),
+        ("attn", {**ATTN_2X2, "prior": [[1.0, 0.0], [1.0, 1.0]]}, "attn.prior"),
+        ("run", run_stage({"op": "assemble_kernel", "scores": EYE, "link": {"slope": "1"}}),
+         "stages[0].link.slope"),
+        ("run", run_stage({"op": []}), "stages[0].op"),
+        ("run", {"inputs": [], "stages": []}, "inputs"),
+        ("anchor", {"mode": 3, "kernel": EYE}, "anchor.mode"),
+        ("ffn-check", {**FFN_2X2, "activation": []}, "ffn-check.activation"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": 3}, "stage-run.cfg"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": "rms"}}, "stage-run.cfg.chart"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": []}}, "stage-run.cfg.comp"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": {"eps": "0"}}},
+         "stage-run.cfg.chart.eps"),
+        ("stage-run", {**STAGE_RUN_2X2, "schedule": [{**STEP_2X2, "attn": True}]},
+         "stage-run.schedule[0].attn"),
+        ("stage-run", {**STAGE_RUN_2X2, "schedule": [{**STEP_2X2, "ffn": "x"}]},
+         "stage-run.schedule[0].ffn"),
+        # Refinement maps and bucket counts are JSON integers.
+        (
+            "stage-run",
+            {**STAGE_RUN_2X2, "schedule": [
+                {**STEP_2X2, "refine": {"map": [0, 0.7], "n_coarse": 1}}]},
+            "stage-run.schedule[0].refine.map",
+        ),
+        (
+            "stage-run",
+            {**STAGE_RUN_2X2, "schedule": [
+                {**STEP_2X2, "refine": {"map": [0, 0], "n_coarse": 1.9}}]},
+            "stage-run.schedule[0].refine.n_coarse",
+        ),
+        ("run", run_stage({**PUSHFORWARD, "map_x": {"map": [0, 0.7], "n_coarse": 1}}),
+         "stages[0].map_x.map"),
+        ("run", run_stage({**PUSHFORWARD, "map_y": {"map": [0, 0], "n_coarse": 1.9}}),
+         "stages[0].map_y.n_coarse"),
+        # A negative seed names where it came from.
+        ("run", {"seed": -1, "stages": []}, "seed"),
+        ("ffn-check", {**FFN_2X2, "seed": -1}, "ffn-check.seed"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -512,3 +583,105 @@ def test_stage_run_reads_zero_update_on_empty_as_a_json_boolean(tmp_path, capsys
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("error: stage-run.cfg.zero_update_on_empty:")
+
+
+@pytest.mark.parametrize(
+    "env, argv, field",
+    [
+        ("-1", ["check", "--suite", "gauge"], "GA_SEED"),
+        (None, ["check", "--suite", "gauge", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_negative_seed_exits_2_and_names_its_source(monkeypatch, capsys, env, argv, field):
+    if env is None:
+        monkeypatch.delenv("GA_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GA_SEED", env)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field}:")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SWEEP_VALUES = ["x", True, -1, 2.7, [], {}, None, [[1, "-inf"]], 0]
+SWEEP_INPUTS = [
+    ("run", json.loads((GOLDEN / "run_pipeline.json").read_text())),
+    ("stage-run", json.loads((GOLDEN / "stage_run_causal.json").read_text())),
+    ("anchor", json.loads((GOLDEN / "anchor_unbalanced.json").read_text())),
+    ("attn", json.loads((GOLDEN / "attn_masked.json").read_text())),
+    ("chart", json.loads((GOLDEN / "chart_rank1.json").read_text())),
+    ("ffn-check", {**FFN_2X2, "activation": "gelu", "samples": 2, "seed": 1,
+                   "tolerance": 1e-10}),
+    ("anchor", {"mode": "balanced", "kernel": [[1.0, 3.0], ["-inf", 2.0]],
+                "mu_out": [1.0, 1.0], "mu_in": [0.5, 1.5], "tol": 1e-9, "max_iter": 100}),
+    # The fields the golden inputs leave out: staged cfg and refinement,
+    # and the ops the golden pipeline does not run.
+    ("stage-run", {
+        "initial": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, -0.3]],
+        "carrier": "base",
+        "cfg": {"chart": {"kind": "layer_norm", "eps": 1e-5},
+                "comp": {"kind": "gated", "norm": "rms_norm", "eps": 1e-6,
+                         "gate": [[0.1, 0.0], [0.0, 0.1], [0.2, 0.0], [0.0, 0.2]]},
+                "zero_update_on_empty": True},
+        "schedule": [
+            {**STEP_2X2, "mask": [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]},
+            {**STEP_2X2, "refine": {"fine": "base", "coarse": "pairs",
+                                    "map": [0, 0, 1, 1], "n_coarse": 2}},
+        ],
+    }),
+    ("run", {
+        "seed": 0,
+        "inputs": {"k": [[1.0, 2.0], ["-inf", 1.0]], "v": [[1.0, 0.0], [0.0, 2.0]],
+                   "s": [[0.5, -0.5], [0.25, 0.0]], "p": [[1.0, 2.0], [0.5, 1.0]]},
+        "stages": [
+            {"op": "assemble_kernel", "scores": "s", "prior": "p", "out": "k2",
+             "link": {"kind": "exp-with-slope", "slope": 0.5}},
+            {"op": "row_anchor", "kernel": "k", "out": "c"},
+            {"op": "conditional_update", "family": "c", "values": "v", "out": "u"},
+            {"op": "sinkhorn_unbalanced", "kernel": "k2", "mu_out": [1.0, 1.0],
+             "mu_in": [1.0, 1.0], "lam_out": 1.0, "lam_in": 2.0, "max_iter": 50,
+             "out": "pl"},
+            {"op": "conditional_update", "family": "pl", "values": [[1.0], [2.0]],
+             "out": "u2"},
+            {"op": "scale_kernel", "kernel": "k2", "a": [1.0, 2.0], "b": [0.5, 1.0],
+             "out": "ks"},
+            {**PUSHFORWARD, "kernel": "k2", "out": "kp",
+             "map_y": {"fine": "f", "coarse": "c", "map": [0, 1], "n_coarse": 2}},
+            {**ATTN_2X2, "op": "attention", "key_bias": [0.1, 0.0], "prior": "p",
+             "mask": "k", "tau": 2.0, "out": "at"},
+            {"op": "center_scores", "scores": "s", "mode": "row", "out": "cs"},
+        ],
+    }),
+]
+
+
+def field_paths(obj, path=()):
+    """The path of every field of obj: each dict value, and each object
+    in a list of objects, recursively."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list) and obj and all(isinstance(v, dict) for v in obj):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+def test_any_value_in_any_field_exits_with_a_contract_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("GA_SEED", raising=False)
+    path = tmp_path / "input.json"
+    for command, spec in SWEEP_INPUTS:
+        for field in field_paths(spec):
+            for value in SWEEP_VALUES:
+                bad = json.loads(json.dumps(spec))
+                node = bad
+                for key in field[:-1]:
+                    node = node[key]
+                node[field[-1]] = value
+                path.write_text(json.dumps(bad))
+                code = main([command, str(path)])
+                capsys.readouterr()
+                assert code in (0, 2, 3, 4), (command, field, value, code)

@@ -26,6 +26,10 @@ contenders one block of draws. Same draws, same report bytes.
 before the fixed-carrier pipeline runner was folded into
 `run_schedule`. Seed 5 draws other barrier, mixture and Eckart-Young
 instances than seed 0, and fewer KL comparisons in the sinkhorn suite.
+
+`attn_masked` (a causal 0/1 mask, a prior, a key bias and tau) and
+`chart_rank1` were pinned from the hand-built `ga attn` and `ga chart`
+commands, just before both were rerouted through the `ga run` op table.
 """
 
 import json
@@ -42,6 +46,8 @@ CASES = {
     "run_pipeline": ["run", str(GOLDEN / "run_pipeline.json")],
     "stage_run_causal": ["stage-run", str(GOLDEN / "stage_run_causal.json")],
     "anchor_unbalanced": ["anchor", str(GOLDEN / "anchor_unbalanced.json")],
+    "attn_masked": ["attn", str(GOLDEN / "attn_masked.json")],
+    "chart_rank1": ["chart", str(GOLDEN / "chart_rank1.json")],
     "check_all_seed0": ["check", "--seed", "0"],
     "check_all_seed5": ["check", "--seed", "5"],
     "check_gauge_seed0": ["check", "--suite", "gauge", "--seed", "0"],

@@ -6,11 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from attnkit.anchor import ConditionalFamily, TransportPlan
 from attnkit.errors import NonPositiveLinkValue, ShapeMismatch
 from attnkit.score import (
     BaselinePrior,
     EvidenceKernel,
     Link,
+    MaskedMatrix,
     MaskedScore,
     assemble_kernel,
     check_link_compositionality,
@@ -177,6 +179,53 @@ def test_evidence_kernel_rejects_support_mismatch():
         EvidenceKernel(np.array([[1.0, 0.0]]), np.array([[True, True]]))
     with pytest.raises(ValueError):
         EvidenceKernel(np.array([[1.0, 0.5]]), np.array([[True, False]]))
+
+
+def _plan(values, mask):
+    return TransportPlan(values, mask, converged=True, iterations=0)
+
+
+MASKED_TYPES = {
+    "base": MaskedMatrix,
+    "kernel": EvidenceKernel,
+    "conditional": ConditionalFamily,
+    "plan": _plan,
+}
+# Positive on the mask and row-stochastic, so every type accepts it.
+GOOD_VALUES = [[0.25, 0.75], [0.0, 1.0]]
+GOOD_MASK = [[True, True], [False, True]]
+
+
+@pytest.mark.parametrize("build", MASKED_TYPES.values(), ids=MASKED_TYPES.keys())
+@pytest.mark.parametrize(
+    "values, mask, error, match",
+    [
+        ([[math.nan, 0.75], [0.0, 1.0]], GOOD_MASK, ValueError, "finite and nonnegative"),
+        ([[-0.25, 1.25], [0.0, 1.0]], GOOD_MASK, ValueError, "finite and nonnegative"),
+        ([[0.25, 0.75], [0.5, 0.5]], GOOD_MASK, ValueError, "off the mask"),
+        (GOOD_VALUES, [[True, True, True], [False, True, True]], ShapeMismatch, "shape"),
+        (GOOD_VALUES, [[1, 2], [0, 1]], ValueError, "boolean or 0/1"),
+    ],
+    ids=["nan", "negative", "off-mask", "mask-shape", "mask-not-0-1"],
+)
+def test_masked_matrix_types_share_the_base_checks(build, values, mask, error, match):
+    build(np.array(GOOD_VALUES), np.array(GOOD_MASK))
+    with pytest.raises(error, match=match):
+        build(np.array(values), np.array(mask))
+
+
+@pytest.mark.parametrize("build", MASKED_TYPES.values(), ids=MASKED_TYPES.keys())
+def test_masked_matrix_types_store_read_only_float64_copies(build):
+    values = np.array([[1, 0], [0, 1]])
+    mask = np.array([[1, 0], [0, 1]])
+    obj = build(values, mask)
+    values[0, 0] = 7
+    mask[0, 0] = 0
+    assert obj.values.dtype == np.float64 and obj.mask.dtype == np.bool_
+    npt.assert_array_equal(obj.values, [[1.0, 0.0], [0.0, 1.0]])
+    npt.assert_array_equal(obj.mask, [[True, False], [False, True]])
+    assert not obj.values.flags.writeable and not obj.mask.flags.writeable
+    assert obj.shape == (2, 2)
 
 
 def test_prior_must_be_strictly_positive():
