@@ -49,7 +49,7 @@ from .staged import (
     ScheduleStep,
     StagedConfig,
     influence_relation,
-    predecessor_set,
+    predecessor_sets,
     run_schedule,
 )
 
@@ -205,13 +205,14 @@ def _cycle_perturbations(rng, plan, mask, count=100):
     off-corner mass onto the corners, so both marginals stay fixed.
     Returns rows [i1, i2] and cols [j1, j2], each (k, 2), and steps (k,).
     """
-    support = np.flatnonzero(mask)
+    rows, cols = np.nonzero(mask)
     # A rectangle needs two rows, two columns and four support entries.
-    if min(mask.shape) < 2 or support.size < 4:
+    if min(mask.shape) < 2 or rows.size < 4:
         return np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), np.empty(0)
-    n_y = mask.shape[1]
-    i1, j1 = divmod(support[rng.integers(support.size, size=count * 200)], n_y)
-    i2, j2 = divmod(support[rng.integers(support.size, size=count * 200)], n_y)
+    first = rng.integers(rows.size, size=count * 200)
+    i1, j1 = rows[first], cols[first]
+    second = rng.integers(rows.size, size=count * 200)
+    i2, j2 = rows[second], cols[second]
     keep = np.flatnonzero((i1 != i2) & (j1 != j2) & mask[i1, j2] & mask[i2, j1])
     caps = np.minimum(plan[i1[keep], j2[keep]], plan[i2[keep], j1[keep]])
     has_mass = caps > 0
@@ -458,14 +459,18 @@ def check_mixture_flattening(rng, tol=None):
     ]
 
 
-def _oracle_predecessors(masks, x, t):
+def _adjacency(masks):
+    """adjacency[s][v]: the rows u with masks[s][v, u], as Python lists."""
+    return [
+        [[u for u, on in enumerate(row) if on] for row in np.asarray(mask).tolist()]
+        for mask in masks
+    ]
+
+
+def _oracle_predecessors(adjacency, x, t):
     frontier = {x}
     for s in range(t - 1, -1, -1):
-        frontier = {
-            int(u)
-            for v in frontier
-            for u in np.flatnonzero(np.asarray(masks[s])[v])
-        }
+        frontier = {u for v in frontier for u in adjacency[s][v]}
     return frontier
 
 
@@ -511,11 +516,11 @@ def check_influence_barrier(rng, tol=None):
         cfg = StagedConfig(chart=ChartSpec("rms_norm"))
         masks = [step.mask for step in schedule]
         inf = influence_relation(masks)
+        adjacency = _adjacency(masks)
         outside = {}
         for t in range(1, depth + 1):
-            for x in range(n):
-                pre = predecessor_set(inf, x, t)
-                if pre != _oracle_predecessors(masks, x, t):
+            for x, pre in enumerate(predecessor_sets(inf, t)):
+                if pre != _oracle_predecessors(adjacency, x, t):
                     pre_mismatches += 1
                     if witnesses[1] is None:
                         witnesses[1] = {"case": i, "x": x, "t": t}

@@ -38,6 +38,7 @@ from .errors import (
     Infeasible,
     InvalidBudget,
     NoConvergence,
+    ShapeMismatch,
     UnknownSuite,
     ZeroMarginal,
 )
@@ -157,11 +158,11 @@ def _vector_arg(stage, key, ctx, where: str):
 
 @contextmanager
 def _config_errors(where: str):
-    """A value a constructor rejects is a config error on that field,
-    not a traceback."""
+    """A value or a shape a constructor rejects is a config error on
+    that field, not a traceback or an error without a field."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ShapeMismatch) as exc:
         raise ConfigInvalid(where, str(exc)) from exc
 
 
@@ -460,6 +461,9 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     config = _load_object(config_path)
     base_dir = Path(config_path).parent
     seed = _seed_from_env(_int_field(config, "seed", 0, ""), "seed")
+    suites = config.get("checks", [])
+    if type(suites) is not list or any(type(suite) is not str for suite in suites):
+        raise ConfigInvalid("checks", f"expected a list of suite names, got {suites!r}")
 
     ctx: dict = {}
     for name, spec in _object_field(config, "inputs", {}, "").items():
@@ -498,9 +502,11 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     }
 
     exit_code = 0
-    suites = config.get("checks") or []
     if suites:
-        check_reports = run_checks(suites, seed=seed)
+        try:
+            check_reports = run_checks(suites, seed=seed)
+        except UnknownSuite as exc:
+            raise ConfigInvalid("checks", str(exc)) from exc
         report["checks"] = [r.as_json() for r in check_reports]
         if not all(r.passed for r in check_reports):
             exit_code = 4
@@ -682,7 +688,10 @@ def _cmd_ffn_check(args) -> int:
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=params.d_model) for _ in range(samples)]
     for x in xs:
-        direct, ga_form = ffn_as_ga(x, params)
+        try:
+            direct, ga_form = ffn_as_ga(x, params)
+        except ShapeMismatch as exc:  # only a given x can have the wrong length
+            raise ConfigInvalid("ffn-check.x", str(exc)) from exc
         deviations.append(float(np.abs(direct - ga_form).max()))
     worst = max(deviations)
     payload = {

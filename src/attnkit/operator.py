@@ -123,18 +123,25 @@ def masked_row_softmax(logits, mask, on_empty: str = "error") -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     mask = _as_mask(mask, logits.shape)
     live = mask.any(axis=1)
-    if not live.all():
+    dead = not live.all()
+    if dead:
         if on_empty == "error":
             raise EmptyRow(int(np.flatnonzero(~live)[0]))
         if on_empty != "zero":
             raise ValueError(f"unknown empty-row policy {on_empty!r}")
-    shifted = np.where(mask, logits, -np.inf)
-    peak = shifted.max(axis=1, initial=-np.inf)
-    peak = np.where(live, peak, 0.0)
-    weights = np.exp(shifted - peak[:, None])  # exp(-inf) is an exact 0
+    # One n x n array, worked in place: shift, exp (exp(-inf) is an
+    # exact 0), normalize. Dead rows shift by 0 and divide by 1.
+    weights = np.where(mask, logits, -np.inf)
+    peak = weights.max(axis=1, initial=-np.inf)
+    if dead:
+        peak[~live] = 0.0
+    weights -= peak[:, None]
+    np.exp(weights, out=weights)
     totals = weights.sum(axis=1)
-    totals = np.where(live, totals, 1.0)
-    return weights / totals[:, None]
+    if dead:
+        totals[~live] = 1.0
+    weights /= totals[:, None]
+    return weights
 
 
 @dataclass(frozen=True)
@@ -181,15 +188,11 @@ class AttentionParams:
         return self.w_v.shape[1]
 
 
-def attention(
-    embeddings, params: AttentionParams, on_empty: str = "error"
-) -> tuple[ConditionalFamily, np.ndarray]:
-    """Scaled dot-product attention as an anchored kernel update.
-
-    Scores are q_i . k_j / sqrt(d_k) + key_bias(j); the weights are the
-    row softmax of score/tau + log(prior) over the admissible relation,
-    and the output is weights @ values.
-    """
+def _attend(
+    embeddings, params: AttentionParams, mask, on_empty: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax weights and the output of attention under mask (None
+    is the full relation), without building a ConditionalFamily."""
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != params.d_model:
         raise ShapeMismatch(
@@ -210,17 +213,36 @@ def attention(
         if params.prior.shape != (n, n):
             raise ShapeMismatch("prior shape must match the token count")
         logits = logits + np.log(params.prior.values)
-    mask = params.mask if params.mask is not None else np.ones((n, n), dtype=bool)
+    if mask is None:
+        mask = np.ones((n, n), dtype=bool)
     weights = masked_row_softmax(logits, mask, on_empty=on_empty)
-    family = ConditionalFamily(weights, np.asarray(mask, dtype=bool))
-    return family, weights @ v
+    # Softmax entries lie in [0, 1] or are NaN (an infinite or NaN
+    # logit), so one sum tells whether a ConditionalFamily would refuse
+    # them.
+    if math.isnan(weights.sum()):
+        raise ValueError("conditional values must be finite and nonnegative")
+    return weights, weights @ v
+
+
+def attention(
+    embeddings, params: AttentionParams, on_empty: str = "error"
+) -> tuple[ConditionalFamily, np.ndarray]:
+    """Scaled dot-product attention as an anchored kernel update.
+
+    Scores are q_i . k_j / sqrt(d_k) + key_bias(j); the weights are the
+    row softmax of score/tau + log(prior) over the admissible relation,
+    and the output is weights @ values.
+    """
+    weights, out = _attend(embeddings, params, params.mask, on_empty)
+    mask = params.mask if params.mask is not None else np.ones(weights.shape, dtype=bool)
+    return ConditionalFamily(weights, np.asarray(mask, dtype=bool)), out
 
 
 def multi_head(embeddings, heads, w_o) -> np.ndarray:
     """Concatenate per-head outputs in head order and project with w_o."""
     if not heads:
         raise ValueError("multi_head needs at least one head")
-    outputs = [attention(embeddings, head)[1] for head in heads]
+    outputs = [_attend(embeddings, head, head.mask, "error")[1] for head in heads]
     stacked = np.concatenate(outputs, axis=1)
     w_o = np.asarray(w_o, dtype=np.float64)
     if w_o.ndim != 2 or w_o.shape[0] != stacked.shape[1]:
@@ -294,9 +316,12 @@ def _erf(x) -> np.ndarray:
     z = s * s
     out[near] = s * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
     tail = np.nonzero((a > 1.0) & (a < 8.0))[0]
-    t = a[tail]
-    decay = np.fromiter(map(math.exp, (-(t * t)).tolist()), np.float64, t.size)
-    out[tail] = 1.0 - decay * _polevl(t, _ERFC_P) / _p1evl(t, _ERFC_Q)
+    # The erfc branch is ~30 numpy calls, and a small hidden layer often
+    # has no entry in it.
+    if tail.size:
+        t = a[tail]
+        decay = np.fromiter(map(math.exp, (-(t * t)).tolist()), np.float64, t.size)
+        out[tail] = 1.0 - decay * _polevl(t, _ERFC_P) / _p1evl(t, _ERFC_Q)
     out = np.copysign(out, x.ravel())
     out[np.isnan(a)] = np.nan
     return out.reshape(x.shape)

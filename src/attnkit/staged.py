@@ -21,7 +21,7 @@ contain the diagonal for the composed relation to cover all routes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     NonSquareMask,
     ShapeMismatch,
 )
-from .operator import AttentionParams, FfnParams, attention, ffn_apply
+from .operator import AttentionParams, FfnParams, _attend, ffn_apply
 from .score import EvidenceKernel
 
 
@@ -93,7 +93,9 @@ def apply_chart(records, chart: ChartSpec) -> np.ndarray:
     if chart.kind == "identity":
         return r
     if chart.kind == "rms_norm":
-        scale = np.sqrt((r * r).mean(axis=1) + chart.eps)
+        # The sum over the count is .mean(axis=1) bit for bit, without
+        # its per-call overhead.
+        scale = np.sqrt((r * r).sum(axis=1) / r.shape[1] + chart.eps)
         return r / scale[:, None]
     mean = r.mean(axis=1, keepdims=True)
     var = r.var(axis=1, keepdims=True)
@@ -127,16 +129,17 @@ def apply_comp(records, update, comp: CompSpec) -> np.ndarray:
 def run_block(records, attn: AttentionParams, ffn: FfnParams, cfg: StagedConfig) -> np.ndarray:
     """One two-sublayer stage: chart, attend, compose, chart, feed forward,
     compose."""
-    next_records, _ = _block_with_update(records, attn, ffn, cfg)
+    next_records, _ = _block_with_update(records, attn, ffn, cfg, attn.mask)
     return next_records
 
 
-def _block_with_update(records, attn, ffn, cfg) -> tuple[np.ndarray, np.ndarray]:
+def _block_with_update(records, attn, ffn, cfg, mask) -> tuple[np.ndarray, np.ndarray]:
+    """The next records and the stage update, attending under mask."""
     r = np.asarray(records, dtype=np.float64)
     if attn.d_v != r.shape[1] or ffn.d_model != r.shape[1]:
         raise ShapeMismatch("attention and feedforward widths must match the record")
     on_empty = "zero" if cfg.zero_update_on_empty else "error"
-    _, attn_update = attention(apply_chart(r, cfg.chart), attn, on_empty=on_empty)
+    _, attn_update = _attend(apply_chart(r, cfg.chart), attn, mask, on_empty)
     mid = apply_comp(r, attn_update, cfg.comp)
     ffn_update = ffn_apply(apply_chart(mid, cfg.chart), ffn)
     out = apply_comp(mid, ffn_update, cfg.comp)
@@ -308,8 +311,7 @@ def run_schedule(initial, schedule, cfg: StagedConfig, carrier_id: str = "base")
                 f"working mask shape {stage_mask.shape} does not fit carrier of "
                 f"size {current.shape[0]}"
             )
-        staged_attn = replace(step.attn, mask=stage_mask)
-        nxt, update = _block_with_update(current, staged_attn, step.ffn, cfg)
+        nxt, update = _block_with_update(current, step.attn, step.ffn, cfg, stage_mask)
         records.append(nxt)
         updates.append(update)
         masks.append(stage_mask)

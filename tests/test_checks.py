@@ -143,12 +143,12 @@ def _by_name(results):
 
 
 def test_barrier_suite_catches_a_dropped_predecessor(monkeypatch):
-    real = checks.predecessor_set
+    real = checks.predecessor_sets
 
-    def without_self(inf, x, t):
-        return real(inf, x, t) - {x}
+    def without_self(inf, t):
+        return [pre - {x} for x, pre in enumerate(real(inf, t))]
 
-    monkeypatch.setattr(checks, "predecessor_set", without_self)
+    monkeypatch.setattr(checks, "predecessor_sets", without_self)
     results = _by_name(run_criterion("influence_barrier", seed=0))
     assert not results["barrier_outside_predecessors"].passed
     assert results["barrier_outside_predecessors"].max_deviation > 0

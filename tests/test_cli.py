@@ -557,6 +557,10 @@ def run_stage(stage, **inputs):
         # A negative seed names where it came from.
         ("run", {"seed": -1, "stages": []}, "seed"),
         ("ffn-check", {**FFN_2X2, "seed": -1}, "ffn-check.seed"),
+        # checks is a list of known suite names.
+        ("run", {"stages": [], "checks": 2.7}, "checks"),
+        ("run", {"stages": [], "checks": ["gauge", []]}, "checks"),
+        ("run", {"stages": [], "checks": ["gauge", "nope"]}, "checks"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -565,6 +569,26 @@ def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, f
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize(
+    "command, spec, field, named",
+    [
+        ("attn", {**ATTN_2X2, "w_k": [[1.0], [0.0]]}, "attn", ("w_q", "w_k")),
+        ("stage-run", {**STAGE_RUN_2X2, "schedule": [
+            {**STEP_2X2, "attn": {**STEP_2X2["attn"], "w_k": [[1.0], [0.0]]}}]},
+         "stage-run.schedule[0].attn", ("w_q", "w_k")),
+        ("ffn-check", {**FFN_2X2, "x": [1.0, 2.0, 3.0]}, "ffn-check.x", ("length 2",)),
+    ],
+)
+def test_shape_errors_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field, named):
+    path = write_config(tmp_path, "input.json", spec)
+    assert main([command, path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field}:")
+    for name in named:
+        assert name in out.err
 
 
 @pytest.mark.parametrize("flag, code", [("no", 2), (None, 3), (True, 0)])

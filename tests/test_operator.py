@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,6 +30,7 @@ from attnkit.operator import (
     AttentionParams,
     FfnParams,
     ValueField,
+    _attend,
     _erf,
     _gelu,
     attention,
@@ -187,6 +189,94 @@ class TestMaskedRowSoftmax:
         npt.assert_array_equal(out[1], [0.0, 0.0])
         with pytest.raises(ValueError):
             masked_row_softmax(logits, mask, on_empty="skip")
+
+
+def out_of_place_softmax(logits, mask):
+    """masked_row_softmax as it was written before it worked in place,
+    with dead rows coming back as zeros; the bitwise reference."""
+    live = mask.any(axis=1)
+    shifted = np.where(mask, logits, -np.inf)
+    peak = shifted.max(axis=1, initial=-np.inf)
+    peak = np.where(live, peak, 0.0)
+    weights = np.exp(shifted - peak[:, None])
+    totals = weights.sum(axis=1)
+    totals = np.where(live, totals, 1.0)
+    return weights / totals[:, None]
+
+
+class TestMaskedRowSoftmaxBits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        density=st.floats(0.0, 1.0),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+        drop_rows=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_out_of_place_formula(self, n, m, density, scale, drop_rows, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, m)) * scale
+        mask = rng.random((n, m)) < density
+        if drop_rows:
+            mask[rng.random(n) < 0.3] = False
+        got = masked_row_softmax(logits, mask, on_empty="zero")
+        assert_same_bits(got, out_of_place_softmax(logits, mask))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1000), (300, 300), (1000, 3)])
+    def test_matches_the_out_of_place_formula_at_size(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        logits = rng.normal(size=shape) * 10.0
+        for density in (0.05, 0.5, 1.0):
+            mask = rng.random(shape) < density
+            got = masked_row_softmax(logits, mask, on_empty="zero")
+            assert_same_bits(got, out_of_place_softmax(logits, mask))
+
+
+class TestAttend:
+    @pytest.mark.parametrize("n", [1, 3, 8, 33])
+    def test_weights_and_output_are_those_of_attention(self, n):
+        rng = np.random.default_rng(70 + n)
+        d_model, d_k, d_v = 4, 3, 2
+        e = rng.normal(size=(n, d_model))
+        for mask in (None, rng.random((n, n)) < 0.6):
+            if mask is not None:
+                mask[:, 0] = True
+            params = AttentionParams(
+                w_q=rng.normal(size=(d_model, d_k)),
+                w_k=rng.normal(size=(d_model, d_k)),
+                w_v=rng.normal(size=(d_model, d_v)),
+                tau=0.7,
+                key_bias=rng.normal(size=n),
+                prior=BaselinePrior(rng.uniform(0.5, 2.0, (n, n))),
+                mask=mask,
+            )
+            weights, out = _attend(e, params, params.mask, "error")
+            family, want = attention(e, params)
+            assert_same_bits(weights, family.values)
+            assert_same_bits(out, want)
+
+    def test_empty_rows_under_zero_match_attention(self):
+        rng = np.random.default_rng(77)
+        e = rng.normal(size=(5, 3))
+        mask = rng.random((5, 5)) < 0.5
+        mask[2] = False
+        params = AttentionParams(
+            w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)), w_v=np.eye(3)
+        )
+        weights, out = _attend(e, params, mask, "zero")
+        family, want = attention(e, replace(params, mask=mask), "zero")
+        assert_same_bits(weights, family.values)
+        assert_same_bits(out, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_weights_are_refused_as_attention_refuses_them(self):
+        params = AttentionParams(w_q=np.eye(2) * 1e200, w_k=np.eye(2) * 1e200, w_v=np.eye(2))
+        e = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            attention(e, params)
+        with pytest.raises(ValueError, match="finite"):
+            _attend(e, params, None, "error")
 
 
 class TestAttention:

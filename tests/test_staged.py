@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from attnkit.anchor import ConditionalFamily
 from attnkit.carrier import RefinementMap
 from attnkit.errors import (
     CarrierMismatch,
@@ -15,7 +16,7 @@ from attnkit.errors import (
     NonSquareMask,
     ShapeMismatch,
 )
-from attnkit.operator import AttentionParams, FfnParams
+from attnkit.operator import AttentionParams, FfnParams, attention
 from attnkit.staged import (
     ChartSpec,
     CompSpec,
@@ -115,6 +116,20 @@ class TestCharts:
         r = rng.normal(size=(4, 6))
         out = apply_chart(r, ChartSpec("rms_norm", eps=1e-6))
         npt.assert_allclose(out, manual_chart(r, "rms_norm"), atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 20), st.integers(1, 70)),
+            elements=st.floats(-1e6, 1e6),
+        ),
+        eps=st.floats(1e-12, 1.0),
+    )
+    def test_rms_norm_is_the_mean_formula_bitwise(self, r, eps):
+        want = r / np.sqrt((r * r).mean(axis=1) + eps)[:, None]
+        got = apply_chart(r, ChartSpec("rms_norm", eps=eps))
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_unknown_chart_rejected(self):
         with pytest.raises(ValueError):
@@ -438,6 +453,22 @@ class TestBarrier:
 
 
 class TestRunSchedule:
+    def test_builds_no_conditional_family(self, monkeypatch):
+        built = []
+        real = ConditionalFamily.__post_init__
+
+        def spy(self):
+            built.append(self.shape)
+            real(self)
+
+        monkeypatch.setattr(ConditionalFamily, "__post_init__", spy)
+        rng = np.random.default_rng(141)
+        initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
+        run_schedule(initial, schedule, cfg)
+        assert built == []
+        attention(initial, schedule[0].attn)  # the spy sees the public path
+        assert built == [(5, 5)]
+
     def test_flat_schedule_equals_repeated_blocks(self):
         rng = np.random.default_rng(143)
         d, n = 3, 4
