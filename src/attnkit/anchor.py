@@ -344,7 +344,7 @@ def sinkhorn_unbalanced(
     n_x, n_y = kernel.shape
     mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)
     if not kernel.mask.any():
-        raise ValueError("kernel mask is empty; nothing to anchor")
+        raise EmptyRow(0, "kernel mask is empty; nothing to anchor")
 
     frac_out = lam_out / (lam_out + 1.0)
     frac_in = lam_in / (lam_in + 1.0)

@@ -116,6 +116,32 @@ def _result(name, cases, deviation, default_tol, tol_override, witness=None):
     )
 
 
+class _Worst:
+    """One property's verdict: the largest deviation seen (see) or a
+    summed count (add), and the witness of the first case that reached
+    it or was counted. Values at or below 0 record nothing."""
+
+    def __init__(self, name, default_tol):
+        self.name = name
+        self.default_tol = default_tol
+        self.value = 0.0
+        self.witness = None
+
+    def see(self, value, **witness):
+        if value > self.value:
+            self.value = value
+            self.witness = witness
+
+    def add(self, count, **witness):
+        if count > 0:
+            self.value += count
+            if self.witness is None:
+                self.witness = witness
+
+    def result(self, cases, tol):
+        return _result(self.name, cases, self.value, self.default_tol, tol, self.witness)
+
+
 def _masked_instance(rng, n_max, density_min=0.2, square=True, scale=4.0):
     n_x = int(rng.integers(2, n_max + 1))
     n_y = n_x if square else int(rng.integers(2, n_max + 1))
@@ -130,8 +156,7 @@ def _masked_instance(rng, n_max, density_min=0.2, square=True, scale=4.0):
 def check_row_gauge_invariance(rng, tol=None):
     """Adding a per-row shift to the scores must not move the anchored
     conditionals."""
-    worst = 0.0
-    witness = None
+    worst = _Worst("row_gauge_invariance", 1e-12)
     cases = 100
     link = Link("exp")
     for i in range(cases):
@@ -142,17 +167,14 @@ def check_row_gauge_invariance(rng, tol=None):
             assemble_kernel(MaskedScore(scores + shifts[:, None], mask), None, link)
         )
         dev = float(np.abs(base.values - shifted.values).max())
-        if dev > worst:
-            worst = dev
-            witness = {"case": i, "n": scores.shape[0], "deviation": dev}
-    return [_result("row_gauge_invariance", cases, worst, 1e-12, tol, witness)]
+        worst.see(dev, case=i, n=scores.shape[0], deviation=dev)
+    return [worst.result(cases, tol)]
 
 
 def check_softmax_reduction(rng, tol=None):
     """Unit temperature, unit prior, full mask: the anchored operator is
     plain softmax attention coded directly."""
-    worst = 0.0
-    witness = None
+    worst = _Worst("softmax_reduction", 1e-12)
     cases = 50
     for i in range(cases):
         n = int(rng.integers(2, 33))
@@ -176,10 +198,8 @@ def check_softmax_reduction(rng, tol=None):
             float(np.abs(family.values - w).max()),
             float(np.abs(out - w @ v).max()),
         )
-        if dev > worst:
-            worst = dev
-            witness = {"case": i, "n": n, "deviation": dev}
-    return [_result("softmax_reduction", cases, worst, 1e-12, tol, witness)]
+        worst.see(dev, case=i, n=n, deviation=dev)
+    return [worst.result(cases, tol)]
 
 
 def _feasible_transport_instance(rng, n_max):
@@ -237,10 +257,9 @@ def check_transport_anchor(rng, tol=None):
     instances whose mask admits at least one rewiring."""
     cases = 30
     kl_cases = 0
-    marginal_worst = 0.0
-    scaling_worst = 0.0
-    optimality_worst = 0.0
-    witnesses = [None, None, None]
+    marginal_gap = _Worst("sinkhorn_marginals", 1e-8)
+    scaling = _Worst("sinkhorn_scaling_invariance", 1e-6)
+    optimality = _Worst("sinkhorn_kl_optimality", 1e-10)
     for i in range(cases):
         kernel, marginals = _feasible_transport_instance(rng, 64)
         plan = sinkhorn_balanced(kernel, marginals)
@@ -248,9 +267,7 @@ def check_transport_anchor(rng, tol=None):
             np.abs(plan.row_marginal - marginals.mu_out).sum()
             + np.abs(plan.col_marginal - marginals.mu_in).sum()
         )
-        if dev > marginal_worst:
-            marginal_worst = dev
-            witnesses[0] = {"case": i, "shape": list(kernel.shape), "deviation": dev}
+        marginal_gap.see(dev, case=i, shape=list(kernel.shape), deviation=dev)
 
         a = rng.uniform(0.25, 4.0, kernel.shape[0])
         b = rng.uniform(0.25, 4.0, kernel.shape[1])
@@ -259,25 +276,17 @@ def check_transport_anchor(rng, tol=None):
         )
         replan = sinkhorn_balanced(scaled, marginals)
         dev = float(np.abs(plan.values - replan.values).max())
-        if dev > scaling_worst:
-            scaling_worst = dev
-            witnesses[1] = {"case": i, "shape": list(kernel.shape), "deviation": dev}
+        scaling.see(dev, case=i, shape=list(kernel.shape), deviation=dev)
 
         rows, cols, steps = _cycle_perturbations(rng, plan.values, kernel.mask)
         if steps.size:
             kl_cases += 1
             gap = float(_kl_gaps(plan.values, kernel.values, rows, cols, steps).max())
-            if gap > optimality_worst:
-                optimality_worst = gap
-                witnesses[2] = {"case": i, "excess": gap}
+            optimality.see(gap, case=i, excess=gap)
     return [
-        _result("sinkhorn_marginals", cases, marginal_worst, 1e-8, tol, witnesses[0]),
-        _result(
-            "sinkhorn_scaling_invariance", cases, scaling_worst, 1e-6, tol, witnesses[1]
-        ),
-        _result(
-            "sinkhorn_kl_optimality", kl_cases, optimality_worst, 1e-10, tol, witnesses[2]
-        ),
+        marginal_gap.result(cases, tol),
+        scaling.result(cases, tol),
+        optimality.result(kl_cases, tol),
     ]
 
 
@@ -285,30 +294,23 @@ def check_truncation_optimality(rng, tol=None):
     """Rank-r truncation: residual identity, optimality against random
     factorizations, and lossless reconstruction."""
     cases = 20
-    identity_worst = 0.0
-    optimality_worst = 0.0
-    recon_worst = 0.0
-    witnesses = [None, None, None]
+    identity = _Worst("truncation_residual_identity", 1e-8)
+    optimality = _Worst("truncation_beats_random_factors", 1e-10)
+    recon = _Worst("svd_reconstruction", 1e-8)
     for i in range(cases):
         n = int(rng.integers(2, 13))
         m = int(rng.integers(2, 13))
         matrix = rng.normal(size=(n, m))
         result = svd(matrix)
-        recon = float(
-            np.abs((result.U * result.sigma) @ result.V.T - matrix).max()
-        )
-        if recon > recon_worst:
-            recon_worst = recon
-            witnesses[2] = {"case": i, "deviation": recon}
+        dev = float(np.abs((result.U * result.sigma) @ result.V.T - matrix).max())
+        recon.see(dev, case=i, deviation=dev)
 
         total_energy = float((result.sigma**2).sum())
         rank = int(rng.integers(1, min(n, m)))
         approx, residual = truncate(matrix, rank)
         tail = float((result.sigma[rank:] ** 2).sum())
         rel = abs(residual**2 - tail) / max(total_energy, 1e-300)
-        if rel > identity_worst:
-            identity_worst = rel
-            witnesses[0] = {"case": i, "rank": rank, "deviation": rel}
+        identity.see(rel, case=i, rank=rank, deviation=rel)
 
         # One block holds the same normals as 200 alternating x, y draws.
         draws = rng.normal(size=(200, (n + m) * rank))
@@ -316,28 +318,19 @@ def check_truncation_optimality(rng, tol=None):
         y = draws[:, n * rank :].reshape(200, m, rank)
         contenders = np.linalg.norm(matrix - x @ y.transpose(0, 2, 1), axis=(1, 2))
         shortfall = residual - float(contenders.min())
-        if shortfall > optimality_worst:
-            optimality_worst = shortfall
-            witnesses[1] = {"case": i, "rank": rank, "excess": shortfall}
-    return [
-        _result(
-            "truncation_residual_identity", cases, identity_worst, 1e-8, tol, witnesses[0]
-        ),
-        _result(
-            "truncation_beats_random_factors", cases, optimality_worst, 1e-10, tol, witnesses[1]
-        ),
-        _result("svd_reconstruction", cases, recon_worst, 1e-8, tol, witnesses[2]),
-    ]
+        optimality.see(shortfall, case=i, rank=rank, excess=shortfall)
+    return [identity.result(cases, tol), optimality.result(cases, tol), recon.result(cases, tol)]
 
 
 def check_score_centering(rng, tol=None):
     """Double centering kills unary fields and nothing else."""
     cases = 40
-    margin_worst = 0.0
-    shift_worst = 0.0
-    separable_worst = 0.0
-    weighted_worst = 0.0
-    witnesses = [None, None, None, None]
+    lines = [
+        _Worst("interaction_margins_vanish", 1e-10),
+        _Worst("unary_shift_invariance", 1e-10),
+        _Worst("separable_scores_center_to_zero", 1e-10),
+        _Worst("weighted_center_zero_mean", 1e-12),
+    ]
     for i in range(cases):
         n = int(rng.integers(2, 33))
         m = int(rng.integers(2, 33))
@@ -347,41 +340,27 @@ def check_score_centering(rng, tol=None):
             float(np.abs(dec.interaction.sum(axis=0)).max()),
             float(np.abs(dec.interaction.sum(axis=1)).max()),
         )
-        if margins > margin_worst:
-            margin_worst = margins
-            witnesses[0] = {"case": i, "deviation": margins}
+        lines[0].see(margins, case=i, deviation=margins)
 
         r = rng.normal(size=n) * 2.0
         c = rng.normal(size=m) * 2.0
         shifted = center_scores(scores + r[:, None] + c[None, :])
         dev = float(np.abs(shifted.interaction - dec.interaction).max())
-        if dev > shift_worst:
-            shift_worst = dev
-            witnesses[1] = {"case": i, "deviation": dev}
+        lines[1].see(dev, case=i, deviation=dev)
 
         dev = float(np.abs(center_scores(r[:, None] + c[None, :]).interaction).max())
-        if dev > separable_worst:
-            separable_worst = dev
-            witnesses[2] = {"case": i, "deviation": dev}
+        lines[2].see(dev, case=i, deviation=dev)
 
         weights = rng.uniform(0.05, 2.0, (n, m))
         centered = weighted_row_center(scores, weights)
         dev = float(np.abs((weights * centered).sum(axis=1)).max())
-        if dev > weighted_worst:
-            weighted_worst = dev
-            witnesses[3] = {"case": i, "deviation": dev}
-    return [
-        _result("interaction_margins_vanish", cases, margin_worst, 1e-10, tol, witnesses[0]),
-        _result("unary_shift_invariance", cases, shift_worst, 1e-10, tol, witnesses[1]),
-        _result("separable_scores_center_to_zero", cases, separable_worst, 1e-10, tol, witnesses[2]),
-        _result("weighted_center_zero_mean", cases, weighted_worst, 1e-12, tol, witnesses[3]),
-    ]
+        lines[3].see(dev, case=i, deviation=dev)
+    return [line.result(cases, tol) for line in lines]
 
 
 def check_ffn_equivalence(rng, tol=None):
     """Direct two-layer evaluation equals the signed-carrier kernel form."""
-    worst = 0.0
-    witness = None
+    worst = _Worst("ffn_signed_kernel_equivalence", 1e-10)
     cases = 100
     activations = ("relu", "gelu", "tanh")
     for i in range(cases):
@@ -397,22 +376,15 @@ def check_ffn_equivalence(rng, tol=None):
         x = rng.normal(size=d_model)
         direct, ga_form = ffn_as_ga(x, params)
         dev = float(np.abs(direct - ga_form).max())
-        if dev > worst:
-            worst = dev
-            witness = {
-                "case": i,
-                "activation": activations[i % 3],
-                "deviation": dev,
-            }
-    return [_result("ffn_signed_kernel_equivalence", cases, worst, 1e-10, tol, witness)]
+        worst.see(dev, case=i, activation=activations[i % 3], deviation=dev)
+    return [worst.result(cases, tol)]
 
 
 def check_mixture_flattening(rng, tol=None):
     """Mixtures of updates equal one update over the branch union."""
     cases = 50
-    cond_worst = 0.0
-    plan_worst = 0.0
-    witnesses = [None, None]
+    cond = _Worst("conditional_mixture_flattening", 1e-12)
+    plan = _Worst("plan_mixture_flattening", 1e-12)
     for i in range(cases):
         n_x = int(rng.integers(2, 9))
         n_branches = int(rng.integers(1, 5))
@@ -442,21 +414,14 @@ def check_mixture_flattening(rng, tol=None):
             np.concatenate([f.values for _, f in cond_branches], axis=0)
         )
         dev = float(np.abs(conditional_update(flattened, stacked) - out).max())
-        if dev > cond_worst:
-            cond_worst = dev
-            witnesses[0] = {"case": i, "branches": n_branches, "deviation": dev}
+        cond.see(dev, case=i, branches=n_branches, deviation=dev)
 
         beta = rng.uniform(0.0, 2.0, (n_x, n_branches))
         plan_out, plan_flat = gated_mixture_plan(beta, plan_branches)
         plan_stacked = np.concatenate([f.values for _, f in plan_branches], axis=0)
         dev = float(np.abs(plan_flat.values @ plan_stacked - plan_out).max())
-        if dev > plan_worst:
-            plan_worst = dev
-            witnesses[1] = {"case": i, "branches": n_branches, "deviation": dev}
-    return [
-        _result("conditional_mixture_flattening", cases, cond_worst, 1e-12, tol, witnesses[0]),
-        _result("plan_mixture_flattening", cases, plan_worst, 1e-12, tol, witnesses[1]),
-    ]
+        plan.see(dev, case=i, branches=n_branches, deviation=dev)
+    return [cond.result(cases, tol), plan.result(cases, tol)]
 
 
 def _adjacency(masks):
@@ -483,10 +448,9 @@ def check_influence_barrier(rng, tol=None):
     relation without self-edges would under-report reachability.
     """
     cases = 50
-    mismatches = 0
-    pre_mismatches = 0
+    barrier = _Worst("barrier_outside_predecessors", 0.0)
+    oracle = _Worst("predecessors_match_path_oracle", 0.0)
     checked = 0
-    witnesses = [None, None]
     for i in range(cases):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(2, 5))
@@ -521,9 +485,7 @@ def check_influence_barrier(rng, tol=None):
         for t in range(1, depth + 1):
             for x, pre in enumerate(predecessor_sets(inf, t)):
                 if pre != _oracle_predecessors(adjacency, x, t):
-                    pre_mismatches += 1
-                    if witnesses[1] is None:
-                        witnesses[1] = {"case": i, "x": x, "t": t}
+                    oracle.add(1, case=i, x=x, t=t)
                 for u in range(n):
                     if u not in pre:
                         outside.setdefault(u, []).append((x, t))
@@ -538,27 +500,8 @@ def check_influence_barrier(rng, tol=None):
             for x, t in outside[u]:
                 checked += 1
                 if not np.array_equal(base[t - 1][x], bumped[t - 1][x]):
-                    mismatches += 1
-                    if witnesses[0] is None:
-                        witnesses[0] = {"case": i, "x": x, "t": t, "u": u}
-    return [
-        _result(
-            "barrier_outside_predecessors",
-            checked,
-            float(mismatches),
-            0.0,
-            tol,
-            witnesses[0],
-        ),
-        _result(
-            "predecessors_match_path_oracle",
-            cases,
-            float(pre_mismatches),
-            0.0,
-            tol,
-            witnesses[1],
-        ),
-    ]
+                    barrier.add(1, case=i, x=x, t=t, u=u)
+    return [barrier.result(checked, tol), oracle.result(cases, tol)]
 
 
 def check_link_compositionality(rng, tol=None):
@@ -597,9 +540,8 @@ def check_kernel_pushforward(rng, tol=None):
     """Coarse-graining conserves mass and induces exactly the right
     support."""
     cases = 30
-    mass_worst = 0.0
-    support_bad = 0
-    witnesses = [None, None]
+    mass = _Worst("pushforward_mass_conservation", 1e-12)
+    support = _Worst("pushforward_support_exact", 0.0)
     for i in range(cases):
         n = int(rng.integers(3, 41))
         density = float(rng.uniform(0.2, 0.9))
@@ -613,28 +555,19 @@ def check_kernel_pushforward(rng, tol=None):
         coarse = pushforward_kernel(kernel, rho, rho)
         total = float(values.sum())
         dev = abs(float(coarse.values.sum()) - total) / max(total, 1e-300)
-        if dev > mass_worst:
-            mass_worst = dev
-            witnesses[0] = {"case": i, "deviation": dev}
+        mass.see(dev, case=i, deviation=dev)
         expected_support = np.zeros((n_c, n_c), dtype=bool)
         fine_rows, fine_cols = np.nonzero(mask)
         expected_support[assignment[fine_rows], assignment[fine_cols]] = True
         bad = int((coarse.mask != expected_support).sum())
-        if bad:
-            support_bad += bad
-            if witnesses[1] is None:
-                witnesses[1] = {"case": i, "bad_entries": bad}
-    return [
-        _result("pushforward_mass_conservation", cases, mass_worst, 1e-12, tol, witnesses[0]),
-        _result("pushforward_support_exact", cases, float(support_bad), 0.0, tol, witnesses[1]),
-    ]
+        support.add(bad, case=i, bad_entries=bad)
+    return [mass.result(cases, tol), support.result(cases, tol)]
 
 
 def check_cycle_sum_invariance(rng, tol=None):
     """Cycle sums of an edge potential survive any vertex regauging."""
     cases = 30
-    worst = 0.0
-    witness = None
+    worst = _Worst("cycle_sum_gauge_invariance", 1e-12)
     for i in range(cases):
         n = int(rng.integers(3, 13))
         edge_index: dict = {}
@@ -674,18 +607,15 @@ def check_cycle_sum_invariance(rng, tol=None):
         regauged = graph.regauged()
         for cycle in cycles:
             dev = abs(cycle_sum(graph, cycle) - cycle_sum(regauged, cycle))
-            if dev > worst:
-                worst = dev
-                witness = {"case": i, "cycle_length": len(cycle), "deviation": dev}
-    return [_result("cycle_sum_gauge_invariance", cases, worst, 1e-12, tol, witness)]
+            worst.see(dev, case=i, cycle_length=len(cycle), deviation=dev)
+    return [worst.result(cases, tol)]
 
 
 def check_chart_freedom(rng, tol=None):
     """Invertible factor maps move the chart, not the scores or weights."""
     cases = 50
-    product_worst = 0.0
-    weight_worst = 0.0
-    witnesses = [None, None]
+    product = _Worst("chart_product_invariance", 1e-8)
+    weight = _Worst("chart_weight_invariance", 1e-8)
     for i in range(cases):
         n = int(rng.integers(2, 17))
         m = int(rng.integers(2, 17))
@@ -697,21 +627,14 @@ def check_chart_freedom(rng, tol=None):
         a = q1 @ np.diag(rng.uniform(0.5, 2.0, r)) @ q2
         q_new, l_new = reparameterize_chart(q, l, a)
         dev = float(np.abs(q_new @ l_new.T - q @ l.T).max())
-        if dev > product_worst:
-            product_worst = dev
-            witnesses[0] = {"case": i, "rank": r, "deviation": dev}
+        product.see(dev, case=i, rank=r, deviation=dev)
 
         full = np.ones((n, m), dtype=bool)
         before = masked_row_softmax(q @ l.T, full)
         after = masked_row_softmax(q_new @ l_new.T, full)
         dev = float(np.abs(before - after).max())
-        if dev > weight_worst:
-            weight_worst = dev
-            witnesses[1] = {"case": i, "rank": r, "deviation": dev}
-    return [
-        _result("chart_product_invariance", cases, product_worst, 1e-8, tol, witnesses[0]),
-        _result("chart_weight_invariance", cases, weight_worst, 1e-8, tol, witnesses[1]),
-    ]
+        weight.see(dev, case=i, rank=r, deviation=dev)
+    return [product.result(cases, tol), weight.result(cases, tol)]
 
 
 CRITERIA = {

@@ -36,8 +36,8 @@ from .errors import (
     EmptyCol,
     EmptyRow,
     Infeasible,
-    InvalidBudget,
     NoConvergence,
+    NonFinite,
     ShapeMismatch,
     UnknownSuite,
     ZeroMarginal,
@@ -73,7 +73,7 @@ from .staged import (
     run_schedule,
 )
 
-_NUMERIC_ERRORS = (NoConvergence, Infeasible, EmptyRow, EmptyCol, ZeroMarginal)
+_NUMERIC_ERRORS = (NoConvergence, Infeasible, EmptyRow, EmptyCol, ZeroMarginal, NonFinite)
 
 
 def _seed_from_env(seed: int, where: str) -> int:
@@ -158,12 +158,16 @@ def _vector_arg(stage, key, ctx, where: str):
 
 @contextmanager
 def _config_errors(where: str):
-    """A value or a shape a constructor rejects is a config error on
-    that field, not a traceback or an error without a field."""
+    """A value or a shape a constructor rejects, or a solver budget
+    (InvalidBudget names its field: where.tol, where.max_iter), is a
+    config error on that field, not a traceback or an error without a
+    field. NonFinite is a ValueError too, so nothing run inside these
+    blocks may compute attention, a kernel or a feedforward output."""
     try:
         yield
     except (ValueError, ShapeMismatch) as exc:
-        raise ConfigInvalid(where, str(exc)) from exc
+        field = getattr(exc, "field", None)
+        raise ConfigInvalid(where if field is None else f"{where}.{field}", str(exc)) from exc
 
 
 def _kernel_arg(stage, key, ctx, where: str) -> EvidenceKernel:
@@ -255,18 +259,8 @@ def _penalty_field(stage, key, where) -> float:
     return value
 
 
-@contextmanager
-def _solver_budget(where):
-    """A tol or max_iter the solver rejects is a config error on that
-    field, not a traceback."""
-    try:
-        yield
-    except InvalidBudget as exc:
-        raise ConfigInvalid(f"{where}.{exc.field}", str(exc)) from exc
-
-
 def _op_sinkhorn_balanced(stage, ctx, where):
-    with _solver_budget(where):
+    with _config_errors(where):
         return sinkhorn_balanced(
             _kernel_arg(stage, "kernel", ctx, where),
             _marginals_arg(stage, ctx, where),
@@ -276,7 +270,7 @@ def _op_sinkhorn_balanced(stage, ctx, where):
 
 
 def _op_sinkhorn_unbalanced(stage, ctx, where):
-    with _solver_budget(where):
+    with _config_errors(where):
         return sinkhorn_unbalanced(
             _kernel_arg(stage, "kernel", ctx, where),
             _marginals_arg(stage, ctx, where),

@@ -54,6 +54,10 @@ class InvalidBudget(AttnKitError, ValueError):
         super().__init__(f"{field} {message}")
 
 
+class NonFinite(AttnKitError, ValueError):
+    """A computed intermediate overflowed to an infinite or NaN value."""
+
+
 class ZeroMarginal(AttnKitError):
     def __init__(self, index: int):
         self.index = index

@@ -24,6 +24,7 @@ from .errors import (
     GateNotStochastic,
     MissingAlignment,
     NegativeGate,
+    NonFinite,
     ShapeMismatch,
 )
 from .score import BaselinePrior, EvidenceKernel, _as_mask, _as_matrix
@@ -188,6 +189,13 @@ class AttentionParams:
         return self.w_v.shape[1]
 
 
+def _finite(out: np.ndarray, what: str) -> np.ndarray:
+    """out, or NonFinite when an entry overflowed to inf or NaN."""
+    if not np.isfinite(out).all():
+        raise NonFinite(f"{what} overflowed to a non-finite value")
+    return out
+
+
 def _attend(
     embeddings, params: AttentionParams, mask, on_empty: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +228,8 @@ def _attend(
     # logit), so one sum tells whether a ConditionalFamily would refuse
     # them.
     if math.isnan(weights.sum()):
-        raise ValueError("conditional values must be finite and nonnegative")
-    return weights, weights @ v
+        raise NonFinite("conditional values must be finite and nonnegative")
+    return weights, _finite(weights @ v, "attention output")
 
 
 def attention(
@@ -380,7 +388,7 @@ def ffn_apply(rows, params: FfnParams) -> np.ndarray:
     """Rowwise w2 . act(w1 x + b1) + b2 for a batch of row vectors."""
     rows = np.asarray(rows, dtype=np.float64)
     hidden = _ACTIVATIONS[params.activation](rows @ params.w1.T + params.b1)
-    return hidden @ params.w2.T + params.b2
+    return _finite(hidden @ params.w2.T + params.b2, "feedforward output")
 
 
 def signed_hidden_carrier(d_ff: int) -> BranchCarrier:
@@ -401,7 +409,8 @@ def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     if x.shape != (params.d_model,):
         raise ShapeMismatch(f"input must have length {params.d_model}")
     hidden = _ACTIVATIONS[params.activation](params.w1 @ x + params.b1)
-    direct = params.w2 @ hidden + params.b2
+    # A non-finite hidden unit makes the direct output non-finite too.
+    direct = _finite(params.w2 @ hidden + params.b2, "feedforward output")
 
     positive = np.maximum(hidden, 0.0)
     negative = np.maximum(-hidden, 0.0)
@@ -409,7 +418,7 @@ def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     kernel = EvidenceKernel(evidence, evidence > 0)
     signed_values = ValueField(np.concatenate([params.w2.T, -params.w2.T], axis=0))
     ga_form = (kernel.values @ signed_values.values)[0] + params.b2
-    return direct, ga_form
+    return direct, _finite(ga_form, "feedforward output")
 
 
 def _mixture_gates(gates, branches) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NonPositiveLinkValue, ShapeMismatch
+from .errors import NonFinite, NonPositiveLinkValue, ShapeMismatch
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -191,10 +191,10 @@ def assemble_kernel(score: MaskedScore, prior: BaselinePrior | None, link: Link)
     mask = score.mask
     out = np.zeros(score.shape)
     weights = link.evaluate(score.values[mask])
-    if not np.isfinite(weights).all():
-        raise ValueError("link overflowed to a non-finite kernel entry")
     if prior is not None:
         weights = prior.values[mask] * weights
+    if not np.isfinite(weights).all():
+        raise NonFinite("link overflowed to a non-finite kernel entry")
     out[mask] = weights
     return EvidenceKernel(out, mask)
 

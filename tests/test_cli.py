@@ -579,6 +579,13 @@ def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, f
             {**STEP_2X2, "attn": {**STEP_2X2["attn"], "w_k": [[1.0], [0.0]]}}]},
          "stage-run.schedule[0].attn", ("w_q", "w_k")),
         ("ffn-check", {**FFN_2X2, "x": [1.0, 2.0, 3.0]}, "ffn-check.x", ("length 2",)),
+        # The solver checks marginal lengths against the kernel.
+        ("anchor", {"mode": "balanced", "kernel": [[1.0, 2.0], [3.0, 4.0]],
+                    "mu_out": [1.0, 1.0, 1.0],
+                    "mu_in": [1.0, 1.0]}, "anchor", ("mu_out", "length 2")),
+        ("run", run_stage({"op": "sinkhorn_unbalanced", "kernel": [[1.0, 2.0], [3.0, 4.0]],
+                           "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0, 1.0]}),
+         "stages[0]", ("mu_in", "length 2")),
     ],
 )
 def test_shape_errors_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field, named):
@@ -589,6 +596,47 @@ def test_shape_errors_exit_2_and_name_the_field(tmp_path, capsys, command, spec,
     assert out.err.startswith(f"error: {field}:")
     for name in named:
         assert name in out.err
+
+
+BIG = [[1e200, 0.0], [0.0, 1e200]]
+HUGE_W1 = [[1e308, 1e308], [1e308, 1e308]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        # Scores of 1e400 overflow before the softmax.
+        pytest.param("attn", {**ATTN_2X2, "w_q": BIG, "w_k": BIG}, id="attn-scores"),
+        pytest.param("stage-run", {**STAGE_RUN_2X2, "schedule": [
+            {**STEP_2X2, "attn": {**STEP_2X2["attn"], "w_q": BIG, "w_k": BIG}}]},
+            id="stage-run-scores"),
+        pytest.param("ffn-check", {**FFN_2X2, "w1": HUGE_W1, "x": [1.0, 2.0]},
+                     id="ffn-check-hidden"),
+        pytest.param("run", run_stage({"op": "assemble_kernel",
+                                       "scores": [[800.0, 0.0], [0.0, 1.0]]}),
+                     id="run-link"),
+        pytest.param("run", run_stage({"op": "assemble_kernel",
+                                       "scores": [[700.0, 0.0], [0.0, 1.0]],
+                                       "prior": [[1e300, 1.0], [1.0, 1.0]]}),
+                     id="run-link-times-prior"),
+        # Charted rows [1, 1] put 2e308 into every hidden unit.
+        pytest.param("stage-run", {"initial": [[1.0, 1.0], [1.0, 1.0]], "schedule": [
+            {**STEP_2X2, "ffn": {**FFN_2X2, "w1": HUGE_W1}}]}, id="stage-run-ffn"),
+        # Scores stay finite; the value row 10 * 1e308 does not.
+        pytest.param("attn", {**ATTN_2X2, "embeddings": [[10.0, 0.0], [0.0, 1.0]],
+                              "w_v": [[1e308, 0.0], [0.0, 1.0]]}, id="attn-output"),
+        pytest.param("anchor", {"mode": "unbalanced", "kernel": [["-inf", "-inf"]] * 2,
+                                "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0]},
+                     id="anchor-unbalanced-empty-kernel"),
+    ],
+)
+def test_overflow_and_empty_kernel_are_numeric_failures(tmp_path, capsys, command, spec):
+    path = write_config(tmp_path, "input.json", spec)
+    assert main([command, path]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numeric failure: ") and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, code", [("no", 2), (None, 3), (True, 0)])

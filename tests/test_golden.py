@@ -1,6 +1,7 @@
 """Golden stdout: fixed configs must keep printing the same bytes.
 
-Each `tests/golden/<name>.stdout` is the stdout of one `ga` invocation.
+Each `tests/golden/<name>.stdout` is the stdout of one `ga` invocation,
+and each case in CASES carries that invocation's expected exit code.
 The `run`, `stage-run`, `anchor` and `check --suite gauge` files were
 committed before the output writer was rewritten; the sinkhorn and
 barrier report was taken from the batched samplers that now draw those
@@ -30,6 +31,14 @@ instances than seed 0, and fewer KL comparisons in the sinkhorn suite.
 `attn_masked` (a causal 0/1 mask, a prior, a key bias and tau) and
 `chart_rank1` were pinned from the hand-built `ga attn` and `ga chart`
 commands, just before both were rerouted through the `ga run` op table.
+
+`check_all_seed0_tol0` is `ga check --seed 0 --tol 0`, which exits 4
+and prints the witness of every property: for a worst-deviation
+property the first case that reached `max_deviation`, for a count
+property the first case counted. It and `ffn_check_gelu` (32 seeded
+samples through a gelu block, whose pre-activations reach both
+branches of the erf) were pinned just before the harness's per-property
+worst and witness tracking moved into one recorder.
 """
 
 import json
@@ -43,17 +52,19 @@ from attnkit.matio import dump_canonical
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
-    "run_pipeline": ["run", str(GOLDEN / "run_pipeline.json")],
-    "stage_run_causal": ["stage-run", str(GOLDEN / "stage_run_causal.json")],
-    "anchor_unbalanced": ["anchor", str(GOLDEN / "anchor_unbalanced.json")],
-    "attn_masked": ["attn", str(GOLDEN / "attn_masked.json")],
-    "chart_rank1": ["chart", str(GOLDEN / "chart_rank1.json")],
-    "check_all_seed0": ["check", "--seed", "0"],
-    "check_all_seed5": ["check", "--seed", "5"],
-    "check_gauge_seed0": ["check", "--suite", "gauge", "--seed", "0"],
-    "check_sinkhorn_barrier_seed0": [
-        "check", "--suite", "sinkhorn", "--suite", "barrier", "--seed", "0"
-    ],
+    "run_pipeline": (["run", str(GOLDEN / "run_pipeline.json")], 0),
+    "stage_run_causal": (["stage-run", str(GOLDEN / "stage_run_causal.json")], 0),
+    "anchor_unbalanced": (["anchor", str(GOLDEN / "anchor_unbalanced.json")], 0),
+    "attn_masked": (["attn", str(GOLDEN / "attn_masked.json")], 0),
+    "chart_rank1": (["chart", str(GOLDEN / "chart_rank1.json")], 0),
+    "ffn_check_gelu": (["ffn-check", str(GOLDEN / "ffn_check_gelu.json")], 0),
+    "check_all_seed0": (["check", "--seed", "0"], 0),
+    "check_all_seed0_tol0": (["check", "--seed", "0", "--tol", "0"], 4),
+    "check_all_seed5": (["check", "--seed", "5"], 0),
+    "check_gauge_seed0": (["check", "--suite", "gauge", "--seed", "0"], 0),
+    "check_sinkhorn_barrier_seed0": (
+        ["check", "--suite", "sinkhorn", "--suite", "barrier", "--seed", "0"], 0
+    ),
 }
 
 
@@ -64,14 +75,15 @@ def _no_seed_override(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden_bytes(name, capsys):
-    assert main(CASES[name]) == 0
+    argv, code = CASES[name]
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
 def test_run_out_writes_the_stdout_bytes(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
-    assert main(CASES["run_pipeline"] + ["--out", str(out_dir)]) == 0
+    assert main(CASES["run_pipeline"][0] + ["--out", str(out_dir)]) == 0
     out = capsys.readouterr().out.encode()
     assert (out_dir / "report.json").read_bytes() == out
     assert out == (GOLDEN / "run_pipeline.stdout").read_bytes()
