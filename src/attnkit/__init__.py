@@ -4,10 +4,10 @@ The pipeline: build an evidence kernel from masked scores, a positive
 prior, and a link; anchor it into a conditional family (row softmax) or
 a transport plan (Sinkhorn); update value fields with it. Around that
 core sit the quotients that make scores identifiable (centering, low
-rank charts), the closure constructions (multi-head, feedforward as a
-kernel update, gated mixtures), staged composition with influence
-tracking, and a seeded property-check harness exposed both to pytest
-and the `ga` command line tool.
+rank charts), the closure constructions (feedforward as a kernel
+update, gated mixtures), staged composition with influence tracking,
+and a seeded property-check harness exposed both to pytest and the
+`ga` command line tool.
 """
 
 from .anchor import (
@@ -21,12 +21,7 @@ from .anchor import (
     sinkhorn_unbalanced,
 )
 from .carrier import (
-    BranchCarrier,
-    Carrier,
     RefinementMap,
-    branch_union,
-    compose_refinement,
-    identity_refinement,
     pushforward_kernel,
 )
 from .gauge import (
@@ -35,21 +30,18 @@ from .gauge import (
     center_scores,
     coboundary,
     cycle_sum,
-    row_equivalent,
     scale_kernel,
     weighted_row_center,
 )
 from .lowrank import (
     LowRankChart,
     SvdResult,
-    extract_qk,
     reparameterize_chart,
     score_normal_form,
     svd,
     truncate,
 )
 from .operator import (
-    AlignmentMaps,
     AttentionParams,
     FfnParams,
     ValueField,
@@ -58,8 +50,6 @@ from .operator import (
     ffn_as_ga,
     gated_mixture_conditional,
     gated_mixture_plan,
-    integral_view,
-    multi_head,
     plan_update,
 )
 from .score import (
@@ -71,7 +61,6 @@ from .score import (
     assemble_kernel,
     check_link_compositionality,
     row_mass,
-    score_from_work,
 )
 from .staged import (
     ChartSpec,
@@ -80,12 +69,8 @@ from .staged import (
     ScheduleStep,
     StagedConfig,
     StageTrace,
-    barrier_check,
-    full_history_readout,
     influence_relation,
-    predecessor_set,
     predecessor_sets,
-    run_block,
     run_schedule,
 )
 

@@ -353,15 +353,6 @@ def _op_scale_kernel(stage, ctx, where):
 
 
 def _attention_params(stage, ctx, where) -> AttentionParams:
-    mask = None
-    if "mask" in stage:
-        value = stage["mask"]
-        if isinstance(value, str):
-            _, mask = _as_matrix_pair(
-                _ctx_lookup(ctx, value, f"{where}.mask"), f"{where}.mask"
-            )
-        else:
-            mask = mask_from_json(value, f"{where}.mask")
     key_bias = (
         _vector_arg(stage, "key_bias", ctx, where) if "key_bias" in stage else None
     )
@@ -373,14 +364,22 @@ def _attention_params(stage, ctx, where) -> AttentionParams:
             tau=_float_field(stage, "tau", 1.0, where),
             key_bias=key_bias,
             prior=_prior_arg(stage, ctx, where),
-            mask=mask,
         )
 
 
 def _op_attention(stage, ctx, where):
     embeddings = _dense_arg(stage, "embeddings", ctx, where)
+    mask = None
+    if "mask" in stage:
+        value = stage["mask"]
+        if isinstance(value, str):
+            _, mask = _as_matrix_pair(
+                _ctx_lookup(ctx, value, f"{where}.mask"), f"{where}.mask"
+            )
+        else:
+            mask = mask_from_json(value, f"{where}.mask")
     params = _attention_params(stage, ctx, where)
-    family, out = attention(embeddings, params)
+    family, out = attention(embeddings, params, mask)
     return {"weights": family, "output": out}
 
 
@@ -634,6 +633,8 @@ def _cmd_stage_run(args) -> int:
         )
         refine = _refinement_arg(step, "refine", where) if "refine" in step else None
         attn = _object_field(step, "attn", None, where)
+        if "mask" in attn:
+            raise ConfigInvalid(f"{where}.attn.mask", "a stage's mask is the step's mask")
         ffn = _object_field(step, "ffn", None, where)
         schedule.append(
             ScheduleStep(

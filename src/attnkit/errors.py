@@ -20,14 +20,6 @@ class CarrierMismatch(AttnKitError):
     pass
 
 
-class DuplicateTag(AttnKitError):
-    pass
-
-
-class NonPositiveLinkValue(AttnKitError):
-    pass
-
-
 class EmptyRow(AttnKitError):
     """A row of the admissible relation is empty where mass is required."""
 
@@ -55,7 +47,9 @@ class InvalidBudget(AttnKitError, ValueError):
 
 
 class NonFinite(AttnKitError, ValueError):
-    """A computed intermediate overflowed to an infinite or NaN value."""
+    """A computed intermediate left the range of doubles: it overflowed
+    to an infinite or NaN value, or a kernel entry that is positive in
+    exact arithmetic underflowed to 0."""
 
 
 class ZeroMarginal(AttnKitError):
@@ -65,10 +59,6 @@ class ZeroMarginal(AttnKitError):
 
 
 class NonPositiveScaling(AttnKitError):
-    pass
-
-
-class MaskMismatch(AttnKitError):
     pass
 
 
@@ -109,12 +99,6 @@ class GateNotStochastic(AttnKitError):
 
 class NegativeGate(AttnKitError):
     pass
-
-
-class MissingAlignment(AttnKitError):
-    def __init__(self, x: int, y: int):
-        self.pair = (x, y)
-        super().__init__(f"no alignment map for admissible pair ({x}, {y})")
 
 
 class NonSquareMask(AttnKitError):

@@ -2,9 +2,8 @@
 
 Row anchoring is blind to positive left scalings of the kernel, and
 balanced transport anchoring is blind to two-sided scalings; this
-module provides the group action, a detector for row equivalence, and
-the unary-field quotients on score matrices (row, column, double, and
-weighted row centering).
+module provides the group action and the unary-field quotients on
+score matrices (row, column, double, and weighted row centering).
 
 The graph part is the 1-cochain picture of the same idea: an edge
 potential changes by a coboundary phi(v) - phi(u) under a vertex
@@ -19,7 +18,6 @@ import numpy as np
 
 from .errors import (
     MaskedInputRejected,
-    MaskMismatch,
     MissingPotential,
     NonPositiveScaling,
     NotACycle,
@@ -44,29 +42,6 @@ def scale_kernel(kernel: EvidenceKernel, a, b) -> EvidenceKernel:
     a = _positive_vector(a, n_x, "row scaling a")
     b = _positive_vector(b, n_y, "column scaling b")
     return EvidenceKernel(a[:, None] * kernel.values * b[None, :], kernel.mask)
-
-
-def row_equivalent(
-    kernel: EvidenceKernel, other: EvidenceKernel, tol: float = 1e-10
-) -> np.ndarray | None:
-    """Detect K2 = diag(a) K and return a, or None if no left scaling fits.
-
-    The candidate a[i] is the row-mass ratio; it is then tested against
-    every admissible entry with the relative criterion
-    |K2 - a K| / (1 + |K2|) <= tol.
-    """
-    if kernel.shape != other.shape or (kernel.mask != other.mask).any():
-        raise MaskMismatch("row equivalence needs identical shapes and masks")
-    mass = kernel.values.sum(axis=1)
-    mass2 = other.values.sum(axis=1)
-    if (mass == 0).any():
-        raise ValueError("row equivalence is undefined for empty rows")
-    a = mass2 / mass
-    residual = np.abs(other.values - a[:, None] * kernel.values)
-    rel = residual / (1.0 + np.abs(other.values))
-    if float(rel[kernel.mask].max(initial=0.0)) <= tol:
-        return a
-    return None
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ column sign convention (largest-magnitude entry of each left singular
 vector nonnegative) so output is reproducible, and NoConvergence where
 the backend gives up.
 
-extract_qk splits the singular values symmetrically across the two
-factors. Any invertible r x r map A moves between equivalent factor
-pairs (Q A^T, L A^{-1}) without touching the products q(x) . k(y);
-reparameterize_chart performs that move and refuses nearly singular
-maps.
+score_normal_form splits the singular values symmetrically across the
+two factors, Q = U sqrt(S) and L = V sqrt(S). Any invertible r x r map
+A moves between equivalent factor pairs (Q A^T, L A^{-1}) without
+touching the products q(x) . k(y); reparameterize_chart performs that
+move and refuses nearly singular maps.
 """
 
 from __future__ import annotations
@@ -101,13 +101,6 @@ def degenerate_truncation(sigma, rank: int) -> bool:
         return False
     scale = float(sigma[0]) if sigma.size else 0.0
     return float(sigma[rank - 1] - sigma[rank]) <= _DEGENERATE_REL_TOL * max(scale, 1e-300)
-
-
-def extract_qk(matrix, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split the rank-r SVD symmetrically: Q = U sqrt(S), L = V sqrt(S)."""
-    result = _svd_at_rank(matrix, rank)
-    root = np.sqrt(result.sigma[:rank])
-    return result.U[:, :rank] * root, result.V[:, :rank] * root
 
 
 def reparameterize_chart(q, l, a) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,11 @@ conditional update does the same against a row-stochastic family.
 Scaled dot-product attention is the special case where the conditional
 comes from row-anchoring an exponential kernel built out of query/key
 products, and a two-layer feedforward block is a plan update over a
-signed copy of its hidden layer. Gated mixtures of either kind flatten
-into a single update over the branch-union carrier, which is the whole
-point: composition never leaves the class.
+signed copy of its hidden layer (a positive and a negative copy of
+each hidden unit, side by side). Gated mixtures of either kind flatten
+into a single update over the branch-union carrier, the branches' key
+columns side by side, which is the whole point: composition never
+leaves the class.
 """
 
 from __future__ import annotations
@@ -18,19 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchor import ConditionalFamily, TransportPlan
-from .carrier import BranchCarrier, Carrier, branch_union
 from .errors import (
     EmptyRow,
     GateNotStochastic,
-    MissingAlignment,
     NegativeGate,
     NonFinite,
     ShapeMismatch,
 )
 from .score import BaselinePrior, EvidenceKernel, _as_mask, _as_matrix
-
-_PER_EDGE_TABLE_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class ValueField:
@@ -53,65 +50,22 @@ class ValueField:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class AlignmentMaps:
-    """Identity, or a sparse table of per-edge d x d maps keyed by (x, y).
-
-    The table only needs to cover pairs it is actually consulted on,
-    i.e. admissible ones. Dense tables past 1e6 entries are refused;
-    at that point per-edge maps stop being a sane representation.
-    """
-
-    kind: str = "identity"
-    table: dict | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "per_edge"):
-            raise ValueError(f"unknown alignment kind {self.kind!r}")
-        if self.kind == "per_edge":
-            if self.table is None:
-                raise ValueError("per-edge alignment needs a table")
-            if len(self.table) > _PER_EDGE_TABLE_CAP:
-                raise ValueError(
-                    f"per-edge table with {len(self.table)} entries exceeds the "
-                    f"{_PER_EDGE_TABLE_CAP} cap"
-                )
-
-    @classmethod
-    def identity(cls) -> "AlignmentMaps":
-        return cls()
-
-    @classmethod
-    def per_edge(cls, table: dict) -> "AlignmentMaps":
-        return cls(kind="per_edge", table=dict(table))
-
-
-def _weighted_update(weights, mask, field: ValueField, maps: AlignmentMaps) -> np.ndarray:
+def _weighted_update(weights, field: ValueField) -> np.ndarray:
     if weights.shape[1] != field.n:
         raise ShapeMismatch(
             f"weight columns {weights.shape[1]} != value rows {field.n}"
         )
-    if maps.kind == "identity":
-        return weights @ field.values
-    out = np.zeros((weights.shape[0], field.d))
-    for x, y in np.argwhere(mask):
-        edge = maps.table.get((int(x), int(y)))
-        if edge is None:
-            raise MissingAlignment(int(x), int(y))
-        out[x] += weights[x, y] * (np.asarray(edge) @ field.values[y])
-    return out
+    return weights @ field.values
 
 
-def plan_update(plan: TransportPlan, field: ValueField, maps: AlignmentMaps | None = None) -> np.ndarray:
-    """out(x) = sum_y plan(x,y) T_{y->x} v(y); plain plan @ v for identity maps."""
-    return _weighted_update(plan.values, plan.mask, field, maps or AlignmentMaps.identity())
+def plan_update(plan: TransportPlan, field: ValueField) -> np.ndarray:
+    """out(x) = sum_y plan(x,y) v(y), i.e. plan @ v."""
+    return _weighted_update(plan.values, field)
 
 
-def conditional_update(
-    family: ConditionalFamily, field: ValueField, maps: AlignmentMaps | None = None
-) -> np.ndarray:
+def conditional_update(family: ConditionalFamily, field: ValueField) -> np.ndarray:
     """Same as plan_update but against a row-stochastic family."""
-    return _weighted_update(family.values, family.mask, field, maps or AlignmentMaps.identity())
+    return _weighted_update(family.values, field)
 
 
 def masked_row_softmax(logits, mask, on_empty: str = "error") -> np.ndarray:
@@ -151,7 +105,8 @@ class AttentionParams:
 
     tau and the 1/sqrt(d_k) factor are redundant knobs for the same
     scale; both are exposed and neither is canonicalized away. key_bias
-    is indexed by key position, prior and mask by (query, key).
+    is indexed by key position, prior by (query, key). The admissible
+    relation is not a parameter of the head: each call takes its mask.
     """
 
     w_q: np.ndarray
@@ -160,7 +115,6 @@ class AttentionParams:
     tau: float = 1.0
     key_bias: np.ndarray | None = None
     prior: BaselinePrior | None = None
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         w_q = np.asarray(self.w_q, dtype=np.float64)
@@ -233,31 +187,18 @@ def _attend(
 
 
 def attention(
-    embeddings, params: AttentionParams, on_empty: str = "error"
+    embeddings, params: AttentionParams, mask=None, on_empty: str = "error"
 ) -> tuple[ConditionalFamily, np.ndarray]:
     """Scaled dot-product attention as an anchored kernel update.
 
     Scores are q_i . k_j / sqrt(d_k) + key_bias(j); the weights are the
-    row softmax of score/tau + log(prior) over the admissible relation,
-    and the output is weights @ values.
+    row softmax of score/tau + log(prior) over the admissible relation
+    mask (None is the full relation), and the output is weights @ values.
     """
-    weights, out = _attend(embeddings, params, params.mask, on_empty)
-    mask = params.mask if params.mask is not None else np.ones(weights.shape, dtype=bool)
+    weights, out = _attend(embeddings, params, mask, on_empty)
+    if mask is None:
+        mask = np.ones(weights.shape, dtype=bool)
     return ConditionalFamily(weights, np.asarray(mask, dtype=bool)), out
-
-
-def multi_head(embeddings, heads, w_o) -> np.ndarray:
-    """Concatenate per-head outputs in head order and project with w_o."""
-    if not heads:
-        raise ValueError("multi_head needs at least one head")
-    outputs = [_attend(embeddings, head, head.mask, "error")[1] for head in heads]
-    stacked = np.concatenate(outputs, axis=1)
-    w_o = np.asarray(w_o, dtype=np.float64)
-    if w_o.ndim != 2 or w_o.shape[0] != stacked.shape[1]:
-        raise ShapeMismatch(
-            f"w_o must have {stacked.shape[1]} rows, got {w_o.shape}"
-        )
-    return stacked @ w_o
 
 
 def _coefficients(*values) -> tuple:
@@ -391,11 +332,6 @@ def ffn_apply(rows, params: FfnParams) -> np.ndarray:
     return _finite(hidden @ params.w2.T + params.b2, "feedforward output")
 
 
-def signed_hidden_carrier(d_ff: int) -> BranchCarrier:
-    hidden = Carrier.indexed("hidden", d_ff)
-    return branch_union([("pos", hidden), ("neg", hidden)])
-
-
 def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the block directly and as a kernel update; return both.
 
@@ -445,9 +381,7 @@ def _flatten_mixture(gates: np.ndarray, branches) -> tuple[np.ndarray, np.ndarra
         if field.d != d:
             raise ShapeMismatch("branch value fields must share the feature dimension")
         gate = gates[:, b : b + 1]
-        out += gate * _weighted_update(
-            weights.values, weights.mask, field, AlignmentMaps.identity()
-        )
+        out += gate * _weighted_update(weights.values, field)
         blocks.append(gate * weights.values)
         masks.append((gate > 0) & weights.mask)
     return out, np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
@@ -480,39 +414,3 @@ def gated_mixture_plan(gates, branches) -> tuple[np.ndarray, EvidenceKernel]:
         raise NegativeGate("plan gates must be nonnegative and finite")
     out, values, mask = _flatten_mixture(beta, branches)
     return out, EvidenceKernel(values, mask)
-
-
-@dataclass(frozen=True)
-class IntegralView:
-    """The kernel rows read as measures on the key carrier.
-
-    masses[x] is the measure of {y}; integrals[x] is the integral of the
-    value field against that measure, which coincides with the plan
-    update. Rows with positive total mass also carry the normalized
-    measure and its integral (the conditional update); dead rows hold
-    zeros there.
-    """
-
-    masses: np.ndarray
-    integrals: np.ndarray
-    row_mass: np.ndarray
-    has_mass: np.ndarray
-    normalized: np.ndarray
-    conditional_integrals: np.ndarray
-
-
-def integral_view(kernel: EvidenceKernel, field: ValueField) -> IntegralView:
-    if kernel.shape[1] != field.n:
-        raise ShapeMismatch("kernel columns must index the value field")
-    mass = kernel.values.sum(axis=1)
-    live = mass > 0
-    safe = np.where(live, mass, 1.0)
-    normalized = np.where(live[:, None], kernel.values / safe[:, None], 0.0)
-    return IntegralView(
-        masses=kernel.values,
-        integrals=kernel.values @ field.values,
-        row_mass=mass,
-        has_mass=live,
-        normalized=normalized,
-        conditional_integrals=normalized @ field.values,
-    )

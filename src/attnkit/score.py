@@ -14,13 +14,12 @@ check has both passing and failing witnesses to chew on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import NonFinite, NonPositiveLinkValue, ShapeMismatch
+from .errors import NonFinite, ShapeMismatch
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -123,23 +122,16 @@ class Link:
         return cls(kind="exp", tau=tau)
 
     def evaluate(self, scores) -> np.ndarray:
-        """Apply the link elementwise; raises NonPositiveLinkValue if any
-        output fails to be strictly positive."""
+        """Apply the link elementwise. Every kind is strictly positive in
+        exact arithmetic, so a 0 in the output is underflow."""
         s = np.asarray(scores, dtype=np.float64)
         if self.kind == "exp":
-            out = np.exp(s / self.tau)
-        elif self.kind == "exp-with-slope":
-            out = np.exp(self.slope * s)
-        elif self.kind == "softplus":
-            out = np.logaddexp(0.0, s)
-        else:  # square-plus-one
-            out = 1.0 + s * s
-        if (out <= 0).any():
-            bad = np.asarray(s).flat[int(np.argmin(out))]
-            raise NonPositiveLinkValue(
-                f"link {self.kind!r} returned a non-positive weight at score {bad}"
-            )
-        return out
+            return np.exp(s / self.tau)
+        if self.kind == "exp-with-slope":
+            return np.exp(self.slope * s)
+        if self.kind == "softplus":
+            return np.logaddexp(0.0, s)
+        return 1.0 + s * s  # square-plus-one
 
 
 @dataclass(frozen=True)
@@ -193,8 +185,12 @@ def assemble_kernel(score: MaskedScore, prior: BaselinePrior | None, link: Link)
     weights = link.evaluate(score.values[mask])
     if prior is not None:
         weights = prior.values[mask] * weights
+    # Link and prior are strictly positive in exact arithmetic: an
+    # admitted entry that is inf overflowed, one that is 0 underflowed.
     if not np.isfinite(weights).all():
         raise NonFinite("link overflowed to a non-finite kernel entry")
+    if not weights.all():
+        raise NonFinite("kernel entry underflowed to 0 on the mask")
     out[mask] = weights
     return EvidenceKernel(out, mask)
 
@@ -238,12 +234,3 @@ def check_link_compositionality(link: Link, grid, tol: float = 1e-12) -> Composi
                 worst = violation
                 witness = (w1, w2)
     return CompositionalityReport(passed=worst <= tol, max_violation=worst, witness=witness)
-
-
-def score_from_work(work, mask) -> MaskedScore:
-    """Identify scores with negative work: S = -W on the mask."""
-    arr = np.asarray(work, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch("work matrix must be 2-d")
-    mask = _as_mask(mask, arr.shape)
-    return MaskedScore(np.where(mask, -arr, 0.0), mask)

@@ -1,19 +1,11 @@
-"""Carriers, refinement composition, pushforward, and branch unions."""
+"""Refinement maps and kernel pushforward."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from attnkit.carrier import (
-    BranchCarrier,
-    Carrier,
-    RefinementMap,
-    branch_union,
-    compose_refinement,
-    identity_refinement,
-    pushforward_kernel,
-)
-from attnkit.errors import CarrierMismatch, DuplicateTag
+from attnkit.carrier import RefinementMap, pushforward_kernel
+from attnkit.errors import CarrierMismatch
 from attnkit.score import EvidenceKernel
 
 
@@ -32,49 +24,6 @@ def random_surjection(rng, n_fine, n_coarse, fine, coarse):
         candidate = rng.integers(0, n_coarse, size=n_fine)
         if np.unique(candidate).size == n_coarse:
             return RefinementMap(fine, coarse, candidate, n_coarse)
-
-
-def test_identity_composes_neutrally():
-    rho = RefinementMap("fine", "coarse", [0, 0, 1, 1], 2)
-    ident = identity_refinement("coarse", 2)
-    composed = compose_refinement(ident, rho)
-    npt.assert_array_equal(composed.map, rho.map)
-    assert composed.fine == "fine" and composed.coarse == "coarse"
-
-
-def test_constant_collapse():
-    rho = RefinementMap("a", "b", [0, 0, 1, 1], 2)
-    sigma = RefinementMap("b", "c", [0, 0], 1)
-    composed = compose_refinement(sigma, rho)
-    npt.assert_array_equal(composed.map, [0, 0, 0, 0])
-
-
-def test_random_composition_matches_pointwise_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        rho = random_surjection(rng, 6, 3, "l0", "l1")
-        sigma = random_surjection(rng, 3, 2, "l1", "l2")
-        composed = compose_refinement(sigma, rho)
-        for i in range(6):
-            assert composed.map[i] == sigma.map[rho.map[i]]
-
-
-def test_composition_is_associative_on_chains():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        r0 = random_surjection(rng, 8, 5, "l0", "l1")
-        r1 = random_surjection(rng, 5, 3, "l1", "l2")
-        r2 = random_surjection(rng, 3, 2, "l2", "l3")
-        left = compose_refinement(r2, compose_refinement(r1, r0))
-        right = compose_refinement(compose_refinement(r2, r1), r0)
-        npt.assert_array_equal(left.map, right.map)
-
-
-def test_composition_rejects_broken_chain():
-    rho = RefinementMap("a", "b", [0, 1], 2)
-    sigma = RefinementMap("c", "d", [0, 0], 1)
-    with pytest.raises(CarrierMismatch):
-        compose_refinement(sigma, rho)
 
 
 def test_refinement_must_be_surjective():
@@ -146,46 +95,3 @@ def test_pushforward_shape_disagreement():
     rho = RefinementMap("f", "c", [0, 1], 2)
     with pytest.raises(CarrierMismatch):
         pushforward_kernel(kernel, rho, rho)
-
-
-def test_branch_union_single_branch():
-    carrier = Carrier("tokens", ("a", "b"))
-    union = branch_union([("only", carrier)])
-    assert union.flat_labels == (("only", "a"), ("only", "b"))
-    assert union.n == 2
-
-
-def test_branch_union_sizes_add():
-    union = branch_union(
-        [("x", Carrier.indexed("x", 2)), ("y", Carrier.indexed("y", 3))]
-    )
-    assert union.n == 5
-
-
-def test_branch_union_round_trip_indices():
-    branches = [
-        ("a", Carrier.indexed("a", 2)),
-        ("b", Carrier.indexed("b", 4)),
-        ("c", Carrier.indexed("c", 3)),
-    ]
-    union = branch_union(branches)
-    # Index-arithmetic oracle: offsets are cumulative branch sizes.
-    offsets = {"a": 0, "b": 2, "c": 6}
-    for tag, carrier in branches:
-        for local in range(carrier.n):
-            flat = union.flatten_index(tag, local)
-            assert flat == offsets[tag] + local
-            assert union.unflatten_index(flat) == (tag, local)
-
-
-def test_branch_union_duplicate_tags():
-    carrier = Carrier.indexed("z", 2)
-    with pytest.raises(DuplicateTag):
-        branch_union([("t", carrier), ("t", carrier)])
-
-
-def test_carrier_label_validation():
-    with pytest.raises(ValueError):
-        Carrier("bad", ("a", "a"))
-    with pytest.raises(ValueError):
-        Carrier("empty", ())

@@ -561,6 +561,10 @@ def run_stage(stage, **inputs):
         ("run", {"stages": [], "checks": 2.7}, "checks"),
         ("run", {"stages": [], "checks": ["gauge", []]}, "checks"),
         ("run", {"stages": [], "checks": ["gauge", "nope"]}, "checks"),
+        # A stage attends under the step's mask; attn carries none.
+        ("stage-run", {**STAGE_RUN_2X2, "schedule": [
+            {**STEP_2X2, "attn": {**STEP_2X2["attn"], "mask": [[1.0, 0.0], [0.0, 1.0]]}}]},
+         "stage-run.schedule[0].attn.mask"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -620,6 +624,15 @@ HUGE_W1 = [[1e308, 1e308], [1e308, 1e308]]
                                        "scores": [[700.0, 0.0], [0.0, 1.0]],
                                        "prior": [[1e300, 1.0], [1.0, 1.0]]}),
                      id="run-link-times-prior"),
+        # And underflow: every link and prior is positive, so an admitted
+        # 0 is out of the range of doubles too.
+        pytest.param("run", run_stage({"op": "assemble_kernel",
+                                       "scores": [[-800.0, 0.0], [0.0, 1.0]]}),
+                     id="run-link-underflow"),
+        pytest.param("run", run_stage({"op": "assemble_kernel",
+                                       "scores": [[-700.0, 0.0], [0.0, 1.0]],
+                                       "prior": [[1e-300, 1.0], [1.0, 1.0]]}),
+                     id="run-link-times-prior-underflow"),
         # Charted rows [1, 1] put 2e308 into every hidden unit.
         pytest.param("stage-run", {"initial": [[1.0, 1.0], [1.0, 1.0]], "schedule": [
             {**STEP_2X2, "ffn": {**FFN_2X2, "w1": HUGE_W1}}]}, id="stage-run-ffn"),

@@ -7,7 +7,6 @@ import pytest
 from attnkit.anchor import row_anchor
 from attnkit.errors import (
     MaskedInputRejected,
-    MaskMismatch,
     MissingPotential,
     NonPositiveScaling,
     NotACycle,
@@ -18,7 +17,6 @@ from attnkit.gauge import (
     center_scores,
     coboundary,
     cycle_sum,
-    row_equivalent,
     scale_kernel,
     weighted_row_center,
 )
@@ -81,36 +79,6 @@ class TestScaleKernel:
         npt.assert_allclose(
             row_anchor(scaled).values, row_anchor(kernel).values, atol=1e-12
         )
-
-
-class TestRowEquivalent:
-    def test_uniform_triple(self):
-        kernel = random_kernel(np.random.default_rng(1), 3, 3)
-        other = EvidenceKernel(3.0 * kernel.values, kernel.mask)
-        a = row_equivalent(kernel, other)
-        npt.assert_allclose(a, [3.0, 3.0, 3.0], rtol=1e-12)
-
-    def test_recovers_random_diagonal(self):
-        rng = np.random.default_rng(29)
-        kernel = random_kernel(rng, 6, 4)
-        scale = rng.uniform(0.1, 8.0, 6)
-        other = EvidenceKernel(scale[:, None] * kernel.values, kernel.mask)
-        a = row_equivalent(kernel, other)
-        assert a is not None
-        npt.assert_allclose(a, scale, rtol=1e-10)
-
-    def test_rejects_non_left_scalings(self):
-        rng = np.random.default_rng(37)
-        kernel = random_kernel(rng, 4, 4)
-        noisy = kernel.values * rng.uniform(0.9, 1.1, (4, 4))
-        assert row_equivalent(kernel, EvidenceKernel(noisy, kernel.mask)) is None
-
-    def test_mask_disagreement_is_an_error(self):
-        kernel = EvidenceKernel(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
-        mask = np.array([[True, False], [True, True]])
-        other = EvidenceKernel(np.where(mask, 1.0, 0.0), mask)
-        with pytest.raises(MaskMismatch):
-            row_equivalent(kernel, other)
 
 
 class TestCenterScores:

@@ -11,7 +11,6 @@ from attnkit.gauge import center_scores
 from attnkit.lowrank import (
     SvdResult,
     degenerate_truncation,
-    extract_qk,
     reparameterize_chart,
     score_normal_form,
     svd,
@@ -167,32 +166,38 @@ class TestDegenerateTruncation:
         assert not degenerate_truncation([1.0, 1.0], 2)
 
 
-class TestExtractQk:
-    def test_rank_one_outer_product(self):
-        u = np.array([1.0, 2.0])
-        v = np.array([3.0, 1.0, 2.0])
-        q, l = extract_qk(np.outer(u, v), 1)
-        npt.assert_allclose(q @ l.T, np.outer(u, v), atol=1e-12)
+class TestNormalFormFactors:
+    """Q = U sqrt(S) and L = V sqrt(S) of the double-centered scores."""
 
-    def test_scalar_matrix_splits_evenly(self):
-        q, l = extract_qk(np.array([[4.0]]), 1)
-        npt.assert_allclose(q, [[2.0]])
-        npt.assert_allclose(l, [[2.0]])
+    def test_rank_one_outer_product(self):
+        # Zero-sum u and v: the outer product is its own interaction.
+        u = np.array([1.0, 2.0, -3.0])
+        v = np.array([3.0, 1.0, -4.0])
+        chart = score_normal_form(np.outer(u, v), 1)
+        npt.assert_allclose(chart.Q @ chart.L.T, np.outer(u, v), atol=1e-12)
+
+    def test_symmetric_rank_one_splits_evenly(self):
+        # u u^T with u = (2, -1, -1) has the one singular value |u|^2 = 6
+        # and singular vectors u / sqrt(6): each factor is exactly u.
+        u = np.array([2.0, -1.0, -1.0])
+        chart = score_normal_form(np.outer(u, u), 1)
+        npt.assert_allclose(chart.Q, u[:, None], atol=1e-14)
+        npt.assert_allclose(chart.L, u[:, None], atol=1e-14)
 
     def test_product_reproduces_truncation(self):
         rng = np.random.default_rng(16)
         m = rng.normal(size=(5, 7))
-        for rank in (1, 3, 5):
-            q, l = extract_qk(m, rank)
-            approx, _ = truncate(m, rank)
-            npt.assert_allclose(q @ l.T, approx, atol=1e-10)
+        interaction = center_scores(m, mode="double").interaction
+        for rank in (1, 3, 4):
+            chart = score_normal_form(m, rank)
+            approx, _ = truncate(interaction, rank)
+            npt.assert_allclose(chart.Q @ chart.L.T, approx, atol=1e-10)
 
     def test_symmetric_energy_split(self):
         rng = np.random.default_rng(18)
-        m = rng.normal(size=(4, 4))
-        q, l = extract_qk(m, 4)
+        chart = score_normal_form(rng.normal(size=(4, 4)), 3)
         npt.assert_allclose(
-            (q**2).sum(axis=0), (l**2).sum(axis=0), rtol=1e-10
+            (chart.Q**2).sum(axis=0), (chart.L**2).sum(axis=0), rtol=1e-10
         )
 
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -21,12 +20,10 @@ from attnkit.anchor import (
 from attnkit.errors import (
     EmptyRow,
     GateNotStochastic,
-    MissingAlignment,
     NegativeGate,
     ShapeMismatch,
 )
 from attnkit.operator import (
-    AlignmentMaps,
     AttentionParams,
     FfnParams,
     ValueField,
@@ -39,21 +36,17 @@ from attnkit.operator import (
     ffn_as_ga,
     gated_mixture_conditional,
     gated_mixture_plan,
-    integral_view,
     masked_row_softmax,
-    multi_head,
     plan_update,
-    signed_hidden_carrier,
 )
 from attnkit.score import BaselinePrior, EvidenceKernel
 
 
-def oracle_attention_weights(e, params):
+def oracle_attention_weights(e, params, mask):
     """Scalar-loop softmax of q.k/sqrt(d_k) + bias over the mask."""
     n = e.shape[0]
     q = e @ params.w_q
     k = e @ params.w_k
-    mask = params.mask if params.mask is not None else np.ones((n, n), dtype=bool)
     weights = np.zeros((n, n))
     for i in range(n):
         logits = {}
@@ -72,17 +65,6 @@ def oracle_attention_weights(e, params):
         for j, v in logits.items():
             weights[i, j] = math.exp(v - peak) / total
     return weights
-
-
-def oracle_update_with_maps(weights, mask, values, table):
-    n_x, n_y = weights.shape
-    d = values.shape[1]
-    out = np.zeros((n_x, d))
-    for x in range(n_x):
-        for y in range(n_y):
-            if mask[x, y]:
-                out[x] += weights[x, y] * (table[(x, y)] @ values[y])
-    return out
 
 
 def random_conditional(rng, n_x, n_y):
@@ -109,42 +91,6 @@ class TestUpdates:
         )
         field = ValueField(np.array([[2.0], [4.0]]))
         npt.assert_allclose(conditional_update(family, field), [[3.0]])
-
-    def test_per_edge_maps_match_triple_loop(self):
-        rng = np.random.default_rng(33)
-        family = random_conditional(rng, 4, 5)
-        field = ValueField(rng.normal(size=(5, 3)))
-        table = {
-            (int(x), int(y)): rng.normal(size=(3, 3))
-            for x, y in np.argwhere(family.mask)
-        }
-        got = conditional_update(family, field, AlignmentMaps.per_edge(table))
-        want = oracle_update_with_maps(family.values, family.mask, field.values, table)
-        npt.assert_allclose(got, want, atol=1e-12)
-
-    def test_identity_table_reduces_to_plain_update(self):
-        rng = np.random.default_rng(39)
-        family = random_conditional(rng, 3, 4)
-        field = ValueField(rng.normal(size=(4, 2)))
-        table = {
-            (int(x), int(y)): np.eye(2) for x, y in np.argwhere(family.mask)
-        }
-        npt.assert_allclose(
-            conditional_update(family, field, AlignmentMaps.per_edge(table)),
-            conditional_update(family, field),
-            atol=1e-14,
-        )
-
-    def test_missing_edge_map_is_fatal(self):
-        family = ConditionalFamily(
-            np.array([[0.5, 0.5]]), np.ones((1, 2), dtype=bool)
-        )
-        field = ValueField(np.array([[1.0], [2.0]]))
-        with pytest.raises(MissingAlignment) as exc:
-            conditional_update(
-                family, field, AlignmentMaps.per_edge({(0, 0): np.eye(1)})
-            )
-        assert exc.value.pair == (0, 1)
 
     def test_plan_factors_through_conditional(self):
         # A plan update is the row-mass times the conditional update of
@@ -249,10 +195,9 @@ class TestAttend:
                 tau=0.7,
                 key_bias=rng.normal(size=n),
                 prior=BaselinePrior(rng.uniform(0.5, 2.0, (n, n))),
-                mask=mask,
             )
-            weights, out = _attend(e, params, params.mask, "error")
-            family, want = attention(e, params)
+            weights, out = _attend(e, params, mask, "error")
+            family, want = attention(e, params, mask)
             assert_same_bits(weights, family.values)
             assert_same_bits(out, want)
 
@@ -265,7 +210,7 @@ class TestAttend:
             w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)), w_v=np.eye(3)
         )
         weights, out = _attend(e, params, mask, "zero")
-        family, want = attention(e, replace(params, mask=mask), "zero")
+        family, want = attention(e, params, mask, "zero")
         assert_same_bits(weights, family.values)
         assert_same_bits(out, want)
 
@@ -306,10 +251,9 @@ class TestAttention:
                 tau=float(rng.uniform(0.5, 2.0)),
                 key_bias=rng.normal(size=n),
                 prior=BaselinePrior(rng.uniform(0.5, 2.0, (n, n))),
-                mask=mask,
             )
-            family, out = attention(e, params)
-            want = oracle_attention_weights(e, params)
+            family, out = attention(e, params, mask)
+            want = oracle_attention_weights(e, params, mask)
             assert np.abs(family.values - want).max() <= 1e-12
             npt.assert_allclose(out, want @ (e @ params.w_v), atol=1e-12)
 
@@ -334,9 +278,8 @@ class TestAttention:
             w_q=rng.normal(size=(3, 2)),
             w_k=rng.normal(size=(3, 2)),
             w_v=rng.normal(size=(3, 2)),
-            mask=mask,
         )
-        family, _ = attention(e, params)
+        family, _ = attention(e, params, mask)
         assert (family.values[~mask] == 0).all()
 
     def test_weights_agree_with_row_anchored_kernel(self):
@@ -351,63 +294,14 @@ class TestAttention:
             w_k=rng.normal(size=(3, 2)),
             w_v=rng.normal(size=(3, 2)),
             tau=1.3,
-            mask=mask,
         )
-        family, _ = attention(e, params)
+        family, _ = attention(e, params, mask)
         q = e @ params.w_q
         k = e @ params.w_k
         scores = (q @ k.T) / math.sqrt(2) / params.tau
         kernel_values = np.where(mask, np.exp(scores - scores.max()), 0.0)
         anchored = row_anchor(EvidenceKernel(kernel_values, mask))
         assert np.abs(family.values - anchored.values).max() <= 1e-12
-
-
-class TestMultiHead:
-    def test_single_head_identity_projection(self):
-        rng = np.random.default_rng(81)
-        e = rng.normal(size=(3, 4))
-        head = AttentionParams(
-            w_q=rng.normal(size=(4, 2)),
-            w_k=rng.normal(size=(4, 2)),
-            w_v=rng.normal(size=(4, 4)),
-        )
-        _, single = attention(e, head)
-        npt.assert_allclose(multi_head(e, [head], np.eye(4)), single, atol=1e-14)
-
-    def test_duplicate_heads_average_back(self):
-        rng = np.random.default_rng(85)
-        e = rng.normal(size=(3, 4))
-        head = AttentionParams(
-            w_q=rng.normal(size=(4, 2)),
-            w_k=rng.normal(size=(4, 2)),
-            w_v=rng.normal(size=(4, 3)),
-        )
-        _, single = attention(e, head)
-        w_o = np.concatenate([0.5 * np.eye(3), 0.5 * np.eye(3)], axis=0)
-        npt.assert_allclose(multi_head(e, [head, head], w_o), single, atol=1e-13)
-
-    def test_three_heads_match_manual_concat(self):
-        rng = np.random.default_rng(87)
-        e = rng.normal(size=(4, 5))
-        heads = [
-            AttentionParams(
-                w_q=rng.normal(size=(5, 2)),
-                w_k=rng.normal(size=(5, 2)),
-                w_v=rng.normal(size=(5, 3)),
-            )
-            for _ in range(3)
-        ]
-        w_o = rng.normal(size=(9, 5))
-        manual = np.concatenate(
-            [attention(e, h)[1] for h in heads], axis=1
-        ) @ w_o
-        npt.assert_allclose(multi_head(e, heads, w_o), manual, atol=1e-13)
-
-    def test_projection_shape_checked(self):
-        e = np.zeros((2, 3))
-        head = AttentionParams(w_q=np.eye(3), w_k=np.eye(3), w_v=np.eye(3))
-        with pytest.raises(ShapeMismatch):
-            multi_head(e, [head], np.eye(4))
 
 
 class TestFfn:
@@ -458,11 +352,6 @@ class TestFfn:
             direct, ga_form = ffn_as_ga(x, params)
             assert np.abs(direct - ga_form).max() <= 1e-10
             npt.assert_allclose(direct, ffn_apply(x[None, :], params)[0], atol=1e-12)
-
-    def test_signed_carrier_doubles_the_hidden_axis(self):
-        union = signed_hidden_carrier(4)
-        assert union.n == 8
-        assert union.flatten_index("neg", 0) == 4
 
     def test_gelu_is_exact_at_known_points(self):
         params = FfnParams(
@@ -665,36 +554,3 @@ class TestMixtures:
         }[case]
         with pytest.raises(ShapeMismatch):
             mix(gates, branches)
-
-
-class TestIntegralView:
-    def test_integrals_are_bitwise_the_plan_update(self):
-        rng = np.random.default_rng(107)
-        mask = rng.random((4, 5)) < 0.7
-        values = np.where(mask, rng.uniform(0.1, 2.0, (4, 5)), 0.0)
-        kernel = EvidenceKernel(values, mask)
-        field = ValueField(rng.normal(size=(5, 3)))
-        view = integral_view(kernel, field)
-        assert np.array_equal(view.integrals, kernel.values @ field.values)
-        npt.assert_array_equal(view.masses, kernel.values)
-
-    def test_normalized_rows_match_row_anchor(self):
-        rng = np.random.default_rng(109)
-        mask = np.ones((3, 4), dtype=bool)
-        kernel = EvidenceKernel(rng.uniform(0.1, 2.0, (3, 4)), mask)
-        field = ValueField(rng.normal(size=(4, 2)))
-        view = integral_view(kernel, field)
-        family = row_anchor(kernel)
-        npt.assert_allclose(view.normalized, family.values, atol=1e-15)
-        npt.assert_allclose(
-            view.conditional_integrals, conditional_update(family, field), atol=1e-15
-        )
-
-    def test_dead_rows_are_flagged_and_zeroed(self):
-        mask = np.array([[True, True], [False, False]])
-        kernel = EvidenceKernel(np.where(mask, 1.0, 0.0), mask)
-        field = ValueField(np.array([[1.0], [2.0]]))
-        view = integral_view(kernel, field)
-        npt.assert_array_equal(view.has_mass, [True, False])
-        npt.assert_array_equal(view.normalized[1], [0.0, 0.0])
-        npt.assert_array_equal(view.conditional_integrals[1], [0.0])

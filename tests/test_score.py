@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from attnkit.anchor import ConditionalFamily, TransportPlan
-from attnkit.errors import NonPositiveLinkValue, ShapeMismatch
+from attnkit.errors import NonFinite, ShapeMismatch
 from attnkit.score import (
     BaselinePrior,
     EvidenceKernel,
@@ -17,7 +17,6 @@ from attnkit.score import (
     assemble_kernel,
     check_link_compositionality,
     row_mass,
-    score_from_work,
 )
 
 
@@ -138,9 +137,18 @@ class TestLinkCompositionality:
             check_link_compositionality(Link.exponential(), [])
 
 
-def test_softplus_underflow_raises_non_positive():
-    with pytest.raises(NonPositiveLinkValue):
-        Link(kind="softplus").evaluate(np.array([-1000.0]))
+def test_softplus_underflow_is_a_numeric_failure():
+    score = MaskedScore.dense([[-1000.0]])
+    with pytest.raises(NonFinite, match="underflowed to 0"):
+        assemble_kernel(score, None, Link(kind="softplus"))
+
+
+def test_prior_times_link_underflow_is_a_numeric_failure():
+    # exp(-700) ~ 1e-304 is a normal double, but 1e-300 times it is 0.
+    score = MaskedScore.dense([[-700.0, 0.0], [0.0, 1.0]])
+    prior = BaselinePrior([[1e-300, 1.0], [1.0, 1.0]])
+    with pytest.raises(NonFinite, match="underflowed to 0"):
+        assemble_kernel(score, prior, Link.exponential())
 
 
 def test_link_validation():
@@ -148,21 +156,6 @@ def test_link_validation():
         Link.exponential(0.0)
     with pytest.raises(ValueError):
         Link(kind="sigmoid")
-
-
-def test_score_from_work_flips_sign():
-    mask = np.ones((1, 2), dtype=bool)
-    score = score_from_work(np.array([[1.0, -2.0]]), mask)
-    npt.assert_array_equal(score.values, [[-1.0, 2.0]])
-
-
-def test_score_from_work_is_an_involution():
-    rng = np.random.default_rng(11)
-    work = rng.normal(size=(4, 5))
-    mask = rng.random((4, 5)) < 0.6
-    once = score_from_work(work, mask)
-    twice = score_from_work(once.values, mask)
-    npt.assert_array_equal(twice.values, np.where(mask, work, 0.0))
 
 
 def test_masked_score_rejects_nonfinite_on_mask():

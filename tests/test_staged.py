@@ -1,4 +1,6 @@
-"""Stage composition, history readout, influence sets, and the barrier."""
+"""Stage composition, influence sets, and the barrier."""
+
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -25,23 +27,18 @@ from attnkit.staged import (
     StagedConfig,
     apply_chart,
     apply_comp,
-    barrier_check,
-    full_history_readout,
     influence_relation,
-    predecessor_set,
     predecessor_sets,
-    run_block,
     run_schedule,
 )
 
 
-def make_attn(rng, d, mask=None, zero_values=False):
+def make_attn(rng, d, zero_values=False):
     w_v = np.zeros((d, d)) if zero_values else rng.normal(size=(d, d)) * 0.3
     return AttentionParams(
         w_q=rng.normal(size=(d, d)) * 0.3,
         w_k=rng.normal(size=(d, d)) * 0.3,
         w_v=w_v,
-        mask=mask,
     )
 
 
@@ -88,6 +85,11 @@ def manual_softmax_rows(logits, mask):
     return out
 
 
+def one_block(records, attn, ffn, cfg, mask=None):
+    """One two-sublayer stage, run as a one-step schedule."""
+    return run_schedule(records, [ScheduleStep(attn, ffn, mask=mask)], cfg).records[1]
+
+
 def oracle_pre(masks, x, t):
     """Exhaustive path enumeration through the stage relations."""
     if t == 0:
@@ -129,6 +131,48 @@ class TestCharts:
     def test_rms_norm_is_the_mean_formula_bitwise(self, r, eps):
         want = r / np.sqrt((r * r).mean(axis=1) + eps)[:, None]
         got = apply_chart(r, ChartSpec("rms_norm", eps=eps))
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_huge_rows_are_charted_not_zeroed(self):
+        rms, layer = ChartSpec("rms_norm"), ChartSpec("layer_norm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = apply_chart([[1e200, 1e200], [1.0, 2.0]], rms)
+            centered = apply_chart([[1e200, -1e200]], layer)
+            three = apply_chart([[1e308, 1e308, -1e308]], layer)
+        npt.assert_array_equal(mixed[0], [1.0, 1.0])
+        # A row with a finite scale keeps the plain formula's bits.
+        assert np.array_equal(mixed[1], apply_chart([[1.0, 2.0]], rms)[0])
+        npt.assert_array_equal(centered, [[1.0, -1.0]])
+        # Divided by 1e308: mean 1/3, centered (2/3, 2/3, -4/3), variance
+        # 8/9, so the chart is (1, 1, -2) / sqrt(2).
+        npt.assert_allclose(three, [[2**-0.5, 2**-0.5, -(2**0.5)]], rtol=1e-15)
+
+    def test_a_huge_row_keeps_its_chart_in_a_run(self):
+        # With eps = 1e-300 both (1e200, 1e200) and (1, 1) chart to
+        # exactly (1, 1), so row 1 reads the same keys and values in
+        # both runs. A huge row charted to 0 would change them.
+        rng = np.random.default_rng(116)
+        step = ScheduleStep(make_attn(rng, 2), make_ffn(rng, 2))
+        cfg = StagedConfig(chart=ChartSpec("rms_norm", eps=1e-300))
+        huge = run_schedule([[1e200, 1e200], [1.0, 2.0]], [step], cfg)
+        unit = run_schedule([[1.0, 1.0], [1.0, 2.0]], [step], cfg)
+        assert np.array_equal(huge.updates[0][1], unit.updates[0][1])
+        assert np.isfinite(huge.records[1]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 20), st.integers(1, 70)),
+            elements=st.floats(-1e6, 1e6),
+        ),
+        eps=st.floats(1e-12, 1.0),
+    )
+    def test_layer_norm_is_the_centered_formula_bitwise(self, r, eps):
+        centered = r - r.mean(axis=1, keepdims=True)
+        want = centered / np.sqrt(r.var(axis=1, keepdims=True) + eps)
+        got = apply_chart(r, ChartSpec("layer_norm", eps=eps))
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_unknown_chart_rejected(self):
@@ -173,7 +217,7 @@ class TestRunBlock:
         rng = np.random.default_rng(117)
         r = rng.normal(size=(4, 3))
         cfg = StagedConfig(chart=ChartSpec("identity"))
-        out = run_block(
+        out = one_block(
             r, make_attn(rng, 3, zero_values=True), make_ffn(rng, 3, zero=True), cfg
         )
         npt.assert_allclose(out, r, atol=1e-15)
@@ -185,10 +229,10 @@ class TestRunBlock:
         d = 4
         r = rng.normal(size=(5, d))
         mask = diagonal_mask(rng, 5)
-        attn = make_attn(rng, d, mask=mask)
+        attn = make_attn(rng, d)
         ffn = make_ffn(rng, d)
         cfg = StagedConfig(chart=ChartSpec("rms_norm"))
-        got = run_block(r, attn, ffn, cfg)
+        got = one_block(r, attn, ffn, cfg, mask)
 
         h = manual_chart(r, "rms_norm")
         q, k, v = h @ attn.w_q, h @ attn.w_k, h @ attn.w_v
@@ -205,7 +249,7 @@ class TestRunBlock:
         d = 4
         r = rng.normal(size=(5, d))
         mask = diagonal_mask(rng, 5)
-        attn = make_attn(rng, d, mask=mask)
+        attn = make_attn(rng, d)
         ffn = FfnParams(
             w1=rng.normal(size=(7, d)),
             b1=rng.normal(size=7),
@@ -215,7 +259,7 @@ class TestRunBlock:
         )
         for kind in ("identity", "rms_norm", "layer_norm"):
             cfg = StagedConfig(chart=ChartSpec(kind))
-            got = run_block(r, attn, ffn, cfg)
+            got = one_block(r, attn, ffn, cfg, mask)
             h = manual_chart(r, kind)
             q, k, v = h @ attn.w_q, h @ attn.w_k, h @ attn.w_v
             weights = manual_softmax_rows((q @ k.T) / np.sqrt(d), mask)
@@ -228,52 +272,16 @@ class TestRunBlock:
         rng = np.random.default_rng(123)
         r = rng.normal(size=(2, 3))
         mask = np.array([[True, True], [False, False]])
-        attn = make_attn(rng, 3, mask=mask)
+        attn = make_attn(rng, 3)
         ffn = make_ffn(rng, 3, zero=True)
         with pytest.raises(EmptyRow):
-            run_block(r, attn, ffn, StagedConfig(chart=ChartSpec("identity")))
+            one_block(r, attn, ffn, StagedConfig(chart=ChartSpec("identity")), mask)
         cfg = StagedConfig(chart=ChartSpec("identity"), zero_update_on_empty=True)
-        out = run_block(r, attn, ffn, cfg)
+        out = one_block(r, attn, ffn, cfg, mask)
         assert np.isfinite(out).all()
         # Row 1 received a zero attention update and a zero feedforward,
         # so it is carried through unchanged.
         npt.assert_allclose(out[1], r[1], atol=1e-15)
-
-
-class TestFullHistoryReadout:
-    def test_one_hot_gate_is_markov_memory(self):
-        rng = np.random.default_rng(125)
-        records = [rng.normal(size=(3, 2)) for _ in range(4)]
-        alpha = [np.zeros(3)] * 3 + [np.ones(3)]
-        phi = [None] * 4
-        npt.assert_allclose(
-            full_history_readout(records, alpha, phi), records[-1], atol=1e-15
-        )
-
-    def test_uniform_gates_average(self):
-        records = [np.full((2, 2), 1.0), np.full((2, 2), 3.0)]
-        alpha = [np.full(2, 0.5), np.full(2, 0.5)]
-        out = full_history_readout(records, alpha, [None, None])
-        npt.assert_allclose(out, np.full((2, 2), 2.0))
-
-    def test_matches_naive_sum_with_placements(self):
-        rng = np.random.default_rng(127)
-        sizes = [5, 3, 4]
-        n_now = 4
-        records = [rng.normal(size=(n, 2)) for n in sizes]
-        alpha = [rng.normal(size=n_now) for _ in sizes]
-        phi = [rng.normal(size=(n_now, n)) for n in sizes]
-        got = full_history_readout(records, alpha, phi)
-        want = np.zeros((n_now, 2))
-        for a_k, p_k, r_k in zip(alpha, phi, records):
-            want += a_k[:, None] * (p_k @ r_k)
-        npt.assert_allclose(got, want, atol=1e-13)
-
-    def test_history_validation(self):
-        with pytest.raises(ShapeMismatch):
-            full_history_readout([], [], [])
-        with pytest.raises(ShapeMismatch):
-            full_history_readout([np.ones((2, 2))], [np.ones(2)], [None, None])
 
 
 def chain_mask(n):
@@ -294,10 +302,10 @@ class TestInfluence:
 
     def test_chain_predecessors_frozen(self):
         inf = influence_relation([chain_mask(4), chain_mask(4)])
-        assert predecessor_set(inf, 2, 0) == {2}
-        assert predecessor_set(inf, 2, 1) == {1, 2}
-        assert predecessor_set(inf, 2, 2) == {0, 1, 2}
-        assert predecessor_set(inf, 0, 2) == {0}
+        assert predecessor_sets(inf, 0)[2] == {2}
+        assert predecessor_sets(inf, 1)[2] == {1, 2}
+        assert predecessor_sets(inf, 2)[2] == {0, 1, 2}
+        assert predecessor_sets(inf, 2)[0] == {0}
 
     def test_matches_path_enumeration(self):
         rng = np.random.default_rng(129)
@@ -306,21 +314,19 @@ class TestInfluence:
             depth = int(rng.integers(1, 5))
             masks = [diagonal_mask(rng, n, density=0.4) for _ in range(depth)]
             inf = influence_relation(masks)
-            for x in range(n):
-                for t in range(depth + 1):
-                    assert predecessor_set(inf, x, t) == oracle_pre(masks, x, t)
+            for t in range(depth + 1):
+                for x, pre in enumerate(predecessor_sets(inf, t)):
+                    assert pre == oracle_pre(masks, x, t)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_all_rows_match_one_row_at_a_time(self, data):
+    def test_all_rows_match_path_enumeration_on_any_masks(self, data):
         n = data.draw(st.integers(1, 9))
         depth = data.draw(st.integers(1, 5))
         masks = [data.draw(arrays(np.bool_, (n, n))) for _ in range(depth)]
         inf = influence_relation(masks)
         t = data.draw(st.integers(0, depth))
-        rows = predecessor_sets(inf, t)
-        assert rows == [predecessor_set(inf, x, t) for x in range(n)]
-        assert rows == [oracle_pre(masks, x, t) for x in range(n)]
+        assert predecessor_sets(inf, t) == [oracle_pre(masks, x, t) for x in range(n)]
 
     def test_all_rows_validate_the_depth(self):
         inf = influence_relation([chain_mask(3)])
@@ -332,14 +338,11 @@ class TestInfluence:
         with pytest.raises(IndexOutOfRange):
             predecessor_sets(InfluenceData(()), 0)
 
-    def test_index_validation(self):
-        inf = influence_relation([chain_mask(3)])
-        with pytest.raises(IndexOutOfRange):
-            predecessor_set(inf, 5, 1)
-        with pytest.raises(IndexOutOfRange):
-            predecessor_set(inf, 0, 2)
+    def test_masks_must_be_square_and_agree(self):
         with pytest.raises(NonSquareMask):
             influence_relation([np.ones((2, 3), dtype=bool)])
+        with pytest.raises(NonSquareMask):
+            influence_relation([chain_mask(2), chain_mask(3)])
 
 
 def build_schedule(rng, n, d, depth, chart="identity"):
@@ -353,6 +356,13 @@ def build_schedule(rng, n, d, depth, chart="identity"):
     ]
     cfg = StagedConfig(chart=ChartSpec(chart))
     return rng.normal(size=(n, d)), schedule, cfg
+
+
+def perturb(initial, u, delta):
+    """initial with delta added to row u."""
+    out = initial.copy()
+    out[u] = out[u] + delta
+    return out
 
 
 class TestBarrier:
@@ -388,16 +398,22 @@ class TestBarrier:
         initial = rng.normal(size=(n, d))
         cfg = StagedConfig(chart=ChartSpec("identity"))
         delta = rng.normal(size=d)
-        assert barrier_check(initial, schedule, cfg, x=0, t=1, u=2, delta=delta)
-        assert barrier_check(initial, schedule, cfg, x=0, t=2, u=3, delta=delta)
+        base = run_schedule(initial, schedule, cfg).updates
+        bumped_2 = run_schedule(perturb(initial, 2, delta), schedule, cfg).updates
+        bumped_3 = run_schedule(perturb(initial, 3, delta), schedule, cfg).updates
+        assert np.array_equal(base[0][0], bumped_2[0][0])
+        assert np.array_equal(base[1][0], bumped_3[1][0])
         # Inside the predecessor set the update does move for a generic
         # perturbation.
-        assert not barrier_check(initial, schedule, cfg, x=2, t=1, u=1, delta=delta)
+        bumped_1 = run_schedule(perturb(initial, 1, delta), schedule, cfg).updates
+        assert not np.array_equal(base[0][2], bumped_1[0][2])
 
     def test_zero_perturbation_never_moves_anything(self):
         rng = np.random.default_rng(135)
         initial, schedule, cfg = build_schedule(rng, 3, 2, 2)
-        assert barrier_check(initial, schedule, cfg, x=1, t=2, u=0, delta=np.zeros(2))
+        base = run_schedule(initial, schedule, cfg).updates
+        bumped = run_schedule(perturb(initial, 0, np.zeros(2)), schedule, cfg).updates
+        assert all(np.array_equal(a, b) for a, b in zip(base, bumped))
 
     def test_outside_predecessors_is_always_bitwise_clean(self):
         rng = np.random.default_rng(137)
@@ -407,49 +423,29 @@ class TestBarrier:
             depth = int(rng.integers(1, 4))
             initial, schedule, cfg = build_schedule(rng, n, d, depth, chart="rms_norm")
             inf = influence_relation([step.mask for step in schedule])
-            for t in range(1, depth + 1):
-                for x in range(n):
-                    pre = predecessor_set(inf, x, t)
-                    for u in range(n):
-                        if u in pre:
-                            continue
-                        delta = rng.normal(size=d)
-                        assert barrier_check(initial, schedule, cfg, x, t, u, delta)
-
-    def test_matrix_perturbation_form(self):
-        rng = np.random.default_rng(139)
-        initial, schedule, cfg = build_schedule(rng, 3, 2, 1)
-        full = np.zeros((3, 2))
-        full[1] = [0.5, -0.5]
-        barrier_check(initial, schedule, cfg, x=0, t=1, u=1, delta=full)
-        full[2] = [1.0, 0.0]
-        with pytest.raises(ValueError):
-            barrier_check(initial, schedule, cfg, x=0, t=1, u=1, delta=full)
-
-    def test_index_validation(self):
-        rng = np.random.default_rng(141)
-        initial, schedule, cfg = build_schedule(rng, 3, 2, 1)
-        with pytest.raises(IndexOutOfRange):
-            barrier_check(initial, schedule, cfg, x=9, t=1, u=0, delta=np.zeros(2))
-        with pytest.raises(IndexOutOfRange):
-            barrier_check(initial, schedule, cfg, x=0, t=1, u=3, delta=np.zeros(2))
-        with pytest.raises(IndexOutOfRange):
-            barrier_check(initial, schedule, cfg, x=0, t=2, u=0, delta=np.zeros(2))
-        with pytest.raises(ShapeMismatch):
-            barrier_check(initial[0], schedule, cfg, x=0, t=1, u=0, delta=np.zeros(2))
+            base = run_schedule(initial, schedule, cfg).updates
+            for u in range(n):
+                bumped = run_schedule(
+                    perturb(initial, u, rng.normal(size=d)), schedule, cfg
+                ).updates
+                for t in range(1, depth + 1):
+                    for x, pre in enumerate(predecessor_sets(inf, t)):
+                        if u not in pre:
+                            assert np.array_equal(base[t - 1][x], bumped[t - 1][x])
 
     def test_row_x_indexes_the_stage_carrier(self):
-        # After a merge to two rows, row 2 of the initial records exists
-        # but the stage-1 update has no row 2.
+        # After a merge to two rows, row 3 of the initial records lands
+        # in coarse row 1, and the stage-1 update has no row 2.
         rng = np.random.default_rng(142)
         d = 2
         refine = RefinementMap("base", "half", [0, 0, 1, 1], 2)
         schedule = [ScheduleStep(make_attn(rng, d), make_ffn(rng, d), refine=refine)]
         initial = rng.normal(size=(4, d))
         cfg = StagedConfig(chart=ChartSpec("identity"))
-        assert not barrier_check(initial, schedule, cfg, x=1, t=1, u=3, delta=np.ones(d))
-        with pytest.raises(IndexOutOfRange):
-            barrier_check(initial, schedule, cfg, x=2, t=1, u=3, delta=np.ones(d))
+        base = run_schedule(initial, schedule, cfg).updates[0]
+        bumped = run_schedule(perturb(initial, 3, np.ones(d)), schedule, cfg).updates[0]
+        assert base.shape == bumped.shape == (2, d)
+        assert not np.array_equal(base[1], bumped[1])
 
 
 class TestRunSchedule:
@@ -480,13 +476,8 @@ class TestRunSchedule:
         initial = rng.normal(size=(n, d))
         trace = run_schedule(initial, steps, cfg)
         current = initial
-        full = np.ones((n, n), dtype=bool)
-        from dataclasses import replace as dc_replace
-
         for step, got in zip(steps, trace.records[1:]):
-            current = run_block(
-                current, dc_replace(step.attn, mask=full), step.ffn, cfg
-            )
+            current = one_block(current, step.attn, step.ffn, cfg)
             npt.assert_allclose(got, current, atol=1e-13)
 
     def test_pooling_duplicated_rows_recovers_them(self):
