@@ -315,8 +315,8 @@ def sinkhorn_balanced(
 def sinkhorn_unbalanced(
     kernel: EvidenceKernel,
     marginals: Marginals,
-    lam_out: float,
-    lam_in: float,
+    lam_out: float = 1.0,
+    lam_in: float = 1.0,
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> TransportPlan:
@@ -336,10 +336,12 @@ def sinkhorn_unbalanced(
     the plan can fall far below the range of doubles here; K~ keeps it
     by a lift of up to e^220 (see _fold), and past that the scalings
     overflow and NoConvergence is raised. Raises InvalidBudget, a
-    ValueError, for max_iter < 1 or a negative or NaN tol.
+    ValueError, for a penalty that is not strictly positive, max_iter < 1
+    or a negative or NaN tol.
     """
-    if not (lam_out > 0 and lam_in > 0):
-        raise ValueError("marginal penalties must be strictly positive")
+    for name, lam in (("lam_out", lam_out), ("lam_in", lam_in)):
+        if not lam > 0:
+            raise InvalidBudget(name, f"must be strictly positive, got {lam!r}")
     _check_budget(tol, max_iter)
     n_x, n_y = kernel.shape
     mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)

@@ -5,6 +5,12 @@ fixed config and seed produce byte-identical output; progress lines and
 wall times go to stderr. Exit codes: 0 success, 2 configuration error,
 3 numeric or convergence failure, 4 invariant failure. The GA_SEED
 environment variable overrides every other seed source.
+
+Every JSON object a command reads is described by one _Row: the kind of
+each field and whether it is required. One reader walks a row, rejects a
+bad value or a field the row does not list with ConfigInvalid on
+`<where>.<field>`, and passes the fields that are present to the row's
+build; an absent optional field takes the default of the library call.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -92,12 +100,15 @@ def _seed_from_env(seed: int, where: str) -> int:
 
 
 def _resolve_input(spec, base_dir: Path, where: str):
-    """One named input: inline matrix, inline vector, or file reference."""
+    """One named input: an inline matrix or vector, or a reference to a
+    file that holds one (and not another reference)."""
     if isinstance(spec, dict) and isinstance(spec.get("file"), str):
         target = base_dir / spec["file"]
         if not target.exists():
             raise ConfigInvalid(where, f"referenced file {str(target)!r} does not exist")
-        return _resolve_input(load_json(target), base_dir, where)
+        spec = load_json(target)
+        if isinstance(spec, dict) and "file" in spec:
+            raise ConfigInvalid(where, f"{str(target)!r} holds another file reference")
     if isinstance(spec, dict) and "rows" in spec:
         return matrix_from_json(spec, where)
     if isinstance(spec, list):
@@ -109,293 +120,300 @@ def _resolve_input(spec, base_dir: Path, where: str):
     raise ConfigInvalid(where, "expected a matrix, a vector, or a file reference")
 
 
-def _ctx_lookup(ctx, name, where: str):
-    if not isinstance(name, str):
-        raise ConfigInvalid(where, "expected the name of an input or stage output")
-    if name not in ctx:
-        raise ConfigInvalid(where, f"unknown input {name!r}")
-    return ctx[name]
-
-
-def _as_matrix_pair(obj, where: str):
-    if isinstance(obj, MaskedMatrix):
-        return obj.values, obj.mask
-    if isinstance(obj, tuple) and len(obj) == 2:
-        return obj
-    if isinstance(obj, np.ndarray) and obj.ndim == 2:
-        return obj, np.ones(obj.shape, dtype=bool)
-    raise ConfigInvalid(where, "value is not matrix-shaped")
-
-
-def _matrix_arg(stage, key, ctx, where: str):
-    if key not in stage:
-        raise ConfigInvalid(f"{where}.{key}", "missing required field")
-    value = stage[key]
-    if isinstance(value, str):
-        return _as_matrix_pair(_ctx_lookup(ctx, value, f"{where}.{key}"), f"{where}.{key}")
-    return matrix_from_json(value, f"{where}.{key}")
-
-
-def _dense_arg(stage, key, ctx, where: str) -> np.ndarray:
-    """A matrix field that must be fully finite: '-inf' is an error here."""
-    values, mask = _matrix_arg(stage, key, ctx, where)
-    if mask.all():
-        return values
-    raise ConfigInvalid(f"{where}.{key}", "expected a fully finite matrix, without '-inf'")
-
-
-def _vector_arg(stage, key, ctx, where: str):
-    if key not in stage:
-        raise ConfigInvalid(f"{where}.{key}", "missing required field")
-    value = stage[key]
-    if isinstance(value, str):
-        got = _ctx_lookup(ctx, value, f"{where}.{key}")
-        if isinstance(got, np.ndarray) and got.ndim == 1:
-            return got
-        raise ConfigInvalid(f"{where}.{key}", f"{value!r} is not a vector")
-    return vector_from_json(value, f"{where}.{key}")
-
-
 @contextmanager
 def _config_errors(where: str):
-    """A value or a shape a constructor rejects, or a solver budget
-    (InvalidBudget names its field: where.tol, where.max_iter), is a
-    config error on that field, not a traceback or an error without a
-    field. NonFinite is a ValueError too, so nothing run inside these
-    blocks may compute attention, a kernel or a feedforward output."""
+    """An error that a constructor or an operation raises on the values
+    it was given is a config error on where, or on where.<field> when it
+    names its field (InvalidBudget: where.tol, where.lam_in). Config and
+    numeric errors pass through; NonFinite is a ValueError but exits 3."""
     try:
         yield
-    except (ValueError, ShapeMismatch) as exc:
+    except (ConfigInvalid, *_NUMERIC_ERRORS):
+        raise
+    except (ValueError, AttnKitError) as exc:
         field = getattr(exc, "field", None)
         raise ConfigInvalid(where if field is None else f"{where}.{field}", str(exc)) from exc
 
 
-def _kernel_arg(stage, key, ctx, where: str) -> EvidenceKernel:
-    name = stage.get(key)
-    if isinstance(name, str) and isinstance(ctx.get(name), EvidenceKernel):
-        return ctx[name]
-    values, mask = _matrix_arg(stage, key, ctx, where)
-    with _config_errors(f"{where}.{key}"):
-        return EvidenceKernel(values, mask)
+# The JSON types: a field value of any other type was bound by name.
+_JSON = (list, dict, int, float, type(None))
 
 
-def _prior_arg(stage, ctx, where: str) -> BaselinePrior | None:
-    if "prior" not in stage:
-        return None
-    values = _dense_arg(stage, "prior", ctx, where)
-    with _config_errors(f"{where}.prior"):
-        return BaselinePrior(values)
+def _matrix(value, where: str):
+    """(values, mask) of an inline matrix or of a bound matrix-shaped value."""
+    if isinstance(value, _JSON):
+        return matrix_from_json(value, where)
+    if isinstance(value, MaskedMatrix):
+        return value.values, value.mask
+    if isinstance(value, tuple):  # an input, as matrix_from_json parsed it
+        return value
+    if isinstance(value, np.ndarray) and value.ndim == 2:
+        return value, np.ones(value.shape, dtype=bool)
+    raise ConfigInvalid(where, "value is not matrix-shaped")
 
 
-def _link_arg(stage, where: str) -> Link:
-    spec = _object_field(stage, "link", {}, where)
-    where = f"{where}.link"
+def _finite(value, where: str) -> np.ndarray:
+    values, mask = _matrix(value, where)
+    if not mask.all():
+        raise ConfigInvalid(where, "expected a fully finite matrix, without '-inf'")
+    return values
+
+
+def _kernel(value, where: str) -> EvidenceKernel:
+    if isinstance(value, EvidenceKernel):
+        return value
     with _config_errors(where):
-        return Link(
-            kind=spec.get("kind", "exp"),
-            tau=_float_field(spec, "tau", 1.0, where),
-            slope=_float_field(spec, "slope", 1.0, where),
-        )
+        return EvidenceKernel(*_matrix(value, where))
 
 
-def _op_assemble_kernel(stage, ctx, where):
-    values, mask = _matrix_arg(stage, "scores", ctx, where)
-    link = _link_arg(stage, where)
-    return assemble_kernel(MaskedScore(values, mask), _prior_arg(stage, ctx, where), link)
+def _prior(value, where: str) -> BaselinePrior:
+    with _config_errors(where):
+        return BaselinePrior(_finite(value, where))
 
 
-def _op_row_anchor(stage, ctx, where):
-    return row_anchor(_kernel_arg(stage, "kernel", ctx, where))
+def _mask(value, where: str) -> np.ndarray:
+    if isinstance(value, _JSON):
+        return mask_from_json(value, where)
+    return _matrix(value, where)[1]
 
 
-def _marginals_arg(stage, ctx, where) -> Marginals:
-    masses = []
-    for key in ("mu_out", "mu_in"):
-        mu = _vector_arg(stage, key, ctx, where)
-        if mu.size == 0 or not (np.isfinite(mu).all() and (mu > 0).all()):
+def _vector(value, where: str) -> np.ndarray:
+    if isinstance(value, _JSON):
+        return vector_from_json(value, where)
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        return value
+    raise ConfigInvalid(where, "value is not a vector")
+
+
+def _masses(value, where: str) -> np.ndarray:
+    masses = _vector(value, where)
+    if masses.size == 0 or not (masses > 0).all():
+        raise ConfigInvalid(where, "expected a nonempty vector of finite, positive masses")
+    return masses
+
+
+def _plan(value, where: str) -> TransportPlan:
+    if isinstance(value, TransportPlan):
+        return value
+    raise ConfigInvalid(where, "expected the name of a plan")
+
+
+def _family(value, where: str) -> ConditionalFamily:
+    if isinstance(value, TransportPlan):
+        return plan_to_conditional(value, value.row_marginal)
+    if isinstance(value, ConditionalFamily):
+        return value
+    raise ConfigInvalid(where, "expected the name of a conditional family or a plan")
+
+
+def _number(value, where: str) -> float:
+    if type(value) not in (int, float):
+        raise ConfigInvalid(where, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigInvalid(where, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _typed(noun: str, kind: type, item: type | None = None):
+    """A reader of a JSON value of exactly type kind, so that true is not
+    the integer 1 and 2.7 is not 2; with item, a list of such values."""
+
+    def read(value, where: str):
+        if type(value) is not kind or (
+            item is not None and any(type(v) is not item for v in value)
+        ):
+            raise ConfigInvalid(where, f"expected {noun}, got {value!r}")
+        return value
+
+    return read
+
+
+# Kind name: (reader, whether a string value names an input or an
+# earlier stage's output).
+_KINDS = {
+    "matrix": (_matrix, True),
+    "finite matrix": (_finite, True),
+    "kernel": (_kernel, True),
+    "prior": (_prior, True),
+    "mask": (_mask, True),
+    "vector": (_vector, True),
+    "masses": (_masses, True),
+    "plan": (_plan, True),
+    "family": (_family, True),
+    "number": (_number, False),
+    "integer": (_typed("an integer", int), False),
+    "integers": (_typed("a list of integers", list, int), False),
+    "string": (_typed("a string", str), False),
+    "strings": (_typed("a list of strings", list, str), False),
+    "boolean": (_typed("true or false", bool), False),
+    "object": (_typed("a JSON object", dict), False),
+    "list": (_typed("a list", list), False),
+}
+
+
+@dataclass(frozen=True)
+class _Row:
+    """The fields of one JSON object: each one's kind (a name in _KINDS,
+    a nested _Row for an object, or [row] for a nonempty list of such
+    objects) and whether it is required. build gets the fields present,
+    by name; what it raises is a config error on `<where>.<at>`."""
+
+    name: str
+    build: Callable
+    required: dict
+    optional: dict = field(default_factory=dict)
+    at: str = ""
+
+
+def _field(where: str, key: str) -> str:
+    """where.key, or the one of them that is not empty."""
+    return f"{where}.{key}" if where and key else where or key
+
+
+def _read(row: _Row, spec, ctx: dict, where: str, skip=()):
+    """row.build of the fields of the object spec, read by row; the keys
+    in skip belong to the caller."""
+    _value("object", spec, ctx, where)
+    kinds = {**row.required, **row.optional}
+    for key in spec:
+        if key not in kinds and key not in skip:
             raise ConfigInvalid(
-                f"{where}.{key}", "expected a nonempty vector of finite, positive masses"
+                _field(where, key), f"unknown field; {row.name} takes {', '.join(kinds)}"
             )
-        masses.append(mu)
-    return Marginals(*masses)
+    args = {}
+    for key, kind in kinds.items():
+        if key in spec:
+            args[key] = _value(kind, spec[key], ctx, _field(where, key))
+        elif key in row.required:
+            raise ConfigInvalid(_field(where, key), "missing required field")
+    with _config_errors(_field(where, row.at)):
+        return row.build(**args)
 
 
-def _field(where, key) -> str:
-    return f"{where}.{key}" if where else key
+def _value(kind, value, ctx: dict, where: str):
+    """One field's value, read as kind; ctx holds the bound names."""
+    if isinstance(kind, _Row):
+        return _read(kind, value, ctx, where)
+    if isinstance(kind, list):
+        if type(value) is not list or not value:
+            raise ConfigInvalid(where, f"expected a nonempty list of {kind[0].name} objects")
+        return [_read(kind[0], item, ctx, f"{where}[{i}]") for i, item in enumerate(value)]
+    read, bindable = _KINDS[kind]
+    if bindable and isinstance(value, str):
+        if value not in ctx:
+            raise ConfigInvalid(where, f"unknown input {value!r}")
+        value = ctx[value]
+    return read(value, where)
 
 
-def _typed_field(stage, key, default, where, types, noun):
-    """stage[key], or default when it is absent, read strictly: its
-    exact JSON type must be one of types, so true is not the integer 1.
-    An empty where names a top-level key."""
-    value = stage.get(key, default)
-    if type(value) not in types:
-        raise ConfigInvalid(_field(where, key), f"expected {noun}, got {value!r}")
-    return value
+# perfbench/spans.py wraps some library functions by name on this
+# module, so the builds look them up when they run, not when the table
+# is made.
 
 
-def _int_field(stage, key, default, where) -> int:
-    """An integer field: 2.7, "ten" and true are errors, not 2, a
-    traceback and 1."""
-    return _typed_field(stage, key, default, where, (int,), "an integer")
-
-
-def _float_field(stage, key, default, where) -> float:
-    return float(_typed_field(stage, key, default, where, (int, float), "a number"))
-
-
-def _str_field(stage, key, default, where) -> str:
-    return _typed_field(stage, key, default, where, (str,), "a string")
-
-
-def _object_field(stage, key, default, where) -> dict:
-    return _typed_field(stage, key, default, where, (dict,), "a JSON object")
-
-
-def _penalty_field(stage, key, where) -> float:
-    value = _float_field(stage, key, 1.0, where)
-    if not value > 0:
-        raise ConfigInvalid(f"{where}.{key}", f"must be strictly positive, got {value!r}")
-    return value
-
-
-def _op_sinkhorn_balanced(stage, ctx, where):
-    with _config_errors(where):
-        return sinkhorn_balanced(
-            _kernel_arg(stage, "kernel", ctx, where),
-            _marginals_arg(stage, ctx, where),
-            tol=_float_field(stage, "tol", 1e-9, where),
-            max_iter=_int_field(stage, "max_iter", 10000, where),
-        )
-
-
-def _op_sinkhorn_unbalanced(stage, ctx, where):
-    with _config_errors(where):
-        return sinkhorn_unbalanced(
-            _kernel_arg(stage, "kernel", ctx, where),
-            _marginals_arg(stage, ctx, where),
-            lam_out=_penalty_field(stage, "lam_out", where),
-            lam_in=_penalty_field(stage, "lam_in", where),
-            tol=_float_field(stage, "tol", 1e-9, where),
-            max_iter=_int_field(stage, "max_iter", 10000, where),
-        )
-
-
-def _value_field_arg(stage, weights: MaskedMatrix, ctx, where) -> ValueField:
-    """The values an update integrates, one row per weight column."""
-    values = _dense_arg(stage, "values", ctx, where)
-    if values.shape[0] != weights.shape[1]:
-        raise ConfigInvalid(
-            f"{where}.values",
-            f"has {values.shape[0]} rows, the weights have {weights.shape[1]} columns",
-        )
-    return ValueField(values)
-
-
-def _op_plan_update(stage, ctx, where):
-    plan = _ctx_lookup(ctx, stage.get("plan"), f"{where}.plan")
-    if not isinstance(plan, TransportPlan):
-        raise ConfigInvalid(f"{where}.plan", "referenced value is not a plan")
-    return plan_update(plan, _value_field_arg(stage, plan, ctx, where))
-
-
-def _op_conditional_update(stage, ctx, where):
-    family = _ctx_lookup(ctx, stage.get("family"), f"{where}.family")
-    if isinstance(family, TransportPlan):
-        family = plan_to_conditional(family, family.row_marginal)
-    if not isinstance(family, ConditionalFamily):
-        raise ConfigInvalid(f"{where}.family", "referenced value is not a conditional")
-    return conditional_update(family, _value_field_arg(stage, family, ctx, where))
-
-
-def _op_center_scores(stage, ctx, where):
-    values = _dense_arg(stage, "scores", ctx, where)
-    mode = _str_field(stage, "mode", "double", where)
-    with _config_errors(f"{where}.mode"):
-        return center_scores(values, mode=mode)
-
-
-def _op_score_normal_form(stage, ctx, where):
-    values = _dense_arg(stage, "scores", ctx, where)
-    if "rank" not in stage:
-        raise ConfigInvalid(f"{where}.rank", "missing required field")
-    return score_normal_form(values, _int_field(stage, "rank", None, where))
-
-
-def _refinement_arg(stage, key, where: str) -> RefinementMap:
-    spec = _object_field(stage, key, None, where)
-    where = f"{where}.{key}"
-    buckets = spec.get("map")
-    if type(buckets) is not list or any(type(v) is not int for v in buckets):
-        raise ConfigInvalid(f"{where}.map", f"expected a list of integers, got {buckets!r}")
-    with _config_errors(where):
-        return RefinementMap(
-            fine=_str_field(spec, "fine", "fine", where),
-            coarse=_str_field(spec, "coarse", "coarse", where),
-            map=buckets,
-            n_coarse=_int_field(spec, "n_coarse", None, where),
-        )
-
-
-def _op_pushforward(stage, ctx, where):
-    kernel = _kernel_arg(stage, "kernel", ctx, where)
-    rho_x = _refinement_arg(stage, "map_x", where)
-    rho_y = _refinement_arg(stage, "map_y", where) if "map_y" in stage else rho_x
-    return pushforward_kernel(kernel, rho_x, rho_y)
-
-
-def _op_scale_kernel(stage, ctx, where):
-    return scale_kernel(
-        _kernel_arg(stage, "kernel", ctx, where),
-        _vector_arg(stage, "a", ctx, where),
-        _vector_arg(stage, "b", ctx, where),
-    )
-
-
-def _attention_params(stage, ctx, where) -> AttentionParams:
-    key_bias = (
-        _vector_arg(stage, "key_bias", ctx, where) if "key_bias" in stage else None
-    )
-    with _config_errors(where):
-        return AttentionParams(
-            w_q=_dense_arg(stage, "w_q", ctx, where),
-            w_k=_dense_arg(stage, "w_k", ctx, where),
-            w_v=_dense_arg(stage, "w_v", ctx, where),
-            tau=_float_field(stage, "tau", 1.0, where),
-            key_bias=key_bias,
-            prior=_prior_arg(stage, ctx, where),
-        )
-
-
-def _op_attention(stage, ctx, where):
-    embeddings = _dense_arg(stage, "embeddings", ctx, where)
-    mask = None
-    if "mask" in stage:
-        value = stage["mask"]
-        if isinstance(value, str):
-            _, mask = _as_matrix_pair(
-                _ctx_lookup(ctx, value, f"{where}.mask"), f"{where}.mask"
-            )
-        else:
-            mask = mask_from_json(value, f"{where}.mask")
-    params = _attention_params(stage, ctx, where)
-    family, out = attention(embeddings, params, mask)
+def _attention(embeddings, mask=None, **params):
+    family, out = attention(embeddings, AttentionParams(**params), mask)
     return {"weights": family, "output": out}
 
 
-_OPS = {
-    "assemble_kernel": _op_assemble_kernel,
-    "row_anchor": _op_row_anchor,
-    "sinkhorn_balanced": _op_sinkhorn_balanced,
-    "sinkhorn_unbalanced": _op_sinkhorn_unbalanced,
-    "plan_update": _op_plan_update,
-    "conditional_update": _op_conditional_update,
-    "center_scores": _op_center_scores,
-    "score_normal_form": _op_score_normal_form,
-    "pushforward_kernel": _op_pushforward,
-    "scale_kernel": _op_scale_kernel,
-    "attention": _op_attention,
-}
+_LINK = _Row("link", Link, {}, {"kind": "string", "tau": "number", "slope": "number"})
+_REFINEMENT = _Row(
+    "refinement",
+    lambda map, n_coarse, fine="fine", coarse="coarse": RefinementMap(fine, coarse, map, n_coarse),
+    {"map": "integers", "n_coarse": "integer"}, {"fine": "string", "coarse": "string"})
+_ATTN = _Row("attn", AttentionParams,
+             {"w_q": "finite matrix", "w_k": "finite matrix", "w_v": "finite matrix"},
+             {"tau": "number", "key_bias": "vector", "prior": "prior"})
+_FFN = _Row("ffn", FfnParams,
+            {"w1": "finite matrix", "b1": "vector", "w2": "finite matrix", "b2": "vector"},
+            {"activation": "string"})
+_TRANSPORT = {"kernel": "kernel", "mu_out": "masses", "mu_in": "masses"}
+_BUDGET = {"tol": "number", "max_iter": "integer"}
+
+_OPS = {row.name: row for row in (
+    _Row("assemble_kernel", lambda scores, **kw: assemble_kernel(MaskedScore(*scores), **kw),
+         {"scores": "matrix"}, {"prior": "prior", "link": _LINK}),
+    _Row("row_anchor", row_anchor, {"kernel": "kernel"}),
+    _Row("sinkhorn_balanced", lambda kernel, mu_out, mu_in, **kw: sinkhorn_balanced(
+        kernel, Marginals(mu_out, mu_in), **kw), _TRANSPORT, _BUDGET),
+    _Row("sinkhorn_unbalanced", lambda kernel, mu_out, mu_in, **kw: sinkhorn_unbalanced(
+        kernel, Marginals(mu_out, mu_in), **kw), _TRANSPORT,
+         {"lam_out": "number", "lam_in": "number", **_BUDGET}),
+    _Row("plan_update", lambda plan, values: plan_update(plan, ValueField(values)),
+         {"plan": "plan", "values": "finite matrix"}, at="values"),
+    _Row("conditional_update", lambda family, values: conditional_update(
+        family, ValueField(values)), {"family": "family", "values": "finite matrix"}, at="values"),
+    _Row("center_scores", center_scores, {"scores": "finite matrix"}, {"mode": "string"},
+         at="mode"),
+    _Row("score_normal_form", score_normal_form, {"scores": "finite matrix", "rank": "integer"},
+         at="rank"),
+    _Row("pushforward_kernel", lambda kernel, map_x, map_y=None: pushforward_kernel(
+        kernel, map_x, map_x if map_y is None else map_y),
+         {"kernel": "kernel", "map_x": _REFINEMENT}, {"map_y": _REFINEMENT}),
+    _Row("scale_kernel", scale_kernel, {"kernel": "kernel", "a": "masses", "b": "masses"}),
+    _Row("attention", _attention, {"embeddings": "finite matrix", **_ATTN.required},
+         {"mask": "mask", **_ATTN.optional}),
+)}
+
+
+def _stage_run(initial, schedule, **kw) -> dict:
+    trace = run_schedule(initial, schedule, **kw)
+    payload = {
+        "records": [matrix_to_json(r) for r in trace.records],
+        "updates": [matrix_to_json(u) for u in trace.updates],
+        "masks": [matrix_to_json(m.astype(np.float64)) for m in trace.masks],
+        "carrier_ids": list(trace.carrier_ids),
+    }
+    if len({m.shape[0] for m in trace.masks}) == 1:
+        inf = influence_relation(list(trace.masks))
+        depth = len(trace.masks)
+        payload["influence"] = {
+            "mode": "markov",
+            "depth": depth,
+            "predecessors": [sorted(pre) for pre in predecessor_sets(inf, depth)],
+        }
+    return payload
+
+
+_STEP = _Row("step", ScheduleStep, {"attn": _ATTN, "ffn": _FFN},
+             {"mask": "mask", "refine": _REFINEMENT})
+_CFG = _Row("cfg", StagedConfig, {}, {
+    "chart": _Row("cfg.chart", ChartSpec, {}, {"kind": "string", "eps": "number"}),
+    "comp": _Row("cfg.comp", CompSpec, {},
+                 {"kind": "string", "gate": "finite matrix", "norm": "string", "eps": "number"}),
+    "zero_update_on_empty": "boolean",
+})
+_STAGE_RUN = _Row("stage-run", _stage_run, {"initial": "finite matrix", "schedule": [_STEP]},
+                  {"cfg": _CFG, "carrier": "string"})
+
+
+def _ffn_check(x=None, samples=20, seed=0, tolerance=1e-10, **ffn) -> dict:
+    """The feedforward block against its kernel form, on x or on samples
+    random inputs drawn from seed."""
+    params = FfnParams(**ffn)
+    xs = [x]
+    if x is None:
+        if samples < 1:
+            raise ConfigInvalid("ffn-check.samples", f"must be at least 1, got {samples}")
+        rng = np.random.default_rng(_seed_from_env(seed, "ffn-check.seed"))
+        xs = [rng.normal(size=params.d_model) for _ in range(samples)]
+    deviations = []
+    for x in xs:
+        try:
+            direct, ga_form = ffn_as_ga(x, params)
+        except ShapeMismatch as exc:  # only a given x can have the wrong length
+            raise ConfigInvalid("ffn-check.x", str(exc)) from exc
+        deviations.append(float(np.abs(direct - ga_form).max()))
+    worst = max(deviations)
+    return {"samples": len(xs), "max_deviation": worst, "tolerance": tolerance,
+            "passed": worst <= tolerance}
+
+
+_FFN_CHECK = _Row("ffn-check", _ffn_check, _FFN.required, {
+    **_FFN.optional, "x": "vector", "samples": "integer", "seed": "integer",
+    "tolerance": "number"})
+_RUN = _Row("run", dict, {"stages": "list"},
+            {"version": "string", "seed": "integer", "inputs": "object", "checks": "strings"})
 
 
 def _serialize(obj):
@@ -431,8 +449,8 @@ def _serialize(obj):
         }
     if isinstance(obj, dict):
         return {k: _serialize(v) for k, v in obj.items()}
-    if isinstance(obj, tuple) and len(obj) == 2:
-        return {"kind": "matrix", "matrix": matrix_to_json(obj[0], obj[1])}
+    if isinstance(obj, (list, str, int, float)):  # already JSON
+        return obj
     arr = np.asarray(obj)
     if arr.ndim == 2:
         return {"kind": "matrix", "matrix": matrix_to_json(arr)}
@@ -451,24 +469,19 @@ def _load_object(path: str) -> dict:
 def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     """Run a pipeline config; return the canonical report text and the
     exit code. With out_dir, the same text goes to report.json."""
-    config = _load_object(config_path)
+    config = _read(_RUN, _load_object(config_path), {}, "")
     base_dir = Path(config_path).parent
-    seed = _seed_from_env(_int_field(config, "seed", 0, ""), "seed")
-    suites = config.get("checks", [])
-    if type(suites) is not list or any(type(suite) is not str for suite in suites):
-        raise ConfigInvalid("checks", f"expected a list of suite names, got {suites!r}")
+    seed = _seed_from_env(config.get("seed", 0), "seed")
 
     ctx: dict = {}
-    for name, spec in _object_field(config, "inputs", {}, "").items():
+    for name, spec in config.get("inputs", {}).items():
         ctx[name] = _resolve_input(spec, base_dir, f"inputs.{name}")
 
-    stages = _typed_field(config, "stages", None, "", (list,), "a list of stages")
     stage_reports = []
-    for i, stage in enumerate(stages):
+    for i, stage in enumerate(config["stages"]):
         where = f"stages[{i}]"
-        if not isinstance(stage, dict):
-            raise ConfigInvalid(where, "stage must be an object")
-        op = _str_field(stage, "op", None, where)
+        _value("object", stage, ctx, where)
+        op = _value("string", stage.get("op"), ctx, f"{where}.op")
         if op not in _OPS:
             known = ", ".join(sorted(_OPS))
             raise ConfigInvalid(f"{where}.op", f"unknown operation {op!r}; known: {known}")
@@ -477,7 +490,7 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
             raise ConfigInvalid(f"{where}.out", "stage needs an output name")
         if out_name in ctx:
             raise ConfigInvalid(f"{where}.out", f"name {out_name!r} already bound")
-        result = _OPS[op](stage, ctx, where)
+        result = _read(_OPS[op], stage, ctx, where, skip=("op", "out"))
         if isinstance(result, dict):
             ctx[out_name] = result["output"]
             for extra, value in result.items():
@@ -495,6 +508,7 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     }
 
     exit_code = 0
+    suites = config.get("checks")
     if suites:
         try:
             check_reports = run_checks(suites, seed=seed)
@@ -567,136 +581,20 @@ _ANCHOR_OPS = {
 }
 
 
-def _cmd_one_stage(args) -> int:
-    """`ga attn`, `ga chart` and `ga anchor`: the input object is one
-    `ga run` stage of op args.op; anchor picks the op by its mode."""
+def _cmd_input(args) -> int:
+    """A command that reads one JSON object by its row: `ga attn` and
+    `ga chart` run one `ga run` stage of their op, and `ga anchor` the op
+    its mode picks. Exit 4 when the result did not pass."""
     spec = _load_object(args.inputs)
-    op = args.op
-    if op is None:
-        mode = _str_field(spec, "mode", "row", "anchor")
+    row, skip = args.row, ()
+    if row is None:
+        mode = _value("string", spec.get("mode", "row"), {}, "anchor.mode")
         if mode not in _ANCHOR_OPS:
             raise ConfigInvalid("anchor.mode", f"unknown mode {mode!r}")
-        op = _ANCHOR_OPS[mode]
-    sys.stdout.write(dump_canonical(_serialize(_OPS[op](spec, {}, args.command))))
-    return 0
-
-
-def _chart_spec(spec, where: str) -> ChartSpec:
-    with _config_errors(where):
-        return ChartSpec(spec.get("kind", "rms_norm"), _float_field(spec, "eps", 1e-6, where))
-
-
-def _comp_spec(spec, where: str) -> CompSpec:
-    gate = _dense_arg(spec, "gate", {}, where) if "gate" in spec else None
-    with _config_errors(where):
-        return CompSpec(
-            kind=spec.get("kind", "additive"),
-            gate=gate,
-            norm=spec.get("norm", "rms_norm"),
-            eps=_float_field(spec, "eps", 1e-6, where),
-        )
-
-
-def _ffn_params(spec, where: str) -> FfnParams:
-    with _config_errors(where):
-        return FfnParams(
-            w1=_dense_arg(spec, "w1", {}, where),
-            b1=_vector_arg(spec, "b1", {}, where),
-            w2=_dense_arg(spec, "w2", {}, where),
-            b2=_vector_arg(spec, "b2", {}, where),
-            activation=_str_field(spec, "activation", "gelu", where),
-        )
-
-
-def _cmd_stage_run(args) -> int:
-    spec = _load_object(args.inputs)
-    initial = _dense_arg(spec, "initial", {}, "stage-run")
-    cfg_spec = _object_field(spec, "cfg", {}, "stage-run")
-    where = "stage-run.cfg"
-    cfg = StagedConfig(
-        chart=_chart_spec(_object_field(cfg_spec, "chart", {}, where), f"{where}.chart"),
-        comp=_comp_spec(_object_field(cfg_spec, "comp", {}, where), f"{where}.comp"),
-        zero_update_on_empty=_typed_field(
-            cfg_spec, "zero_update_on_empty", False, where, (bool,), "true or false"
-        ),
-    )
-    schedule = []
-    raw_steps = spec.get("schedule")
-    if not isinstance(raw_steps, list) or not raw_steps:
-        raise ConfigInvalid("stage-run.schedule", "expected a nonempty list of steps")
-    for i, step in enumerate(raw_steps):
-        where = f"stage-run.schedule[{i}]"
-        if not isinstance(step, dict):
-            raise ConfigInvalid(where, "each step must be an object")
-        mask = (
-            mask_from_json(step["mask"], f"{where}.mask") if "mask" in step else None
-        )
-        refine = _refinement_arg(step, "refine", where) if "refine" in step else None
-        attn = _object_field(step, "attn", None, where)
-        if "mask" in attn:
-            raise ConfigInvalid(f"{where}.attn.mask", "a stage's mask is the step's mask")
-        ffn = _object_field(step, "ffn", None, where)
-        schedule.append(
-            ScheduleStep(
-                attn=_attention_params(attn, {}, f"{where}.attn"),
-                ffn=_ffn_params(ffn, f"{where}.ffn"),
-                mask=mask,
-                refine=refine,
-            )
-        )
-    trace = run_schedule(
-        initial, schedule, cfg, carrier_id=_str_field(spec, "carrier", "base", "stage-run")
-    )
-    payload = {
-        "records": [matrix_to_json(r) for r in trace.records],
-        "updates": [matrix_to_json(u) for u in trace.updates],
-        "masks": [
-            matrix_to_json(m.astype(np.float64)) for m in trace.masks
-        ],
-        "carrier_ids": list(trace.carrier_ids),
-    }
-    sizes = {m.shape[0] for m in trace.masks}
-    if len(sizes) == 1:
-        inf = influence_relation(list(trace.masks))
-        depth = len(trace.masks)
-        payload["influence"] = {
-            "mode": "markov",
-            "depth": depth,
-            "predecessors": [sorted(pre) for pre in predecessor_sets(inf, depth)],
-        }
-    sys.stdout.write(dump_canonical(payload))
-    return 0
-
-
-def _cmd_ffn_check(args) -> int:
-    spec = _load_object(args.inputs)
-    params = _ffn_params(spec, "ffn-check")
-    tolerance = _float_field(spec, "tolerance", 1e-10, "ffn-check")
-    deviations = []
-    if "x" in spec:
-        xs = [vector_from_json(spec["x"], "ffn-check.x")]
-    else:
-        samples = _int_field(spec, "samples", 20, "ffn-check")
-        if samples < 1:
-            raise ConfigInvalid("ffn-check.samples", f"must be at least 1, got {samples}")
-        seed = _seed_from_env(_int_field(spec, "seed", 0, "ffn-check"), "ffn-check.seed")
-        rng = np.random.default_rng(seed)
-        xs = [rng.normal(size=params.d_model) for _ in range(samples)]
-    for x in xs:
-        try:
-            direct, ga_form = ffn_as_ga(x, params)
-        except ShapeMismatch as exc:  # only a given x can have the wrong length
-            raise ConfigInvalid("ffn-check.x", str(exc)) from exc
-        deviations.append(float(np.abs(direct - ga_form).max()))
-    worst = max(deviations)
-    payload = {
-        "samples": len(xs),
-        "max_deviation": worst,
-        "tolerance": tolerance,
-        "passed": worst <= tolerance,
-    }
-    sys.stdout.write(dump_canonical(payload))
-    return 0 if payload["passed"] else 4
+        row, skip = _OPS[_ANCHOR_OPS[mode]], ("mode",)
+    result = _serialize(_read(row, spec, {}, args.command, skip))
+    sys.stdout.write(dump_canonical(result))
+    return 4 if result.get("passed") is False else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -730,16 +628,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check_p.set_defaults(fn=_cmd_check)
 
-    for name, fn, op, blurb in (
-        ("attn", _cmd_one_stage, "attention", "one attention call from a JSON input file"),
-        ("chart", _cmd_one_stage, "score_normal_form", "low-rank normal form of a score matrix"),
-        ("anchor", _cmd_one_stage, None, "anchor a kernel (row, balanced, unbalanced)"),
-        ("stage-run", _cmd_stage_run, None, "run a staged schedule and dump the trace"),
-        ("ffn-check", _cmd_ffn_check, None, "verify the feedforward kernel form"),
+    for name, row, blurb in (
+        ("attn", _OPS["attention"], "one attention call from a JSON input file"),
+        ("chart", _OPS["score_normal_form"], "low-rank normal form of a score matrix"),
+        ("anchor", None, "anchor a kernel (row, balanced, unbalanced)"),
+        ("stage-run", _STAGE_RUN, "run a staged schedule and dump the trace"),
+        ("ffn-check", _FFN_CHECK, "verify the feedforward kernel form"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("inputs", help="path to the input JSON")
-        p.set_defaults(fn=fn, op=op)
+        p.set_defaults(fn=_cmd_input, row=row)
     return parser
 
 

@@ -39,7 +39,8 @@ class Infeasible(AttnKitError):
 
 
 class InvalidBudget(AttnKitError, ValueError):
-    """An iteration budget (max_iter or tol) a solver cannot run with."""
+    """A solver parameter it cannot run with: an iteration budget
+    (max_iter or tol) or a marginal penalty (lam_out or lam_in)."""
 
     def __init__(self, field: str, message: str):
         self.field = field

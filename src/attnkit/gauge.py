@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     MaskedInputRejected,
     MissingPotential,
+    NonFinite,
     NonPositiveScaling,
     NotACycle,
     ShapeMismatch,
@@ -41,7 +42,14 @@ def scale_kernel(kernel: EvidenceKernel, a, b) -> EvidenceKernel:
     n_x, n_y = kernel.shape
     a = _positive_vector(a, n_x, "row scaling a")
     b = _positive_vector(b, n_y, "column scaling b")
-    return EvidenceKernel(a[:, None] * kernel.values * b[None, :], kernel.mask)
+    with np.errstate(over="ignore"):  # checked below
+        scaled = a[:, None] * kernel.values * b[None, :]
+    # Every factor is positive on the mask: inf there overflowed, 0 underflowed.
+    if not np.isfinite(scaled).all():
+        raise NonFinite("scaled kernel overflowed to a non-finite entry")
+    if not scaled[kernel.mask].all():
+        raise NonFinite("scaled kernel entry underflowed to 0 on the mask")
+    return EvidenceKernel(scaled, kernel.mask)
 
 
 @dataclass(frozen=True)
@@ -58,14 +66,6 @@ class CenteredDecomposition:
     col_means: np.ndarray
     interaction: np.ndarray
     key_bias: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (
-            self.row_means[:, None]
-            + self.col_means[None, :]
-            - self.grand_mean
-            + self.interaction
-        )
 
 
 def center_scores(scores, mode: str = "double"):
@@ -86,16 +86,24 @@ def center_scores(scores, mode: str = "double"):
             "plain centering needs fully finite scores; arithmetic means are "
             "undefined under a mask"
         )
-    row_means = s.mean(axis=1)
-    col_means = s.mean(axis=0)
-    if mode == "row":
-        return s - row_means[:, None]
-    if mode == "col":
-        return s - col_means[None, :]
-    if mode != "double":
+    if mode not in ("row", "col", "double"):
         raise ValueError(f"unknown centering mode {mode!r}")
-    grand_mean = float(s.mean())
-    interaction = s - row_means[:, None] - col_means[None, :] + grand_mean
+    # A mean of finite scores can overflow in its sum, and a difference
+    # of finite ones past the range of doubles; either shows in the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_means = s.mean(axis=1)
+        col_means = s.mean(axis=0)
+        if mode == "row":
+            interaction = s - row_means[:, None]
+        elif mode == "col":
+            interaction = s - col_means[None, :]
+        else:
+            grand_mean = float(s.mean())
+            interaction = s - row_means[:, None] - col_means[None, :] + grand_mean
+    if not np.isfinite(interaction).all():
+        raise NonFinite("centering overflowed to a non-finite value")
+    if mode != "double":
+        return interaction
     return CenteredDecomposition(
         grand_mean=grand_mean,
         row_means=row_means,

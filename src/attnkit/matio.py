@@ -99,7 +99,11 @@ def vector_from_json(obj, where: str = "vector") -> np.ndarray:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
     ):
         raise ConfigInvalid(where, "expected a list of numbers")
-    return np.asarray(obj, dtype=np.float64)
+    values = np.asarray(obj, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigInvalid(where, f"non-finite entry at {bad[0]}")
+    return values
 
 
 def matrix_to_json(values, mask=None) -> dict:

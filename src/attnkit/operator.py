@@ -161,29 +161,31 @@ def _attend(
             f"embeddings must be n x {params.d_model}, got {e.shape}"
         )
     n = e.shape[0]
-    q = e @ params.w_q
-    k = e @ params.w_k
-    v = e @ params.w_v
-    scores = (q @ k.T) / math.sqrt(params.d_k)
-    if params.key_bias is not None:
-        bias = np.asarray(params.key_bias, dtype=np.float64)
-        if bias.shape != (n,):
-            raise ShapeMismatch(f"key bias must have length {n}")
-        scores = scores + bias[None, :]
-    logits = scores / params.tau
-    if params.prior is not None:
-        if params.prior.shape != (n, n):
-            raise ShapeMismatch("prior shape must match the token count")
-        logits = logits + np.log(params.prior.values)
-    if mask is None:
-        mask = np.ones((n, n), dtype=bool)
-    weights = masked_row_softmax(logits, mask, on_empty=on_empty)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        q = e @ params.w_q
+        k = e @ params.w_k
+        v = e @ params.w_v
+        scores = (q @ k.T) / math.sqrt(params.d_k)
+        if params.key_bias is not None:
+            bias = np.asarray(params.key_bias, dtype=np.float64)
+            if bias.shape != (n,):
+                raise ShapeMismatch(f"key bias must have length {n}")
+            scores = scores + bias[None, :]
+        logits = scores / params.tau
+        if params.prior is not None:
+            if params.prior.shape != (n, n):
+                raise ShapeMismatch("prior shape must match the token count")
+            logits = logits + np.log(params.prior.values)
+        if mask is None:
+            mask = np.ones((n, n), dtype=bool)
+        weights = masked_row_softmax(logits, mask, on_empty=on_empty)
+        out = weights @ v
     # Softmax entries lie in [0, 1] or are NaN (an infinite or NaN
     # logit), so one sum tells whether a ConditionalFamily would refuse
     # them.
     if math.isnan(weights.sum()):
         raise NonFinite("conditional values must be finite and nonnegative")
-    return weights, _finite(weights @ v, "attention output")
+    return weights, _finite(out, "attention output")
 
 
 def attention(
@@ -328,8 +330,10 @@ class FfnParams:
 def ffn_apply(rows, params: FfnParams) -> np.ndarray:
     """Rowwise w2 . act(w1 x + b1) + b2 for a batch of row vectors."""
     rows = np.asarray(rows, dtype=np.float64)
-    hidden = _ACTIVATIONS[params.activation](rows @ params.w1.T + params.b1)
-    return _finite(hidden @ params.w2.T + params.b2, "feedforward output")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite checks the output
+        hidden = _ACTIVATIONS[params.activation](rows @ params.w1.T + params.b1)
+        out = hidden @ params.w2.T + params.b2
+    return _finite(out, "feedforward output")
 
 
 def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
@@ -344,9 +348,11 @@ def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.d_model,):
         raise ShapeMismatch(f"input must have length {params.d_model}")
-    hidden = _ACTIVATIONS[params.activation](params.w1 @ x + params.b1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite checks the output
+        hidden = _ACTIVATIONS[params.activation](params.w1 @ x + params.b1)
+        direct = params.w2 @ hidden + params.b2
     # A non-finite hidden unit makes the direct output non-finite too.
-    direct = _finite(params.w2 @ hidden + params.b2, "feedforward output")
+    direct = _finite(direct, "feedforward output")
 
     positive = np.maximum(hidden, 0.0)
     negative = np.maximum(-hidden, 0.0)

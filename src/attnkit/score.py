@@ -67,11 +67,6 @@ class MaskedScore:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    @classmethod
-    def dense(cls, values) -> "MaskedScore":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(arr, np.ones(arr.shape, dtype=bool))
-
 
 @dataclass(frozen=True)
 class BaselinePrior:
@@ -88,10 +83,6 @@ class BaselinePrior:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    @classmethod
-    def ones(cls, shape: tuple[int, int]) -> "BaselinePrior":
-        return cls(np.ones(shape))
 
 
 _LINK_KINDS = ("exp", "softplus", "square-plus-one", "exp-with-slope")
@@ -116,10 +107,6 @@ class Link:
             raise ValueError(f"unknown link kind {self.kind!r}")
         if self.kind == "exp" and not self.tau > 0:
             raise ValueError("temperature tau must be strictly positive")
-
-    @classmethod
-    def exponential(cls, tau: float = 1.0) -> "Link":
-        return cls(kind="exp", tau=tau)
 
     def evaluate(self, scores) -> np.ndarray:
         """Apply the link elementwise. Every kind is strictly positive in
@@ -176,15 +163,19 @@ class EvidenceKernel(MaskedMatrix):
             raise ValueError("kernel support must equal the mask exactly")
 
 
-def assemble_kernel(score: MaskedScore, prior: BaselinePrior | None, link: Link) -> EvidenceKernel:
-    """K = prior * link(score) on the mask, exact zero off the mask."""
+def assemble_kernel(
+    score: MaskedScore, prior: BaselinePrior | None = None, link: Link = Link()
+) -> EvidenceKernel:
+    """K = prior * link(score) on the mask, exact zero off the mask; no
+    prior is a prior of ones."""
     if prior is not None and prior.shape != score.shape:
         raise ShapeMismatch(f"prior shape {prior.shape} != score shape {score.shape}")
     mask = score.mask
     out = np.zeros(score.shape)
-    weights = link.evaluate(score.values[mask])
-    if prior is not None:
-        weights = prior.values[mask] * weights
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        weights = link.evaluate(score.values[mask])
+        if prior is not None:
+            weights = prior.values[mask] * weights
     # Link and prior are strictly positive in exact arithmetic: an
     # admitted entry that is inf overflowed, one that is 0 underflowed.
     if not np.isfinite(weights).all():

@@ -243,8 +243,11 @@ def _push_mask(mask: np.ndarray, refine: RefinementMap) -> np.ndarray:
     return pushforward_kernel(indicator, refine, refine).mask
 
 
-def run_schedule(initial, schedule, cfg: StagedConfig, carrier_id: str = "base") -> StageTrace:
-    """Execute a schedule of stages with optional carrier merges."""
+def run_schedule(
+    initial, schedule, cfg: StagedConfig = StagedConfig(), carrier: str = "base"
+) -> StageTrace:
+    """Execute a schedule of stages with optional carrier merges, starting
+    on the carrier named carrier."""
     current = np.asarray(initial, dtype=np.float64)
     if current.ndim != 2:
         raise ShapeMismatch("initial records must be an n x d matrix")
@@ -252,18 +255,18 @@ def run_schedule(initial, schedule, cfg: StagedConfig, carrier_id: str = "base")
     records = [current]
     updates = []
     masks = []
-    carrier_ids = [carrier_id]
+    carrier_ids = [carrier]
     for step in schedule:
         if step.refine is not None:
-            if step.refine.fine != carrier_id:
+            if step.refine.fine != carrier:
                 raise CarrierMismatch(
                     f"refinement leaves {step.refine.fine!r} but the run is on "
-                    f"{carrier_id!r}"
+                    f"{carrier!r}"
                 )
             current = _pool_records(current, step.refine)
             if working_mask is not None:
                 working_mask = _push_mask(working_mask, step.refine)
-            carrier_id = step.refine.coarse
+            carrier = step.refine.coarse
         if step.mask is not None:
             working_mask = np.asarray(step.mask, dtype=bool)
         stage_mask = (
@@ -280,7 +283,7 @@ def run_schedule(initial, schedule, cfg: StagedConfig, carrier_id: str = "base")
         records.append(nxt)
         updates.append(update)
         masks.append(stage_mask)
-        carrier_ids.append(carrier_id)
+        carrier_ids.append(carrier)
         current = nxt
     return StageTrace(
         records=tuple(records),

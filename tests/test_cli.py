@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attnkit import cli
 from attnkit.cli import main
 
 
@@ -75,6 +76,17 @@ def test_missing_input_file_exits_2_and_names_the_input(tmp_path, capsys):
     assert code == 2
     assert "inputs.scores" in err
     assert "gone.json" in err
+
+
+def test_a_file_that_references_a_file_exits_2_and_names_the_input(tmp_path, capsys):
+    (tmp_path / "self.json").write_text(json.dumps({"file": "self.json"}))
+    config = write_config(
+        tmp_path,
+        "loop.json",
+        {"version": "1", "inputs": {"scores": {"file": "self.json"}}, "stages": []},
+    )
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err.startswith("error: inputs.scores:")
 
 
 def test_unparseable_config_exits_2(tmp_path, capsys):
@@ -565,6 +577,25 @@ def run_stage(stage, **inputs):
         ("stage-run", {**STAGE_RUN_2X2, "schedule": [
             {**STEP_2X2, "attn": {**STEP_2X2["attn"], "mask": [[1.0, 0.0], [0.0, 1.0]]}}]},
          "stage-run.schedule[0].attn.mask"),
+        # A field no row lists is an error, not ignored.
+        ("anchor", {"mode": "balanced", "kernel": EYE, "mu_out": [1.0, 1.0],
+                    "mu_in": [1.0, 1.0], "max_iters": 1}, "anchor.max_iters"),
+        ("attn", {**ATTN_2X2, "masks": [[1, 0], [1, 1]]}, "attn.masks"),
+        ("run", run_stage({"op": "row_anchor", "kernel": EYE, "tau": 2.0}), "stages[0].tau"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": {"epsilon": 1e-5}}},
+         "stage-run.cfg.chart.epsilon"),
+        ("stage-run", {**STAGE_RUN_2X2, "schedule": [
+            {**STEP_2X2, "ffn": {**FFN_2X2, "act": "relu"}}]}, "stage-run.schedule[0].ffn.act"),
+        # NaN and Infinity, which Python's JSON reader accepts, are not numbers.
+        ("attn", {**ATTN_2X2, "key_bias": [math.nan, 1.0]}, "attn.key_bias"),
+        ("ffn-check", {**FFN_2X2, "x": [math.inf, 1.0]}, "ffn-check.x"),
+        ("ffn-check", {**FFN_2X2, "b1": [math.nan, 0.0]}, "ffn-check.b1"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": {"eps": math.inf}}},
+         "stage-run.cfg.chart.eps"),
+        # Errors the library raises on a field's value name that field.
+        ("chart", {"scores": EYE, "rank": 5}, "chart.rank"),
+        ("run", run_stage({"op": "scale_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]],
+                           "a": [1.0, -1.0], "b": [1.0, 1.0]}), "stages[0].a"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -606,7 +637,6 @@ BIG = [[1e200, 0.0], [0.0, 1e200]]
 HUGE_W1 = [[1e308, 1e308], [1e308, 1e308]]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, spec",
     [
@@ -639,6 +669,16 @@ HUGE_W1 = [[1e308, 1e308], [1e308, 1e308]]
         # Scores stay finite; the value row 10 * 1e308 does not.
         pytest.param("attn", {**ATTN_2X2, "embeddings": [[10.0, 0.0], [0.0, 1.0]],
                               "w_v": [[1e308, 0.0], [0.0, 1.0]]}, id="attn-output"),
+        # The row sum 2e308 of finite scores overflows.
+        pytest.param("chart", {"scores": [[1e308, 1e308], [-1e308, 1e308]], "rank": 1},
+                     id="chart-centering"),
+        # A scaling times a kernel entry leaves the range of doubles.
+        pytest.param("run", run_stage({"op": "scale_kernel", "kernel": [[1e300, 1.0], [1.0, 1.0]],
+                                       "a": [1e300, 1.0], "b": [1.0, 1.0]}),
+                     id="run-scale-overflow"),
+        pytest.param("run", run_stage({"op": "scale_kernel", "kernel": [[1e-300, 1.0], [1.0, 1.0]],
+                                       "a": [1e-300, 1.0], "b": [1.0, 1.0]}),
+                     id="run-scale-underflow"),
         pytest.param("anchor", {"mode": "unbalanced", "kernel": [["-inf", "-inf"]] * 2,
                                 "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0]},
                      id="anchor-unbalanced-empty-kernel"),
@@ -689,7 +729,7 @@ def test_negative_seed_exits_2_and_names_its_source(monkeypatch, capsys, env, ar
 
 
 GOLDEN = Path(__file__).parent / "golden"
-SWEEP_VALUES = ["x", True, -1, 2.7, [], {}, None, [[1, "-inf"]], 0]
+SWEEP_VALUES = ["x", True, -1, 2.7, [], {}, None, [[1, "-inf"]], 0, math.nan, math.inf]
 SWEEP_INPUTS = [
     ("run", json.loads((GOLDEN / "run_pipeline.json").read_text())),
     ("stage-run", json.loads((GOLDEN / "stage_run_causal.json").read_text())),
@@ -770,3 +810,56 @@ def test_any_value_in_any_field_exits_with_a_contract_code(tmp_path, monkeypatch
                 code = main([command, str(path)])
                 capsys.readouterr()
                 assert code in (0, 2, 3, 4), (command, field, value, code)
+
+
+# Fields that the commands read before they pick a row.
+OUTSIDE_ROWS = [
+    ("stage", "op", "string", "yes"),
+    ("stage", "out", "string", "yes"),
+    ("anchor", "mode", "string", "no"),
+]
+
+
+def cli_field_rows():
+    """(object, field, kind, required) for every field of every row the
+    commands read, nested rows included, each object once."""
+    rows, seen = list(OUTSIDE_ROWS), set()
+
+    def walk(row):
+        if row.name in seen:
+            return
+        seen.add(row.name)
+        for fields, required in ((row.required, "yes"), (row.optional, "no")):
+            for key, kind in fields.items():
+                if isinstance(kind, list):
+                    text = f"list of `{kind[0].name}` objects"
+                elif isinstance(kind, cli._Row):
+                    text = f"`{kind.name}` object"
+                else:
+                    text = kind
+                rows.append((row.name, key, text, required))
+        for kind in (*row.required.values(), *row.optional.values()):
+            if isinstance(kind, (list, cli._Row)):
+                walk(kind[0] if isinstance(kind, list) else kind)
+
+    for row in (cli._RUN, *cli._OPS.values(), cli._STAGE_RUN, cli._FFN_CHECK):
+        walk(row)
+    return rows
+
+
+def readme_field_rows():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n### Fields\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        (obj.strip("`"), name.strip("`"), kind, required)
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for obj, name, kind, required in [[cell.strip() for cell in line.strip("|").split("|")]]
+    ]
+
+
+def test_readme_field_table_matches_the_cli_rows():
+    readme, rows = readme_field_rows(), cli_field_rows()
+    assert len(readme) == len(set(readme)), "a README row is listed twice"
+    assert sorted(set(rows) - set(readme)) == [], "missing from the README"
+    assert sorted(set(readme) - set(rows)) == [], "in the README but not in the CLI"

@@ -101,7 +101,12 @@ class TestCenterScores:
         rng = np.random.default_rng(41)
         s = rng.normal(size=(5, 7))
         dec = center_scores(s)
-        npt.assert_allclose(dec.reconstruct(), s, atol=1e-12)
+        # S(x,y) = row_means[x] + col_means[y] - grand_mean + interaction[x,y]
+        rebuilt = (
+            dec.row_means[:, None] + dec.col_means[None, :] - dec.grand_mean
+            + dec.interaction
+        )
+        npt.assert_allclose(rebuilt, s, atol=1e-12)
         npt.assert_allclose(dec.interaction.sum(axis=0), 0.0, atol=1e-12)
         npt.assert_allclose(dec.interaction.sum(axis=1), 0.0, atol=1e-12)
 

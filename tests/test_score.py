@@ -31,15 +31,20 @@ def oracle_assemble(scores, mask, prior, link_fn):
     return out
 
 
+def dense(values) -> MaskedScore:
+    values = np.asarray(values, dtype=np.float64)
+    return MaskedScore(values, np.ones(values.shape, dtype=bool))
+
+
 def test_zero_scores_unit_prior_gives_all_ones():
-    score = MaskedScore.dense(np.zeros((3, 4)))
-    kernel = assemble_kernel(score, BaselinePrior.ones((3, 4)), Link.exponential(1.0))
+    score = dense(np.zeros((3, 4)))
+    kernel = assemble_kernel(score, BaselinePrior(np.ones((3, 4))), Link(tau=1.0))
     npt.assert_array_equal(kernel.values, np.ones((3, 4)))
 
 
 def test_log_scores_exponentiate():
-    score = MaskedScore.dense([[math.log(2.0), 0.0]])
-    kernel = assemble_kernel(score, BaselinePrior.ones((1, 2)), Link.exponential(1.0))
+    score = dense([[math.log(2.0), 0.0]])
+    kernel = assemble_kernel(score, BaselinePrior(np.ones((1, 2))), Link(tau=1.0))
     npt.assert_allclose(kernel.values, [[2.0, 1.0]], rtol=1e-15)
 
 
@@ -50,7 +55,7 @@ def test_assemble_matches_per_entry_oracle():
     prior = rng.uniform(0.5, 2.0, size=(5, 5))
     tau = 0.5
     kernel = assemble_kernel(
-        MaskedScore(scores, mask), BaselinePrior(prior), Link.exponential(tau)
+        MaskedScore(scores, mask), BaselinePrior(prior), Link(tau=tau)
     )
     expected = oracle_assemble(scores, mask, prior, lambda s: math.exp(s / tau))
     npt.assert_allclose(kernel.values, expected, rtol=1e-15)
@@ -65,23 +70,23 @@ def test_support_equals_mask_exactly():
         scores = rng.normal(scale=3.0, size=(n, m))
         prior = rng.uniform(0.1, 5.0, size=(n, m))
         kernel = assemble_kernel(
-            MaskedScore(scores, mask), BaselinePrior(prior), Link.exponential(0.7)
+            MaskedScore(scores, mask), BaselinePrior(prior), Link(tau=0.7)
         )
         npt.assert_array_equal(kernel.values > 0, mask)
 
 
 def test_assemble_without_prior_is_link_only():
-    score = MaskedScore.dense([[1.0, -1.0]])
-    kernel = assemble_kernel(score, None, Link.exponential(1.0))
+    score = dense([[1.0, -1.0]])
+    kernel = assemble_kernel(score, None, Link(tau=1.0))
     npt.assert_allclose(kernel.values, [[math.e, 1.0 / math.e]], rtol=1e-15)
 
 
 def test_assemble_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         assemble_kernel(
-            MaskedScore.dense(np.zeros((2, 2))),
-            BaselinePrior.ones((2, 3)),
-            Link.exponential(),
+            dense(np.zeros((2, 2))),
+            BaselinePrior(np.ones((2, 3))),
+            Link(),
         )
 
 
@@ -107,7 +112,7 @@ class TestLinkCompositionality:
     grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def test_exponential_passes_exactly(self):
-        report = check_link_compositionality(Link.exponential(2.0), self.grid)
+        report = check_link_compositionality(Link(tau=2.0), self.grid)
         assert report.passed
         assert report.max_violation <= 1e-12
 
@@ -134,26 +139,26 @@ class TestLinkCompositionality:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            check_link_compositionality(Link.exponential(), [])
+            check_link_compositionality(Link(), [])
 
 
 def test_softplus_underflow_is_a_numeric_failure():
-    score = MaskedScore.dense([[-1000.0]])
+    score = dense([[-1000.0]])
     with pytest.raises(NonFinite, match="underflowed to 0"):
         assemble_kernel(score, None, Link(kind="softplus"))
 
 
 def test_prior_times_link_underflow_is_a_numeric_failure():
     # exp(-700) ~ 1e-304 is a normal double, but 1e-300 times it is 0.
-    score = MaskedScore.dense([[-700.0, 0.0], [0.0, 1.0]])
+    score = dense([[-700.0, 0.0], [0.0, 1.0]])
     prior = BaselinePrior([[1e-300, 1.0], [1.0, 1.0]])
     with pytest.raises(NonFinite, match="underflowed to 0"):
-        assemble_kernel(score, prior, Link.exponential())
+        assemble_kernel(score, prior, Link())
 
 
 def test_link_validation():
     with pytest.raises(ValueError):
-        Link.exponential(0.0)
+        Link(tau=0.0)
     with pytest.raises(ValueError):
         Link(kind="sigmoid")
 
