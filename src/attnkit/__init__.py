@@ -60,16 +60,13 @@ from .score import (
     MaskedScore,
     assemble_kernel,
     check_link_compositionality,
-    row_mass,
 )
 from .staged import (
     ChartSpec,
     CompSpec,
-    InfluenceData,
     ScheduleStep,
     StagedConfig,
     StageTrace,
-    influence_relation,
     predecessor_sets,
     run_schedule,
 )

@@ -26,15 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (
-    EmptyCol,
-    EmptyRow,
-    Infeasible,
-    InvalidBudget,
-    NoConvergence,
-    ShapeMismatch,
-    ZeroMarginal,
-)
+from .errors import EmptyCol, EmptyRow, Infeasible, InvalidBudget, NoConvergence, ZeroMarginal
 from .score import EvidenceKernel, MaskedMatrix
 
 
@@ -43,7 +35,7 @@ def _marginal_vectors(marginals: Marginals, shape) -> tuple[np.ndarray, np.ndarr
     has already checked that they are finite and strictly positive."""
     for name, arr, n in zip(("mu_out", "mu_in"), (marginals.mu_out, marginals.mu_in), shape):
         if arr.size != n:
-            raise ShapeMismatch(f"{name} must be a vector of length {n}")
+            raise ValueError(f"{name} must be a vector of length {n}")
     return marginals.mu_out, marginals.mu_in
 
 
@@ -138,7 +130,7 @@ def generalized_kl(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {b.shape} disagree")
+        raise ValueError(f"shapes {a.shape} and {b.shape} disagree")
     if (a < 0).any() or (b < 0).any():
         raise ValueError("generalized KL is defined for nonnegative arrays")
     pos = a > 0
@@ -410,7 +402,7 @@ def plan_to_conditional(plan: TransportPlan, mu_out) -> ConditionalFamily:
     """
     mu_out = np.asarray(mu_out, dtype=np.float64)
     if mu_out.shape != (plan.shape[0],):
-        raise ShapeMismatch(f"mu_out must have length {plan.shape[0]}")
+        raise ValueError(f"mu_out must have length {plan.shape[0]}")
     bad = np.flatnonzero(~(mu_out > 0))
     if bad.size:
         raise ZeroMarginal(int(bad[0]))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CarrierMismatch
 from .score import EvidenceKernel
 
 
@@ -32,12 +31,17 @@ class RefinementMap:
     n_coarse: int
 
     def __post_init__(self):
-        arr = np.array(self.map, dtype=np.intp, copy=True)
+        try:
+            arr = np.array(self.map, dtype=np.intp, copy=True)
+        except OverflowError as exc:  # an entry no index can hold
+            raise ValueError("refinement map entry out of coarse range") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("refinement map must be a nonempty 1-d index array")
         if arr.min() < 0 or arr.max() >= self.n_coarse:
             raise ValueError("refinement map entry out of coarse range")
-        if not np.bincount(arr, minlength=self.n_coarse).all():
+        # More buckets than entries cannot all be hit; bincount would
+        # allocate every one of them first.
+        if self.n_coarse > arr.size or not np.bincount(arr, minlength=self.n_coarse).all():
             raise ValueError(
                 f"refinement {self.fine!r}->{self.coarse!r} misses a coarse bucket"
             )
@@ -59,7 +63,7 @@ def pushforward_kernel(
     value lands in it (strict > 0, no epsilon).
     """
     if kernel.shape != (rho_x.n_fine, rho_y.n_fine):
-        raise CarrierMismatch(
+        raise ValueError(
             f"kernel shape {kernel.shape} does not match refinement domains "
             f"({rho_x.n_fine}, {rho_y.n_fine})"
         )

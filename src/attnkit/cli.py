@@ -39,15 +39,13 @@ from .anchor import (
 from .carrier import RefinementMap, pushforward_kernel
 from .checks import SUITES, run_checks
 from .errors import (
-    AttnKitError,
     ConfigInvalid,
     EmptyCol,
     EmptyRow,
     Infeasible,
+    InvalidBudget,
     NoConvergence,
     NonFinite,
-    ShapeMismatch,
-    UnknownSuite,
     ZeroMarginal,
 )
 from .gauge import CenteredDecomposition, center_scores, scale_kernel
@@ -76,7 +74,6 @@ from .staged import (
     CompSpec,
     ScheduleStep,
     StagedConfig,
-    influence_relation,
     predecessor_sets,
     run_schedule,
 )
@@ -122,17 +119,28 @@ def _resolve_input(spec, base_dir: Path, where: str):
 
 @contextmanager
 def _config_errors(where: str):
-    """An error that a constructor or an operation raises on the values
-    it was given is a config error on where, or on where.<field> when it
-    names its field (InvalidBudget: where.tol, where.lam_in). Config and
-    numeric errors pass through; NonFinite is a ValueError but exits 3."""
+    """A ValueError that a constructor or an operation raises on the
+    values it was given is a config error on where, or on where.<field>
+    for an InvalidBudget, which names its field (where.tol,
+    where.lam_in). Config and numeric errors pass through; NonFinite is
+    a ValueError but exits 3."""
     try:
         yield
-    except (ConfigInvalid, *_NUMERIC_ERRORS):
+    except _NUMERIC_ERRORS:
         raise
-    except (ValueError, AttnKitError) as exc:
-        field = getattr(exc, "field", None)
-        raise ConfigInvalid(where if field is None else f"{where}.{field}", str(exc)) from exc
+    except InvalidBudget as exc:
+        raise ConfigInvalid(f"{where}.{exc.field}", str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigInvalid(where, str(exc)) from exc
+
+
+def _suites(names, where: str):
+    """names, each of them a suite of the check harness."""
+    for name in names:
+        if name not in SUITES:
+            known = ", ".join(sorted(SUITES))
+            raise ConfigInvalid(where, f"unknown suite {name!r}; known: {known}")
+    return names
 
 
 # The JSON types: a field value of any other type was bound by name.
@@ -365,12 +373,11 @@ def _stage_run(initial, schedule, **kw) -> dict:
         "carrier_ids": list(trace.carrier_ids),
     }
     if len({m.shape[0] for m in trace.masks}) == 1:
-        inf = influence_relation(list(trace.masks))
         depth = len(trace.masks)
         payload["influence"] = {
             "mode": "markov",
             "depth": depth,
-            "predecessors": [sorted(pre) for pre in predecessor_sets(inf, depth)],
+            "predecessors": [sorted(pre) for pre in predecessor_sets(trace.masks, depth)],
         }
     return payload
 
@@ -399,10 +406,8 @@ def _ffn_check(x=None, samples=20, seed=0, tolerance=1e-10, **ffn) -> dict:
         xs = [rng.normal(size=params.d_model) for _ in range(samples)]
     deviations = []
     for x in xs:
-        try:
+        with _config_errors("ffn-check.x"):  # only a given x can have the wrong length
             direct, ga_form = ffn_as_ga(x, params)
-        except ShapeMismatch as exc:  # only a given x can have the wrong length
-            raise ConfigInvalid("ffn-check.x", str(exc)) from exc
         deviations.append(float(np.abs(direct - ga_form).max()))
     worst = max(deviations)
     return {"samples": len(xs), "max_deviation": worst, "tolerance": tolerance,
@@ -510,10 +515,7 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     exit_code = 0
     suites = config.get("checks")
     if suites:
-        try:
-            check_reports = run_checks(suites, seed=seed)
-        except UnknownSuite as exc:
-            raise ConfigInvalid("checks", str(exc)) from exc
+        check_reports = run_checks(_suites(suites, "checks"), seed=seed)
         report["checks"] = [r.as_json() for r in check_reports]
         if not all(r.passed for r in check_reports):
             exit_code = 4
@@ -554,8 +556,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    suites = args.suite or list(SUITES)
     seed = _seed_from_env(args.seed, "--seed")
+    suites = _suites(args.suite or list(SUITES), "--suite")
     started = time.perf_counter()
     reports = run_checks(suites, seed=seed, tol=args.tol)
     payload = {
@@ -646,15 +648,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, UnknownSuite) as exc:
+    except ConfigInvalid as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
-    except AttnKitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

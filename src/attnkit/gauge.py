@@ -16,24 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    MaskedInputRejected,
-    MissingPotential,
-    NonFinite,
-    NonPositiveScaling,
-    NotACycle,
-    ShapeMismatch,
-    ZeroRowMass,
-)
+from .errors import NonFinite
 from .score import EvidenceKernel
 
 
 def _positive_vector(values, n: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (n,):
-        raise ShapeMismatch(f"{name} must have length {n}")
+        raise ValueError(f"{name} must have length {n}")
     if not np.isfinite(arr).all() or (arr <= 0).any():
-        raise NonPositiveScaling(f"{name} must be finite and strictly positive")
+        raise ValueError(f"{name} must be finite and strictly positive")
     return arr
 
 
@@ -80,9 +72,9 @@ def center_scores(scores, mode: str = "double"):
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
-        raise ShapeMismatch("scores must be a 2-d matrix")
+        raise ValueError("scores must be a 2-d matrix")
     if not np.isfinite(s).all():
-        raise MaskedInputRejected(
+        raise ValueError(
             "plain centering needs fully finite scores; arithmetic means are "
             "undefined under a mask"
         )
@@ -122,16 +114,16 @@ def weighted_row_center(scores, weights) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if s.shape != w.shape or s.ndim != 2:
-        raise ShapeMismatch("scores and weights must be matrices of equal shape")
+        raise ValueError("scores and weights must be matrices of equal shape")
     if (w < 0).any() or not np.isfinite(w).all():
         raise ValueError("reference weights must be finite and nonnegative")
     support = w > 0
     if not np.isfinite(s[support]).all():
-        raise MaskedInputRejected("scores must be finite on the weight support")
+        raise ValueError("scores must be finite on the weight support")
     row_mass = w.sum(axis=1)
     dead = np.flatnonzero(row_mass == 0)
     if dead.size:
-        raise ZeroRowMass(int(dead[0]))
+        raise ValueError(f"reference weight row {int(dead[0])} has zero total mass")
     masked_scores = np.where(support, s, 0.0)
     mean = (w * masked_scores).sum(axis=1) / row_mass
     return np.where(support, s - mean[:, None], 0.0)
@@ -153,13 +145,13 @@ class GaugeGraph:
                 raise ValueError(f"edge ({u},{v}) endpoint out of range")
         a = np.array(self.edge_potential, dtype=np.float64, copy=True)
         if a.shape != (len(edges),):
-            raise ShapeMismatch("edge potential length must equal edge count")
+            raise ValueError("edge potential length must equal edge count")
         a.setflags(write=False)
         phi = self.vertex_potential
         if phi is not None:
             phi = np.array(phi, dtype=np.float64, copy=True)
             if phi.shape != (self.n_vertices,):
-                raise ShapeMismatch("vertex potential length must equal vertex count")
+                raise ValueError("vertex potential length must equal vertex count")
             phi.setflags(write=False)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "edge_potential", a)
@@ -174,7 +166,7 @@ def coboundary(graph: GaugeGraph) -> np.ndarray:
     """Per-edge difference (d phi)(u -> v) = phi(v) - phi(u)."""
     phi = graph.vertex_potential
     if phi is None:
-        raise MissingPotential("graph carries no vertex potential")
+        raise ValueError("graph carries no vertex potential")
     heads = np.array([v for _, v in graph.edges], dtype=np.intp)
     tails = np.array([u for u, _ in graph.edges], dtype=np.intp)
     return phi[heads] - phi[tails]
@@ -188,13 +180,13 @@ def cycle_sum(graph: GaugeGraph, cycle) -> float:
     """
     cycle = [int(e) for e in cycle]
     if not cycle:
-        raise NotACycle("empty edge sequence")
+        raise ValueError("empty edge sequence")
     for e in cycle:
         if not 0 <= e < len(graph.edges):
-            raise NotACycle(f"edge index {e} out of range")
+            raise ValueError(f"edge index {e} out of range")
     for here, there in zip(cycle, cycle[1:] + cycle[:1]):
         if graph.edges[here][1] != graph.edges[there][0]:
-            raise NotACycle(
+            raise ValueError(
                 f"edge {here} ends at {graph.edges[here][1]} but edge {there} "
                 f"starts at {graph.edges[there][0]}"
             )

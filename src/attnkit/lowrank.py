@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, RankOutOfRange, ShapeMismatch, SingularChartMap
+from .errors import NoConvergence, NonFinite
 from .gauge import center_scores
 
 _DEGENERATE_REL_TOL = 1e-12
@@ -39,7 +39,7 @@ class SvdResult:
         v = np.asarray(self.V, dtype=np.float64)
         p = s.size
         if u.ndim != 2 or v.ndim != 2 or u.shape[1] != p or v.shape[1] != p:
-            raise ShapeMismatch("factor shapes disagree with the singular values")
+            raise ValueError("factor shapes disagree with the singular values")
         if (s < 0).any() or (np.diff(s) > 0).any():
             raise ValueError("singular values must be nonnegative and nonincreasing")
         for name, m in (("U", u), ("V", v)):
@@ -55,7 +55,7 @@ def svd(matrix) -> SvdResult:
     """Deterministic thin SVD with the package sign convention."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
-        raise ShapeMismatch("svd input must be a matrix")
+        raise ValueError("svd input must be a matrix")
     if not np.isfinite(m).all():
         raise ValueError("svd input must be finite")
     try:
@@ -75,7 +75,7 @@ def svd(matrix) -> SvdResult:
 def _svd_at_rank(matrix, rank: int) -> SvdResult:
     result = svd(matrix)
     if not 0 <= rank <= result.sigma.size:
-        raise RankOutOfRange(f"rank {rank} not in [0, {result.sigma.size}]")
+        raise ValueError(f"rank {rank} not in [0, {result.sigma.size}]")
     return result
 
 
@@ -89,8 +89,19 @@ def truncate(matrix, rank: int) -> tuple[np.ndarray, float]:
     m = np.asarray(matrix, dtype=np.float64)
     result = _svd_at_rank(m, rank)
     approx = (result.U[:, :rank] * result.sigma[:rank]) @ result.V[:, :rank].T
-    residual = float(np.linalg.norm(m - approx))
-    return approx, residual
+    return approx, _frobenius(m - approx)
+
+
+def _frobenius(diff: np.ndarray) -> float:
+    """||diff||_F. Past ~1e154 the sum of squares overflows, so a finite
+    diff whose norm is not is measured again as m ||diff / m||_F, m its
+    largest absolute entry: the same norm in exact arithmetic."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(diff))
+        if not np.isfinite(norm) and np.isfinite(diff).all():
+            m = np.abs(diff).max()
+            norm = float(m * np.linalg.norm(diff / m))
+    return norm
 
 
 def degenerate_truncation(sigma, rank: int) -> bool:
@@ -115,10 +126,10 @@ def reparameterize_chart(q, l, a) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.float64)
     r = q.shape[1]
     if a.shape != (r, r) or l.shape[1] != r:
-        raise ShapeMismatch("chart map must be r x r matching both factors")
+        raise ValueError("chart map must be r x r matching both factors")
     cond = float(np.linalg.cond(a))
     if not np.isfinite(cond) or cond >= 1e8:
-        raise SingularChartMap(f"condition number {cond:.3e} too large")
+        raise ValueError(f"condition number {cond:.3e} too large")
     return q @ a.T, l @ np.linalg.inv(a)
 
 
@@ -151,12 +162,13 @@ def score_normal_form(scores, rank: int) -> LowRankChart:
     root = np.sqrt(result.sigma[:rank])
     q = result.U[:, :rank] * root
     l = result.V[:, :rank] * root
-    residual = float(np.linalg.norm(interaction - q @ l.T))
+    if not (np.isfinite(q).all() and np.isfinite(l).all()):
+        raise NonFinite("chart factors overflowed to a non-finite value")
     return LowRankChart(
         Q=q,
         L=l,
         rank=rank,
-        frobenius_residual=residual,
+        frobenius_residual=_frobenius(interaction - q @ l.T),
         key_bias=decomposition.key_bias,
         degenerate=degenerate_truncation(result.sigma, rank),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ def _parse_rows(rows, width: int, where: str) -> tuple[np.ndarray, np.ndarray]:
         for kind in set(map(type, flat))
     ):
         _raise_first_bad_entry(rows, where)
-    values = np.array(flat, dtype=np.float64).reshape(len(rows), width)
+    values = _doubles(flat).reshape(len(rows), width)
     mask = values != -np.inf
     bad = mask & ~np.isfinite(values)
     if bad.any():
@@ -68,6 +69,16 @@ def _parse_rows(rows, width: int, where: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigInvalid(where, f"non-finite entry at ({i},{j})")
     values[~mask] = 0.0
     return values, mask
+
+
+def _doubles(numbers) -> np.ndarray:
+    """numbers as a float64 array; an integer beyond the range of doubles
+    reads as NaN, so that it is reported as a non-finite entry."""
+    try:
+        return np.array(numbers, dtype=np.float64)
+    except OverflowError:
+        return np.array([x if type(x) is float or abs(x) <= sys.float_info.max else math.nan
+                         for x in numbers], dtype=np.float64)
 
 
 def _raise_first_bad_entry(rows, where: str):
@@ -99,7 +110,7 @@ def vector_from_json(obj, where: str = "vector") -> np.ndarray:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
     ):
         raise ConfigInvalid(where, "expected a list of numbers")
-    values = np.asarray(obj, dtype=np.float64)
+    values = _doubles(obj)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ConfigInvalid(where, f"non-finite entry at {bad[0]}")

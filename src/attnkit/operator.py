@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchor import ConditionalFamily, TransportPlan
-from .errors import (
-    EmptyRow,
-    GateNotStochastic,
-    NegativeGate,
-    NonFinite,
-    ShapeMismatch,
-)
+from .errors import EmptyRow, NonFinite
 from .score import BaselinePrior, EvidenceKernel, _as_mask, _as_matrix
 
 @dataclass(frozen=True)
@@ -52,7 +46,7 @@ class ValueField:
 
 def _weighted_update(weights, field: ValueField) -> np.ndarray:
     if weights.shape[1] != field.n:
-        raise ShapeMismatch(
+        raise ValueError(
             f"weight columns {weights.shape[1]} != value rows {field.n}"
         )
     return weights @ field.values
@@ -121,9 +115,9 @@ class AttentionParams:
         w_k = np.asarray(self.w_k, dtype=np.float64)
         w_v = np.asarray(self.w_v, dtype=np.float64)
         if w_q.ndim != 2 or w_k.shape != w_q.shape or w_v.ndim != 2:
-            raise ShapeMismatch("w_q and w_k must share shape; w_v must be a matrix")
+            raise ValueError("w_q and w_k must share shape; w_v must be a matrix")
         if w_v.shape[0] != w_q.shape[0]:
-            raise ShapeMismatch("w_v input dimension must match w_q")
+            raise ValueError("w_v input dimension must match w_q")
         if not self.tau > 0:
             raise ValueError("temperature tau must be strictly positive")
         object.__setattr__(self, "w_q", w_q)
@@ -157,7 +151,7 @@ def _attend(
     is the full relation), without building a ConditionalFamily."""
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != params.d_model:
-        raise ShapeMismatch(
+        raise ValueError(
             f"embeddings must be n x {params.d_model}, got {e.shape}"
         )
     n = e.shape[0]
@@ -169,12 +163,12 @@ def _attend(
         if params.key_bias is not None:
             bias = np.asarray(params.key_bias, dtype=np.float64)
             if bias.shape != (n,):
-                raise ShapeMismatch(f"key bias must have length {n}")
+                raise ValueError(f"key bias must have length {n}")
             scores = scores + bias[None, :]
         logits = scores / params.tau
         if params.prior is not None:
             if params.prior.shape != (n, n):
-                raise ShapeMismatch("prior shape must match the token count")
+                raise ValueError("prior shape must match the token count")
             logits = logits + np.log(params.prior.values)
         if mask is None:
             mask = np.ones((n, n), dtype=bool)
@@ -307,10 +301,10 @@ class FfnParams:
         w2 = np.asarray(self.w2, dtype=np.float64)
         b2 = np.asarray(self.b2, dtype=np.float64)
         if w1.ndim != 2 or w2.ndim != 2:
-            raise ShapeMismatch("w1 and w2 must be matrices")
+            raise ValueError("w1 and w2 must be matrices")
         d_ff, d_model = w1.shape
         if b1.shape != (d_ff,) or w2.shape != (d_model, d_ff) or b2.shape != (d_model,):
-            raise ShapeMismatch("feedforward shapes are inconsistent")
+            raise ValueError("feedforward shapes are inconsistent")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "w1", w1)
@@ -321,10 +315,6 @@ class FfnParams:
     @property
     def d_model(self) -> int:
         return self.w1.shape[1]
-
-    @property
-    def d_ff(self) -> int:
-        return self.w1.shape[0]
 
 
 def ffn_apply(rows, params: FfnParams) -> np.ndarray:
@@ -347,7 +337,7 @@ def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.d_model,):
-        raise ShapeMismatch(f"input must have length {params.d_model}")
+        raise ValueError(f"input must have length {params.d_model}")
     with np.errstate(over="ignore", invalid="ignore"):  # _finite checks the output
         hidden = _ACTIVATIONS[params.activation](params.w1 @ x + params.b1)
         direct = params.w2 @ hidden + params.b2
@@ -366,9 +356,9 @@ def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
 def _mixture_gates(gates, branches) -> np.ndarray:
     g = np.asarray(gates, dtype=np.float64)
     if not branches:
-        raise ShapeMismatch("a mixture needs at least one branch")
+        raise ValueError("a mixture needs at least one branch")
     if g.ndim != 2 or g.shape[1] != len(branches):
-        raise ShapeMismatch("gates must be n_x by number of branches")
+        raise ValueError("gates must be n_x by number of branches")
     return g
 
 
@@ -383,9 +373,9 @@ def _flatten_mixture(gates: np.ndarray, branches) -> tuple[np.ndarray, np.ndarra
     out = np.zeros((n_x, d))
     for b, (weights, field) in enumerate(branches):
         if weights.shape[0] != n_x:
-            raise ShapeMismatch("branches must share the query carrier")
+            raise ValueError("branches must share the query carrier")
         if field.d != d:
-            raise ShapeMismatch("branch value fields must share the feature dimension")
+            raise ValueError("branch value fields must share the feature dimension")
         gate = gates[:, b : b + 1]
         out += gate * _weighted_update(weights.values, field)
         blocks.append(gate * weights.values)
@@ -402,9 +392,9 @@ def gated_mixture_conditional(gates, branches) -> tuple[np.ndarray, ConditionalF
     """
     alpha = _mixture_gates(gates, branches)
     if (alpha < 0).any() or not np.isfinite(alpha).all():
-        raise GateNotStochastic("gates must be nonnegative and finite")
+        raise ValueError("gates must be nonnegative and finite")
     if (np.abs(alpha.sum(axis=1) - 1.0) > 1e-12).any():
-        raise GateNotStochastic("gate rows must sum to 1 within 1e-12")
+        raise ValueError("gate rows must sum to 1 within 1e-12")
     out, values, mask = _flatten_mixture(alpha, branches)
     return out, ConditionalFamily(values, mask)
 
@@ -417,6 +407,6 @@ def gated_mixture_plan(gates, branches) -> tuple[np.ndarray, EvidenceKernel]:
     """
     beta = _mixture_gates(gates, branches)
     if (beta < 0).any() or not np.isfinite(beta).all():
-        raise NegativeGate("plan gates must be nonnegative and finite")
+        raise ValueError("plan gates must be nonnegative and finite")
     out, values, mask = _flatten_mixture(beta, branches)
     return out, EvidenceKernel(values, mask)

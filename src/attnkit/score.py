@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch
+from .errors import NonFinite
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -37,7 +37,7 @@ def _as_mask(mask, shape: tuple[int, int], name: str = "mask") -> np.ndarray:
             raise ValueError(f"{name} entries must be boolean or 0/1")
         arr = arr.astype(bool)
     if arr.shape != shape:
-        raise ShapeMismatch(f"{name} shape {arr.shape} != values shape {shape}")
+        raise ValueError(f"{name} shape {arr.shape} != values shape {shape}")
     arr.setflags(write=False)
     return arr
 
@@ -169,7 +169,7 @@ def assemble_kernel(
     """K = prior * link(score) on the mask, exact zero off the mask; no
     prior is a prior of ones."""
     if prior is not None and prior.shape != score.shape:
-        raise ShapeMismatch(f"prior shape {prior.shape} != score shape {score.shape}")
+        raise ValueError(f"prior shape {prior.shape} != score shape {score.shape}")
     mask = score.mask
     out = np.zeros(score.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -184,11 +184,6 @@ def assemble_kernel(
         raise NonFinite("kernel entry underflowed to 0 on the mask")
     out[mask] = weights
     return EvidenceKernel(out, mask)
-
-
-def row_mass(kernel: EvidenceKernel) -> np.ndarray:
-    """Total admissible evidence per row; exactly 0 for fully masked rows."""
-    return kernel.values.sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carrier import RefinementMap, pushforward_kernel
-from .errors import (
-    CarrierMismatch,
-    IndexOutOfRange,
-    NonSquareMask,
-    ShapeMismatch,
-)
 from .operator import AttentionParams, FfnParams, _attend, ffn_apply
 from .score import EvidenceKernel
 
@@ -74,7 +68,7 @@ class CompSpec:
                 raise ValueError("gated composition needs a gate matrix")
             gate = np.asarray(self.gate, dtype=np.float64)
             if gate.ndim != 2 or gate.shape[0] != 2 * gate.shape[1]:
-                raise ShapeMismatch("gate matrix must have shape (2 d, d)")
+                raise ValueError("gate matrix must have shape (2 d, d)")
             object.__setattr__(self, "gate", gate)
         if self.norm not in ("rms_norm", "layer_norm"):
             raise ValueError(f"unknown postnorm kind {self.norm!r}")
@@ -130,12 +124,12 @@ def apply_comp(records, update, comp: CompSpec) -> np.ndarray:
     r = np.asarray(records, dtype=np.float64)
     delta = np.asarray(update, dtype=np.float64)
     if r.shape != delta.shape:
-        raise ShapeMismatch("record and update shapes disagree")
+        raise ValueError("record and update shapes disagree")
     if comp.kind == "additive":
         return r + delta
     if comp.kind == "gated":
         if comp.gate.shape != (2 * r.shape[1], r.shape[1]):
-            raise ShapeMismatch("gate matrix does not match the record width")
+            raise ValueError("gate matrix does not match the record width")
         eta = _sigmoid(np.concatenate([r, delta], axis=1) @ comp.gate)
         return r + eta * delta
     return apply_chart(r + delta, ChartSpec(comp.norm, comp.eps))
@@ -145,7 +139,7 @@ def _block_with_update(records, attn, ffn, cfg, mask) -> tuple[np.ndarray, np.nd
     """The next records and the stage update, attending under mask."""
     r = np.asarray(records, dtype=np.float64)
     if attn.d_v != r.shape[1] or ffn.d_model != r.shape[1]:
-        raise ShapeMismatch("attention and feedforward widths must match the record")
+        raise ValueError("attention and feedforward widths must match the record")
     on_empty = "zero" if cfg.zero_update_on_empty else "error"
     _, attn_update = _attend(apply_chart(r, cfg.chart), attn, mask, on_empty)
     mid = apply_comp(r, attn_update, cfg.comp)
@@ -154,50 +148,26 @@ def _block_with_update(records, attn, ffn, cfg, mask) -> tuple[np.ndarray, np.nd
     return out, out - r
 
 
-@dataclass(frozen=True)
-class InfluenceData:
-    """Per-stage influence relations as boolean matrices.
-
-    relations[t][x, u] is true when row u can influence the stage-t
-    update at row x in one step: the stage admissibility relation
-    itself (Markov dependence).
-    """
-
-    relations: tuple
-
-    @property
-    def n(self) -> int:
-        return self.relations[0].shape[0] if self.relations else 0
-
-
-def influence_relation(masks) -> InfluenceData:
-    relations = []
-    n = None
-    for i, mask in enumerate(masks):
-        m = np.asarray(mask)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquareMask(f"stage {i} mask has shape {m.shape}")
-        if n is None:
-            n = m.shape[0]
-        elif m.shape[0] != n:
-            raise NonSquareMask("stage masks disagree on the carrier size")
-        relations.append(m.astype(bool))
-    return InfluenceData(relations=tuple(relations))
-
-
-def predecessor_sets(inf: InfluenceData, t: int) -> list:
+def predecessor_sets(masks, t: int) -> list:
     """Pre_t(x) for every row x, in row order: the rows that can reach x
-    through t composed stages of influence, one matrix product per
-    stage; Pre_0(x) = {x}."""
-    if not inf.relations:
-        raise IndexOutOfRange("no stages recorded")
-    if not 0 <= t <= len(inf.relations):
-        raise IndexOutOfRange(f"depth {t} out of range")
+    through t composed stages, one matrix product per stage, where row u
+    can influence the stage-s update at row x in one step when
+    masks[s][x, u] holds (Markov dependence); Pre_0(x) = {x}."""
+    relations = [np.asarray(mask, dtype=bool) for mask in masks]
+    for i, m in enumerate(relations):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"stage {i} mask has shape {m.shape}")
+        if m.shape != relations[0].shape:
+            raise ValueError("stage masks disagree on the carrier size")
+    if not relations:
+        raise ValueError("no stages recorded")
+    if not 0 <= t <= len(relations):
+        raise ValueError(f"depth {t} out of range")
     # A product entry counts paths of one step, at most n, so float64
     # BLAS is exact and > 0 is the boolean product.
-    reach = np.eye(inf.n)
+    reach = np.eye(len(relations[0]))
     for s in range(t - 1, -1, -1):
-        reach = (reach @ inf.relations[s].astype(np.float64) > 0).astype(np.float64)
+        reach = (reach @ relations[s].astype(np.float64) > 0).astype(np.float64)
     return [set(np.flatnonzero(row).tolist()) for row in reach]
 
 
@@ -229,7 +199,7 @@ class ScheduleStep:
 
 def _pool_records(records: np.ndarray, refine: RefinementMap) -> np.ndarray:
     if records.shape[0] != refine.n_fine:
-        raise CarrierMismatch(
+        raise ValueError(
             f"records have {records.shape[0]} rows, refinement expects {refine.n_fine}"
         )
     pooled = np.zeros((refine.n_coarse, records.shape[1]))
@@ -250,7 +220,7 @@ def run_schedule(
     on the carrier named carrier."""
     current = np.asarray(initial, dtype=np.float64)
     if current.ndim != 2:
-        raise ShapeMismatch("initial records must be an n x d matrix")
+        raise ValueError("initial records must be an n x d matrix")
     working_mask = None
     records = [current]
     updates = []
@@ -259,7 +229,7 @@ def run_schedule(
     for step in schedule:
         if step.refine is not None:
             if step.refine.fine != carrier:
-                raise CarrierMismatch(
+                raise ValueError(
                     f"refinement leaves {step.refine.fine!r} but the run is on "
                     f"{carrier!r}"
                 )
@@ -275,7 +245,7 @@ def run_schedule(
             else np.ones((current.shape[0], current.shape[0]), dtype=bool)
         )
         if stage_mask.shape != (current.shape[0], current.shape[0]):
-            raise CarrierMismatch(
+            raise ValueError(
                 f"working mask shape {stage_mask.shape} does not fit carrier of "
                 f"size {current.shape[0]}"
             )

@@ -18,7 +18,7 @@ from attnkit.anchor import (
     sinkhorn_unbalanced,
     unbalanced_objective,
 )
-from attnkit.errors import EmptyRow, Infeasible, NoConvergence, ShapeMismatch, ZeroMarginal
+from attnkit.errors import EmptyCol, EmptyRow, Infeasible, NoConvergence, ZeroMarginal
 from attnkit.score import EvidenceKernel
 
 
@@ -284,7 +284,7 @@ class TestGeneralizedKl:
             generalized_kl([-1.0], [1.0])
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"shapes \(2,\) and \(1, 2\) disagree"):
             generalized_kl([1.0, 2.0], [[1.0, 2.0]])
 
 
@@ -383,6 +383,13 @@ class TestSinkhornBalanced:
         kernel = EvidenceKernel(np.where(mask, 1.0, 0.0), mask)
         with pytest.raises(EmptyRow):
             sinkhorn_balanced(kernel, Marginals([1.0, 1.0], [1.0, 1.0]))
+
+    def test_empty_col_rejected_up_front(self):
+        mask = np.array([[True, False], [True, False]])
+        kernel = EvidenceKernel(np.where(mask, 1.0, 0.0), mask)
+        with pytest.raises(EmptyCol, match="masked-out column cannot carry") as exc:
+            sinkhorn_balanced(kernel, Marginals([1.0, 1.0], [1.0, 1.0]))
+        assert exc.value.col == 1
 
 
 class TestSinkhornUnbalanced:

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from attnkit.carrier import RefinementMap, pushforward_kernel
-from attnkit.errors import CarrierMismatch
 from attnkit.score import EvidenceKernel
 
 
@@ -93,5 +92,5 @@ def test_pushforward_conserves_mass_and_support():
 def test_pushforward_shape_disagreement():
     kernel = EvidenceKernel(np.ones((3, 3)), np.ones((3, 3), dtype=bool))
     rho = RefinementMap("f", "c", [0, 1], 2)
-    with pytest.raises(CarrierMismatch):
+    with pytest.raises(ValueError, match="does not match refinement domains"):
         pushforward_kernel(kernel, rho, rho)

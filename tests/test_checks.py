@@ -145,8 +145,8 @@ def _by_name(results):
 def test_barrier_suite_catches_a_dropped_predecessor(monkeypatch):
     real = checks.predecessor_sets
 
-    def without_self(inf, t):
-        return [pre - {x} for x, pre in enumerate(real(inf, t))]
+    def without_self(masks, t):
+        return [pre - {x} for x, pre in enumerate(real(masks, t))]
 
     monkeypatch.setattr(checks, "predecessor_sets", without_self)
     results = _by_name(run_criterion("influence_barrier", seed=0))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attnkit import cli
+from attnkit import checks, cli
 from attnkit.cli import main
 
 
@@ -133,6 +133,15 @@ def test_infeasible_transport_exits_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_a_masked_out_column_with_mass_exits_3(tmp_path, capsys):
+    spec = {"mode": "balanced", "kernel": [[1, "-inf"], [1, "-inf"]],
+            "mu_out": [1, 1], "mu_in": [1, 1]}
+    assert main(["anchor", write_config(tmp_path, "anchor.json", spec)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "numeric failure: masked-out column cannot carry positive marginal\n"
+
+
 def test_full_demo_pipeline_outputs_are_finite(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -217,7 +226,22 @@ def test_check_reports_are_byte_identical_for_fixed_seed(capsys):
 
 def test_check_unknown_suite_exits_2(capsys):
     assert main(["check", "--suite", "nope"]) == 2
-    assert "nope" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: --suite: unknown suite 'nope'; known: barrier, composition, cycle-sum, "
+        "eckart-young, ffn, gauge, mixture, sinkhorn\n"
+    )
+
+
+def test_check_rejects_an_unknown_suite_before_any_suite_runs(monkeypatch, capsys):
+    def run_criterion(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(checks, "run_criterion", run_criterion)
+    assert main(["check", "--suite", "gauge", "--suite", "nope"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: --suite: unknown suite 'nope'")
 
 
 def test_check_zero_tolerance_exits_4_with_witnesses(capsys):
@@ -596,6 +620,15 @@ def run_stage(stage, **inputs):
         ("chart", {"scores": EYE, "rank": 5}, "chart.rank"),
         ("run", run_stage({"op": "scale_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]],
                            "a": [1.0, -1.0], "b": [1.0, 1.0]}), "stages[0].a"),
+        # A JSON integer beyond the range of doubles is not finite, and
+        # beyond the range of an index no map entry or bucket count.
+        ("run", run_stage({"op": "row_anchor", "kernel": [[10**400, 1.0], [1.0, 1.0]]}),
+         "stages[0].kernel"),
+        ("attn", {**ATTN_2X2, "key_bias": [10**400, 1.0]}, "attn.key_bias"),
+        ("run", run_stage({**PUSHFORWARD, "map_x": {"map": [0, 10**400], "n_coarse": 1}}),
+         "stages[0].map_x"),
+        ("run", run_stage({**PUSHFORWARD, "map_x": {"map": [0, 0], "n_coarse": 10**400}}),
+         "stages[0].map_x"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -672,6 +705,9 @@ HUGE_W1 = [[1e308, 1e308], [1e308, 1e308]]
         # The row sum 2e308 of finite scores overflows.
         pytest.param("chart", {"scores": [[1e308, 1e308], [-1e308, 1e308]], "rank": 1},
                      id="chart-centering"),
+        # Centering is exact here; the singular value 2e308 is not.
+        pytest.param("chart", {"scores": [[1e308, -1e308], [-1e308, 1e308]], "rank": 1},
+                     id="chart-factors"),
         # A scaling times a kernel entry leaves the range of doubles.
         pytest.param("run", run_stage({"op": "scale_kernel", "kernel": [[1e300, 1.0], [1.0, 1.0]],
                                        "a": [1e300, 1.0], "b": [1.0, 1.0]}),
@@ -729,7 +765,10 @@ def test_negative_seed_exits_2_and_names_its_source(monkeypatch, capsys, env, ar
 
 
 GOLDEN = Path(__file__).parent / "golden"
-SWEEP_VALUES = ["x", True, -1, 2.7, [], {}, None, [[1, "-inf"]], 0, math.nan, math.inf]
+# Integers beyond every double go in lists only: a bare one as samples
+# would run that many samples.
+SWEEP_VALUES = ["x", True, -1, 2.7, [], {}, None, [[1, "-inf"]], 0, math.nan, math.inf,
+                [[10**400, 1.0]], [10**400, 1]]
 SWEEP_INPUTS = [
     ("run", json.loads((GOLDEN / "run_pipeline.json").read_text())),
     ("stage-run", json.loads((GOLDEN / "stage_run_causal.json").read_text())),

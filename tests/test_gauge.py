@@ -5,13 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from attnkit.anchor import row_anchor
-from attnkit.errors import (
-    MaskedInputRejected,
-    MissingPotential,
-    NonPositiveScaling,
-    NotACycle,
-    ZeroRowMass,
-)
 from attnkit.gauge import (
     GaugeGraph,
     center_scores,
@@ -67,9 +60,9 @@ class TestScaleKernel:
 
     def test_nonpositive_scaling_rejected(self):
         kernel = EvidenceKernel(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
-        with pytest.raises(NonPositiveScaling):
+        with pytest.raises(ValueError, match="a must be finite and strictly positive"):
             scale_kernel(kernel, [1.0, 0.0], [1.0, 1.0])
-        with pytest.raises(NonPositiveScaling):
+        with pytest.raises(ValueError, match="b must be finite and strictly positive"):
             scale_kernel(kernel, [1.0, 1.0], [1.0, -2.0])
 
     def test_scaling_preserves_row_anchor_up_to_left_factor(self):
@@ -141,9 +134,9 @@ class TestCenterScores:
             center_scores(s, mode="diag")
 
     def test_nonfinite_scores_rejected(self):
-        with pytest.raises(MaskedInputRejected):
+        with pytest.raises(ValueError, match="plain centering needs fully finite scores"):
             center_scores([[1.0, np.inf], [0.0, 2.0]])
-        with pytest.raises(MaskedInputRejected):
+        with pytest.raises(ValueError, match="plain centering needs fully finite scores"):
             center_scores([[1.0, np.nan]])
 
 
@@ -185,12 +178,11 @@ class TestWeightedRowCenter:
         npt.assert_allclose(out[0], [0.0, 0.0])
 
     def test_dead_row_rejected(self):
-        with pytest.raises(ZeroRowMass) as exc:
+        with pytest.raises(ValueError, match="reference weight row 1 has zero total mass"):
             weighted_row_center(np.ones((2, 2)), [[1.0, 1.0], [0.0, 0.0]])
-        assert exc.value.row == 1
 
     def test_nonfinite_on_support_rejected(self):
-        with pytest.raises(MaskedInputRejected):
+        with pytest.raises(ValueError, match="scores must be finite on the weight support"):
             weighted_row_center([[np.nan, 1.0]], [[1.0, 1.0]])
 
 
@@ -215,7 +207,7 @@ class TestGaugeGraph:
 
     def test_coboundary_needs_a_potential(self):
         g = GaugeGraph(2, ((0, 1),), [1.0])
-        with pytest.raises(MissingPotential):
+        with pytest.raises(ValueError, match="graph carries no vertex potential"):
             coboundary(g)
 
     def test_triangle_cycle_sums_to_zero(self):
@@ -261,14 +253,14 @@ class TestGaugeGraph:
 
     def test_broken_chain_rejected(self):
         g = GaugeGraph(3, ((0, 1), (0, 2)), [1.0, 1.0])
-        with pytest.raises(NotACycle):
+        with pytest.raises(ValueError, match="edge 0 ends at 1 but edge 1 starts at 0"):
             cycle_sum(g, [0, 1])
-        with pytest.raises(NotACycle):
+        with pytest.raises(ValueError, match="empty edge sequence"):
             cycle_sum(g, [])
-        with pytest.raises(NotACycle):
+        with pytest.raises(ValueError, match="edge index 7 out of range"):
             cycle_sum(g, [0, 7])
 
     def test_open_path_rejected(self):
         g = GaugeGraph(3, ((0, 1), (1, 2)), [1.0, 1.0])
-        with pytest.raises(NotACycle):
+        with pytest.raises(ValueError, match="edge 1 ends at 2 but edge 0 starts at 0"):
             cycle_sum(g, [0, 1])

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from attnkit.errors import NoConvergence, RankOutOfRange, ShapeMismatch, SingularChartMap
+from attnkit.errors import NoConvergence, NonFinite
 from attnkit.gauge import center_scores
 from attnkit.lowrank import (
     SvdResult,
@@ -150,9 +150,9 @@ class TestTruncate:
             assert contender >= residual - 1e-12
 
     def test_rank_out_of_range(self):
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ValueError, match=r"rank 4 not in \[0, 3\]"):
             truncate(np.eye(3), 4)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ValueError, match=r"rank -1 not in \[0, 3\]"):
             truncate(np.eye(3), -1)
 
 
@@ -230,11 +230,11 @@ class TestReparameterizeChart:
     def test_singular_map_refused(self):
         q = np.ones((3, 2))
         l = np.ones((3, 2))
-        with pytest.raises(SingularChartMap):
+        with pytest.raises(ValueError, match="condition number .* too large"):
             reparameterize_chart(q, l, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="chart map must be r x r matching both factors"):
             reparameterize_chart(np.ones((3, 2)), np.ones((3, 2)), np.eye(3))
 
 
@@ -281,5 +281,22 @@ class TestScoreNormalForm:
         assert chart.degenerate == degenerate_truncation(sigma, 1)
 
     def test_rank_out_of_range(self):
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ValueError, match=r"rank 5 not in \[0, 3\]"):
             score_normal_form(np.eye(3), 5)
+
+    def test_overflowing_factors_are_nonfinite(self):
+        # Centering is exact; the singular value 2e308 is not a double.
+        with pytest.raises(NonFinite, match="chart factors overflowed"):
+            score_normal_form([[1e308, -1e308], [-1e308, 1e308]], 1)
+
+    def test_residual_past_the_range_of_squares_is_the_tail_energy(self):
+        # Entries near 1e200 square past the largest double, but the
+        # factors and the residual are in range.
+        rng = np.random.default_rng(5)
+        scores = center_scores(rng.normal(size=(3, 3)) * 1e200, mode="double").interaction
+        sigma = svd(scores).sigma
+        tail = math.hypot(sigma[1], sigma[2])
+        chart = score_normal_form(scores, 1)
+        _, residual = truncate(scores, 1)
+        assert chart.frobenius_residual == pytest.approx(tail, rel=1e-12)
+        assert residual == pytest.approx(tail, rel=1e-12)

@@ -17,12 +17,7 @@ from attnkit.anchor import (
     row_anchor,
     sinkhorn_balanced,
 )
-from attnkit.errors import (
-    EmptyRow,
-    GateNotStochastic,
-    NegativeGate,
-    ShapeMismatch,
-)
+from attnkit.errors import EmptyRow
 from attnkit.operator import (
     AttentionParams,
     FfnParams,
@@ -519,15 +514,15 @@ class TestMixtures:
     def test_gate_row_sums_enforced(self):
         family = ConditionalFamily(np.array([[1.0]]), np.array([[True]]))
         field = ValueField(np.array([[1.0]]))
-        with pytest.raises(GateNotStochastic):
+        with pytest.raises(ValueError, match="gate rows must sum to 1 within 1e-12"):
             gated_mixture_conditional(np.array([[0.5]]), [(family, field)])
-        with pytest.raises(GateNotStochastic):
+        with pytest.raises(ValueError, match="gates must be nonnegative and finite"):
             gated_mixture_conditional(np.array([[-1.0, 2.0]]), [(family, field), (family, field)])
 
     def test_plan_gates_must_be_nonnegative(self):
         kernel = EvidenceKernel(np.array([[1.0]]), np.array([[True]]))
         field = ValueField(np.array([[1.0]]))
-        with pytest.raises(NegativeGate):
+        with pytest.raises(ValueError, match="plan gates must be nonnegative and finite"):
             gated_mixture_plan(np.array([[-0.5]]), [(kernel, field)])
 
     @pytest.mark.parametrize(
@@ -546,11 +541,14 @@ class TestMixtures:
         one_row = (weights_type(np.array([[1.0]]), np.array([[True]])), field)
         two_rows = (weights_type(np.ones((2, 1)), np.ones((2, 1), dtype=bool)), field)
         wide = (one_row[0], ValueField(np.array([[1.0, 2.0]])))
-        gates, branches = {
-            "no_branches": (np.zeros((2, 0)), []),
-            "gate_width": (np.array([[0.5, 0.5]]), [one_row]),
-            "query_size": (np.array([[0.5, 0.5]]), [one_row, two_rows]),
-            "value_width": (np.array([[0.5, 0.5]]), [one_row, wide]),
+        gates, branches, message = {
+            "no_branches": (np.zeros((2, 0)), [], "a mixture needs at least one branch"),
+            "gate_width": (np.array([[0.5, 0.5]]), [one_row],
+                           "gates must be n_x by number of branches"),
+            "query_size": (np.array([[0.5, 0.5]]), [one_row, two_rows],
+                           "branches must share the query carrier"),
+            "value_width": (np.array([[0.5, 0.5]]), [one_row, wide],
+                            "branch value fields must share the feature dimension"),
         }[case]
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=message):
             mix(gates, branches)

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from attnkit.anchor import ConditionalFamily, TransportPlan
-from attnkit.errors import NonFinite, ShapeMismatch
+from attnkit.errors import NonFinite
 from attnkit.score import (
     BaselinePrior,
     EvidenceKernel,
@@ -16,7 +16,6 @@ from attnkit.score import (
     MaskedScore,
     assemble_kernel,
     check_link_compositionality,
-    row_mass,
 )
 
 
@@ -82,30 +81,12 @@ def test_assemble_without_prior_is_link_only():
 
 
 def test_assemble_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match=r"prior shape \(2, 3\) != score shape \(2, 2\)"):
         assemble_kernel(
             dense(np.zeros((2, 2))),
             BaselinePrior(np.ones((2, 3))),
             Link(),
         )
-
-
-def test_row_mass_counts_and_zeroes():
-    values = np.ones((2, 3))
-    npt.assert_array_equal(row_mass(EvidenceKernel(values, values > 0)), [3.0, 3.0])
-    masked = np.array([[1.0, 2.0], [0.0, 0.0]])
-    kernel = EvidenceKernel(masked, masked > 0)
-    z = row_mass(kernel)
-    assert z[1] == 0.0
-    npt.assert_allclose(z[0], 3.0)
-
-
-def test_row_mass_matches_naive_sum():
-    rng = np.random.default_rng(3)
-    values = np.where(rng.random((6, 7)) < 0.5, rng.uniform(0.1, 2.0, (6, 7)), 0.0)
-    kernel = EvidenceKernel(values, values > 0)
-    naive = [sum(values[i, j] for j in range(7)) for i in range(6)]
-    npt.assert_allclose(row_mass(kernel), naive, rtol=1e-15)
 
 
 class TestLinkCompositionality:
@@ -201,7 +182,8 @@ GOOD_MASK = [[True, True], [False, True]]
         ([[math.nan, 0.75], [0.0, 1.0]], GOOD_MASK, ValueError, "finite and nonnegative"),
         ([[-0.25, 1.25], [0.0, 1.0]], GOOD_MASK, ValueError, "finite and nonnegative"),
         ([[0.25, 0.75], [0.5, 0.5]], GOOD_MASK, ValueError, "off the mask"),
-        (GOOD_VALUES, [[True, True, True], [False, True, True]], ShapeMismatch, "shape"),
+        (GOOD_VALUES, [[True, True, True], [False, True, True]], ValueError,
+         r"mask shape \(2, 3\) != values shape \(2, 2\)"),
         (GOOD_VALUES, [[1, 2], [0, 1]], ValueError, "boolean or 0/1"),
     ],
     ids=["nan", "negative", "off-mask", "mask-shape", "mask-not-0-1"],

@@ -11,23 +11,15 @@ from hypothesis.extra.numpy import arrays
 
 from attnkit.anchor import ConditionalFamily
 from attnkit.carrier import RefinementMap
-from attnkit.errors import (
-    CarrierMismatch,
-    EmptyRow,
-    IndexOutOfRange,
-    NonSquareMask,
-    ShapeMismatch,
-)
+from attnkit.errors import EmptyRow
 from attnkit.operator import AttentionParams, FfnParams, attention
 from attnkit.staged import (
     ChartSpec,
     CompSpec,
-    InfluenceData,
     ScheduleStep,
     StagedConfig,
     apply_chart,
     apply_comp,
-    influence_relation,
     predecessor_sets,
     run_schedule,
 )
@@ -208,7 +200,7 @@ class TestComps:
         npt.assert_allclose(out, manual_chart(r + delta, "rms_norm"), atol=1e-13)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="record and update shapes disagree"):
             apply_comp(np.ones((2, 2)), np.ones((2, 3)), CompSpec("additive"))
 
 
@@ -295,17 +287,17 @@ def chain_mask(n):
 
 class TestInfluence:
     def test_markov_relations_are_the_masks(self):
-        masks = [chain_mask(4), np.ones((4, 4), dtype=bool)]
-        inf = influence_relation(masks)
-        npt.assert_array_equal(inf.relations[0], masks[0])
-        npt.assert_array_equal(inf.relations[1], masks[1])
+        # One stage back, the predecessors of row x are the mask's row x.
+        for mask in (chain_mask(4), np.ones((4, 4), dtype=bool)):
+            expected = [set(np.flatnonzero(row).tolist()) for row in mask]
+            assert predecessor_sets([mask, chain_mask(4)], 1) == expected
 
     def test_chain_predecessors_frozen(self):
-        inf = influence_relation([chain_mask(4), chain_mask(4)])
-        assert predecessor_sets(inf, 0)[2] == {2}
-        assert predecessor_sets(inf, 1)[2] == {1, 2}
-        assert predecessor_sets(inf, 2)[2] == {0, 1, 2}
-        assert predecessor_sets(inf, 2)[0] == {0}
+        masks = [chain_mask(4), chain_mask(4)]
+        assert predecessor_sets(masks, 0)[2] == {2}
+        assert predecessor_sets(masks, 1)[2] == {1, 2}
+        assert predecessor_sets(masks, 2)[2] == {0, 1, 2}
+        assert predecessor_sets(masks, 2)[0] == {0}
 
     def test_matches_path_enumeration(self):
         rng = np.random.default_rng(129)
@@ -313,9 +305,8 @@ class TestInfluence:
             n = int(rng.integers(2, 7))
             depth = int(rng.integers(1, 5))
             masks = [diagonal_mask(rng, n, density=0.4) for _ in range(depth)]
-            inf = influence_relation(masks)
             for t in range(depth + 1):
-                for x, pre in enumerate(predecessor_sets(inf, t)):
+                for x, pre in enumerate(predecessor_sets(masks, t)):
                     assert pre == oracle_pre(masks, x, t)
 
     @settings(max_examples=200, deadline=None)
@@ -324,25 +315,24 @@ class TestInfluence:
         n = data.draw(st.integers(1, 9))
         depth = data.draw(st.integers(1, 5))
         masks = [data.draw(arrays(np.bool_, (n, n))) for _ in range(depth)]
-        inf = influence_relation(masks)
         t = data.draw(st.integers(0, depth))
-        assert predecessor_sets(inf, t) == [oracle_pre(masks, x, t) for x in range(n)]
+        assert predecessor_sets(masks, t) == [oracle_pre(masks, x, t) for x in range(n)]
 
     def test_all_rows_validate_the_depth(self):
-        inf = influence_relation([chain_mask(3)])
-        assert predecessor_sets(inf, 1) == [{0}, {0, 1}, {1, 2}]
-        with pytest.raises(IndexOutOfRange):
-            predecessor_sets(inf, 2)
-        with pytest.raises(IndexOutOfRange):
-            predecessor_sets(inf, -1)
-        with pytest.raises(IndexOutOfRange):
-            predecessor_sets(InfluenceData(()), 0)
+        masks = [chain_mask(3)]
+        assert predecessor_sets(masks, 1) == [{0}, {0, 1}, {1, 2}]
+        with pytest.raises(ValueError, match="depth 2 out of range"):
+            predecessor_sets(masks, 2)
+        with pytest.raises(ValueError, match="depth -1 out of range"):
+            predecessor_sets(masks, -1)
+        with pytest.raises(ValueError, match="no stages recorded"):
+            predecessor_sets([], 0)
 
     def test_masks_must_be_square_and_agree(self):
-        with pytest.raises(NonSquareMask):
-            influence_relation([np.ones((2, 3), dtype=bool)])
-        with pytest.raises(NonSquareMask):
-            influence_relation([chain_mask(2), chain_mask(3)])
+        with pytest.raises(ValueError, match=r"stage 0 mask has shape \(2, 3\)"):
+            predecessor_sets([np.ones((2, 3), dtype=bool)], 0)
+        with pytest.raises(ValueError, match="stage masks disagree on the carrier size"):
+            predecessor_sets([chain_mask(2), chain_mask(3)], 0)
 
 
 def build_schedule(rng, n, d, depth, chart="identity"):
@@ -422,14 +412,14 @@ class TestBarrier:
             d = int(rng.integers(2, 4))
             depth = int(rng.integers(1, 4))
             initial, schedule, cfg = build_schedule(rng, n, d, depth, chart="rms_norm")
-            inf = influence_relation([step.mask for step in schedule])
+            masks = [step.mask for step in schedule]
             base = run_schedule(initial, schedule, cfg).updates
             for u in range(n):
                 bumped = run_schedule(
                     perturb(initial, u, rng.normal(size=d)), schedule, cfg
                 ).updates
                 for t in range(1, depth + 1):
-                    for x, pre in enumerate(predecessor_sets(inf, t)):
+                    for x, pre in enumerate(predecessor_sets(masks, t)):
                         if u not in pre:
                             assert np.array_equal(base[t - 1][x], bumped[t - 1][x])
 
@@ -525,7 +515,7 @@ class TestRunSchedule:
         step = ScheduleStep(
             attn=make_attn(rng, 2), ffn=make_ffn(rng, 2), refine=refine
         )
-        with pytest.raises(CarrierMismatch):
+        with pytest.raises(ValueError, match="refinement leaves 'other' but the run is on 'base'"):
             run_schedule(rng.normal(size=(2, 2)), [step], StagedConfig(chart=ChartSpec("identity")))
 
     def test_stale_mask_size_rejected(self):
@@ -545,5 +535,6 @@ class TestRunSchedule:
                 mask=np.ones((3, 3), dtype=bool),
             ),
         ]
-        with pytest.raises(CarrierMismatch):
+        message = r"working mask shape \(3, 3\) does not fit carrier of size 2"
+        with pytest.raises(ValueError, match=message):
             run_schedule(rng.normal(size=(3, d)), steps, StagedConfig(chart=ChartSpec("identity")))
