@@ -95,12 +95,15 @@ def truncate(matrix, rank: int) -> tuple[np.ndarray, float]:
 def _frobenius(diff: np.ndarray) -> float:
     """||diff||_F. Past ~1e154 the sum of squares overflows, so a finite
     diff whose norm is not is measured again as m ||diff / m||_F, m its
-    largest absolute entry: the same norm in exact arithmetic."""
+    largest absolute entry: the same norm in exact arithmetic. A norm
+    past the largest double raises NonFinite."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(diff))
         if not np.isfinite(norm) and np.isfinite(diff).all():
             m = np.abs(diff).max()
             norm = float(m * np.linalg.norm(diff / m))
+    if not np.isfinite(norm):
+        raise NonFinite("truncation residual overflowed to a non-finite value")
     return norm
 
 

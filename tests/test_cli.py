@@ -708,6 +708,9 @@ HUGE_W1 = [[1e308, 1e308], [1e308, 1e308]]
         # Centering is exact here; the singular value 2e308 is not.
         pytest.param("chart", {"scores": [[1e308, -1e308], [-1e308, 1e308]], "rank": 1},
                      id="chart-factors"),
+        # Rank 0 keeps no factor; the residual 2e308 is the whole interaction.
+        pytest.param("chart", {"scores": [[1e308, -1e308], [-1e308, 1e308]], "rank": 0},
+                     id="chart-residual"),
         # A scaling times a kernel entry leaves the range of doubles.
         pytest.param("run", run_stage({"op": "scale_kernel", "kernel": [[1e300, 1.0], [1.0, 1.0]],
                                        "a": [1e300, 1.0], "b": [1.0, 1.0]}),

@@ -289,6 +289,15 @@ class TestScoreNormalForm:
         with pytest.raises(NonFinite, match="chart factors overflowed"):
             score_normal_form([[1e308, -1e308], [-1e308, 1e308]], 1)
 
+    def test_residual_past_the_largest_double_is_nonfinite(self):
+        # Rank 0 keeps no factor, so the residual is the whole interaction,
+        # of norm 2e308; a finite truncation of it leaves the same residual.
+        scores = [[1e308, -1e308], [-1e308, 1e308]]
+        with pytest.raises(NonFinite, match="truncation residual overflowed"):
+            score_normal_form(scores, 0)
+        with pytest.raises(NonFinite, match="truncation residual overflowed"):
+            truncate(scores, 0)
+
     def test_residual_past_the_range_of_squares_is_the_tail_energy(self):
         # Entries near 1e200 square past the largest double, but the
         # factors and the residual are in range.
