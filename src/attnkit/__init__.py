@@ -15,7 +15,6 @@ from .anchor import (
     Marginals,
     TransportPlan,
     generalized_kl,
-    plan_to_conditional,
     row_anchor,
     sinkhorn_balanced,
     sinkhorn_unbalanced,
@@ -59,7 +58,6 @@ from .score import (
     MaskedMatrix,
     MaskedScore,
     assemble_kernel,
-    check_link_compositionality,
 )
 from .staged import (
     ChartSpec,

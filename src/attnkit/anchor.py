@@ -1,7 +1,7 @@
 """Anchoring rules that turn an evidence kernel into a canonical object.
 
-Two families are implemented. Row anchoring normalizes each row of the
-kernel into a conditional distribution (the softmax route). Transport
+Two families are implemented. Row anchoring normalizes each row of a
+kernel (the softmax route) or a plan into a conditional distribution. Transport
 anchoring fits a nonnegative coupling to marginal data by Sinkhorn
 scaling, either with hard marginal constraints (balanced) or with KL
 penalties on the marginals (unbalanced). Both solvers run their first
@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import EmptyCol, EmptyRow, Infeasible, InvalidBudget, NoConvergence, ZeroMarginal
+from .errors import EmptyCol, EmptyRow, Infeasible, InvalidBudget, NoConvergence
 from .score import EvidenceKernel, MaskedMatrix
 
 
@@ -107,17 +107,17 @@ class TransportPlan(MaskedMatrix):
         object.__setattr__(self, "col_marginal", col_marginal)
 
 
-def row_anchor(kernel: EvidenceKernel) -> ConditionalFamily:
-    """Normalize each kernel row into a conditional distribution.
-
-    Fails hard on rows with no admissible evidence; there is no fallback
-    distribution.
+def row_anchor(matrix: MaskedMatrix) -> ConditionalFamily:
+    """Normalize each row of a kernel or a plan into a conditional
+    distribution. Fails hard on a row with zero mass; there is no
+    fallback distribution.
     """
-    mass = kernel.values.sum(axis=1)
+    mass = matrix.values.sum(axis=1)
     empty = np.flatnonzero(mass == 0)
     if empty.size:
-        raise EmptyRow(int(empty[0]))
-    return ConditionalFamily(kernel.values / mass[:, None], kernel.mask)
+        row = int(empty[0])
+        raise EmptyRow(row, f"row {row} has zero total mass")
+    return ConditionalFamily(matrix.values / mass[:, None], matrix.mask)
 
 
 def generalized_kl(a, b) -> float:
@@ -392,18 +392,3 @@ def unbalanced_objective(
         + lam_in * generalized_kl(plan_values.sum(axis=0), marginals.mu_in)
     )
 
-
-def plan_to_conditional(plan: TransportPlan, mu_out) -> ConditionalFamily:
-    """Divide each plan row by its outgoing mass.
-
-    mu_out must be consistent with the plan's achieved row marginal
-    (pass plan.row_marginal unless you know better); otherwise the
-    row-stochastic invariant fails at construction.
-    """
-    mu_out = np.asarray(mu_out, dtype=np.float64)
-    if mu_out.shape != (plan.shape[0],):
-        raise ValueError(f"mu_out must have length {plan.shape[0]}")
-    bad = np.flatnonzero(~(mu_out > 0))
-    if bad.size:
-        raise ZeroMarginal(int(bad[0]))
-    return ConditionalFamily(plan.values / mu_out[:, None], plan.mask)

@@ -31,7 +31,6 @@ from .anchor import (
     ConditionalFamily,
     Marginals,
     TransportPlan,
-    plan_to_conditional,
     row_anchor,
     sinkhorn_balanced,
     sinkhorn_unbalanced,
@@ -46,7 +45,6 @@ from .errors import (
     InvalidBudget,
     NoConvergence,
     NonFinite,
-    ZeroMarginal,
 )
 from .gauge import CenteredDecomposition, center_scores, scale_kernel
 from .lowrank import LowRankChart, score_normal_form
@@ -78,7 +76,7 @@ from .staged import (
     run_schedule,
 )
 
-_NUMERIC_ERRORS = (NoConvergence, Infeasible, EmptyRow, EmptyCol, ZeroMarginal, NonFinite)
+_NUMERIC_ERRORS = (NoConvergence, Infeasible, EmptyRow, EmptyCol, NonFinite)
 
 
 def _seed_from_env(seed: int, where: str) -> int:
@@ -208,7 +206,7 @@ def _plan(value, where: str) -> TransportPlan:
 
 def _family(value, where: str) -> ConditionalFamily:
     if isinstance(value, TransportPlan):
-        return plan_to_conditional(value, value.row_marginal)
+        return row_anchor(value)
     if isinstance(value, ConditionalFamily):
         return value
     raise ConfigInvalid(where, "expected the name of a conditional family or a plan")
@@ -320,8 +318,10 @@ def _value(kind, value, ctx: dict, where: str):
 
 
 def _attention(embeddings, mask=None, **params):
-    family, out = attention(embeddings, AttentionParams(**params), mask)
-    return {"weights": family, "output": out}
+    weights, out = attention(embeddings, AttentionParams(**params), mask)
+    if mask is None:
+        mask = np.ones(weights.shape, dtype=bool)
+    return {"weights": ConditionalFamily(weights, mask), "output": out}
 
 
 _LINK = _Row("link", Link, {}, {"kind": "string", "tau": "number", "slope": "number"})
@@ -341,7 +341,7 @@ _BUDGET = {"tol": "number", "max_iter": "integer"}
 _OPS = {row.name: row for row in (
     _Row("assemble_kernel", lambda scores, **kw: assemble_kernel(MaskedScore(*scores), **kw),
          {"scores": "matrix"}, {"prior": "prior", "link": _LINK}),
-    _Row("row_anchor", row_anchor, {"kernel": "kernel"}),
+    _Row("row_anchor", lambda kernel: row_anchor(kernel), {"kernel": "kernel"}),
     _Row("sinkhorn_balanced", lambda kernel, mu_out, mu_in, **kw: sinkhorn_balanced(
         kernel, Marginals(mu_out, mu_in), **kw), _TRANSPORT, _BUDGET),
     _Row("sinkhorn_unbalanced", lambda kernel, mu_out, mu_in, **kw: sinkhorn_unbalanced(
@@ -394,16 +394,22 @@ _STAGE_RUN = _Row("stage-run", _stage_run, {"initial": "finite matrix", "schedul
                   {"cfg": _CFG, "carrier": "string"})
 
 
-def _ffn_check(x=None, samples=20, seed=0, tolerance=1e-10, **ffn) -> dict:
+def _ffn_check(x=None, samples=None, seed=None, tolerance=1e-10, **ffn) -> dict:
     """The feedforward block against its kernel form, on x or on samples
-    random inputs drawn from seed."""
+    random inputs drawn from seed (20 from seed 0 by default); with x,
+    samples and seed would not be read, so neither may be given."""
     params = FfnParams(**ffn)
-    xs = [x]
     if x is None:
+        samples = 20 if samples is None else samples
         if samples < 1:
             raise ConfigInvalid("ffn-check.samples", f"must be at least 1, got {samples}")
-        rng = np.random.default_rng(_seed_from_env(seed, "ffn-check.seed"))
+        rng = np.random.default_rng(_seed_from_env(seed or 0, "ffn-check.seed"))
         xs = [rng.normal(size=params.d_model) for _ in range(samples)]
+    else:
+        for key, value in (("samples", samples), ("seed", seed)):
+            if value is not None:
+                raise ConfigInvalid(f"ffn-check.{key}", "not read when x is given")
+        xs = [x]
     deviations = []
     for x in xs:
         with _config_errors("ffn-check.x"):  # only a given x can have the wrong length
@@ -496,13 +502,14 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
         if out_name in ctx:
             raise ConfigInvalid(f"{where}.out", f"name {out_name!r} already bound")
         result = _read(_OPS[op], stage, ctx, where, skip=("op", "out"))
-        if isinstance(result, dict):
-            ctx[out_name] = result["output"]
-            for extra, value in result.items():
-                if extra != "output":
-                    ctx[f"{out_name}_{extra}"] = value
-        else:
-            ctx[out_name] = result
+        bound = {out_name: result}
+        if isinstance(result, dict):  # the output, and <out>_<key> for each other part
+            bound = {out_name if key == "output" else f"{out_name}_{key}": value
+                     for key, value in result.items()}
+        for name in bound:
+            if name in ctx:
+                raise ConfigInvalid(f"{where}.out", f"name {name!r} already bound")
+        ctx.update(bound)
         stage_reports.append({"op": op, "out": out_name, "result": _serialize(result)})
 
     report = {

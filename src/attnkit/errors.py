@@ -2,7 +2,7 @@
 
 A class exists only if some caller branches on it: `ga` exits 2 on
 ConfigInvalid and 3 on the numeric failures (NoConvergence, Infeasible,
-EmptyRow, EmptyCol, ZeroMarginal, NonFinite), and InvalidBudget names
+EmptyRow, EmptyCol, NonFinite), and InvalidBudget names
 the field it rejects. Any other bad argument (a wrong shape, a rank out
 of range, a non-stochastic gate) is a plain ValueError with a message.
 """
@@ -55,12 +55,6 @@ class EmptyCol(AttnKitError):
     def __init__(self, col: int, message: str | None = None):
         self.col = col
         super().__init__(message or f"column {col} has no admissible entries")
-
-
-class ZeroMarginal(AttnKitError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"marginal entry {index} is not strictly positive")
 
 
 class NonFinite(AttnKitError, ValueError):

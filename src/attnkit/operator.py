@@ -144,11 +144,16 @@ def _finite(out: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _attend(
-    embeddings, params: AttentionParams, mask, on_empty: str
+def attention(
+    embeddings, params: AttentionParams, mask=None, on_empty: str = "error"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The softmax weights and the output of attention under mask (None
-    is the full relation), without building a ConditionalFamily."""
+    """Scaled dot-product attention as an anchored kernel update.
+
+    Scores are q_i . k_j / sqrt(d_k) + key_bias(j); the weights are the
+    row softmax of score/tau + log(prior) over the admissible relation
+    mask (None is the full relation), and the output is weights @ values.
+    Both come back as arrays; no ConditionalFamily is built here.
+    """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] != params.d_model:
         raise ValueError(
@@ -180,21 +185,6 @@ def _attend(
     if math.isnan(weights.sum()):
         raise NonFinite("conditional values must be finite and nonnegative")
     return weights, _finite(out, "attention output")
-
-
-def attention(
-    embeddings, params: AttentionParams, mask=None, on_empty: str = "error"
-) -> tuple[ConditionalFamily, np.ndarray]:
-    """Scaled dot-product attention as an anchored kernel update.
-
-    Scores are q_i . k_j / sqrt(d_k) + key_bias(j); the weights are the
-    row softmax of score/tau + log(prior) over the admissible relation
-    mask (None is the full relation), and the output is weights @ values.
-    """
-    weights, out = _attend(embeddings, params, mask, on_empty)
-    if mask is None:
-        mask = np.ones(weights.shape, dtype=bool)
-    return ConditionalFamily(weights, np.asarray(mask, dtype=bool)), out
 
 
 def _coefficients(*values) -> tuple:

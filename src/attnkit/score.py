@@ -95,7 +95,8 @@ class Link:
     kind "exp" is exp(s/tau). The remaining kinds are named built-ins
     used by the compositionality check: "exp-with-slope" is another
     member of the exponential family, "softplus" and "square-plus-one"
-    are positive but not multiplicative.
+    are positive but not multiplicative. Only "exp" reads tau and only
+    "exp-with-slope" reads slope; other kinds refuse a value but 1.
     """
 
     kind: str = "exp"
@@ -107,6 +108,10 @@ class Link:
             raise ValueError(f"unknown link kind {self.kind!r}")
         if self.kind == "exp" and not self.tau > 0:
             raise ValueError("temperature tau must be strictly positive")
+        if self.kind != "exp" and self.tau != 1:
+            raise ValueError(f"link kind {self.kind!r} takes no tau, got {self.tau!r}")
+        if self.kind != "exp-with-slope" and self.slope != 1:
+            raise ValueError(f"link kind {self.kind!r} takes no slope, got {self.slope!r}")
 
     def evaluate(self, scores) -> np.ndarray:
         """Apply the link elementwise. Every kind is strictly positive in
@@ -185,38 +190,3 @@ def assemble_kernel(
     out[mask] = weights
     return EvidenceKernel(out, mask)
 
-
-@dataclass(frozen=True)
-class CompositionalityReport:
-    passed: bool
-    max_violation: float
-    witness: tuple[float, float] | None = None
-
-
-def check_link_compositionality(link: Link, grid, tol: float = 1e-12) -> CompositionalityReport:
-    """Admissibility check: the evidence factor must be multiplicative.
-
-    The factor in work coordinates is g(w) = link(-w). For every pair
-    (w1, w2) on the grid the violation is
-    |g(w1+w2) - g(w1) g(w2)| / (1 + |g(w1) g(w2)|); the report carries
-    the worst pair. Exponential-family links pass at rounding level,
-    anything else is expected to fail visibly.
-    """
-    grid = [float(w) for w in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-
-    def g(w: float) -> float:
-        return float(link.evaluate(np.array(-w)))
-
-    worst = 0.0
-    witness: tuple[float, float] | None = None
-    for w1 in grid:
-        for w2 in grid:
-            lhs = g(w1 + w2)
-            rhs = g(w1) * g(w2)
-            violation = abs(lhs - rhs) / (1.0 + abs(rhs))
-            if violation > worst:
-                worst = violation
-                witness = (w1, w2)
-    return CompositionalityReport(passed=worst <= tol, max_violation=worst, witness=witness)

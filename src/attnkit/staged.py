@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carrier import RefinementMap, pushforward_kernel
-from .operator import AttentionParams, FfnParams, _attend, ffn_apply
+from .operator import AttentionParams, FfnParams, attention, ffn_apply
 from .score import EvidenceKernel
 
 
@@ -141,7 +141,7 @@ def _block_with_update(records, attn, ffn, cfg, mask) -> tuple[np.ndarray, np.nd
     if attn.d_v != r.shape[1] or ffn.d_model != r.shape[1]:
         raise ValueError("attention and feedforward widths must match the record")
     on_empty = "zero" if cfg.zero_update_on_empty else "error"
-    _, attn_update = _attend(apply_chart(r, cfg.chart), attn, mask, on_empty)
+    _, attn_update = attention(apply_chart(r, cfg.chart), attn, mask, on_empty)
     mid = apply_comp(r, attn_update, cfg.comp)
     ffn_update = ffn_apply(apply_chart(mid, cfg.chart), ffn)
     out = apply_comp(mid, ffn_update, cfg.comp)

@@ -12,13 +12,12 @@ from attnkit.anchor import (
     Marginals,
     TransportPlan,
     generalized_kl,
-    plan_to_conditional,
     row_anchor,
     sinkhorn_balanced,
     sinkhorn_unbalanced,
     unbalanced_objective,
 )
-from attnkit.errors import EmptyCol, EmptyRow, Infeasible, NoConvergence, ZeroMarginal
+from attnkit.errors import EmptyCol, EmptyRow, Infeasible, NoConvergence
 from attnkit.score import EvidenceKernel
 
 
@@ -237,7 +236,7 @@ class TestRowAnchor:
             np.array([[1.0, 0.0], [0.0, 0.0]]),
             np.array([[True, False], [False, False]]),
         )
-        with pytest.raises(EmptyRow) as exc:
+        with pytest.raises(EmptyRow, match="^row 1 has zero total mass$") as exc:
             row_anchor(kernel)
         assert exc.value.row == 1
 
@@ -624,7 +623,7 @@ class TestAgainstLogDomainReference:
             sinkhorn_unbalanced(kernel, marginals, 100.0, 0.001)
 
 
-class TestPlanToConditional:
+class TestRowAnchorOfAPlan:
     def test_rows_renormalize(self):
         plan = TransportPlan(
             np.array([[1.0, 3.0], [2.0, 2.0]]),
@@ -632,8 +631,23 @@ class TestPlanToConditional:
             converged=True,
             iterations=1,
         )
-        family = plan_to_conditional(plan, plan.row_marginal)
+        family = row_anchor(plan)
         npt.assert_allclose(family.values, [[0.25, 0.75], [0.5, 0.5]], rtol=1e-15)
+
+    def test_divides_by_the_row_marginal_bit_for_bit(self):
+        # Conditioning a plan is dividing each row by the plan's own
+        # outgoing mass, the same float operation row by row.
+        rng = np.random.default_rng(81)
+        for _ in range(10):
+            kernel, marginals = feasible_instance(rng, 6, 5)
+            for plan in (
+                sinkhorn_balanced(kernel, marginals),
+                sinkhorn_unbalanced(kernel, marginals, 0.5, 2.0),
+            ):
+                family = row_anchor(plan)
+                want = plan.values / plan.row_marginal[:, None]
+                assert family.values.tobytes() == want.tobytes()
+                assert np.array_equal(family.mask, plan.mask)
 
     def test_round_trip_with_row_anchor(self):
         # Anchoring by rows directly, or transporting onto the kernel's
@@ -642,19 +656,21 @@ class TestPlanToConditional:
         kernel = random_masked_kernel(rng, 5, 5)
         marginals = Marginals(kernel.values.sum(axis=1), kernel.values.sum(axis=0))
         plan = sinkhorn_balanced(kernel, marginals)
-        via_plan = plan_to_conditional(plan, plan.row_marginal)
+        via_plan = row_anchor(plan)
         direct = row_anchor(kernel)
         assert np.abs(via_plan.values - direct.values).max() <= 1e-8
 
-    def test_zero_marginal_rejected(self):
+    def test_zero_mass_row_is_an_empty_row(self):
+        # Row 1 is admissible but carries no mass: nothing to condition.
         plan = TransportPlan(
-            np.array([[1.0, 1.0]]),
-            np.ones((1, 2), dtype=bool),
+            np.array([[1.0, 1.0], [0.0, 0.0]]),
+            np.ones((2, 2), dtype=bool),
             converged=True,
             iterations=1,
         )
-        with pytest.raises(ZeroMarginal):
-            plan_to_conditional(plan, np.array([0.0]))
+        with pytest.raises(EmptyRow, match="^row 1 has zero total mass$") as exc:
+            row_anchor(plan)
+        assert exc.value.row == 1
 
 
 class TestConstructors:

@@ -16,9 +16,10 @@ from attnkit.checks import (
     _cycle_perturbations,
     _feasible_transport_instance,
     _kl_gaps,
+    _link_composition,
     run_criterion,
 )
-from attnkit.score import EvidenceKernel
+from attnkit.score import EvidenceKernel, Link
 
 
 def _rewired(plan, rewirings):
@@ -203,3 +204,60 @@ def test_sinkhorn_suite_catches_a_feasible_but_suboptimal_plan(monkeypatch):
     results = _by_name(run_criterion("transport_anchor", seed=0))
     assert results["sinkhorn_marginals"].passed
     assert not results["sinkhorn_kl_optimality"].passed
+
+
+class TestLinkComposition:
+    grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+    def test_exponential_passes_exactly(self):
+        worst = _link_composition("link", Link(tau=2.0), self.grid)
+        assert worst.result(len(self.grid), None).passed
+        assert worst.value <= 1e-12
+
+    def test_square_plus_one_fails_with_frozen_violation(self):
+        # Single-point grid isolates the witness pair (1, 1):
+        # g(2) = 5 against g(1)^2 = 4 gives |5-4| / (1+4) = 0.2.
+        result = _link_composition("link", Link(kind="square-plus-one"), [1.0]).result(1, None)
+        assert not result.passed
+        npt.assert_allclose(result.max_deviation, 0.2, rtol=1e-15)
+        assert result.witness == {"witness": [1.0, 1.0]}
+
+    def test_square_plus_one_fails_on_full_grid(self):
+        worst = _link_composition("link", Link(kind="square-plus-one"), self.grid)
+        assert not worst.result(len(self.grid), None).passed
+        assert worst.value >= 0.1
+
+    def test_exp_with_slope_passes(self):
+        worst = _link_composition("link", Link(kind="exp-with-slope", slope=3.0), self.grid)
+        assert worst.result(len(self.grid), None).passed
+
+    def test_softplus_fails(self):
+        worst = _link_composition("link", Link(kind="softplus"), self.grid)
+        assert not worst.result(len(self.grid), None).passed
+
+    def test_the_witness_is_the_first_worst_pair(self):
+        # On [-1, 1], 1 + s^2 violates most at (-1, 1) and at (1, -1):
+        # g(0) = 1 against g(-1) g(1) = 4 gives 3/5. The first pair stays.
+        worst = _link_composition("link", Link(kind="square-plus-one"), [-1.0, 1.0])
+        npt.assert_allclose(worst.value, 0.6, rtol=1e-15)
+        assert worst.witness == {"witness": [-1.0, 1.0]}
+
+
+def test_link_forcing_line_records_the_shortfall_below_its_margin(monkeypatch):
+    # A square link that only just misses composing leaves a shortfall
+    # of 0.1 minus its violation, with the violation as witness.
+    real = checks._link_composition
+
+    def weak(name, link, grid):
+        worst = real(name, link, grid)
+        if link.kind == "square-plus-one":
+            worst.value = 0.04
+        return worst
+
+    monkeypatch.setattr(checks, "_link_composition", weak)
+    results = _by_name(run_criterion("link_compositionality", seed=0))
+    forced = results["square_link_fails_to_compose"]
+    assert not forced.passed and forced.cases == 25
+    npt.assert_allclose(forced.max_deviation, 0.06, rtol=1e-12)
+    assert forced.witness == {"violation": 0.04}
+    assert results["exponential_link_composes"].passed

@@ -629,6 +629,20 @@ def run_stage(stage, **inputs):
          "stages[0].map_x"),
         ("run", run_stage({**PUSHFORWARD, "map_x": {"map": [0, 0], "n_coarse": 10**400}}),
          "stages[0].map_x"),
+        # An attention stage binds <out>_weights too, and takes no bound name.
+        ("run", {"inputs": {"a_weights": [[5, 6], [7, 8]]},
+                 "stages": [{**ATTN_2X2, "op": "attention", "out": "a"},
+                            {"op": "center_scores", "scores": "a_weights", "out": "c"}]},
+         "stages[0].out"),
+        # A field the command or the link kind would not read is refused.
+        ("ffn-check", {**FFN_2X2, "x": [1, 2], "samples": 0, "seed": -5}, "ffn-check.samples"),
+        ("ffn-check", {**FFN_2X2, "x": [1, 2], "seed": 3}, "ffn-check.seed"),
+        ("run", run_stage({"op": "assemble_kernel", "scores": EYE,
+                           "link": {"kind": "softplus", "tau": -3}}), "stages[0].link"),
+        ("run", run_stage({"op": "assemble_kernel", "scores": EYE,
+                           "link": {"kind": "exp", "slope": 7}}), "stages[0].link"),
+        ("run", run_stage({"op": "assemble_kernel", "scores": EYE,
+                           "link": {"kind": "exp-with-slope", "tau": 2}}), "stages[0].link"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -637,6 +651,39 @@ def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, f
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"error: {field}:")
+
+
+def test_refusals_say_what_is_wrong(tmp_path, capsys):
+    cases = [
+        ({"inputs": {"a_weights": EYE}, "stages": [{**ATTN_2X2, "op": "attention", "out": "a"}]},
+         "error: stages[0].out: name 'a_weights' already bound\n"),
+        (run_stage({"op": "assemble_kernel", "scores": EYE,
+                    "link": {"kind": "softplus", "tau": -3}}),
+         "error: stages[0].link: link kind 'softplus' takes no tau, got -3.0\n"),
+        (run_stage({"op": "assemble_kernel", "scores": EYE,
+                    "link": {"kind": "exp", "slope": 7}}),
+         "error: stages[0].link: link kind 'exp' takes no slope, got 7.0\n"),
+    ]
+    for spec, message in cases:
+        assert main(["run", write_config(tmp_path, "input.json", spec)]) == 2
+        assert capsys.readouterr().err == message
+    spec = {**FFN_2X2, "x": [1, 2], "samples": 0, "seed": -5}
+    assert main(["ffn-check", write_config(tmp_path, "input.json", spec)]) == 2
+    assert capsys.readouterr().err == "error: ffn-check.samples: not read when x is given\n"
+
+
+def test_a_plan_row_without_mass_is_a_numeric_failure(tmp_path, capsys):
+    # Row 1 of the kernel is all holes, so the unbalanced plan carries no
+    # mass there and conditioning on it has nothing to divide.
+    spec = {"stages": [
+        {"op": "sinkhorn_unbalanced", "kernel": [[1.0, 2.0], ["-inf", "-inf"]],
+         "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0], "out": "pl"},
+        {"op": "conditional_update", "family": "pl", "values": [[1.0], [2.0]], "out": "u"},
+    ]}
+    assert main(["run", write_config(tmp_path, "input.json", spec)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "numeric failure: row 1 has zero total mass\n"
 
 
 @pytest.mark.parametrize(

@@ -13,16 +13,14 @@ from attnkit.anchor import (
     ConditionalFamily,
     Marginals,
     TransportPlan,
-    plan_to_conditional,
     row_anchor,
     sinkhorn_balanced,
 )
-from attnkit.errors import EmptyRow
+from attnkit.errors import EmptyRow, NonFinite
 from attnkit.operator import (
     AttentionParams,
     FfnParams,
     ValueField,
-    _attend,
     _erf,
     _gelu,
     attention,
@@ -97,7 +95,7 @@ class TestUpdates:
         values = np.where(mask, rng.uniform(0.1, 2.0, (5, 5)), 0.0)
         plan = TransportPlan(values, mask, converged=True, iterations=0)
         field = ValueField(rng.normal(size=(5, 3)))
-        family = plan_to_conditional(plan, plan.row_marginal)
+        family = row_anchor(plan)
         lhs = plan_update(plan, field)
         rhs = plan.row_marginal[:, None] * conditional_update(family, field)
         assert np.abs(lhs - rhs).max() <= 1e-12
@@ -174,9 +172,11 @@ class TestMaskedRowSoftmaxBits:
             assert_same_bits(got, out_of_place_softmax(logits, mask))
 
 
-class TestAttend:
+class TestAttentionReturnsArrays:
     @pytest.mark.parametrize("n", [1, 3, 8, 33])
-    def test_weights_and_output_are_those_of_attention(self, n):
+    def test_weights_are_a_conditional_family_on_the_mask(self, n):
+        # attention builds no family; the weights it returns are the
+        # ones a family on the mask accepts, bit for bit.
         rng = np.random.default_rng(70 + n)
         d_model, d_k, d_v = 4, 3, 2
         e = rng.normal(size=(n, d_model))
@@ -191,12 +191,13 @@ class TestAttend:
                 key_bias=rng.normal(size=n),
                 prior=BaselinePrior(rng.uniform(0.5, 2.0, (n, n))),
             )
-            weights, out = _attend(e, params, mask, "error")
-            family, want = attention(e, params, mask)
-            assert_same_bits(weights, family.values)
-            assert_same_bits(out, want)
+            weights, out = attention(e, params, mask)
+            assert type(weights) is np.ndarray and type(out) is np.ndarray
+            full = np.ones((n, n), dtype=bool) if mask is None else mask
+            assert_same_bits(ConditionalFamily(weights, full).values, weights)
+            assert_same_bits(out, weights @ (e @ params.w_v))
 
-    def test_empty_rows_under_zero_match_attention(self):
+    def test_empty_rows_under_zero_are_zero_rows_of_a_family(self):
         rng = np.random.default_rng(77)
         e = rng.normal(size=(5, 3))
         mask = rng.random((5, 5)) < 0.5
@@ -204,33 +205,30 @@ class TestAttend:
         params = AttentionParams(
             w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)), w_v=np.eye(3)
         )
-        weights, out = _attend(e, params, mask, "zero")
-        family, want = attention(e, params, mask, "zero")
-        assert_same_bits(weights, family.values)
-        assert_same_bits(out, want)
+        weights, out = attention(e, params, mask, "zero")
+        assert (weights[2] == 0).all() and (out[2] == 0).all()
+        assert_same_bits(ConditionalFamily(weights, mask).values, weights)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_weights_are_refused_as_attention_refuses_them(self):
+    def test_non_finite_weights_are_a_numeric_failure(self):
         params = AttentionParams(w_q=np.eye(2) * 1e200, w_k=np.eye(2) * 1e200, w_v=np.eye(2))
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFinite, match="conditional values must be finite and nonnegative"):
             attention(e, params)
-        with pytest.raises(ValueError, match="finite"):
-            _attend(e, params, None, "error")
 
 
 class TestAttention:
     def test_single_token_attends_to_itself(self):
         params = AttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
-        family, out = attention(np.array([[1.0, 2.0]]), params)
-        npt.assert_allclose(family.values, [[1.0]])
+        weights, out = attention(np.array([[1.0, 2.0]]), params)
+        npt.assert_allclose(weights, [[1.0]])
         npt.assert_allclose(out, [[1.0, 2.0]])
 
     def test_identical_keys_split_evenly(self):
         e = np.array([[1.0, 0.0], [1.0, 0.0]])
         params = AttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
-        family, _ = attention(e, params)
-        npt.assert_allclose(family.values, np.full((2, 2), 0.5), atol=1e-15)
+        weights, _ = attention(e, params)
+        npt.assert_allclose(weights, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(51)
@@ -247,9 +245,9 @@ class TestAttention:
                 key_bias=rng.normal(size=n),
                 prior=BaselinePrior(rng.uniform(0.5, 2.0, (n, n))),
             )
-            family, out = attention(e, params, mask)
+            weights, out = attention(e, params, mask)
             want = oracle_attention_weights(e, params, mask)
-            assert np.abs(family.values - want).max() <= 1e-12
+            assert np.abs(weights - want).max() <= 1e-12
             npt.assert_allclose(out, want @ (e @ params.w_v), atol=1e-12)
 
     def test_temperature_absorbs_into_query_scale(self):
@@ -261,9 +259,9 @@ class TestAttention:
         tau = 2.5
         hot = AttentionParams(w_q=w_q, w_k=w_k, w_v=w_v, tau=tau)
         absorbed = AttentionParams(w_q=w_q / tau, w_k=w_k, w_v=w_v, tau=1.0)
-        hot_family, _ = attention(e, hot)
-        cold_family, _ = attention(e, absorbed)
-        assert np.abs(hot_family.values - cold_family.values).max() <= 1e-12
+        hot_weights, _ = attention(e, hot)
+        cold_weights, _ = attention(e, absorbed)
+        assert np.abs(hot_weights - cold_weights).max() <= 1e-12
 
     def test_causal_mask_zeroes_the_future(self):
         rng = np.random.default_rng(65)
@@ -274,8 +272,8 @@ class TestAttention:
             w_k=rng.normal(size=(3, 2)),
             w_v=rng.normal(size=(3, 2)),
         )
-        family, _ = attention(e, params, mask)
-        assert (family.values[~mask] == 0).all()
+        weights, _ = attention(e, params, mask)
+        assert (weights[~mask] == 0).all()
 
     def test_weights_agree_with_row_anchored_kernel(self):
         # The softmax route and the explicit kernel-then-anchor route
@@ -290,13 +288,13 @@ class TestAttention:
             w_v=rng.normal(size=(3, 2)),
             tau=1.3,
         )
-        family, _ = attention(e, params, mask)
+        weights, _ = attention(e, params, mask)
         q = e @ params.w_q
         k = e @ params.w_k
         scores = (q @ k.T) / math.sqrt(2) / params.tau
         kernel_values = np.where(mask, np.exp(scores - scores.max()), 0.0)
         anchored = row_anchor(EvidenceKernel(kernel_values, mask))
-        assert np.abs(family.values - anchored.values).max() <= 1e-12
+        assert np.abs(weights - anchored.values).max() <= 1e-12
 
 
 class TestFfn:
@@ -499,9 +497,9 @@ class TestMixtures:
             w_k=rng.normal(size=(3, 2)),
             w_v=rng.normal(size=(3, 3)),
         )
-        family, attn_out = attention(e, params)
+        weights, attn_out = attention(e, params)
         identity_kernel = EvidenceKernel(np.eye(4), np.eye(4, dtype=bool))
-        attn_kernel = EvidenceKernel(family.values, family.mask)
+        attn_kernel = EvidenceKernel(weights, np.ones((4, 4), dtype=bool))
         out, _ = gated_mixture_plan(
             np.ones((4, 2)),
             [

@@ -1,4 +1,4 @@
-"""Kernel assembly, support law, and the link compositionality check."""
+"""Kernel assembly, the support law, and links."""
 
 import math
 
@@ -15,7 +15,6 @@ from attnkit.score import (
     MaskedMatrix,
     MaskedScore,
     assemble_kernel,
-    check_link_compositionality,
 )
 
 
@@ -87,40 +86,6 @@ def test_assemble_shape_mismatch():
             BaselinePrior(np.ones((2, 3))),
             Link(),
         )
-
-
-class TestLinkCompositionality:
-    grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
-
-    def test_exponential_passes_exactly(self):
-        report = check_link_compositionality(Link(tau=2.0), self.grid)
-        assert report.passed
-        assert report.max_violation <= 1e-12
-
-    def test_square_plus_one_fails_with_frozen_violation(self):
-        # Single-point grid isolates the witness pair (1, 1):
-        # g(2) = 5 against g(1)^2 = 4 gives |5-4| / (1+4) = 0.2.
-        report = check_link_compositionality(Link(kind="square-plus-one"), [1.0])
-        assert not report.passed
-        npt.assert_allclose(report.max_violation, 0.2, rtol=1e-15)
-        assert report.witness == (1.0, 1.0)
-
-    def test_square_plus_one_fails_on_full_grid(self):
-        report = check_link_compositionality(Link(kind="square-plus-one"), self.grid)
-        assert not report.passed
-        assert report.max_violation >= 0.1
-
-    def test_exp_with_slope_passes(self):
-        report = check_link_compositionality(Link(kind="exp-with-slope", slope=3.0), self.grid)
-        assert report.passed
-
-    def test_softplus_fails(self):
-        report = check_link_compositionality(Link(kind="softplus"), self.grid)
-        assert not report.passed
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            check_link_compositionality(Link(), [])
 
 
 def test_softplus_underflow_is_a_numeric_failure():

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from attnkit import cli, staged
 from attnkit.anchor import ConditionalFamily
 from attnkit.carrier import RefinementMap
 from attnkit.errors import EmptyRow
-from attnkit.operator import AttentionParams, FfnParams, attention
+from attnkit.operator import AttentionParams, FfnParams
 from attnkit.staged import (
     ChartSpec,
     CompSpec,
@@ -452,8 +453,29 @@ class TestRunSchedule:
         initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
         run_schedule(initial, schedule, cfg)
         assert built == []
-        attention(initial, schedule[0].attn)  # the spy sees the public path
+        # The CLI attention op wraps the weights for printing and binding.
+        attn = schedule[0].attn
+        cli._attention(initial, w_q=attn.w_q, w_k=attn.w_k, w_v=attn.w_v)
         assert built == [(5, 5)]
+
+    def test_calls_attention_once_per_stage(self, monkeypatch):
+        # The staged block reaches attention through its module-level
+        # name, once per stage, under that stage's mask.
+        seen = []
+        real = staged.attention
+
+        def counting(embeddings, params, mask=None, on_empty="error"):
+            seen.append((params, mask))
+            return real(embeddings, params, mask, on_empty)
+
+        monkeypatch.setattr(staged, "attention", counting)
+        rng = np.random.default_rng(144)
+        initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
+        trace = run_schedule(initial, schedule, cfg)
+        assert len(seen) == len(schedule) == 4
+        for (params, mask), step, stage_mask in zip(seen, schedule, trace.masks):
+            assert params is step.attn
+            assert np.array_equal(mask, stage_mask)
 
     def test_flat_schedule_equals_repeated_blocks(self):
         rng = np.random.default_rng(143)
