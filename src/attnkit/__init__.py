@@ -43,13 +43,11 @@ from .lowrank import (
 from .operator import (
     AttentionParams,
     FfnParams,
-    ValueField,
     attention,
-    conditional_update,
     ffn_as_ga,
     gated_mixture_conditional,
     gated_mixture_plan,
-    plan_update,
+    update,
 )
 from .score import (
     BaselinePrior,

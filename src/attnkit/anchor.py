@@ -56,7 +56,7 @@ class ConditionalFamily(MaskedMatrix):
         if (np.abs(sums[nonempty] - 1.0) > 1e-12).any():
             worst = int(np.argmax(np.abs(sums - 1.0) * nonempty))
             raise ValueError(
-                f"row {worst} sums to {sums[worst]!r}, not 1 within 1e-12"
+                f"row {worst} sums to {float(sums[worst])!r}, not 1 within 1e-12"
             )
 
 
@@ -109,15 +109,20 @@ class TransportPlan(MaskedMatrix):
 
 def row_anchor(matrix: MaskedMatrix) -> ConditionalFamily:
     """Normalize each row of a kernel or a plan into a conditional
-    distribution. Fails hard on a row with zero mass; there is no
-    fallback distribution.
+    distribution, a row whose sum overflows from its entries over its
+    largest one. A row with zero mass is fatal; there is no fallback.
     """
-    mass = matrix.values.sum(axis=1)
+    with np.errstate(over="ignore"):
+        mass = matrix.values.sum(axis=1)
     empty = np.flatnonzero(mass == 0)
     if empty.size:
         row = int(empty[0])
         raise EmptyRow(row, f"row {row} has zero total mass")
-    return ConditionalFamily(matrix.values / mass[:, None], matrix.mask)
+    values = matrix.values / mass[:, None]
+    for row in np.flatnonzero(np.isinf(mass)):
+        scaled = matrix.values[row] / matrix.values[row].max()
+        values[row] = scaled / scaled.sum()
+    return ConditionalFamily(values, matrix.mask)
 
 
 def generalized_kl(a, b) -> float:

@@ -34,13 +34,12 @@ from .lowrank import reparameterize_chart, svd, truncate
 from .operator import (
     AttentionParams,
     FfnParams,
-    ValueField,
     attention,
-    conditional_update,
     ffn_as_ga,
     gated_mixture_conditional,
     gated_mixture_plan,
     masked_row_softmax,
+    update,
 )
 from .score import EvidenceKernel, Link, MaskedScore, assemble_kernel
 from .staged import (
@@ -396,26 +395,20 @@ def check_mixture_flattening(rng, tol=None):
             raw = np.where(mask, rng.uniform(0.1, 2.0, (n_x, n_y)), 0.0)
             family_values = raw / raw.sum(axis=1, keepdims=True)
             field_values = rng.normal(size=(n_y, d))
-            cond_branches.append(
-                (ConditionalFamily(family_values, mask), ValueField(field_values))
-            )
-            plan_branches.append(
-                (EvidenceKernel(raw, mask), ValueField(field_values))
-            )
+            cond_branches.append((ConditionalFamily(family_values, mask), field_values))
+            plan_branches.append((EvidenceKernel(raw, mask), field_values))
 
         raw_gates = rng.uniform(0.05, 1.0, (n_x, n_branches))
         gates = raw_gates / raw_gates.sum(axis=1, keepdims=True)
         out, flattened = gated_mixture_conditional(gates, cond_branches)
-        stacked = ValueField(
-            np.concatenate([f.values for _, f in cond_branches], axis=0)
-        )
-        dev = float(np.abs(conditional_update(flattened, stacked) - out).max())
+        stacked = np.concatenate([v for _, v in cond_branches], axis=0)
+        dev = float(np.abs(update(flattened, stacked) - out).max())
         cond.see(dev, case=i, branches=n_branches, deviation=dev)
 
         beta = rng.uniform(0.0, 2.0, (n_x, n_branches))
         plan_out, plan_flat = gated_mixture_plan(beta, plan_branches)
-        plan_stacked = np.concatenate([f.values for _, f in plan_branches], axis=0)
-        dev = float(np.abs(plan_flat.values @ plan_stacked - plan_out).max())
+        plan_stacked = np.concatenate([v for _, v in plan_branches], axis=0)
+        dev = float(np.abs(update(plan_flat, plan_stacked) - plan_out).max())
         plan.see(dev, case=i, branches=n_branches, deviation=dev)
     return [cond.result(cases, tol), plan.result(cases, tol)]
 

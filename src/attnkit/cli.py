@@ -60,11 +60,9 @@ from .matio import (
 from .operator import (
     AttentionParams,
     FfnParams,
-    ValueField,
     attention,
-    conditional_update,
     ffn_as_ga,
-    plan_update,
+    update,
 )
 from .score import BaselinePrior, EvidenceKernel, Link, MaskedMatrix, MaskedScore, assemble_kernel
 from .staged import (
@@ -220,6 +218,13 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _tolerance(tol: float, where: str) -> float:
+    """tol if it is finite and >= 0: below 0 nothing passes, at inf nothing fails."""
+    if not 0 <= tol <= sys.float_info.max:
+        raise ConfigInvalid(where, f"must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _typed(noun: str, kind: type, item: type | None = None):
     """A reader of a JSON value of exactly type kind, so that true is not
     the integer 1 and 2.7 is not 2; with item, a list of such values."""
@@ -347,10 +352,10 @@ _OPS = {row.name: row for row in (
     _Row("sinkhorn_unbalanced", lambda kernel, mu_out, mu_in, **kw: sinkhorn_unbalanced(
         kernel, Marginals(mu_out, mu_in), **kw), _TRANSPORT,
          {"lam_out": "number", "lam_in": "number", **_BUDGET}),
-    _Row("plan_update", lambda plan, values: plan_update(plan, ValueField(values)),
+    _Row("plan_update", lambda plan, values: update(plan, values),
          {"plan": "plan", "values": "finite matrix"}, at="values"),
-    _Row("conditional_update", lambda family, values: conditional_update(
-        family, ValueField(values)), {"family": "family", "values": "finite matrix"}, at="values"),
+    _Row("conditional_update", lambda family, values: update(family, values),
+         {"family": "family", "values": "finite matrix"}, at="values"),
     _Row("center_scores", center_scores, {"scores": "finite matrix"}, {"mode": "string"},
          at="mode"),
     _Row("score_normal_form", score_normal_form, {"scores": "finite matrix", "rank": "integer"},
@@ -398,6 +403,7 @@ def _ffn_check(x=None, samples=None, seed=None, tolerance=1e-10, **ffn) -> dict:
     """The feedforward block against its kernel form, on x or on samples
     random inputs drawn from seed (20 from seed 0 by default); with x,
     samples and seed would not be read, so neither may be given."""
+    _tolerance(tolerance, "ffn-check.tolerance")
     params = FfnParams(**ffn)
     if x is None:
         samples = 20 if samples is None else samples
@@ -565,8 +571,9 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     seed = _seed_from_env(args.seed, "--seed")
     suites = _suites(args.suite or list(SUITES), "--suite")
+    tol = None if args.tol is None else _tolerance(args.tol, "--tol")
     started = time.perf_counter()
-    reports = run_checks(suites, seed=seed, tol=args.tol)
+    reports = run_checks(suites, seed=seed, tol=tol)
     payload = {
         "seed": seed,
         "passed": all(r.passed for r in reports),

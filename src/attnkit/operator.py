@@ -1,15 +1,14 @@
 """Update operators: attention, feedforward, and gated mixtures.
 
-A plan update integrates a value field against a coupling; a
-conditional update does the same against a row-stochastic family.
-Scaled dot-product attention is the special case where the conditional
-comes from row-anchoring an exponential kernel built out of query/key
-products, and a two-layer feedforward block is a plan update over a
-signed copy of its hidden layer (a positive and a negative copy of
-each hidden unit, side by side). Gated mixtures of either kind flatten
-into a single update over the branch-union carrier, the branches' key
-columns side by side, which is the whole point: composition never
-leaves the class.
+An update integrates a value field against a weight matrix: a coupling,
+a row-stochastic family or a kernel. Scaled dot-product attention is
+the special case where the conditional comes from row-anchoring an
+exponential kernel built out of query/key products, and a two-layer
+feedforward block is a kernel update over a signed copy of its hidden
+layer (a positive and a negative copy of each hidden unit, side by
+side). Gated mixtures of either kind flatten into a single update over
+the branch-union carrier, the branches' key columns side by side, which
+is the whole point: composition never leaves the class.
 """
 
 from __future__ import annotations
@@ -19,65 +18,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchor import ConditionalFamily, TransportPlan
+from .anchor import ConditionalFamily
 from .errors import EmptyRow, NonFinite
-from .score import BaselinePrior, EvidenceKernel, _as_mask, _as_matrix
-
-@dataclass(frozen=True)
-class ValueField:
-    """Finite feature vectors indexed by the key-side carrier."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _as_matrix(self.values, "value field")
-        if not np.isfinite(values).all():
-            raise ValueError("value field entries must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
+from .score import BaselinePrior, EvidenceKernel, MaskedMatrix, _as_mask, _as_matrix
 
 
-def _weighted_update(weights, field: ValueField) -> np.ndarray:
-    if weights.shape[1] != field.n:
+def update(weights: MaskedMatrix, values) -> np.ndarray:
+    """out(x) = sum_y W(x, y) v(y), i.e. weights.values @ values, for
+    any weight matrix: a conditional family, a plan or a kernel."""
+    values = _as_matrix(values, "value field")
+    if not np.isfinite(values).all():
+        raise ValueError("value field entries must be finite")
+    if weights.shape[1] != values.shape[0]:
         raise ValueError(
-            f"weight columns {weights.shape[1]} != value rows {field.n}"
+            f"weight columns {weights.shape[1]} != value rows {values.shape[0]}"
         )
-    return weights @ field.values
+    return weights.values @ values
 
 
-def plan_update(plan: TransportPlan, field: ValueField) -> np.ndarray:
-    """out(x) = sum_y plan(x,y) v(y), i.e. plan @ v."""
-    return _weighted_update(plan.values, field)
-
-
-def conditional_update(family: ConditionalFamily, field: ValueField) -> np.ndarray:
-    """Same as plan_update but against a row-stochastic family."""
-    return _weighted_update(family.values, field)
-
-
-def masked_row_softmax(logits, mask, on_empty: str = "error") -> np.ndarray:
+def masked_row_softmax(logits, mask, zero_empty: bool = False) -> np.ndarray:
     """Row softmax restricted to the mask, with per-row max subtraction.
 
-    Fully masked rows either raise EmptyRow (default) or come back as
-    all-zero rows when on_empty="zero"; the latter is the staged
-    zero-update convention.
+    Fully masked rows raise EmptyRow, or come back as all-zero rows
+    with zero_empty (the staged zero-update convention).
     """
     logits = np.asarray(logits, dtype=np.float64)
     mask = _as_mask(mask, logits.shape)
     live = mask.any(axis=1)
     dead = not live.all()
-    if dead:
-        if on_empty == "error":
-            raise EmptyRow(int(np.flatnonzero(~live)[0]))
-        if on_empty != "zero":
-            raise ValueError(f"unknown empty-row policy {on_empty!r}")
+    if dead and not zero_empty:
+        raise EmptyRow(int(np.flatnonzero(~live)[0]))
     # One n x n array, worked in place: shift, exp (exp(-inf) is an
     # exact 0), normalize. Dead rows shift by 0 and divide by 1.
     weights = np.where(mask, logits, -np.inf)
@@ -145,7 +115,7 @@ def _finite(out: np.ndarray, what: str) -> np.ndarray:
 
 
 def attention(
-    embeddings, params: AttentionParams, mask=None, on_empty: str = "error"
+    embeddings, params: AttentionParams, mask=None, zero_empty: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention as an anchored kernel update.
 
@@ -177,7 +147,7 @@ def attention(
             logits = logits + np.log(params.prior.values)
         if mask is None:
             mask = np.ones((n, n), dtype=bool)
-        weights = masked_row_softmax(logits, mask, on_empty=on_empty)
+        weights = masked_row_softmax(logits, mask, zero_empty)
         out = weights @ v
     # Softmax entries lie in [0, 1] or are NaN (an infinite or NaN
     # logit), so one sum tells whether a ConditionalFamily would refuse
@@ -338,8 +308,8 @@ def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     negative = np.maximum(-hidden, 0.0)
     evidence = np.concatenate([positive, negative])[None, :]
     kernel = EvidenceKernel(evidence, evidence > 0)
-    signed_values = ValueField(np.concatenate([params.w2.T, -params.w2.T], axis=0))
-    ga_form = (kernel.values @ signed_values.values)[0] + params.b2
+    signed_values = np.concatenate([params.w2.T, -params.w2.T], axis=0)
+    ga_form = update(kernel, signed_values)[0] + params.b2
     return direct, _finite(ga_form, "feedforward output")
 
 
@@ -349,6 +319,8 @@ def _mixture_gates(gates, branches) -> np.ndarray:
         raise ValueError("a mixture needs at least one branch")
     if g.ndim != 2 or g.shape[1] != len(branches):
         raise ValueError("gates must be n_x by number of branches")
+    if (g < 0).any() or not np.isfinite(g).all():
+        raise ValueError("gates must be nonnegative and finite")
     return g
 
 
@@ -357,17 +329,16 @@ def _flatten_mixture(gates: np.ndarray, branches) -> tuple[np.ndarray, np.ndarra
     flattened weights gate(x, b) * W_b(x, y) and their mask on the
     branch-union carrier."""
     n_x = gates.shape[0]
-    d = branches[0][1].d
-    blocks = []
-    masks = []
-    out = np.zeros((n_x, d))
-    for b, (weights, field) in enumerate(branches):
+    parts = [update(weights, values) for weights, values in branches]
+    blocks, masks = [], []
+    out = np.zeros((n_x, parts[0].shape[1]))
+    for b, ((weights, _), part) in enumerate(zip(branches, parts)):
         if weights.shape[0] != n_x:
             raise ValueError("branches must share the query carrier")
-        if field.d != d:
+        if part.shape[1] != out.shape[1]:
             raise ValueError("branch value fields must share the feature dimension")
         gate = gates[:, b : b + 1]
-        out += gate * _weighted_update(weights.values, field)
+        out += gate * part
         blocks.append(gate * weights.values)
         masks.append((gate > 0) & weights.mask)
     return out, np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
@@ -381,8 +352,6 @@ def gated_mixture_conditional(gates, branches) -> tuple[np.ndarray, ConditionalF
     with it reproduces the mixed output up to summation order.
     """
     alpha = _mixture_gates(gates, branches)
-    if (alpha < 0).any() or not np.isfinite(alpha).all():
-        raise ValueError("gates must be nonnegative and finite")
     if (np.abs(alpha.sum(axis=1) - 1.0) > 1e-12).any():
         raise ValueError("gate rows must sum to 1 within 1e-12")
     out, values, mask = _flatten_mixture(alpha, branches)
@@ -396,7 +365,5 @@ def gated_mixture_plan(gates, branches) -> tuple[np.ndarray, EvidenceKernel]:
     gate(x,b) * K_b(x,y) over the branch-union carrier.
     """
     beta = _mixture_gates(gates, branches)
-    if (beta < 0).any() or not np.isfinite(beta).all():
-        raise ValueError("plan gates must be nonnegative and finite")
     out, values, mask = _flatten_mixture(beta, branches)
     return out, EvidenceKernel(values, mask)

@@ -41,6 +41,8 @@ class ChartSpec:
     def __post_init__(self):
         if self.kind not in ("identity", "rms_norm", "layer_norm"):
             raise ValueError(f"unknown chart kind {self.kind!r}")
+        if self.kind == "identity" and self.eps != 1e-6:
+            raise ValueError(f"chart kind 'identity' takes no eps, got {self.eps!r}")
         if not self.eps > 0:
             raise ValueError(f"eps must be strictly positive, got {self.eps!r}")
 
@@ -49,10 +51,10 @@ class ChartSpec:
 class CompSpec:
     """How an update is composed back into the record.
 
-    gated composition needs a gate matrix of shape (2 d, d); the gate is
-    an elementwise sigmoid of the linear map applied to the
-    concatenation of record and update. postnorm renormalizes the sum
-    with its own norm kind and epsilon.
+    Only gated reads gate, a matrix of shape (2 d, d): the gate is an
+    elementwise sigmoid of its linear map of record and update
+    concatenated. Only postnorm reads norm and eps, to renormalize the
+    sum; other kinds refuse them unless they hold the default.
     """
 
     kind: str = "additive"
@@ -63,6 +65,11 @@ class CompSpec:
     def __post_init__(self):
         if self.kind not in ("additive", "gated", "postnorm"):
             raise ValueError(f"unknown composition kind {self.kind!r}")
+        if self.kind != "gated" and self.gate is not None:
+            raise ValueError(f"composition kind {self.kind!r} takes no gate")
+        for name, value, default in (("norm", self.norm, "rms_norm"), ("eps", self.eps, 1e-6)):
+            if self.kind != "postnorm" and value != default:
+                raise ValueError(f"composition kind {self.kind!r} takes no {name}, got {value!r}")
         if self.kind == "gated":
             if self.gate is None:
                 raise ValueError("gated composition needs a gate matrix")
@@ -140,8 +147,7 @@ def _block_with_update(records, attn, ffn, cfg, mask) -> tuple[np.ndarray, np.nd
     r = np.asarray(records, dtype=np.float64)
     if attn.d_v != r.shape[1] or ffn.d_model != r.shape[1]:
         raise ValueError("attention and feedforward widths must match the record")
-    on_empty = "zero" if cfg.zero_update_on_empty else "error"
-    _, attn_update = attention(apply_chart(r, cfg.chart), attn, mask, on_empty)
+    _, attn_update = attention(apply_chart(r, cfg.chart), attn, mask, cfg.zero_update_on_empty)
     mid = apply_comp(r, attn_update, cfg.comp)
     ffn_update = ffn_apply(apply_chart(mid, cfg.chart), ffn)
     out = apply_comp(mid, ffn_update, cfg.comp)

@@ -240,6 +240,20 @@ class TestRowAnchor:
             row_anchor(kernel)
         assert exc.value.row == 1
 
+    def test_row_whose_sum_overflows_is_normalized_from_its_largest_entry(self):
+        # 1e308 + 1e308 overflows to inf; the row is normalized from the
+        # entries over 1e308 instead, and the other rows keep their bits.
+        values = np.array([[1e308, 1e308, 0.0], [1.0, 2.0, 4.0], [1e308, 9e307, 1e300]])
+        kernel = EvidenceKernel(values, values > 0)
+        family = row_anchor(kernel)
+        npt.assert_array_equal(family.values[0], [0.5, 0.5, 0.0])
+        assert family.values[1].tobytes() == (values[1] / values[1].sum()).tobytes()
+        npt.assert_allclose(family.values[2], np.array([1.0, 0.9, 1e-8]) / 1.90000001, rtol=1e-15)
+
+    def test_row_sum_message_prints_a_float(self):
+        with pytest.raises(ValueError, match=r"^row 0 sums to 0\.5, not 1 within 1e-12$"):
+            ConditionalFamily(np.array([[0.25, 0.25]]), np.ones((1, 2), dtype=bool))
+
     def test_row_scaling_is_a_gauge(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

@@ -244,6 +244,21 @@ def test_check_rejects_an_unknown_suite_before_any_suite_runs(monkeypatch, capsy
     assert out.out == "" and out.err.startswith("error: --suite: unknown suite 'nope'")
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_check_refuses_a_tolerance_that_cannot_decide_before_any_suite_runs(
+    monkeypatch, capsys, tol
+):
+    # Below 0 or NaN no property can pass; at inf none can fail.
+    def run_criterion(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(checks, "run_criterion", run_criterion)
+    assert main(["check", "--suite", "gauge", f"--tol={tol}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --tol: must be a finite number >= 0, got {float(tol)!r}\n"
+
+
 def test_check_zero_tolerance_exits_4_with_witnesses(capsys):
     code = main(["check", "--suite", "gauge", "--tol", "0"])
     out = capsys.readouterr().out
@@ -475,10 +490,13 @@ def test_ffn_check_passes_then_fails_on_forced_tolerance(tmp_path, capsys):
     assert result["passed"] is True
     assert result["max_deviation"] <= 1e-10
 
-    payload["tolerance"] = -1.0
+    # The two routes sum in different orders, so a few samples differ
+    # in the last bits and a zero tolerance fails.
+    payload["tolerance"] = 0.0
     forced = write_config(tmp_path, "ffn_forced.json", payload)
     assert main(["ffn-check", forced]) == 4
-    assert json.loads(capsys.readouterr().out)["passed"] is False
+    result = json.loads(capsys.readouterr().out)
+    assert result["passed"] is False and result["max_deviation"] > 0
 
 
 def test_stage_run_never_imports_scipy():
@@ -507,6 +525,7 @@ EYE = [[1.0, 0.0], [0.0, 1.0]]
 ATTN_2X2 = {"embeddings": EYE, "w_q": EYE, "w_k": EYE, "w_v": EYE}
 STEP_2X2 = {"attn": {"w_q": EYE, "w_k": EYE, "w_v": EYE}, "ffn": FFN_2X2}
 STAGE_RUN_2X2 = {"initial": EYE, "schedule": [STEP_2X2]}
+GATE_2X2 = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 PUSHFORWARD = {"op": "pushforward_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]], "out": "k",
                "map_x": {"map": [0, 0], "n_coarse": 1}}
 
@@ -643,6 +662,17 @@ def run_stage(stage, **inputs):
                            "link": {"kind": "exp", "slope": 7}}), "stages[0].link"),
         ("run", run_stage({"op": "assemble_kernel", "scores": EYE,
                            "link": {"kind": "exp-with-slope", "tau": 2}}), "stages[0].link"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "additive", "gate": GATE_2X2}}},
+         "stage-run.cfg.comp"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "additive",
+                                                         "norm": "layer_norm", "eps": 5}}},
+         "stage-run.cfg.comp"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "gated", "gate": GATE_2X2,
+                                                         "eps": 3}}}, "stage-run.cfg.comp"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": {"kind": "identity", "eps": 7}}},
+         "stage-run.cfg.chart"),
+        # A tolerance below 0 never passes.
+        ("ffn-check", {**FFN_2X2, "tolerance": -1}, "ffn-check.tolerance"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -667,6 +697,26 @@ def test_refusals_say_what_is_wrong(tmp_path, capsys):
     for spec, message in cases:
         assert main(["run", write_config(tmp_path, "input.json", spec)]) == 2
         assert capsys.readouterr().err == message
+    cases = [
+        ({"comp": {"kind": "additive", "gate": GATE_2X2}},
+         "error: stage-run.cfg.comp: composition kind 'additive' takes no gate\n"),
+        ({"comp": {"kind": "additive", "norm": "layer_norm"}},
+         "error: stage-run.cfg.comp: composition kind 'additive' takes no norm, "
+         "got 'layer_norm'\n"),
+        ({"comp": {"kind": "gated", "gate": GATE_2X2, "eps": 3}},
+         "error: stage-run.cfg.comp: composition kind 'gated' takes no eps, got 3.0\n"),
+        ({"chart": {"kind": "identity", "eps": 7}},
+         "error: stage-run.cfg.chart: chart kind 'identity' takes no eps, got 7.0\n"),
+    ]
+    for cfg, message in cases:
+        spec = {**STAGE_RUN_2X2, "cfg": cfg}
+        assert main(["stage-run", write_config(tmp_path, "input.json", spec)]) == 2
+        assert capsys.readouterr().err == message
+    spec = {**FFN_2X2, "tolerance": -1}
+    assert main(["ffn-check", write_config(tmp_path, "input.json", spec)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ffn-check.tolerance: must be a finite number >= 0, got -1.0\n"
+    )
     spec = {**FFN_2X2, "x": [1, 2], "samples": 0, "seed": -5}
     assert main(["ffn-check", write_config(tmp_path, "input.json", spec)]) == 2
     assert capsys.readouterr().err == "error: ffn-check.samples: not read when x is given\n"

@@ -39,6 +39,10 @@ property the first case counted. It and `ffn_check_gelu` (32 seeded
 samples through a gelu block, whose pre-activations reach both
 branches of the erf) were pinned just before the harness's per-property
 worst and witness tracking moved into one recorder.
+
+`anchor_row_huge` row-anchors a kernel whose first row sums past the
+largest double; that row is normalized from its entries over its
+largest one and prints [0.5, 0.5], with no numpy warning.
 """
 
 import json
@@ -55,6 +59,7 @@ CASES = {
     "run_pipeline": (["run", str(GOLDEN / "run_pipeline.json")], 0),
     "stage_run_causal": (["stage-run", str(GOLDEN / "stage_run_causal.json")], 0),
     "anchor_unbalanced": (["anchor", str(GOLDEN / "anchor_unbalanced.json")], 0),
+    "anchor_row_huge": (["anchor", str(GOLDEN / "anchor_row_huge.json")], 0),
     "attn_masked": (["attn", str(GOLDEN / "attn_masked.json")], 0),
     "chart_rank1": (["chart", str(GOLDEN / "chart_rank1.json")], 0),
     "ffn_check_gelu": (["ffn-check", str(GOLDEN / "ffn_check_gelu.json")], 0),

@@ -20,17 +20,15 @@ from attnkit.errors import EmptyRow, NonFinite
 from attnkit.operator import (
     AttentionParams,
     FfnParams,
-    ValueField,
     _erf,
     _gelu,
     attention,
-    conditional_update,
     ffn_apply,
     ffn_as_ga,
     gated_mixture_conditional,
     gated_mixture_plan,
     masked_row_softmax,
-    plan_update,
+    update,
 )
 from attnkit.score import BaselinePrior, EvidenceKernel
 
@@ -67,6 +65,18 @@ def random_conditional(rng, n_x, n_y):
     return ConditionalFamily(raw / raw.sum(axis=1, keepdims=True), mask)
 
 
+def weight_matrices(rng, n_x, n_y):
+    """A kernel, a conditional family and a plan on one random mask, by kind."""
+    mask = rng.random((n_x, n_y)) < 0.7
+    mask[:, 0] = True
+    raw = np.where(mask, rng.uniform(0.1, 2.0, (n_x, n_y)), 0.0)
+    return {
+        "kernel": EvidenceKernel(raw, mask),
+        "conditional": ConditionalFamily(raw / raw.sum(axis=1, keepdims=True), mask),
+        "plan": TransportPlan(raw, mask, converged=True, iterations=0),
+    }
+
+
 class TestUpdates:
     def test_plan_update_is_matrix_action(self):
         plan = TransportPlan(
@@ -75,15 +85,31 @@ class TestUpdates:
             converged=True,
             iterations=0,
         )
-        field = ValueField(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        npt.assert_array_equal(plan_update(plan, field), plan.values)
+        npt.assert_array_equal(update(plan, np.array([[1.0, 0.0], [0.0, 1.0]])), plan.values)
 
     def test_conditional_update_averages(self):
         family = ConditionalFamily(
             np.array([[0.5, 0.5]]), np.ones((1, 2), dtype=bool)
         )
-        field = ValueField(np.array([[2.0], [4.0]]))
-        npt.assert_allclose(conditional_update(family, field), [[3.0]])
+        npt.assert_allclose(update(family, np.array([[2.0], [4.0]])), [[3.0]])
+
+    @pytest.mark.parametrize("kind", ["kernel", "conditional", "plan"])
+    def test_is_the_matrix_product_bit_for_bit(self, kind):
+        rng = np.random.default_rng(44)
+        weights = weight_matrices(rng, 6, 5)[kind]
+        values = rng.normal(size=(5, 3))
+        assert_same_bits(update(weights, values), weights.values @ values)
+
+    @pytest.mark.parametrize("kind", ["kernel", "conditional", "plan"])
+    def test_refuses_non_finite_values_and_a_row_count_mismatch(self, kind):
+        rng = np.random.default_rng(46)
+        weights = weight_matrices(rng, 3, 4)[kind]
+        values = np.ones((4, 2))
+        values[2, 1] = np.inf
+        with pytest.raises(ValueError, match="^value field entries must be finite$"):
+            update(weights, values)
+        with pytest.raises(ValueError, match="^weight columns 4 != value rows 3$"):
+            update(weights, np.ones((3, 2)))
 
     def test_plan_factors_through_conditional(self):
         # A plan update is the row-mass times the conditional update of
@@ -94,10 +120,10 @@ class TestUpdates:
         mask[np.arange(5), np.arange(5)] = True
         values = np.where(mask, rng.uniform(0.1, 2.0, (5, 5)), 0.0)
         plan = TransportPlan(values, mask, converged=True, iterations=0)
-        field = ValueField(rng.normal(size=(5, 3)))
+        values = rng.normal(size=(5, 3))
         family = row_anchor(plan)
-        lhs = plan_update(plan, field)
-        rhs = plan.row_marginal[:, None] * conditional_update(family, field)
+        lhs = update(plan, values)
+        rhs = plan.row_marginal[:, None] * update(family, values)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -124,10 +150,8 @@ class TestMaskedRowSoftmax:
         mask = np.array([[True, True], [False, False]])
         with pytest.raises(EmptyRow):
             masked_row_softmax(logits, mask)
-        out = masked_row_softmax(logits, mask, on_empty="zero")
+        out = masked_row_softmax(logits, mask, zero_empty=True)
         npt.assert_array_equal(out[1], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            masked_row_softmax(logits, mask, on_empty="skip")
 
 
 def out_of_place_softmax(logits, mask):
@@ -159,7 +183,7 @@ class TestMaskedRowSoftmaxBits:
         mask = rng.random((n, m)) < density
         if drop_rows:
             mask[rng.random(n) < 0.3] = False
-        got = masked_row_softmax(logits, mask, on_empty="zero")
+        got = masked_row_softmax(logits, mask, zero_empty=True)
         assert_same_bits(got, out_of_place_softmax(logits, mask))
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 1000), (300, 300), (1000, 3)])
@@ -168,7 +192,7 @@ class TestMaskedRowSoftmaxBits:
         logits = rng.normal(size=shape) * 10.0
         for density in (0.05, 0.5, 1.0):
             mask = rng.random(shape) < density
-            got = masked_row_softmax(logits, mask, on_empty="zero")
+            got = masked_row_softmax(logits, mask, zero_empty=True)
             assert_same_bits(got, out_of_place_softmax(logits, mask))
 
 
@@ -438,22 +462,22 @@ class TestMixtures:
     def test_single_branch_is_transparent(self):
         rng = np.random.default_rng(97)
         family = random_conditional(rng, 3, 4)
-        field = ValueField(rng.normal(size=(4, 2)))
+        values = rng.normal(size=(4, 2))
         out, flattened = gated_mixture_conditional(
-            np.ones((3, 1)), [(family, field)]
+            np.ones((3, 1)), [(family, values)]
         )
-        npt.assert_allclose(out, conditional_update(family, field), atol=1e-14)
+        npt.assert_allclose(out, update(family, values), atol=1e-14)
         npt.assert_allclose(flattened.values, family.values, atol=1e-15)
 
     def test_one_hot_gate_selects_a_branch(self):
         rng = np.random.default_rng(99)
         families = [random_conditional(rng, 3, 4) for _ in range(2)]
-        fields = [ValueField(rng.normal(size=(4, 2))) for _ in range(2)]
+        fields = [rng.normal(size=(4, 2)) for _ in range(2)]
         gates = np.tile([0.0, 1.0], (3, 1))
         out, flattened = gated_mixture_conditional(
             gates, list(zip(families, fields))
         )
-        npt.assert_allclose(out, conditional_update(families[1], fields[1]), atol=1e-14)
+        npt.assert_allclose(out, update(families[1], fields[1]), atol=1e-14)
         assert not flattened.mask[:, : families[0].shape[1]].any()
 
     def test_flattened_family_reproduces_the_mixture(self):
@@ -462,15 +486,12 @@ class TestMixtures:
         branches = []
         for _ in range(3):
             family = random_conditional(rng, n_x, int(rng.integers(2, 6)))
-            field = ValueField(rng.normal(size=(family.shape[1], 3)))
-            branches.append((family, field))
+            branches.append((family, rng.normal(size=(family.shape[1], 3))))
         raw = rng.uniform(0.1, 1.0, (n_x, 3))
         gates = raw / raw.sum(axis=1, keepdims=True)
         out, flattened = gated_mixture_conditional(gates, branches)
-        stacked = ValueField(
-            np.concatenate([f.values for _, f in branches], axis=0)
-        )
-        assert np.abs(conditional_update(flattened, stacked) - out).max() <= 1e-12
+        stacked = np.concatenate([v for _, v in branches], axis=0)
+        assert np.abs(update(flattened, stacked) - out).max() <= 1e-12
 
     def test_flattened_plan_reproduces_the_mixture(self):
         rng = np.random.default_rng(103)
@@ -481,11 +502,11 @@ class TestMixtures:
             mask = rng.random((n_x, n_y)) < 0.8
             values = np.where(mask, rng.uniform(0.1, 2.0, (n_x, n_y)), 0.0)
             kernel = EvidenceKernel(values, mask)
-            branches.append((kernel, ValueField(rng.normal(size=(n_y, 2)))))
+            branches.append((kernel, rng.normal(size=(n_y, 2))))
         gates = rng.uniform(0.0, 2.0, (n_x, 2))
         out, flattened = gated_mixture_plan(gates, branches)
-        stacked = np.concatenate([f.values for _, f in branches], axis=0)
-        assert np.abs(flattened.values @ stacked - out).max() <= 1e-12
+        stacked = np.concatenate([v for _, v in branches], axis=0)
+        assert np.abs(update(flattened, stacked) - out).max() <= 1e-12
 
     def test_residual_stream_is_a_two_branch_plan_mixture(self):
         # x + attention(x) is itself a gated plan mixture: an identity
@@ -503,15 +524,15 @@ class TestMixtures:
         out, _ = gated_mixture_plan(
             np.ones((4, 2)),
             [
-                (identity_kernel, ValueField(e)),
-                (attn_kernel, ValueField(e @ params.w_v)),
+                (identity_kernel, e),
+                (attn_kernel, e @ params.w_v),
             ],
         )
         npt.assert_allclose(out, e + attn_out, atol=1e-12)
 
     def test_gate_row_sums_enforced(self):
         family = ConditionalFamily(np.array([[1.0]]), np.array([[True]]))
-        field = ValueField(np.array([[1.0]]))
+        field = np.array([[1.0]])
         with pytest.raises(ValueError, match="gate rows must sum to 1 within 1e-12"):
             gated_mixture_conditional(np.array([[0.5]]), [(family, field)])
         with pytest.raises(ValueError, match="gates must be nonnegative and finite"):
@@ -519,9 +540,11 @@ class TestMixtures:
 
     def test_plan_gates_must_be_nonnegative(self):
         kernel = EvidenceKernel(np.array([[1.0]]), np.array([[True]]))
-        field = ValueField(np.array([[1.0]]))
-        with pytest.raises(ValueError, match="plan gates must be nonnegative and finite"):
+        field = np.array([[1.0]])
+        with pytest.raises(ValueError, match="^gates must be nonnegative and finite$"):
             gated_mixture_plan(np.array([[-0.5]]), [(kernel, field)])
+        with pytest.raises(ValueError, match="^gates must be nonnegative and finite$"):
+            gated_mixture_plan(np.array([[np.nan]]), [(kernel, field)])
 
     @pytest.mark.parametrize(
         "mix, weights_type",
@@ -535,10 +558,10 @@ class TestMixtures:
         "case", ["no_branches", "gate_width", "query_size", "value_width"]
     )
     def test_branch_shapes_are_checked(self, mix, weights_type, case):
-        field = ValueField(np.array([[1.0]]))
+        field = np.array([[1.0]])
         one_row = (weights_type(np.array([[1.0]]), np.array([[True]])), field)
         two_rows = (weights_type(np.ones((2, 1)), np.ones((2, 1), dtype=bool)), field)
-        wide = (one_row[0], ValueField(np.array([[1.0, 2.0]])))
+        wide = (one_row[0], np.array([[1.0, 2.0]]))
         gates, branches, message = {
             "no_branches": (np.zeros((2, 0)), [], "a mixture needs at least one branch"),
             "gate_width": (np.array([[0.5, 0.5]]), [one_row],

@@ -464,9 +464,9 @@ class TestRunSchedule:
         seen = []
         real = staged.attention
 
-        def counting(embeddings, params, mask=None, on_empty="error"):
+        def counting(embeddings, params, mask=None, zero_empty=False):
             seen.append((params, mask))
-            return real(embeddings, params, mask, on_empty)
+            return real(embeddings, params, mask, zero_empty)
 
         monkeypatch.setattr(staged, "attention", counting)
         rng = np.random.default_rng(144)
