@@ -209,15 +209,22 @@ def _feasible_transport_instance(rng, n_max):
     return kernel, marginals
 
 
+# Rewiring candidates vetted per step of _cycle_perturbations' scan.
+_SCAN_BLOCK = 1024
+
+
 def _cycle_perturbations(rng, plan, mask, count=100):
     """Up to count feasible 2x2 rewirings of plan on mask, as arrays.
 
-    One batch of count * 200 candidate corner pairs (i1, j1), (i2, j2)
-    is drawn uniformly from the mask support, which makes every
-    admissible ordered rectangle equally likely. The first count
-    candidates, in draw order, whose off-corners (i1, j2), (i2, j1) are
-    on the mask and carry mass move a uniform 10-50% of the smaller
-    off-corner mass onto the corners, so both marginals stay fixed.
+    Two batches of count * 200 corner indices (i1, j1), (i2, j2) are
+    drawn uniformly from the mask support, which makes every admissible
+    ordered rectangle equally likely. The first count candidates, in
+    draw order, whose off-corners (i1, j2), (i2, j1) are on the mask and
+    carry mass move a uniform 10-50% of the smaller off-corner mass onto
+    the corners, so both marginals stay fixed. Candidates are vetted in
+    blocks of _SCAN_BLOCK, and the scan stops at the block that holds the
+    count-th find: both batches are always drawn in full, so the
+    generator's stream does not depend on where the scan stopped.
     Returns rows [i1, i2] and cols [j1, j2], each (k, 2), and steps (k,).
     """
     rows, cols = np.nonzero(mask)
@@ -225,15 +232,23 @@ def _cycle_perturbations(rng, plan, mask, count=100):
     if min(mask.shape) < 2 or rows.size < 4:
         return np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), np.empty(0)
     first = rng.integers(rows.size, size=count * 200)
-    i1, j1 = rows[first], cols[first]
     second = rng.integers(rows.size, size=count * 200)
-    i2, j2 = rows[second], cols[second]
-    keep = np.flatnonzero((i1 != i2) & (j1 != j2) & mask[i1, j2] & mask[i2, j1])
-    caps = np.minimum(plan[i1[keep], j2[keep]], plan[i2[keep], j1[keep]])
-    has_mass = caps > 0
-    keep, caps = keep[has_mass][:count], caps[has_mass][:count]
+    found, caps, total = [], [], 0
+    for start in range(0, first.size, _SCAN_BLOCK):
+        f, s = first[start : start + _SCAN_BLOCK], second[start : start + _SCAN_BLOCK]
+        i1, j1, i2, j2 = rows[f], cols[f], rows[s], cols[s]
+        ok = np.flatnonzero((i1 != i2) & (j1 != j2) & mask[i1, j2] & mask[i2, j1])
+        cap = np.minimum(plan[i1[ok], j2[ok]], plan[i2[ok], j1[ok]])
+        has_mass = cap > 0
+        found.append(start + ok[has_mass])
+        caps.append(cap[has_mass])
+        total += caps[-1].size
+        if total >= count:
+            break
+    keep, caps = np.concatenate(found)[:count], np.concatenate(caps)[:count]
     steps = rng.uniform(0.1, 0.5, keep.size) * caps
-    return np.stack([i1[keep], i2[keep]], 1), np.stack([j1[keep], j2[keep]], 1), steps
+    f, s = first[keep], second[keep]
+    return np.stack([rows[f], rows[s]], 1), np.stack([cols[f], cols[s]], 1), steps
 
 
 def _kl_gaps(plan, kernel, rows, cols, steps):
@@ -435,6 +450,11 @@ def check_influence_barrier(rng, tol=None):
     Stage masks always include the diagonal: the residual path and the
     query-side read mean every row depends on its own past, so a
     relation without self-edges would under-report reachability.
+
+    One perturbed run per row u answers every (x, t) it lies outside
+    of, against one unperturbed run. Each run stops at the last stage it
+    is compared on: a run stopped at t gives the same stage-t bits as a
+    full-depth run.
     """
     cases = 50
     barrier = _Worst("barrier_outside_predecessors", 0.0)
@@ -477,14 +497,12 @@ def check_influence_barrier(rng, tol=None):
                 for u in range(n):
                     if u not in pre:
                         outside.setdefault(u, []).append((x, t))
-        # One perturbed run per row u answers every (x, t) it lies
-        # outside of: a full-depth run gives the same stage-t bits as a
-        # run stopped at t.
-        base = run_schedule(initial, schedule, cfg).updates
+        last = {u: max(t for _, t in pairs) for u, pairs in outside.items()}
+        base = run_schedule(initial, schedule[: max(last.values(), default=0)], cfg).updates
         for u in sorted(outside):
             perturbed = initial.copy()
             perturbed[u] = perturbed[u] + rng.normal(size=d)
-            bumped = run_schedule(perturbed, schedule, cfg).updates
+            bumped = run_schedule(perturbed, schedule[: last[u]], cfg).updates
             for x, t in outside[u]:
                 checked += 1
                 if not np.array_equal(base[t - 1][x], bumped[t - 1][x]):

@@ -54,7 +54,8 @@ def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray
 def _parse_rows(rows, width: int, where: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows of equal width to (values, mask); excluded cells hold 0.0."""
     flat = [entry for row in rows for entry in row]
-    if "-inf" in flat:
+    holes = flat.count("-inf")
+    if holes:
         flat = [-math.inf if entry == "-inf" else entry for entry in flat]
     if not all(
         issubclass(kind, (int, float)) and not issubclass(kind, bool)
@@ -62,11 +63,11 @@ def _parse_rows(rows, width: int, where: str) -> tuple[np.ndarray, np.ndarray]:
     ):
         _raise_first_bad_entry(rows, where)
     values = _doubles(flat).reshape(len(rows), width)
+    # The holes must be the only non-finite entries: the number -inf
+    # (JSON's -Infinity) marks none.
+    if np.count_nonzero(~np.isfinite(values)) != holes:
+        _raise_first_bad_entry(rows, where)
     mask = values != -np.inf
-    bad = mask & ~np.isfinite(values)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ConfigInvalid(where, f"non-finite entry at ({i},{j})")
     values[~mask] = 0.0
     return values, mask
 
@@ -83,14 +84,15 @@ def _doubles(numbers) -> np.ndarray:
 
 def _raise_first_bad_entry(rows, where: str):
     """Raise for the first entry, in reading order, that is neither a
-    finite number, -inf, nor the string "-inf"."""
+    finite number nor the string "-inf"; an integer beyond the range of
+    doubles is not finite."""
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             if entry == "-inf":
                 continue
             if not isinstance(entry, (int, float)) or isinstance(entry, bool):
                 raise ConfigInvalid(where, f"entry at ({i},{j}) is not a number or '-inf'")
-            if math.isnan(entry) or entry == math.inf:
+            if not abs(entry) <= sys.float_info.max:
                 raise ConfigInvalid(where, f"non-finite entry at ({i},{j})")
 
 

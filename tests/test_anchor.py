@@ -254,6 +254,11 @@ class TestRowAnchor:
         with pytest.raises(ValueError, match=r"^row 0 sums to 0\.5, not 1 within 1e-12$"):
             ConditionalFamily(np.array([[0.25, 0.25]]), np.ones((1, 2), dtype=bool))
 
+    def test_row_sum_message_names_the_row_that_is_off(self):
+        # Row 0 sums to 1 exactly; row 1 is the one half a unit off.
+        with pytest.raises(ValueError, match=r"^row 1 sums to 0\.5, not 1 within 1e-12$"):
+            ConditionalFamily(np.array([[0.5, 0.5], [0.25, 0.25]]), np.ones((2, 2), dtype=bool))
+
     def test_row_scaling_is_a_gauge(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

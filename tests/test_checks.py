@@ -2,6 +2,7 @@
 suite fails when the code it verifies is broken."""
 
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import numpy.testing as npt
@@ -65,6 +66,44 @@ def test_rewirings_are_feasible_two_by_two_cycles(instance, seed, count):
         rows, cols = np.nonzero(out != plan)
         assert rows.size == 4
         assert len(set(rows.tolist())) == 2 and len(set(cols.tolist())) == 2
+
+
+def _whole_batch_perturbations(rng, plan, mask, count=100):
+    """The sampler before its scan stopped early: every candidate of
+    both batches is vetted, then the first count finds are kept."""
+    rows, cols = np.nonzero(mask)
+    if min(mask.shape) < 2 or rows.size < 4:
+        return np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), np.empty(0)
+    first = rng.integers(rows.size, size=count * 200)
+    i1, j1 = rows[first], cols[first]
+    second = rng.integers(rows.size, size=count * 200)
+    i2, j2 = rows[second], cols[second]
+    keep = np.flatnonzero((i1 != i2) & (j1 != j2) & mask[i1, j2] & mask[i2, j1])
+    caps = np.minimum(plan[i1[keep], j2[keep]], plan[i2[keep], j1[keep]])
+    has_mass = caps > 0
+    keep, caps = keep[has_mass][:count], caps[has_mass][:count]
+    steps = rng.uniform(0.1, 0.5, keep.size) * caps
+    return np.stack([i1[keep], i2[keep]], 1), np.stack([j1[keep], j2[keep]], 1), steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    plans_on_masks(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+    st.sampled_from([1, 3, 64, checks._SCAN_BLOCK]),
+)
+def test_the_early_stopping_scan_picks_the_whole_batch_rewirings(instance, seed, count, block):
+    # Small blocks put the count-th find past many block boundaries.
+    plan, mask = instance
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with patch.object(checks, "_SCAN_BLOCK", block):
+        got = _cycle_perturbations(rng, plan, mask, count)
+    expected = _whole_batch_perturbations(reference_rng, plan, mask, count)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # The generator stands where the whole-batch sampler left it.
+    assert rng.random() == reference_rng.random()
 
 
 def test_full_mask_yields_the_full_count():
@@ -153,6 +192,21 @@ def test_barrier_suite_catches_a_dropped_predecessor(monkeypatch):
     results = _by_name(run_criterion("influence_barrier", seed=0))
     assert not results["barrier_outside_predecessors"].passed
     assert results["barrier_outside_predecessors"].max_deviation > 0
+
+
+def test_barrier_runs_end_at_their_last_compared_stage(monkeypatch):
+    # At seed 0 the 282 runs would take 777 staged blocks at full depth.
+    blocks = []
+    real = checks.run_schedule
+
+    def counting(initial, schedule, cfg):
+        blocks.append(len(schedule))
+        return real(initial, schedule, cfg)
+
+    monkeypatch.setattr(checks, "run_schedule", counting)
+    results = _by_name(run_criterion("influence_barrier", seed=0))
+    assert len(blocks) == 282 and sum(blocks) == 394
+    assert results["barrier_outside_predecessors"].cases == 802
 
 
 def _first_cycle(plan, mask):

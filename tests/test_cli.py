@@ -633,6 +633,7 @@ def run_stage(stage, **inputs):
         ("attn", {**ATTN_2X2, "key_bias": [math.nan, 1.0]}, "attn.key_bias"),
         ("ffn-check", {**FFN_2X2, "x": [math.inf, 1.0]}, "ffn-check.x"),
         ("ffn-check", {**FFN_2X2, "b1": [math.nan, 0.0]}, "ffn-check.b1"),
+        ("attn", {**ATTN_2X2, "key_bias": [-math.inf, 1.0]}, "attn.key_bias"),
         ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": {"eps": math.inf}}},
          "stage-run.cfg.chart.eps"),
         # Errors the library raises on a field's value name that field.
@@ -720,6 +721,17 @@ def test_refusals_say_what_is_wrong(tmp_path, capsys):
     spec = {**FFN_2X2, "x": [1, 2], "samples": 0, "seed": -5}
     assert main(["ffn-check", write_config(tmp_path, "input.json", spec)]) == 2
     assert capsys.readouterr().err == "error: ffn-check.samples: not read when x is given\n"
+
+
+def test_minus_infinity_is_no_mask_hole(tmp_path, capsys):
+    # JSON's -Infinity is a number, and not finite: only the string
+    # "-inf" marks a hole.
+    for kernel in ([[1, -math.inf], [1, 1]], [["-inf", -math.inf], [1, 1]]):
+        spec = {"mode": "row", "kernel": kernel}
+        assert main(["anchor", write_config(tmp_path, "input.json", spec)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: anchor.kernel: non-finite entry at (0,1)\n"
 
 
 def test_a_plan_row_without_mass_is_a_numeric_failure(tmp_path, capsys):

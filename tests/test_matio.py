@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -34,10 +35,22 @@ def test_minus_inf_string_marks_exclusion():
     npt.assert_array_equal(mask, [[True, False, True]])
 
 
-def test_float_minus_inf_also_marks_exclusion():
-    values, mask = matrix_from_json([[1.0, -math.inf]])
-    npt.assert_array_equal(mask, [[True, False]])
-    assert values[0, 1] == 0.0
+def test_number_minus_inf_is_no_exclusion():
+    # JSON's -Infinity reads as the number -inf: only the string marks a
+    # hole, with or without string holes elsewhere in the matrix.
+    for rows in ([[1.0, -math.inf], [1.0, 1.0]], [["-inf", -math.inf], [1.0, 1.0]]):
+        with pytest.raises(ConfigInvalid, match=r"^matrix: non-finite entry at \(0,1\)$"):
+            matrix_from_json(rows)
+    with pytest.raises(ConfigInvalid, match=r"non-finite entry at \(1,0\)$"):
+        matrix_from_json([["-inf", 1.0], [-math.inf, "-inf"]])
+
+
+def test_non_finite_entries_are_reported_in_reading_order():
+    # Ahead of a non-number, an integer beyond every double and -inf are
+    # the first bad entry.
+    for first in (10**400, -math.inf, math.nan):
+        with pytest.raises(ConfigInvalid, match=r"non-finite entry at \(0,0\)$"):
+            matrix_from_json([[first, "x"]])
 
 
 def test_round_trip_preserves_exclusions():
@@ -87,6 +100,9 @@ def test_vector_parsing():
     npt.assert_array_equal(vector_from_json({"values": [3]}), [3.0])
     with pytest.raises(ConfigInvalid):
         vector_from_json([1, "x"])
+    for bad in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ConfigInvalid, match=r"non-finite entry at 1$"):
+            vector_from_json([1, bad])
     assert vector_to_json(np.array([1.0])) == [1.0]
 
 
@@ -121,13 +137,9 @@ def _reference_matrix_from_json(rows, where="matrix"):
             if entry == "-inf":
                 mask[i, j] = False
             elif isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                if not math.isfinite(entry):
-                    if entry == -math.inf:
-                        mask[i, j] = False
-                    else:
-                        raise ConfigInvalid(where, f"non-finite entry at ({i},{j})")
-                else:
-                    values[i, j] = float(entry)
+                if not abs(entry) <= sys.float_info.max:
+                    raise ConfigInvalid(where, f"non-finite entry at ({i},{j})")
+                values[i, j] = float(entry)
             else:
                 raise ConfigInvalid(where, f"entry at ({i},{j}) is not a number or '-inf'")
     return values, mask
@@ -137,7 +149,7 @@ _ENTRIES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(2**70), 2**70),
     st.just("-inf"),
-    st.sampled_from([-math.inf, math.inf, math.nan, True, None, "x", "inf"]),
+    st.sampled_from([-math.inf, math.inf, math.nan, 10**400, True, None, "x", "inf"]),
 )
 
 

@@ -356,6 +356,29 @@ def perturb(initial, u, delta):
     return out
 
 
+def prefix_case(rng, kind):
+    """A depth-4 schedule on 6 rows of width 3, composed as kind says:
+    additive, gated or postnorm; dead-row (row 0 attends to nothing, its
+    attention update is zero); refine (stage 2 pools pairs of rows)."""
+    n, d = 6, 3
+    initial, schedule, cfg = build_schedule(rng, n, d, 4, chart="rms_norm")
+    if kind == "gated":
+        gate = rng.normal(size=(2 * d, d))
+        cfg = StagedConfig(ChartSpec("rms_norm"), CompSpec("gated", gate=gate))
+    elif kind == "postnorm":
+        cfg = StagedConfig(ChartSpec("layer_norm"), CompSpec("postnorm", norm="layer_norm"))
+    elif kind == "dead-row":
+        cfg = StagedConfig(ChartSpec("rms_norm"), zero_update_on_empty=True)
+        for step in schedule:
+            step.mask[0] = False
+    elif kind == "refine":
+        refine = RefinementMap("base", "pairs", [0, 0, 1, 1, 2, 2], 3)
+        schedule[1] = ScheduleStep(schedule[1].attn, schedule[1].ffn, refine=refine)
+        schedule[2] = ScheduleStep(schedule[2].attn, schedule[2].ffn, mask=diagonal_mask(rng, 3))
+        schedule[3] = ScheduleStep(schedule[3].attn, schedule[3].ffn)
+    return initial, schedule, cfg
+
+
 class TestBarrier:
     def test_trace_updates_are_record_differences(self):
         rng = np.random.default_rng(131)
@@ -367,15 +390,17 @@ class TestBarrier:
                 trace.updates[s], trace.records[s + 1] - trace.records[s], atol=0
             )
 
-    def test_stopping_early_leaves_earlier_updates_bitwise_equal(self):
-        # The barrier suite reads stage t from one full-depth run.
-        rng = np.random.default_rng(132)
-        initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
-        full = run_schedule(initial, schedule, cfg).updates
-        for t in range(1, 5):
-            stopped = run_schedule(initial, schedule[:t], cfg).updates
-            assert len(stopped) == t
-            assert all(np.array_equal(a, b) for a, b in zip(stopped, full))
+    @pytest.mark.parametrize("kind", ["additive", "gated", "postnorm", "dead-row", "refine"])
+    def test_stopping_early_leaves_earlier_updates_bitwise_equal(self, kind):
+        # The barrier suite stops each run at the last stage it compares.
+        for seed in range(5):
+            initial, schedule, cfg = prefix_case(np.random.default_rng([150, seed]), kind)
+            full = run_schedule(initial, schedule, cfg).updates
+            for t in range(len(schedule) + 1):
+                stopped = run_schedule(initial, schedule[:t], cfg).updates
+                assert len(stopped) == t
+                for a, b in zip(stopped, full):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_distance_two_on_the_chain(self):
         # On the causal chain, row 0 at stage 1 can only see row 0, so a
