@@ -14,7 +14,6 @@ from .anchor import (
     ConditionalFamily,
     Marginals,
     TransportPlan,
-    generalized_kl,
     row_anchor,
     sinkhorn_balanced,
     sinkhorn_unbalanced,

@@ -1,21 +1,26 @@
 """Anchoring rules that turn an evidence kernel into a canonical object.
 
 Two families are implemented. Row anchoring normalizes each row of a
-kernel (the softmax route) or a plan into a conditional distribution. Transport
-anchoring fits a nonnegative coupling to marginal data by Sinkhorn
-scaling, either with hard marginal constraints (balanced) or with KL
-penalties on the marginals (unbalanced). Both solvers run their first
-iteration in the log domain and every later one as stabilized scaling
-(Schmitzer 2016): two matrix-vector products against
-K~ = exp(log K + f + g), with the scalings folded into the log
-potentials f and g whenever an entry leaves [1e-100, 1e100], or an
+kernel (the softmax route) or a plan into a conditional distribution.
+Transport anchoring fits a nonnegative coupling to marginal data by
+Sinkhorn scaling, either with hard marginal constraints (balanced) or
+with KL penalties on the marginals (unbalanced).
+
+Both transport anchors run one scaling loop, _scale: the damped update
+a <- (mu_out / (K b)) ** e, with e = lam / (lam + 1) for a penalty lam
+and e = 1 for a hard constraint (Chizat et al. 2018). They differ only
+in the stop rule. The loop takes a kernel with no empty row or column:
+the balanced anchor refuses one, and the unbalanced anchor cuts its dead
+rows and columns out before the loop and gives them zero mass. The
+first iteration runs in the log domain and every later one as
+stabilized scaling (Schmitzer 2016): two matrix-vector products against
+K~ = exp(log K + F + G), with the scalings folded into the log
+potentials F and G whenever an entry leaves [1e-100, 1e100], or an
 entry K~ holds below the normal doubles grows back into the plan's
 normal range. So every plan entry that is a normal double comes from a
 normal entry of K~, and a wide kernel range costs no accuracy; only an
 unbalanced plan with a whole row or column far below the range of
 doubles makes the solver give up, with NoConvergence.
-
-The generalized KL divergence both anchors optimize is also here.
 """
 
 from __future__ import annotations
@@ -79,9 +84,14 @@ class Marginals:
         object.__setattr__(self, "mu_out", mu_out)
         object.__setattr__(self, "mu_in", mu_in)
 
+    def _totals(self) -> tuple[float, float, float]:
+        """Both total masses in units of the largest entry of either
+        vector, and that entry, so that no sum overflows."""
+        scale = max(self.mu_out.max(), self.mu_in.max())
+        return float((self.mu_out / scale).sum()), float((self.mu_in / scale).sum()), float(scale)
+
     def matched(self, rel_tol: float = 1e-9) -> bool:
-        total_out = float(self.mu_out.sum())
-        total_in = float(self.mu_in.sum())
+        total_out, total_in, _ = self._totals()
         return abs(total_out - total_in) <= rel_tol * total_out
 
 
@@ -123,27 +133,6 @@ def row_anchor(matrix: MaskedMatrix) -> ConditionalFamily:
         scaled = matrix.values[row] / matrix.values[row].max()
         values[row] = scaled / scaled.sum()
     return ConditionalFamily(values, matrix.mask)
-
-
-def generalized_kl(a, b) -> float:
-    """Sum of a*log(a/b) - a + b over all entries of nonnegative arrays.
-
-    Uses the conventions 0*log(0/b) = 0 and KL = +inf as soon as some
-    entry has a > 0 with b = 0. Infinity is an in-band return value,
-    not an error.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shapes {a.shape} and {b.shape} disagree")
-    if (a < 0).any() or (b < 0).any():
-        raise ValueError("generalized KL is defined for nonnegative arrays")
-    pos = a > 0
-    if (b[pos] == 0).any():
-        return math.inf
-    total = float(np.sum(b - a))
-    total += float(np.sum(a[pos] * np.log(a[pos] / b[pos])))
-    return total
 
 
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
@@ -212,13 +201,67 @@ def _marginal_error(plan, mu_out, mu_in) -> float:
     )
 
 
-def _final_plan(k_tilde, a, b, iterations: int) -> np.ndarray:
+def _scale(log_k, mu_out, mu_in, e_out, e_in, tol, max_iter, balanced):
+    """The scaling loop of both anchors, on a kernel with no empty row
+    or column: the plan, the iteration count and the last stop measure.
+
+    Against K~ = exp(log K + F + G) the log-domain half-step
+    e (log mu_out - LSE(log K + G)) reads
+    a <- (mu_out / (K~ b)) ** e_out * exp((e_out - 1) F), and the gauge
+    exp((e_out - 1) F) changes only at a fold; at e = 1 this is
+    mu_out / (K~ b) bit for bit. (Folded into the target as
+    mu_out * exp((1 - 1/e) F), the gauge underflows on a lifted row or
+    column at e = 1/2 or 1/3.) balanced picks the stop rule: the L1
+    marginal error with the stall diagnosis, or else the max-norm step
+    of the total log scalings F + log a and G + log b.
+    """
+    # K~ starts as the first iteration's plan, so no row or column of
+    # it underflows to zero, whatever the range of the kernel.
+    f = e_out * (np.log(mu_out) - _log_sum_exp(log_k, axis=1))
+    g = e_in * (np.log(mu_in) - _log_sum_exp(log_k + f[:, None], axis=0))
+    k_tilde, big_f, big_g, a, b, flushed = _fold(log_k, f, g)
+    gauge_f, gauge_g = np.exp((e_out - 1.0) * big_f), np.exp((e_in - 1.0) * big_g)
+    k_b = k_tilde @ b
+    if balanced:
+        error = _marginal_error(k_tilde * np.outer(a, b), mu_out, mu_in)
+    else:
+        error = max(float(np.abs(f).max()), float(np.abs(g).max()))
+    best_error, stalled, iterations = math.inf, 0, 1
+    while error > tol:
+        # Stall detection doubles as the infeasibility diagnosis: a mask
+        # that admits no coupling leaves the marginal error bounded away
+        # from zero while the scalings drift.
+        if balanced and error <= 0.999 * best_error:
+            best_error, stalled = error, 0
+        elif balanced:
+            stalled += 1
+            if stalled >= 100:
+                raise Infeasible(
+                    f"marginal error stalled at {error:.3e} after {iterations} iterations"
+                )
+        if iterations == max_iter:
+            break
+        if _needs_fold(a, b, flushed):
+            k_tilde, big_f, big_g, a, b, flushed = _fold(
+                log_k, big_f + np.log(a), big_g + np.log(b)
+            )
+            gauge_f, gauge_g = np.exp((e_out - 1.0) * big_f), np.exp((e_in - 1.0) * big_g)
+            k_b = k_tilde @ b
+        iterations += 1
+        a = (mu_out / k_b) ** e_out * gauge_f
+        kt_a = a @ k_tilde
+        b = (mu_in / kt_a) ** e_in * gauge_g
+        k_b = k_tilde @ b
+        if balanced:
+            error = float(np.abs(a * k_b - mu_out).sum() + np.abs(b * kt_a - mu_in).sum())
+        else:
+            f_new, g_new = big_f + np.log(a), big_g + np.log(b)
+            error = max(float(np.abs(f_new - f).max()), float(np.abs(g_new - g).max()))
+            f, g = f_new, g_new
     plan = k_tilde * np.outer(a, b)
     if not np.isfinite(plan).all():
-        raise NoConvergence(
-            f"scalings left the range of doubles by iteration {iterations}"
-        )
-    return plan
+        raise NoConvergence(f"scalings left the range of doubles by iteration {iterations}")
+    return plan, iterations, error
 
 
 def sinkhorn_balanced(
@@ -232,17 +275,8 @@ def sinkhorn_balanced(
     Convergence is measured as the L1 error of the achieved marginals
     against the targets. Infeasible masks are diagnosed when that error
     stalls: no improvement by factor 0.999 over 100 consecutive
-    iterations.
-
-    The first iteration runs in the log domain and leaves potentials f
-    and g. The others use stabilized scaling (Schmitzer 2016): scalings
-    a and b against K~ = exp(log K + f + g), two matrix-vector products
-    per iteration, which also give the error the stall rule reads.
-    Whenever an entry of a or b leaves [1e-100, 1e100], or an entry K~
-    holds below the normal doubles would now be a normal plan entry, a
-    and b are folded into f and g and K~ is rebuilt. The returned
-    marginal_error and converged flag come from the plan's own row and
-    column sums.
+    iterations. The returned marginal_error and converged flag come
+    from the plan's own row and column sums.
 
     Raises InvalidBudget, a ValueError, for max_iter < 1 or a negative
     or NaN tol, and NoConvergence if the scalings leave the range of
@@ -251,8 +285,9 @@ def sinkhorn_balanced(
     _check_budget(tol, max_iter)
     mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)
     if not marginals.matched():
+        total_out, total_in, scale = marginals._totals()
         raise Infeasible(
-            f"total masses differ: {mu_out.sum()} vs {mu_in.sum()}"
+            f"total masses differ: {total_out:.10g} vs {total_in:.10g} in units of {scale:.10g}"
         )
     empty_rows = np.flatnonzero(~kernel.mask.any(axis=1))
     if empty_rows.size:
@@ -260,52 +295,11 @@ def sinkhorn_balanced(
     empty_cols = np.flatnonzero(~kernel.mask.any(axis=0))
     if empty_cols.size:
         raise EmptyCol(int(empty_cols[0]), "masked-out column cannot carry positive marginal")
-
     log_k = _log_kernel(kernel)
-    # K~ starts as the first iteration's plan: its columns sum to mu_in,
-    # so no row or column of it underflows to zero, whatever the range
-    # of the kernel.
-    f = np.log(mu_out) - _log_sum_exp(log_k, axis=1)
-    g = np.log(mu_in) - _log_sum_exp(log_k + f[:, None], axis=0)
-    k_tilde, f, g, a, b, flushed = _fold(log_k, f, g)
-    k_b = k_tilde @ b
-    error = _marginal_error(k_tilde * np.outer(a, b), mu_out, mu_in)
-
-    best_error = math.inf
-    stalled = 0
-    iterations = 1
-    while error > tol:
-        # Stall detection doubles as the infeasibility diagnosis: a mask
-        # that admits no coupling leaves the marginal error bounded away
-        # from zero while the scalings drift.
-        if error <= 0.999 * best_error:
-            best_error = error
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 100:
-                raise Infeasible(
-                    f"marginal error stalled at {error:.3e} after {iterations} iterations"
-                )
-        if iterations == max_iter:
-            break
-        if _needs_fold(a, b, flushed):
-            k_tilde, f, g, a, b, flushed = _fold(log_k, f + np.log(a), g + np.log(b))
-            k_b = k_tilde @ b
-        iterations += 1
-        a = mu_out / k_b
-        kt_a = a @ k_tilde
-        b = mu_in / kt_a
-        k_b = k_tilde @ b
-        error = float(np.abs(a * k_b - mu_out).sum() + np.abs(b * kt_a - mu_in).sum())
-    plan = _final_plan(k_tilde, a, b, iterations)
+    plan, iterations, _ = _scale(log_k, mu_out, mu_in, 1.0, 1.0, tol, max_iter, balanced=True)
     error = _marginal_error(plan, mu_out, mu_in)
     return TransportPlan(
-        plan,
-        kernel.mask,
-        converged=error <= tol,
-        iterations=iterations,
-        marginal_error=error,
+        plan, kernel.mask, converged=error <= tol, iterations=iterations, marginal_error=error
     )
 
 
@@ -322,78 +316,33 @@ def sinkhorn_unbalanced(
     The damped updates
         a <- (mu_out / (K b)) ** (lam_out / (lam_out + 1))
         b <- (mu_in / (K^T a)) ** (lam_in / (lam_in + 1))
-    run until the total log scalings F + log a and G + log b (0 on
-    empty rows and columns) move at most tol in the max norm. On
-    iteration exhaustion the last iterate is returned with
-    converged=False rather than raising.
+    run on the live block of the kernel (its rows and columns with some
+    mask entry; the others carry no mass) until the total log scalings
+    move at most tol in the max norm. On iteration exhaustion the last
+    iterate is returned with converged=False rather than raising.
 
-    As in the balanced anchor, the first iteration runs in the log
-    domain and the others scale against K~ = exp(log K + F + G), with a
-    and b folded into F and G by the same two rules. A row or column of
-    the plan can fall far below the range of doubles here; K~ keeps it
-    by a lift of up to e^220 (see _fold), and past that the scalings
-    overflow and NoConvergence is raised. Raises InvalidBudget, a
-    ValueError, for a penalty that is not strictly positive, max_iter < 1
-    or a negative or NaN tol.
+    A row or column of the plan can fall far below the range of doubles
+    here; K~ keeps it by a lift of up to e^220 (see _fold), and past
+    that the scalings overflow and NoConvergence is raised. Raises
+    InvalidBudget, a ValueError, for a penalty that is not strictly
+    positive, max_iter < 1 or a negative or NaN tol.
     """
     for name, lam in (("lam_out", lam_out), ("lam_in", lam_in)):
         if not lam > 0:
             raise InvalidBudget(name, f"must be strictly positive, got {lam!r}")
     _check_budget(tol, max_iter)
-    n_x, n_y = kernel.shape
     mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)
     if not kernel.mask.any():
         raise EmptyRow(0, "kernel mask is empty; nothing to anchor")
-
-    frac_out = lam_out / (lam_out + 1.0)
-    frac_in = lam_in / (lam_in + 1.0)
-    log_k = _log_kernel(kernel)
-    log_mu_out = np.log(mu_out)
-    log_mu_in = np.log(mu_in)
-    rows_live = kernel.mask.any(axis=1)
-    cols_live = kernel.mask.any(axis=0)
-
-    # f and g are the total log scalings; K~ starts as the first
-    # iteration's plan, and big_f, big_g are the potentials it carries.
-    # Dead rows and columns carry no mass either way and stay at 0.
-    f = np.where(rows_live, frac_out * (log_mu_out - _log_sum_exp(log_k, axis=1)), 0.0)
-    g = frac_in * (log_mu_in - _log_sum_exp(log_k + f[:, None], axis=0))
-    g = np.where(cols_live, g, 0.0)
-    step = max(float(np.abs(f).max()), float(np.abs(g).max()))
-    k_tilde, big_f, big_g, a, b, flushed = _fold(log_k, f, g)
-    iterations = 1
-    while step > tol and iterations < max_iter:
-        if _needs_fold(a, b, flushed):
-            k_tilde, big_f, big_g, a, b, flushed = _fold(log_k, f, g)
-        iterations += 1
-        log_k_b = np.log(k_tilde @ b, where=rows_live, out=np.zeros(n_x))
-        f_new = np.where(rows_live, frac_out * (log_mu_out - log_k_b + big_f), 0.0)
-        a = np.exp(f_new - big_f)
-        log_kt_a = np.log(a @ k_tilde, where=cols_live, out=np.zeros(n_y))
-        g_new = np.where(cols_live, frac_in * (log_mu_in - log_kt_a + big_g), 0.0)
-        b = np.exp(g_new - big_g)
-        step = max(float(np.abs(f_new - f).max()), float(np.abs(g_new - g).max()))
-        f = f_new
-        g = g_new
-    plan = _final_plan(k_tilde, a, b, iterations)
+    rows, cols = kernel.mask.any(axis=1), kernel.mask.any(axis=0)
+    live = np.ix_(rows, cols)
+    plan = np.zeros(kernel.shape)
+    e_out, e_in = lam_out / (lam_out + 1.0), lam_in / (lam_in + 1.0)
+    log_k = _log_kernel(kernel)[live]
+    plan[live], iterations, step = _scale(
+        log_k, mu_out[rows], mu_in[cols], e_out, e_in, tol, max_iter, balanced=False
+    )
+    error = _marginal_error(plan, mu_out, mu_in)
     return TransportPlan(
-        plan,
-        kernel.mask,
-        converged=step <= tol,
-        iterations=iterations,
-        marginal_error=_marginal_error(plan, mu_out, mu_in),
+        plan, kernel.mask, converged=step <= tol, iterations=iterations, marginal_error=error
     )
-
-
-def unbalanced_objective(
-    plan_values, kernel: EvidenceKernel, marginals: Marginals, lam_out: float, lam_in: float
-) -> float:
-    """KL(plan||K) + lam_out KL(row marginal||mu_out) + lam_in KL(col
-    marginal||mu_in); the quantity the unbalanced anchor minimizes."""
-    plan_values = np.asarray(plan_values, dtype=np.float64)
-    return (
-        generalized_kl(plan_values, kernel.values)
-        + lam_out * generalized_kl(plan_values.sum(axis=1), marginals.mu_out)
-        + lam_in * generalized_kl(plan_values.sum(axis=0), marginals.mu_in)
-    )
-

@@ -1,5 +1,7 @@
-"""Row anchoring, generalized KL, and the Sinkhorn transport anchors."""
+"""Row anchoring and the Sinkhorn transport anchors, with the generalized KL
+divergence and the unbalanced objective they optimize as test helpers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,11 +13,9 @@ from attnkit.anchor import (
     ConditionalFamily,
     Marginals,
     TransportPlan,
-    generalized_kl,
     row_anchor,
     sinkhorn_balanced,
     sinkhorn_unbalanced,
-    unbalanced_objective,
 )
 from attnkit.errors import EmptyCol, EmptyRow, Infeasible, NoConvergence
 from attnkit.score import EvidenceKernel
@@ -32,6 +32,38 @@ def oracle_kl(a, b):
         else:
             total += bv
     return total
+
+
+def generalized_kl(a, b) -> float:
+    """Sum of a*log(a/b) - a + b over all entries of nonnegative arrays.
+
+    Uses the conventions 0*log(0/b) = 0 and KL = +inf as soon as some
+    entry has a > 0 with b = 0. Infinity is an in-band return value,
+    not an error.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes {a.shape} and {b.shape} disagree")
+    if (a < 0).any() or (b < 0).any():
+        raise ValueError("generalized KL is defined for nonnegative arrays")
+    pos = a > 0
+    if (b[pos] == 0).any():
+        return math.inf
+    total = float(np.sum(b - a))
+    total += float(np.sum(a[pos] * np.log(a[pos] / b[pos])))
+    return total
+
+
+def unbalanced_objective(plan_values, kernel, marginals, lam_out, lam_in) -> float:
+    """KL(plan||K) + lam_out KL(row marginal||mu_out) + lam_in KL(col
+    marginal||mu_in); the quantity the unbalanced anchor minimizes."""
+    plan_values = np.asarray(plan_values, dtype=np.float64)
+    return (
+        generalized_kl(plan_values, kernel.values)
+        + lam_out * generalized_kl(plan_values.sum(axis=1), marginals.mu_out)
+        + lam_in * generalized_kl(plan_values.sum(axis=0), marginals.mu_in)
+    )
 
 
 def random_masked_kernel(rng, n_x, n_y, density=0.6):
@@ -642,6 +674,68 @@ class TestAgainstLogDomainReference:
             sinkhorn_unbalanced(kernel, marginals, 100.0, 0.001)
 
 
+class TestOneScalingLoop:
+    """Both anchors run one scaling loop: the balanced anchor at
+    exponent 1, the unbalanced one on its live rows and columns."""
+
+    # The sha256 of plan.values.tobytes() and the iteration count, taken
+    # from the balanced anchor's own loop before the two anchors shared
+    # one (numpy 2.4.6 on OpenBLAS 0.3.31, x86-64; another BLAS build
+    # may round the matrix-vector products differently).
+    @pytest.mark.parametrize(
+        "spread, seed, iterations, digest",
+        [
+            (1.0, 0, 15, "89fbc6e590b32020059132dfefd7272e703264e6c9c6bd499818ec2d8a1f81b9"),
+            (1.0, 1, 19, "582c16add9c0e39de4bc81d56d17209244c5132315f1c3de7c443b8acdbffb85"),
+            (1.0, 2, 20, "1262c84f4359451f069b2aa1d5c5afed3fa7f5eccf82ca1ee6877cb79ff7025b"),
+            (30.0, 0, 1420, "27d7fe582cfdab3ee1fb638fae99873ec34dbab51ceba2001d2cb4e29bdd873d"),
+            (30.0, 1, 825, "a191c55c43b09731bf199ab2a4ab0c801fb62bcbdb77e9f0d13cac2df1b6c1e5"),
+            (30.0, 2, 1407, "2651a4f10689082c557fd7683407d698041fe5f9a0349bcf49404d0d2790df9e"),
+            (200.0, 0, 2327, "e1aa3fdc56468579bd7df1b48510fff7d56ee8cab5967ee68fb832976ed4f27f"),
+            (200.0, 37, 2059, "58fc95e835ce147d0e3c1f690b8f1fb648a8437ff5fb9114a5f7d6665ff99e3e"),
+            (250.0, 21, 5248, "3fb29ef539daa814f164a8cfed584ab69ce76fb1d3c80ae8c1f9c53bde1f69f6"),
+            (None, 5, 170, "453bcc20cfb44cd8493f146335ac4042dcc400c56ee4d43e70afa9857dd79efd"),
+        ],
+    )
+    def test_balanced_plan_keeps_its_bits(self, spread, seed, iterations, digest):
+        rng = np.random.default_rng(seed)
+        if spread is None:
+            kernel, marginals = band_instance(rng)
+        else:
+            n_x, n_y = (int(v) for v in rng.integers(2, 25, 2))
+            kernel, marginals = wide_range_instance(rng, n_x, n_y, spread)
+        plan = sinkhorn_balanced(kernel, marginals)
+        assert plan.iterations == iterations
+        assert hashlib.sha256(plan.values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("spread", [1.0, 30.0, 600.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unbalanced_dead_rows_and_columns_are_cut_before_the_loop(self, spread, seed):
+        # Rows 1 and 4 and column 2 are masked out; the plan is exactly
+        # zero there, and its live block is the plan of the live
+        # submatrix alone, bit for bit.
+        rng = np.random.default_rng(seed)
+        rows, cols = [0, 2, 3, 5, 6], [0, 1, 3, 4, 5]
+        while True:
+            mask = np.zeros((7, 6), dtype=bool)
+            mask[np.ix_(rows, cols)] = rng.random((5, 5)) < 0.6
+            if mask[rows].any(axis=1).all() and mask[:, cols].any(axis=0).all():
+                break
+        values = np.where(mask, np.exp(rng.uniform(-spread, spread, mask.shape)), 0.0)
+        marginals = Marginals(rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 6))
+        plan = sinkhorn_unbalanced(EvidenceKernel(values, mask), marginals, 2.0, 0.5)
+        live = np.ix_(rows, cols)
+        alone = sinkhorn_unbalanced(
+            EvidenceKernel(values[live], mask[live]),
+            Marginals(marginals.mu_out[rows], marginals.mu_in[cols]),
+            2.0,
+            0.5,
+        )
+        assert (plan.values[[1, 4]] == 0).all() and (plan.values[:, 2] == 0).all()
+        assert plan.values[live].tobytes() == alone.values.tobytes()
+        assert (plan.iterations, plan.converged) == (alone.iterations, alone.converged)
+
+
 class TestRowAnchorOfAPlan:
     def test_rows_renormalize(self):
         plan = TransportPlan(
@@ -721,3 +815,8 @@ class TestConstructors:
     def test_marginals_matched_predicate(self):
         assert Marginals([1.0, 2.0], [1.5, 1.5]).matched()
         assert not Marginals([1.0, 2.0], [1.5, 2.5]).matched()
+
+    def test_marginals_matched_past_the_largest_double(self):
+        # Both totals are 2e308; compared in units of 1e308 they match.
+        assert Marginals([1e308, 1e308], [1e308, 1e308]).matched()
+        assert not Marginals([1e308, 1e308], [1e308, 5e307]).matched()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import attnkit.checks as checks
-from attnkit.anchor import TransportPlan, generalized_kl, sinkhorn_balanced
+from attnkit.anchor import TransportPlan, sinkhorn_balanced
 from attnkit.checks import (
     _cycle_perturbations,
     _feasible_transport_instance,
@@ -21,6 +21,8 @@ from attnkit.checks import (
     run_criterion,
 )
 from attnkit.score import EvidenceKernel, Link
+
+from test_anchor import generalized_kl
 
 
 def _rewired(plan, rewirings):

@@ -142,6 +142,30 @@ def test_a_masked_out_column_with_mass_exits_3(tmp_path, capsys):
     assert out.err == "numeric failure: masked-out column cannot carry positive marginal\n"
 
 
+def test_balanced_masses_past_the_largest_double_are_compared_without_overflow(
+    tmp_path, capsys
+):
+    # Each total is 2e308; the masses match and the plan is 5e307 everywhere.
+    spec = {"mode": "balanced", "kernel": [[1, 1], [1, 1]],
+            "mu_out": [1e308, 1e308], "mu_in": [1e308, 1e308]}
+    assert main(["anchor", write_config(tmp_path, "anchor.json", spec)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)
+    assert report["converged"] and report["iterations"] == 2
+    assert report["marginal_error"] == 0.0
+    assert report["matrix"]["rows"] == [[5e307, 5e307], [5e307, 5e307]]
+
+
+def test_balanced_masses_that_differ_past_the_largest_double_exit_3(tmp_path, capsys):
+    spec = {"mode": "balanced", "kernel": [[1, 1], [1, 1]],
+            "mu_out": [1e308, 1e308], "mu_in": [1e308, 5e307]}
+    assert main(["anchor", write_config(tmp_path, "anchor.json", spec)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "numeric failure: total masses differ: 2 vs 1.5 in units of 1e+308\n"
+
+
 def test_full_demo_pipeline_outputs_are_finite(tmp_path, capsys):
     config = write_config(
         tmp_path,

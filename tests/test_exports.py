@@ -6,11 +6,15 @@ The check parses the source: a use is a name read or an attribute in
 some module of src/attnkit other than __init__, outside the definition
 of the name itself. Docstrings, comments and import lines do not count,
 nor does a local variable or an argument that shares the name, so a
-name that only tests call fails here.
+name that only tests call fails here. Nor does a use inside a
+module-level function or class that nothing reaches: one the package
+does not export and that no reached code reads, so an unused helper
+cannot vouch for the names it calls.
 """
 
 import ast
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -50,23 +54,74 @@ def bound(func) -> set:
     return names
 
 
-def uses(tree, name, skip, prune=()) -> int:
-    """Reads of name, and attributes called name, in tree outside the
-    node skip and outside nodes of the types in prune."""
-    count = 0
-    stack = [(tree, False)]
+class Read(NamedTuple):
+    """A name read or an attribute. owner is None for a name read; for
+    an attribute it is the name the attribute is taken of, or "" when
+    that is not a plain name. scope holds the functions and classes the
+    read sits in, outermost first, and raised says whether it sits in a
+    raise statement."""
+
+    name: str
+    owner: str | None
+    scope: tuple
+    raised: bool
+
+
+def reads(tree) -> list:
+    """Every read in tree; a name that an enclosing function binds
+    itself is a local, not a read."""
+    found = []
+    stack = [(tree, frozenset(), (), False)]
     while stack:
-        node, local = stack.pop()
-        if node is skip or isinstance(node, prune):
-            continue
+        node, local, scope, raised = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            local = local or name in bound(node)
-        if isinstance(node, ast.Name) and node.id == name:
-            count += not local and isinstance(node.ctx, ast.Load)
-        elif isinstance(node, ast.Attribute) and node.attr == name:
-            count += 1
-        stack.extend((child, local) for child in ast.iter_child_nodes(node))
-    return count
+            local = local | bound(node)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node)
+        raised = raised or isinstance(node, ast.Raise)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                found.append(Read(node.id, None, scope, raised))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else ""
+            found.append(Read(node.attr, owner, scope, raised))
+        stack.extend((child, local, scope, raised) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def uses(found, name, skip=frozenset(), raised=True) -> int:
+    """Reads of name in found outside the definitions in skip, and
+    outside raise statements unless raised."""
+    return sum(
+        read.name == name and skip.isdisjoint(read.scope) and (raised or not read.raised)
+        for read in found
+    )
+
+
+def unreached(modules, names) -> set:
+    """The module-level functions and classes of modules that nothing
+    reaches. Module-level code and the definitions of names are reached;
+    so is a definition whose name a reached definition reads, or that
+    module-level code reads. Two definitions that only read each other
+    are unreached together."""
+    found = [read for tree in modules.values() for read in reads(tree)]
+    defs = [
+        node
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    reached = {node for node in defs if node.name in names}
+    while True:
+        read = {r.name for r in found if not r.scope or r.scope[0] in reached}
+        new = {node for node in defs if node.name in read} - reached
+        if not new:
+            return set(defs) - reached
+        reached |= new
+
+
+READS = {stem: reads(tree) for stem, tree in MODULES.items()}
+UNREACHED = unreached(MODULES, {name for _, name in exported()})
 
 
 def definition(tree, name):
@@ -74,6 +129,21 @@ def definition(tree, name):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             return node
     return None
+
+
+def package_uses(name, own, raised=True, owners=None) -> int:
+    """Uses of name in src/attnkit outside its definition own and
+    outside unreached definitions; with owners, only attributes taken
+    of one of those names count."""
+    return sum(
+        uses(
+            [read for read in found if owners is None or read.owner in owners],
+            name,
+            UNREACHED | {own},
+            raised,
+        )
+        for found in READS.values()
+    )
 
 
 def test_the_walk_finds_the_exports():
@@ -84,18 +154,33 @@ def test_the_walk_finds_the_exports():
 
 @pytest.mark.parametrize("module, name", exported(), ids=lambda v: v)
 def test_every_export_is_used_in_the_package(module, name):
-    total = sum(
-        uses(tree, name, definition(tree, name) if stem == module else None)
-        for stem, tree in MODULES.items()
-    )
+    total = package_uses(name, definition(MODULES[module], name))
     assert total > 0, f"{module}.{name} is exported but nothing in src/attnkit uses it"
 
 
 def test_a_local_variable_is_not_a_use():
     tree = ast.parse("def f(row_mass):\n    total = row_mass\n\n"
                      "def g():\n    row_mass = 1\n    return row_mass\n")
-    assert uses(tree, "row_mass", None) == 0
-    assert uses(ast.parse("def h():\n    return row_mass(k)\n"), "row_mass", None) == 1
+    assert uses(reads(tree), "row_mass") == 0
+    assert uses(reads(ast.parse("def h():\n    return row_mass(k)\n")), "row_mass") == 1
+
+
+def test_a_use_inside_an_unreached_definition_is_not_a_use():
+    # objective alone reads kl, and nothing reads objective; ping and
+    # pong read only each other; entry is exported and reads helper.
+    tree = ast.parse(
+        "def kl(a):\n    return a\n\n"
+        "def objective(a):\n    return kl(a)\n\n"
+        "def ping():\n    return pong()\n\n"
+        "def pong():\n    return ping()\n\n"
+        "def entry():\n    return helper()\n\n"
+        "def helper():\n    return 1\n"
+    )
+    dead = unreached({"m": tree}, {"kl", "entry"})
+    assert {node.name for node in dead} == {"objective", "ping", "pong"}
+    assert uses(reads(tree), "kl") == 1
+    assert uses(reads(tree), "kl", dead) == 0
+    assert uses(reads(tree), "helper", dead) == 1
 
 
 def error_classes():
@@ -114,10 +199,7 @@ def test_the_walk_finds_the_error_classes():
 def test_every_error_class_is_branched_on_in_the_package(name):
     # Raising a class is no reason for it to exist; an except clause or
     # a tuple of classes that a handler catches is.
-    total = sum(
-        uses(tree, name, definition(tree, name) if stem == "errors" else None, (ast.Raise,))
-        for stem, tree in MODULES.items()
-    )
+    total = package_uses(name, definition(MODULES["errors"], name), raised=False)
     assert total > 0, f"errors.{name} is raised but nothing in src/attnkit branches on it"
 
 
@@ -131,21 +213,6 @@ def methods():
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
     ]
-
-
-def class_uses(tree, cls, name, skip) -> int:
-    """Uses of cls.name: a class or static method can share its name with
-    a numpy function (np.ones), so the class must show at the call."""
-    count = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Attribute) and node.attr == name:
-            count += isinstance(node.value, ast.Name) and node.value.id in (cls, "cls")
-        stack.extend(ast.iter_child_nodes(node))
-    return count
 
 
 def test_the_walk_finds_the_methods():
@@ -162,10 +229,7 @@ def test_every_method_of_an_exported_class_is_used_in_the_package(module, cls, m
         isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
         for d in own.decorator_list
     )
-    total = sum(
-        class_uses(tree, cls, method, own if stem == module else None)
-        if on_class
-        else uses(tree, method, own if stem == module else None)
-        for stem, tree in MODULES.items()
-    )
+    # A class or static method can share its name with a numpy function
+    # (np.ones), so the class must show at the call.
+    total = package_uses(method, own, owners=(cls, "cls") if on_class else None)
     assert total > 0, f"{module}.{cls}.{method} is defined but nothing in src/attnkit calls it"

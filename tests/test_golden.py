@@ -43,6 +43,16 @@ worst and witness tracking moved into one recorder.
 `anchor_row_huge` row-anchors a kernel whose first row sums past the
 largest double; that row is normalized from its entries over its
 largest one and prints [0.5, 0.5], with no numpy warning.
+`anchor_balanced_huge` is the balanced anchor on marginals whose totals
+pass the largest double: the masses are compared in units of their
+largest entry, and the plan prints 5e307 everywhere, with no warning.
+
+`anchor_unbalanced` was re-pinned once more when both Sinkhorn anchors
+came to run one scaling loop, the unbalanced update written as
+(mu / K~b) ** e * exp((e - 1) F): 8 printed numbers moved by at most 2
+ulp (col_marginal[0], plan entries (0,0), (0,1), (1,0) and (2,2), and
+row_marginal[0..2]); iterations, converged and marginal_error kept
+their bytes, and so did every other golden file.
 """
 
 import json
@@ -60,6 +70,7 @@ CASES = {
     "stage_run_causal": (["stage-run", str(GOLDEN / "stage_run_causal.json")], 0),
     "anchor_unbalanced": (["anchor", str(GOLDEN / "anchor_unbalanced.json")], 0),
     "anchor_row_huge": (["anchor", str(GOLDEN / "anchor_row_huge.json")], 0),
+    "anchor_balanced_huge": (["anchor", str(GOLDEN / "anchor_balanced_huge.json")], 0),
     "attn_masked": (["attn", str(GOLDEN / "attn_masked.json")], 0),
     "chart_rank1": (["chart", str(GOLDEN / "chart_rank1.json")], 0),
     "ffn_check_gelu": (["ffn-check", str(GOLDEN / "ffn_check_gelu.json")], 0),
