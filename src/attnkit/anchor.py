@@ -195,10 +195,13 @@ def _needs_fold(a: np.ndarray, b: np.ndarray, flushed) -> bool:
 
 
 def _marginal_error(plan, mu_out, mu_in) -> float:
-    return float(
-        np.abs(plan.sum(axis=1) - mu_out).sum()
-        + np.abs(plan.sum(axis=0) - mu_in).sum()
-    )
+    # Masses near the largest double can sum past it; the error is then
+    # inf, which no tolerance passes and no report prints.
+    with np.errstate(over="ignore"):
+        return float(
+            np.abs(plan.sum(axis=1) - mu_out).sum()
+            + np.abs(plan.sum(axis=0) - mu_in).sum()
+        )
 
 
 def _scale(log_k, mu_out, mu_in, e_out, e_in, tol, max_iter, balanced):

@@ -54,6 +54,7 @@ from .matio import (
     mask_from_json,
     matrix_from_json,
     matrix_to_json,
+    refuse_unknown_keys,
     vector_from_json,
     vector_to_json,
 )
@@ -96,6 +97,7 @@ def _resolve_input(spec, base_dir: Path, where: str):
     """One named input: an inline matrix or vector, or a reference to a
     file that holds one (and not another reference)."""
     if isinstance(spec, dict) and isinstance(spec.get("file"), str):
+        refuse_unknown_keys(spec, "a file reference", ("file",), where)
         target = base_dir / spec["file"]
         if not target.exists():
             raise ConfigInvalid(where, f"referenced file {str(target)!r} does not exist")

@@ -1,14 +1,16 @@
 """JSON encoding for matrices, vectors, and masks.
 
-Matrix schema: {"shape": [n, m], "rows": [[...], ...]}. Entries are
-numbers or the string "-inf", which marks a hard exclusion; parsing
-returns the finite values plus the admissibility mask. Masks can also
-be supplied as explicit 0/1 matrices. A bare list of lists is accepted
-as shorthand on input; output always writes the full schema.
+Matrix schema: {"shape": [n, m], "rows": [[...], ...]}, with "shape"
+optional; vector schema: {"values": [...]}. Any other key is refused.
+Entries are numbers or the string "-inf", which marks a hard exclusion;
+parsing returns the finite values plus the admissibility mask. Masks
+can also be supplied as explicit 0/1 matrices. A bare list of lists is
+accepted as shorthand on input; output always writes the full schema.
 
 Every report is printed by `dump_canonical`, whose output is exactly
-`json.dumps(obj, indent=2, sort_keys=True)` plus one newline; a
-property test holds it to that, and golden files pin the `ga` stdout.
+`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` plus one
+newline; a property test holds it to that, and golden files pin the
+`ga` stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, NonFinite
 
 
 def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -29,8 +31,13 @@ def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray
         rows = obj
         shape = None
     elif isinstance(obj, dict) and "rows" in obj:
+        refuse_unknown_keys(obj, "a matrix object", ("rows", "shape"), where)
         rows = obj["rows"]
         shape = obj.get("shape")
+        if "shape" in obj and not (
+            type(shape) is list and len(shape) == 2 and all(type(v) is int for v in shape)
+        ):
+            raise ConfigInvalid(f"{where}.shape", f"expected a list of two integers, got {shape!r}")
     else:
         raise ConfigInvalid(where, "expected a matrix object with a 'rows' field")
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
@@ -107,6 +114,7 @@ def mask_from_json(obj, where: str = "mask") -> np.ndarray:
 
 def vector_from_json(obj, where: str = "vector") -> np.ndarray:
     if isinstance(obj, dict) and "values" in obj:
+        refuse_unknown_keys(obj, "a vector object", ("values",), where)
         obj = obj["values"]
     if not isinstance(obj, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
@@ -117,6 +125,13 @@ def vector_from_json(obj, where: str = "vector") -> np.ndarray:
     if bad.size:
         raise ConfigInvalid(where, f"non-finite entry at {bad[0]}")
     return values
+
+
+def refuse_unknown_keys(obj: dict, noun: str, keys: tuple, where: str) -> None:
+    """ConfigInvalid on <where>.<key> for the first key of obj not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigInvalid(f"{where}.{key}", f"unknown field; {noun} takes {', '.join(keys)}")
 
 
 def matrix_to_json(values, mask=None) -> dict:
@@ -136,7 +151,9 @@ def vector_to_json(values) -> list:
 
 def dump_canonical(obj) -> str:
     """Deterministic serialization, byte for byte
-    `json.dumps(obj, indent=2, sort_keys=True) + "\n"`.
+    `json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"`;
+    where that call raises ValueError (a NaN or an infinity, which JSON
+    cannot hold), this raises NonFinite.
 
     Dict keys must be strings. Lists of scalars (matrix rows, vectors)
     go to json's C encoder in one call each, with the item separator
@@ -144,7 +161,10 @@ def dump_canonical(obj) -> str:
     would otherwise visit every number. The pieces are joined once.
     """
     parts = []
-    _encode(obj, "\n", parts)
+    try:
+        _encode(obj, "\n", parts)
+    except ValueError as exc:
+        raise NonFinite("the output holds a NaN or an infinity, which JSON cannot hold") from exc
     parts.append("\n")
     return "".join(parts)
 
@@ -174,10 +194,10 @@ def _encode(obj, newline: str, parts: list) -> None:
                 opener = "," + inner
             parts.append(newline + "]")
         else:
-            text = json.dumps(obj, separators=("," + inner, ": "))
+            text = json.dumps(obj, separators=("," + inner, ": "), allow_nan=False)
             parts += ("[" + inner, text[1:-1], newline + "]")
     else:
-        parts.append(json.dumps(obj))
+        parts.append(json.dumps(obj, allow_nan=False))
 
 
 def load_json(path: str | Path):

@@ -166,6 +166,18 @@ def test_balanced_masses_that_differ_past_the_largest_double_exit_3(tmp_path, ca
     assert out.err == "numeric failure: total masses differ: 2 vs 1.5 in units of 1e+308\n"
 
 
+def test_an_infinite_report_number_exits_3_with_nothing_on_stdout(tmp_path, capsys):
+    # The unbalanced plan's marginals miss the 1e308 masses by more than
+    # the largest double in total: its marginal error is inf, and JSON
+    # has no number for it.
+    spec = {"mode": "unbalanced", "kernel": [[1, 1], [1, 1]],
+            "mu_out": [1e308, 1e308], "mu_in": [1e308, 1e308]}
+    assert main(["anchor", write_config(tmp_path, "anchor.json", spec)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numeric failure: ") and out.err.count("\n") == 1
+
+
 def test_full_demo_pipeline_outputs_are_finite(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -698,6 +710,20 @@ def run_stage(stage, **inputs):
          "stage-run.cfg.chart"),
         # A tolerance below 0 never passes.
         ("ffn-check", {**FFN_2X2, "tolerance": -1}, "ffn-check.tolerance"),
+        # Matrix, vector and file-reference objects take only their own keys.
+        ("run", run_stage({"op": "row_anchor", "kernel": {"rows": EYE, "shpae": [9, 9]}}),
+         "stages[0].kernel.shpae"),
+        ("run", run_stage({"op": "row_anchor", "kernel": {"rows": EYE, "shape": 3}}),
+         "stages[0].kernel.shape"),
+        ("run", run_stage({"op": "row_anchor", "kernel": {"rows": EYE, "shape": [2, True]}}),
+         "stages[0].kernel.shape"),
+        ("run", run_stage({"op": "row_anchor", "kernel": {"rows": EYE, "shape": [2, 2.0]}}),
+         "stages[0].kernel.shape"),
+        ("attn", {**ATTN_2X2, "key_bias": {"values": [1.0, 1.0], "junk": 3}}, "attn.key_bias.junk"),
+        ("run", {"inputs": {"k": {"file": "k.json", "note": "x"}}, "stages": []},
+         "inputs.k.note"),
+        ("run", {"inputs": {"k": {"rows": EYE, "values": [1.0]}}, "stages": []},
+         "inputs.k.values"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attnkit.errors import ConfigInvalid
+from attnkit.errors import ConfigInvalid, NonFinite
 from attnkit.matio import (
     dump_canonical,
     load_json,
@@ -223,4 +223,10 @@ _PAYLOADS = st.recursive(
 @settings(deadline=None)
 @given(_PAYLOADS)
 def test_dump_canonical_is_json_dumps_indent_2_sorted(obj):
-    assert dump_canonical(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        expected = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(NonFinite):
+            dump_canonical(obj)
+    else:
+        assert dump_canonical(obj) == expected

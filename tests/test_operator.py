@@ -403,6 +403,35 @@ def assert_same_bits(ours, oracle):
     )
 
 
+def assert_within_ulps(ours, oracle, ulps):
+    """NaN exactly where the oracle is NaN, and every other entry at most
+    ulps representable doubles away from the oracle's (-0.0 and 0.0 are
+    one double here)."""
+    ours = np.asarray(ours, dtype=np.float64)
+    oracle = np.asarray(oracle, dtype=np.float64)
+    assert ours.shape == oracle.shape
+    lo = hi = ours
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    with np.errstate(invalid="ignore"):
+        bad = np.flatnonzero(((lo > oracle) | (oracle > hi)) | (np.isnan(ours) != np.isnan(oracle)))
+    assert bad.size == 0, (
+        f"{bad.size} entries are more than {ulps} ulp away, first at {bad[0]}: "
+        f"{ours.flat[bad[0]]!r} vs {oracle.flat[bad[0]]!r}"
+    )
+
+
+def assert_gelu_follows_scipy_erf(x):
+    # erf within 3 ulp (1.5 eps) of scipy's moves the rounded 1 + erf by
+    # at most 2.5 eps, and the rounded 0.5 * x * (1 + erf) by at most
+    # 2.25 eps |x|; 4 eps |x| leaves a margin.
+    ours, oracle = _gelu(x), scipy_gelu(x)
+    with np.errstate(invalid="ignore"):
+        near = np.abs(ours - oracle) <= 4 * np.finfo(np.float64).eps * np.abs(x)
+    bad = np.flatnonzero(~(near | (ours == oracle) | (np.isnan(ours) & np.isnan(oracle))))
+    assert bad.size == 0, f"gelu({x.flat[bad[0]]!r}) = {ours.flat[bad[0]]!r} vs {oracle.flat[bad[0]]!r}"
+
+
 EDGES = np.array(
     [
         0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.0, 26.5, 26.6, 27.0, -26.6,
@@ -418,43 +447,63 @@ NAN_PAYLOADS = np.array(
 
 
 class TestErf:
-    def test_matches_scipy_bitwise_on_seeded_draws(self):
-        # 10M draws over scales from deep inside |x| <= 1 to far past 8,
-        # so every branch and both branch boundaries see millions.
+    # math.erf is the C library's erf; scipy evaluates Cephes' rational
+    # approximations. On glibc the two sit at most 3 ulp apart (measured
+    # on the draws below), and the C library's is the nearer to exact.
+    SCALES = (1e-3, 0.1, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, 8.0, 30.0)
+
+    def draws(self):
+        # 10M draws over scales from deep inside |x| <= 1 to far past 8.
         rng = np.random.default_rng(2016)
-        for sigma in (1e-3, 0.1, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, 8.0, 30.0):
-            x = rng.standard_normal(1_000_000) * sigma
-            assert_same_bits(_erf(x), scipy_erf()(x))
+        for sigma in self.SCALES:
+            yield rng.standard_normal(1_000_000) * sigma
+
+    def test_within_3_ulp_of_scipy_on_seeded_draws(self):
+        for x in self.draws():
+            assert_within_ulps(_erf(x), scipy_erf()(x), 3)
+
+    def test_within_1_ulp_of_the_exact_value_on_seeded_draws(self):
+        import mpmath
+
+        with mpmath.workprec(200):
+            for x in self.draws():
+                x = x[:2000]
+                exact = [float(mpmath.erf(mpmath.mpf(v))) for v in x.tolist()]
+                assert_within_ulps(_erf(x), exact, 1)
 
     # gelu(-inf) = -inf * 0 and the signalling NaN raise numpy's invalid
-    # flag, on the oracle as on the port.
+    # flag, on the oracle as on ours.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_matches_scipy_bitwise_on_edges_and_neighbours(self):
+    def test_within_3_ulp_of_scipy_on_edges_and_neighbours(self):
         x = np.concatenate([EDGES, NAN_PAYLOADS])
         x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
-        assert_same_bits(_erf(x), scipy_erf()(x))
-        assert_same_bits(_gelu(x), scipy_gelu(x))
+        assert_within_ulps(_erf(x), scipy_erf()(x), 3)
+        assert_gelu_follows_scipy_erf(x)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=500, deadline=None)
     @given(st.floats(allow_nan=True, allow_infinity=True))
-    def test_matches_scipy_bitwise_on_any_float(self, v):
+    def test_within_3_ulp_of_scipy_on_any_float(self, v):
         x = np.array([v, -v])
-        assert_same_bits(_erf(x), scipy_erf()(x))
-        assert_same_bits(_gelu(x), scipy_gelu(x))
+        assert_within_ulps(_erf(x), scipy_erf()(x), 3)
+        assert_gelu_follows_scipy_erf(x)
 
-    def test_keeps_the_input_shape(self):
+    def test_exact_values_and_shape(self):
+        assert_same_bits(_erf(np.array([0.0, -0.0, np.inf, -np.inf])),
+                         np.array([0.0, -0.0, 1.0, -1.0]))
+        assert np.isnan(_erf(np.array([np.nan, -np.nan]))).all()
         x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
         assert _erf(x).shape == (2, 3, 4)
-        assert_same_bits(_gelu(x), scipy_gelu(x))
+        assert _gelu(x).shape == (2, 3, 4)
 
     def test_gelu_at_size_is_pinned(self):
         # sha256 of the exact-erf gelu on a 128 x 256 N(0, 1) hidden
-        # layer, recorded from the scipy-backed implementation.
+        # layer, recorded with glibc's erf; another C library may round
+        # some entries differently.
         x = np.random.default_rng(0).standard_normal((128, 256))
         digest = hashlib.sha256(_gelu(x).tobytes()).hexdigest()
         assert digest == (
-            "498fbbf122b8f0c03acc3e15417576224cb36dafa643991f3dc1fefc26b92c89"
+            "4e4a28ba0418bc979584cbdc0dbdb494364463fb7029c43c66eadbee3f0e393e"
         )
 
 
