@@ -212,11 +212,12 @@ def _scale(log_k, mu_out, mu_in, e_out, e_in, tol, max_iter, balanced):
     e (log mu_out - LSE(log K + G)) reads
     a <- (mu_out / (K~ b)) ** e_out * exp((e_out - 1) F), and the gauge
     exp((e_out - 1) F) changes only at a fold; at e = 1 this is
-    mu_out / (K~ b) bit for bit. (Folded into the target as
-    mu_out * exp((1 - 1/e) F), the gauge underflows on a lifted row or
-    column at e = 1/2 or 1/3.) balanced picks the stop rule: the L1
-    marginal error with the stall diagnosis, or else the max-norm step
-    of the total log scalings F + log a and G + log b.
+    mu_out / (K~ b) bit for bit, and the loop computes just that
+    quotient (numpy has no fast path for a power of 1.0). (Folded into
+    the target as mu_out * exp((1 - 1/e) F), the gauge underflows on a
+    lifted row or column at e = 1/2 or 1/3.) balanced picks the stop
+    rule: the L1 marginal error with the stall diagnosis, or else the
+    max-norm step of the total log scalings F + log a and G + log b.
     """
     # K~ starts as the first iteration's plan, so no row or column of
     # it underflows to zero, whatever the range of the kernel.
@@ -251,9 +252,9 @@ def _scale(log_k, mu_out, mu_in, e_out, e_in, tol, max_iter, balanced):
             gauge_f, gauge_g = np.exp((e_out - 1.0) * big_f), np.exp((e_in - 1.0) * big_g)
             k_b = k_tilde @ b
         iterations += 1
-        a = (mu_out / k_b) ** e_out * gauge_f
+        a = mu_out / k_b if e_out == 1.0 else (mu_out / k_b) ** e_out * gauge_f
         kt_a = a @ k_tilde
-        b = (mu_in / kt_a) ** e_in * gauge_g
+        b = mu_in / kt_a if e_in == 1.0 else (mu_in / kt_a) ** e_in * gauge_g
         k_b = k_tilde @ b
         if balanced:
             error = float(np.abs(a * k_b - mu_out).sum() + np.abs(b * kt_a - mu_in).sum())

@@ -373,10 +373,14 @@ _OPS = {row.name: row for row in (
 
 def _stage_run(initial, schedule, **kw) -> dict:
     trace = run_schedule(initial, schedule, **kw)
+    # A carried mask is one array object over several stages: one payload
+    # for it, which dump_canonical then formats once.
+    distinct = {id(m): m for m in trace.masks}
+    masks = {key: matrix_to_json(m.astype(np.float64)) for key, m in distinct.items()}
     payload = {
         "records": [matrix_to_json(r) for r in trace.records],
         "updates": [matrix_to_json(u) for u in trace.updates],
-        "masks": [matrix_to_json(m.astype(np.float64)) for m in trace.masks],
+        "masks": [masks[id(m)] for m in trace.masks],
         "carrier_ids": list(trace.carrier_ids),
     }
     if len({m.shape[0] for m in trace.masks}) == 1:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +60,22 @@ def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray
 
 
 def _parse_rows(rows, width: int, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of equal width to (values, mask); excluded cells hold 0.0."""
-    flat = [entry for row in rows for entry in row]
-    holes = flat.count("-inf")
-    if holes:
-        flat = [-math.inf if entry == "-inf" else entry for entry in flat]
-    if not all(
-        issubclass(kind, (int, float)) and not issubclass(kind, bool)
-        for kind in set(map(type, flat))
-    ):
-        _raise_first_bad_entry(rows, where)
+    """Rows of equal width to (values, mask); excluded cells hold 0.0.
+
+    Rows of plain ints and floats, as JSON gives a matrix without holes,
+    skip the scan for "-inf" strings and the per-type check."""
+    flat = list(chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    holes = 0
+    if not kinds <= {float, int}:
+        holes = flat.count("-inf")
+        if holes:
+            hole = -math.inf  # one lookup, not one per entry
+            flat = [hole if entry == "-inf" else entry for entry in flat]
+            kinds = set(map(type, flat))
+        if not all(issubclass(kind, (int, float)) and not issubclass(kind, bool)
+                   for kind in kinds):
+            _raise_first_bad_entry(rows, where)
     values = _doubles(flat).reshape(len(rows), width)
     # The holes must be the only non-finite entries: the number -inf
     # (JSON's -Infinity) marks none.
@@ -158,31 +165,43 @@ def dump_canonical(obj) -> str:
     Dict keys must be strings. Lists of scalars (matrix rows, vectors)
     go to json's C encoder in one call each, with the item separator
     carrying the newline and indent; the indenting pure-Python encoder
-    would otherwise visit every number. The pieces are joined once.
+    would otherwise visit every number. A dict object met again at the
+    same depth, such as a mask carried over several stages, is not
+    formatted again: a memo that lives for this call only maps it to
+    the run of pieces its first occurrence appended, and those pieces
+    are appended once more. The pieces are joined once.
     """
     parts = []
     try:
-        _encode(obj, "\n", parts)
+        _encode(obj, "\n", parts, {})
     except ValueError as exc:
         raise NonFinite("the output holds a NaN or an infinity, which JSON cannot hold") from exc
     parts.append("\n")
     return "".join(parts)
 
 
-def _encode(obj, newline: str, parts: list) -> None:
+def _encode(obj, newline: str, parts: list, done: dict) -> None:
     """Append the text of obj to parts; `newline` starts each of its
-    lines at the current depth."""
+    lines at the current depth. done maps (id, depth) of each dict
+    already encoded to the slice of parts that holds its text; every
+    such dict lives inside the object being dumped, so no id is reused."""
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
+        slot = (id(obj), len(newline))
+        if slot in done:
+            parts += parts[done[slot]]
+            return
+        start = len(parts)
         opener = "{" + inner
         for key in sorted(obj):
             parts.append(opener + json.encoder.encode_basestring_ascii(key) + ": ")
-            _encode(obj[key], inner, parts)
+            _encode(obj[key], inner, parts, done)
             opener = "," + inner
         parts.append(newline + "}")
+        done[slot] = slice(start, len(parts))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -190,7 +209,7 @@ def _encode(obj, newline: str, parts: list) -> None:
             opener = "[" + inner
             for item in obj:
                 parts.append(opener)
-                _encode(item, inner, parts)
+                _encode(item, inner, parts, done)
                 opener = "," + inner
             parts.append(newline + "]")
         else:

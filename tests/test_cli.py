@@ -511,6 +511,26 @@ def test_stage_run_emits_trace_and_influence(tmp_path, capsys):
     assert trace["influence"]["predecessors"] == [[0], [0, 1], [0, 1, 2]]
 
 
+def test_stage_run_converts_each_mask_object_once(monkeypatch, capsys):
+    # The golden schedule's masks are A, A (carried), pushed A, and a
+    # new one: three objects, so three square payloads among the
+    # records' and updates' n x 3 ones.
+    shapes = []
+    convert = cli.matrix_to_json
+
+    def to_json(*args, **kwargs):
+        out = convert(*args, **kwargs)
+        shapes.append(tuple(out["shape"]))
+        return out
+
+    monkeypatch.setattr(cli, "matrix_to_json", to_json)
+    path = Path(__file__).parent / "golden" / "stage_run_refine.json"
+    assert main(["stage-run", str(path)]) == 0
+    masks = json.loads(capsys.readouterr().out)["masks"]
+    assert [m["shape"] for m in masks] == [[4, 4], [4, 4], [2, 2], [2, 2]]
+    assert [s for s in shapes if s[0] == s[1]] == [(4, 4), (2, 2), (2, 2)]
+
+
 def test_ffn_check_passes_then_fails_on_forced_tolerance(tmp_path, capsys):
     payload = {
         "w1": [[0.3, 0.1], [0.0, 0.2], [0.1, 0.1]],

@@ -56,6 +56,12 @@ their bytes, and so did every other golden file.
 Every file here, and every `ga check --seed N` report in CHECK_DIGESTS,
 kept its bytes when GELU's erf moved from a numpy port of Cephes' to
 the C library's `math.erf`.
+
+`stage_run_refine` is a 4-step `ga stage-run` whose mask is given on
+step 0, carried on step 1, pushed through a refinement on step 2 and
+replaced on step 3: one mask object printed twice, then two others. It
+was pinned just before the output writer came to format a repeated
+dict once and repeat its text.
 """
 
 import hashlib
@@ -72,6 +78,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "run_pipeline": (["run", str(GOLDEN / "run_pipeline.json")], 0),
     "stage_run_causal": (["stage-run", str(GOLDEN / "stage_run_causal.json")], 0),
+    "stage_run_refine": (["stage-run", str(GOLDEN / "stage_run_refine.json")], 0),
     "anchor_unbalanced": (["anchor", str(GOLDEN / "anchor_unbalanced.json")], 0),
     "anchor_row_huge": (["anchor", str(GOLDEN / "anchor_row_huge.json")], 0),
     "anchor_balanced_huge": (["anchor", str(GOLDEN / "anchor_balanced_huge.json")], 0),

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -153,15 +153,27 @@ _ENTRIES = st.one_of(
 )
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_matrix_from_json_agrees_with_reference_parser(data):
-    width = data.draw(st.integers(0, 4))
+@st.composite
+def _rows(draw):
+    """Rows of one width, with at times a ragged row put in."""
+    width = draw(st.integers(0, 4))
     row = st.lists(_ENTRIES, min_size=width, max_size=width)
-    rows = data.draw(st.lists(row, min_size=1, max_size=5))
-    if data.draw(st.booleans()):
-        ragged = data.draw(st.lists(_ENTRIES, max_size=5))
-        rows.insert(data.draw(st.integers(0, len(rows))), ragged)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        ragged = draw(st.lists(_ENTRIES, max_size=5))
+        rows.insert(draw(st.integers(0, len(rows))), ragged)
+    return rows
+
+
+# A hole next to a non-number: the type check must still see the
+# non-number once the holes are replaced, and report it (ConfigInvalid).
+@example([["-inf", "x"]])
+@example([[1.0, "x"]])
+@example([[True, "-inf"]])
+@example([["-inf", None]])
+@settings(deadline=None)
+@given(_rows())
+def test_matrix_from_json_agrees_with_reference_parser(rows):
     try:
         expected = _reference_matrix_from_json(rows)
     except ConfigInvalid as exc:
@@ -213,13 +225,23 @@ _SCALARS = st.one_of(
     st.sampled_from(["\u00e9t\u00e9", "\u2603\U0001f600", 'q"uo\\te', "tab\tnl\n\x00", "-inf"]),
 )
 
+
+def _shared(d):
+    """One dict object twice at one depth and once a level deeper, as a
+    carried stage-run mask occurs in its report."""
+    return [d, d, {"": d}]
+
+
 _PAYLOADS = st.recursive(
     _SCALARS,
-    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(), inner, max_size=6),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=3).map(_shared),
     max_leaves=60,
 )
 
 
+@example(_shared({"rows": [[1.0, "-inf"]], "shape": [1, 2]}))
 @settings(deadline=None)
 @given(_PAYLOADS)
 def test_dump_canonical_is_json_dumps_indent_2_sorted(obj):
@@ -230,3 +252,17 @@ def test_dump_canonical_is_json_dumps_indent_2_sorted(obj):
             dump_canonical(obj)
     else:
         assert dump_canonical(obj) == expected
+
+
+def test_a_failed_dump_leaves_the_next_one_exact():
+    # The failed call has met `seen` twice before the NaN; a fresh dict
+    # of the same size can then take its id. A memo that outlived the
+    # call would print the old text for it.
+    for i in range(50):
+        seen = {"i": i}
+        with pytest.raises(NonFinite):
+            dump_canonical([seen, seen, math.nan])
+        del seen
+        fresh = {"j": -i}
+        obj = [fresh, fresh]
+        assert dump_canonical(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
