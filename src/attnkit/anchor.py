@@ -26,13 +26,11 @@ doubles makes the solver give up, with NoConvergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import EmptyCol, EmptyRow, Infeasible, InvalidBudget, NoConvergence
-from .score import EvidenceKernel, MaskedMatrix
+from .score import EvidenceKernel, Frozen, MaskedMatrix
 
 
 def _marginal_vectors(marginals: Marginals, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -44,7 +42,6 @@ def _marginal_vectors(marginals: Marginals, shape) -> tuple[np.ndarray, np.ndarr
     return marginals.mu_out, marginals.mu_in
 
 
-@dataclass(frozen=True)
 class ConditionalFamily(MaskedMatrix):
     """Row-stochastic family supported on the mask.
 
@@ -52,10 +49,10 @@ class ConditionalFamily(MaskedMatrix):
     to 1 within 1e-12.
     """
 
-    kind: ClassVar[str] = "conditional"
+    kind = "conditional"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, values: np.ndarray, mask: np.ndarray):
+        super().__init__(values, mask)
         sums = self.values.sum(axis=1)
         nonempty = self.mask.any(axis=1)
         if (np.abs(sums[nonempty] - 1.0) > 1e-12).any():
@@ -65,24 +62,19 @@ class ConditionalFamily(MaskedMatrix):
             )
 
 
-@dataclass(frozen=True)
-class Marginals:
+class Marginals(Frozen):
     """Target row and column masses, all strictly positive."""
 
-    mu_out: np.ndarray
-    mu_in: np.ndarray
-
-    def __post_init__(self):
-        mu_out = np.array(self.mu_out, dtype=np.float64, copy=True)
-        mu_in = np.array(self.mu_in, dtype=np.float64, copy=True)
+    def __init__(self, mu_out: np.ndarray, mu_in: np.ndarray):
+        mu_out = np.array(mu_out, dtype=np.float64, copy=True)
+        mu_in = np.array(mu_in, dtype=np.float64, copy=True)
         for name, arr in (("mu_out", mu_out), ("mu_in", mu_in)):
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a nonempty vector")
             if not np.isfinite(arr).all() or (arr <= 0).any():
                 raise ValueError(f"{name} entries must be finite and strictly positive")
             arr.setflags(write=False)
-        object.__setattr__(self, "mu_out", mu_out)
-        object.__setattr__(self, "mu_in", mu_in)
+        self.__dict__.update(mu_out=mu_out, mu_in=mu_in)
 
     def _totals(self) -> tuple[float, float, float]:
         """Both total masses in units of the largest entry of either
@@ -95,26 +87,21 @@ class Marginals:
         return abs(total_out - total_in) <= rel_tol * total_out
 
 
-@dataclass(frozen=True)
 class TransportPlan(MaskedMatrix):
     """Nonnegative coupling with its achieved marginals and solver state."""
 
-    kind: ClassVar[str] = "plan"
+    kind = "plan"
 
-    converged: bool
-    iterations: int
-    marginal_error: float = 0.0
-    row_marginal: np.ndarray = field(init=False)
-    col_marginal: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, values: np.ndarray, mask: np.ndarray, converged: bool, iterations: int,
+                 marginal_error: float = 0.0):
+        super().__init__(values, mask)
         row_marginal = self.values.sum(axis=1)
         col_marginal = self.values.sum(axis=0)
         row_marginal.setflags(write=False)
         col_marginal.setflags(write=False)
-        object.__setattr__(self, "row_marginal", row_marginal)
-        object.__setattr__(self, "col_marginal", col_marginal)
+        self.__dict__.update(converged=converged, iterations=iterations,
+                             marginal_error=marginal_error, row_marginal=row_marginal,
+                             col_marginal=col_marginal)
 
 
 def row_anchor(matrix: MaskedMatrix) -> ConditionalFamily:

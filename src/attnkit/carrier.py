@@ -11,42 +11,32 @@ is the one aggregation regime implemented here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .score import EvidenceKernel
+from .score import EvidenceKernel, Frozen
 
 
-@dataclass(frozen=True)
-class RefinementMap:
+class RefinementMap(Frozen):
     """Surjective bucket map from a fine carrier onto a coarse one.
 
     map[i] is the coarse index that fine index i lands in.
     """
 
-    fine: str
-    coarse: str
-    map: np.ndarray
-    n_coarse: int
-
-    def __post_init__(self):
+    def __init__(self, fine: str, coarse: str, map: np.ndarray, n_coarse: int):
         try:
-            arr = np.array(self.map, dtype=np.intp, copy=True)
+            arr = np.array(map, dtype=np.intp, copy=True)
         except OverflowError as exc:  # an entry no index can hold
             raise ValueError("refinement map entry out of coarse range") from exc
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("refinement map must be a nonempty 1-d index array")
-        if arr.min() < 0 or arr.max() >= self.n_coarse:
+        if arr.min() < 0 or arr.max() >= n_coarse:
             raise ValueError("refinement map entry out of coarse range")
         # More buckets than entries cannot all be hit; bincount would
         # allocate every one of them first.
-        if self.n_coarse > arr.size or not np.bincount(arr, minlength=self.n_coarse).all():
-            raise ValueError(
-                f"refinement {self.fine!r}->{self.coarse!r} misses a coarse bucket"
-            )
+        if n_coarse > arr.size or not np.bincount(arr, minlength=n_coarse).all():
+            raise ValueError(f"refinement {fine!r}->{coarse!r} misses a coarse bucket")
         arr.setflags(write=False)
-        object.__setattr__(self, "map", arr)
+        self.__dict__.update(fine=fine, coarse=coarse, map=arr, n_coarse=n_coarse)
 
     @property
     def n_fine(self) -> int:

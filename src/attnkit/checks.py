@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .operator import (
     masked_row_softmax,
     update,
 )
-from .score import EvidenceKernel, Link, MaskedScore, assemble_kernel
+from .score import EvidenceKernel, Frozen, Link, MaskedScore, assemble_kernel
 from .staged import (
     ChartSpec,
     ScheduleStep,
@@ -51,16 +50,13 @@ from .staged import (
 )
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(Frozen):
     """Outcome of one verified property: worst deviation vs tolerance."""
 
-    name: str
-    cases: int
-    max_deviation: float
-    tolerance: float
-    passed: bool
-    witness: dict | None = None
+    def __init__(self, name: str, cases: int, max_deviation: float, tolerance: float,
+                 passed: bool, witness: dict | None = None):
+        self.__dict__.update(name=name, cases=cases, max_deviation=max_deviation,
+                             tolerance=tolerance, passed=passed, witness=witness)
 
     def as_json(self) -> dict:
         out = {
@@ -75,17 +71,15 @@ class PropertyResult:
         return out
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Frozen):
     """All properties of one named suite, plus wall time.
 
     seconds stays out of the JSON form on purpose: reports must be
     byte-identical across runs with the same seed.
     """
 
-    suite: str
-    properties: tuple
-    seconds: float
+    def __init__(self, suite: str, properties: tuple, seconds: float):
+        self.__dict__.update(suite=suite, properties=properties, seconds=seconds)
 
     @property
     def passed(self) -> bool:

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -65,7 +64,15 @@ from .operator import (
     ffn_as_ga,
     update,
 )
-from .score import BaselinePrior, EvidenceKernel, Link, MaskedMatrix, MaskedScore, assemble_kernel
+from .score import (
+    BaselinePrior,
+    EvidenceKernel,
+    Frozen,
+    Link,
+    MaskedMatrix,
+    MaskedScore,
+    assemble_kernel,
+)
 from .staged import (
     ChartSpec,
     CompSpec,
@@ -264,18 +271,16 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(Frozen):
     """The fields of one JSON object: each one's kind (a name in _KINDS,
     a nested _Row for an object, or [row] for a nonempty list of such
     objects) and whether it is required. build gets the fields present,
     by name; what it raises is a config error on `<where>.<at>`."""
 
-    name: str
-    build: Callable
-    required: dict
-    optional: dict = field(default_factory=dict)
-    at: str = ""
+    def __init__(self, name: str, build: Callable, required: dict,
+                 optional: dict | None = None, at: str = ""):
+        self.__dict__.update(name=name, build=build, required=required,
+                             optional=optional or {}, at=at)
 
 
 def _field(where: str, key: str) -> str:
@@ -542,10 +547,13 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     text = dump_canonical(report)
     if out_dir is not None:
         out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "report.json").write_text(text)
-        for entry, stage_text in zip(stage_reports, _stage_results(text)):
-            (out_path / f"{entry['out']}.json").write_text(stage_text)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+            (out_path / "report.json").write_text(text)
+            for entry, stage_text in zip(stage_reports, _stage_results(text)):
+                (out_path / f"{entry['out']}.json").write_text(stage_text)
+        except OSError as exc:
+            raise ConfigInvalid("--out", f"cannot write to {out_dir!r}: {exc.strerror}") from exc
     return text, exit_code
 
 

@@ -12,12 +12,10 @@ regauging, and sums around directed cycles are the invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import NonFinite
-from .score import EvidenceKernel
+from .score import EvidenceKernel, Frozen
 
 
 def _positive_vector(values, n: int, name: str) -> np.ndarray:
@@ -44,8 +42,7 @@ def scale_kernel(kernel: EvidenceKernel, a, b) -> EvidenceKernel:
     return EvidenceKernel(scaled, kernel.mask)
 
 
-@dataclass(frozen=True)
-class CenteredDecomposition:
+class CenteredDecomposition(Frozen):
     """Grand mean, unary fields, and the double-centered interaction.
 
     Reconstruction: S(x,y) = row_means[x] + col_means[y] - grand_mean
@@ -53,11 +50,10 @@ class CenteredDecomposition:
     column field a row-anchored probe can still see.
     """
 
-    grand_mean: float
-    row_means: np.ndarray
-    col_means: np.ndarray
-    interaction: np.ndarray
-    key_bias: np.ndarray
+    def __init__(self, grand_mean: float, row_means: np.ndarray, col_means: np.ndarray,
+                 interaction: np.ndarray, key_bias: np.ndarray):
+        self.__dict__.update(grand_mean=grand_mean, row_means=row_means, col_means=col_means,
+                             interaction=interaction, key_bias=key_bias)
 
 
 def center_scores(scores, mode: str = "double"):
@@ -129,37 +125,32 @@ def weighted_row_center(scores, weights) -> np.ndarray:
     return np.where(support, s - mean[:, None], 0.0)
 
 
-@dataclass(frozen=True)
-class GaugeGraph:
+class GaugeGraph(Frozen):
     """Directed graph with an edge potential and an optional vertex one."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    edge_potential: np.ndarray
-    vertex_potential: np.ndarray | None = None
-
-    def __post_init__(self):
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...],
+                 edge_potential: np.ndarray, vertex_potential: np.ndarray | None = None):
+        edges = tuple((int(u), int(v)) for u, v in edges)
         for u, v in edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge ({u},{v}) endpoint out of range")
-        a = np.array(self.edge_potential, dtype=np.float64, copy=True)
+        a = np.array(edge_potential, dtype=np.float64, copy=True)
         if a.shape != (len(edges),):
             raise ValueError("edge potential length must equal edge count")
         a.setflags(write=False)
-        phi = self.vertex_potential
+        phi = vertex_potential
         if phi is not None:
             phi = np.array(phi, dtype=np.float64, copy=True)
-            if phi.shape != (self.n_vertices,):
+            if phi.shape != (n_vertices,):
                 raise ValueError("vertex potential length must equal vertex count")
             phi.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "edge_potential", a)
-        object.__setattr__(self, "vertex_potential", phi)
+        self.__dict__.update(n_vertices=n_vertices, edges=edges, edge_potential=a,
+                             vertex_potential=phi)
 
     def regauged(self) -> "GaugeGraph":
         """The same graph with A replaced by A + d(phi)."""
-        return replace(self, edge_potential=self.edge_potential + coboundary(self))
+        a = self.edge_potential + coboundary(self)
+        return GaugeGraph(self.n_vertices, self.edges, a, self.vertex_potential)
 
 
 def coboundary(graph: GaugeGraph) -> np.ndarray:

@@ -15,28 +15,22 @@ move and refuses nearly singular maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoConvergence, NonFinite
 from .gauge import center_scores
+from .score import Frozen
 
 _DEGENERATE_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SvdResult:
+class SvdResult(Frozen):
     """Thin SVD with orthonormal columns and sorted singular values."""
 
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.U, dtype=np.float64)
-        s = np.asarray(self.sigma, dtype=np.float64)
-        v = np.asarray(self.V, dtype=np.float64)
+    def __init__(self, U: np.ndarray, sigma: np.ndarray, V: np.ndarray):
+        u = np.asarray(U, dtype=np.float64)
+        s = np.asarray(sigma, dtype=np.float64)
+        v = np.asarray(V, dtype=np.float64)
         p = s.size
         if u.ndim != 2 or v.ndim != 2 or u.shape[1] != p or v.shape[1] != p:
             raise ValueError("factor shapes disagree with the singular values")
@@ -46,9 +40,7 @@ class SvdResult:
             gram = m.T @ m
             if np.abs(gram - np.eye(p)).max() > 1e-10:
                 raise ValueError(f"{name} columns are not orthonormal")
-        object.__setattr__(self, "U", u)
-        object.__setattr__(self, "sigma", s)
-        object.__setattr__(self, "V", v)
+        self.__dict__.update(U=u, sigma=s, V=v)
 
 
 def svd(matrix) -> SvdResult:
@@ -136,8 +128,7 @@ def reparameterize_chart(q, l, a) -> tuple[np.ndarray, np.ndarray]:
     return q @ a.T, l @ np.linalg.inv(a)
 
 
-@dataclass(frozen=True)
-class LowRankChart:
+class LowRankChart(Frozen):
     """Rank-r factor pair for an interaction matrix, plus the key bias.
 
     key_bias is the column field that survives row anchoring; Q and L
@@ -145,12 +136,10 @@ class LowRankChart:
     interaction.
     """
 
-    Q: np.ndarray
-    L: np.ndarray
-    rank: int
-    frobenius_residual: float
-    key_bias: np.ndarray | None = None
-    degenerate: bool = False
+    def __init__(self, Q: np.ndarray, L: np.ndarray, rank: int, frobenius_residual: float,
+                 key_bias: np.ndarray | None = None, degenerate: bool = False):
+        self.__dict__.update(Q=Q, L=L, rank=rank, frobenius_residual=frobenius_residual,
+                             key_bias=key_bias, degenerate=degenerate)
 
 
 def score_normal_form(scores, rank: int) -> LowRankChart:

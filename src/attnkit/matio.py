@@ -220,10 +220,11 @@ def _encode(obj, newline: str, parts: list, done: dict) -> None:
 
 
 def load_json(path: str | Path):
-    path = Path(path)
-    if not path.exists():
-        raise ConfigInvalid(str(path), "input file does not exist")
+    """The value of a UTF-8 JSON file; a file that cannot be read or
+    holds no JSON value is a ConfigInvalid that names the path."""
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise ConfigInvalid(str(path), f"cannot read input file: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(str(path), f"invalid JSON: {exc}") from exc

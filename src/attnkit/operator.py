@@ -14,13 +14,12 @@ is the whole point: composition never leaves the class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .anchor import ConditionalFamily
 from .errors import EmptyRow, NonFinite
-from .score import BaselinePrior, EvidenceKernel, MaskedMatrix, _as_mask, _as_matrix
+from .score import BaselinePrior, EvidenceKernel, Frozen, MaskedMatrix, _as_mask, _as_matrix
 
 
 def update(weights: MaskedMatrix, values) -> np.ndarray:
@@ -63,8 +62,7 @@ def masked_row_softmax(logits, mask, zero_empty: bool = False) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
-class AttentionParams:
+class AttentionParams(Frozen):
     """Projection matrices and kernel knobs for one attention head.
 
     tau and the 1/sqrt(d_k) factor are redundant knobs for the same
@@ -73,26 +71,18 @@ class AttentionParams:
     relation is not a parameter of the head: each call takes its mask.
     """
 
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    tau: float = 1.0
-    key_bias: np.ndarray | None = None
-    prior: BaselinePrior | None = None
-
-    def __post_init__(self):
-        w_q = np.asarray(self.w_q, dtype=np.float64)
-        w_k = np.asarray(self.w_k, dtype=np.float64)
-        w_v = np.asarray(self.w_v, dtype=np.float64)
+    def __init__(self, w_q: np.ndarray, w_k: np.ndarray, w_v: np.ndarray, tau: float = 1.0,
+                 key_bias: np.ndarray | None = None, prior: BaselinePrior | None = None):
+        w_q = np.asarray(w_q, dtype=np.float64)
+        w_k = np.asarray(w_k, dtype=np.float64)
+        w_v = np.asarray(w_v, dtype=np.float64)
         if w_q.ndim != 2 or w_k.shape != w_q.shape or w_v.ndim != 2:
             raise ValueError("w_q and w_k must share shape; w_v must be a matrix")
         if w_v.shape[0] != w_q.shape[0]:
             raise ValueError("w_v input dimension must match w_q")
-        if not self.tau > 0:
+        if not tau > 0:
             raise ValueError("temperature tau must be strictly positive")
-        object.__setattr__(self, "w_q", w_q)
-        object.__setattr__(self, "w_k", w_k)
-        object.__setattr__(self, "w_v", w_v)
+        self.__dict__.update(w_q=w_q, w_k=w_k, w_v=w_v, tau=tau, key_bias=key_bias, prior=prior)
 
     @property
     def d_model(self) -> int:
@@ -176,32 +166,23 @@ _ACTIVATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class FfnParams:
+class FfnParams(Frozen):
     """Two-layer feedforward block, hidden width d_ff."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    activation: str = "gelu"
-
-    def __post_init__(self):
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        b1 = np.asarray(self.b1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        b2 = np.asarray(self.b2, dtype=np.float64)
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+                 activation: str = "gelu"):
+        w1 = np.asarray(w1, dtype=np.float64)
+        b1 = np.asarray(b1, dtype=np.float64)
+        w2 = np.asarray(w2, dtype=np.float64)
+        b2 = np.asarray(b2, dtype=np.float64)
         if w1.ndim != 2 or w2.ndim != 2:
             raise ValueError("w1 and w2 must be matrices")
         d_ff, d_model = w1.shape
         if b1.shape != (d_ff,) or w2.shape != (d_model, d_ff) or b2.shape != (d_model,):
             raise ValueError("feedforward shapes are inconsistent")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        self.__dict__.update(w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
 
     @property
     def d_model(self) -> int:

@@ -14,9 +14,6 @@ check has both passing and failing witnesses to chew on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from .errors import NonFinite
@@ -42,43 +39,50 @@ def _as_mask(mask, shape: tuple[int, int], name: str = "mask") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MaskedScore:
+class Frozen:
+    """Base of the package's value types.
+
+    Each __init__ validates its arguments and binds the fields once,
+    through the instance __dict__; setting or deleting an attribute
+    afterwards raises AttributeError. Equality is identity.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MaskedScore(Frozen):
     """Dense score matrix plus the admissible relation as a boolean mask.
 
     Entries are only meaningful where the mask is true; excluded entries
     are stored as 0.0 and never read.
     """
 
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        values = _as_matrix(self.values, "score values")
-        mask = _as_mask(self.mask, values.shape)
+    def __init__(self, values: np.ndarray, mask: np.ndarray):
+        values = _as_matrix(values, "score values")
+        mask = _as_mask(mask, values.shape)
         if not np.isfinite(values[mask]).all():
             raise ValueError("score values must be finite on the mask")
         cleaned = np.where(mask, values, 0.0)
         cleaned.setflags(write=False)
-        object.__setattr__(self, "values", cleaned)
-        object.__setattr__(self, "mask", mask)
+        self.__dict__.update(values=cleaned, mask=mask)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class BaselinePrior:
+class BaselinePrior(Frozen):
     """Strictly positive prior weights, one per (query, key) pair."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _as_matrix(self.values, "prior values")
+    def __init__(self, values: np.ndarray):
+        values = _as_matrix(values, "prior values")
         if not np.isfinite(values).all() or (values <= 0).any():
             raise ValueError("prior entries must be finite and strictly positive")
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(values=values)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,8 +92,7 @@ class BaselinePrior:
 _LINK_KINDS = ("exp", "softplus", "square-plus-one", "exp-with-slope")
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Frozen):
     """Map from finite scores to positive weights.
 
     kind "exp" is exp(s/tau). The remaining kinds are named built-ins
@@ -99,19 +102,16 @@ class Link:
     "exp-with-slope" reads slope; other kinds refuse a value but 1.
     """
 
-    kind: str = "exp"
-    tau: float = 1.0
-    slope: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in _LINK_KINDS:
-            raise ValueError(f"unknown link kind {self.kind!r}")
-        if self.kind == "exp" and not self.tau > 0:
+    def __init__(self, kind: str = "exp", tau: float = 1.0, slope: float = 1.0):
+        if kind not in _LINK_KINDS:
+            raise ValueError(f"unknown link kind {kind!r}")
+        if kind == "exp" and not tau > 0:
             raise ValueError("temperature tau must be strictly positive")
-        if self.kind != "exp" and self.tau != 1:
-            raise ValueError(f"link kind {self.kind!r} takes no tau, got {self.tau!r}")
-        if self.kind != "exp-with-slope" and self.slope != 1:
-            raise ValueError(f"link kind {self.kind!r} takes no slope, got {self.slope!r}")
+        if kind != "exp" and tau != 1:
+            raise ValueError(f"link kind {kind!r} takes no tau, got {tau!r}")
+        if kind != "exp-with-slope" and slope != 1:
+            raise ValueError(f"link kind {kind!r} takes no slope, got {slope!r}")
+        self.__dict__.update(kind=kind, tau=tau, slope=slope)
 
     def evaluate(self, scores) -> np.ndarray:
         """Apply the link elementwise. Every kind is strictly positive in
@@ -126,8 +126,7 @@ class Link:
         return 1.0 + s * s  # square-plus-one
 
 
-@dataclass(frozen=True)
-class MaskedMatrix:
+class MaskedMatrix(Frozen):
     """Nonnegative weights on the carrier, supported on the admissible mask.
 
     values is a read-only float64 copy, finite, nonnegative and zero off
@@ -135,34 +134,29 @@ class MaskedMatrix:
     kernel, conditional and plan types add their own law on top.
     """
 
-    kind: ClassVar[str] = "matrix"
+    kind = "matrix"
 
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        values = _as_matrix(self.values, f"{self.kind} values")
-        mask = _as_mask(self.mask, values.shape)
+    def __init__(self, values: np.ndarray, mask: np.ndarray):
+        values = _as_matrix(values, f"{self.kind} values")
+        mask = _as_mask(mask, values.shape)
         if not np.isfinite(values).all() or (values < 0).any():
             raise ValueError(f"{self.kind} values must be finite and nonnegative")
         if ((values != 0) & ~mask).any():
             raise ValueError(f"{self.kind} places mass off the mask")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
+        self.__dict__.update(values=values, mask=mask)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
 
-@dataclass(frozen=True)
 class EvidenceKernel(MaskedMatrix):
     """Nonnegative kernel whose support equals the admissibility mask."""
 
-    kind: ClassVar[str] = "kernel"
+    kind = "kernel"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, values: np.ndarray, mask: np.ndarray):
+        super().__init__(values, mask)
         # Nothing lies off the mask, so equal counts mean no zero on it.
         if np.count_nonzero(self.values) != np.count_nonzero(self.mask):
             raise ValueError("kernel support must equal the mask exactly")

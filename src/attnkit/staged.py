@@ -22,33 +22,27 @@ contain the diagonal for the composed relation to cover all routes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .carrier import RefinementMap, pushforward_kernel
 from .operator import AttentionParams, FfnParams, attention, ffn_apply
-from .score import EvidenceKernel
+from .score import EvidenceKernel, Frozen
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+class ChartSpec(Frozen):
     """How a record is charted before the update reads it."""
 
-    kind: str = "rms_norm"
-    eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "rms_norm", "layer_norm"):
-            raise ValueError(f"unknown chart kind {self.kind!r}")
-        if self.kind == "identity" and self.eps != 1e-6:
-            raise ValueError(f"chart kind 'identity' takes no eps, got {self.eps!r}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be strictly positive, got {self.eps!r}")
+    def __init__(self, kind: str = "rms_norm", eps: float = 1e-6):
+        if kind not in ("identity", "rms_norm", "layer_norm"):
+            raise ValueError(f"unknown chart kind {kind!r}")
+        if kind == "identity" and eps != 1e-6:
+            raise ValueError(f"chart kind 'identity' takes no eps, got {eps!r}")
+        if not eps > 0:
+            raise ValueError(f"eps must be strictly positive, got {eps!r}")
+        self.__dict__.update(kind=kind, eps=eps)
 
 
-@dataclass(frozen=True)
-class CompSpec:
+class CompSpec(Frozen):
     """How an update is composed back into the record.
 
     Only gated reads gate, a matrix of shape (2 d, d): the gate is an
@@ -57,37 +51,32 @@ class CompSpec:
     sum; other kinds refuse them unless they hold the default.
     """
 
-    kind: str = "additive"
-    gate: np.ndarray | None = None
-    norm: str = "rms_norm"
-    eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.kind not in ("additive", "gated", "postnorm"):
-            raise ValueError(f"unknown composition kind {self.kind!r}")
-        if self.kind != "gated" and self.gate is not None:
-            raise ValueError(f"composition kind {self.kind!r} takes no gate")
-        for name, value, default in (("norm", self.norm, "rms_norm"), ("eps", self.eps, 1e-6)):
-            if self.kind != "postnorm" and value != default:
-                raise ValueError(f"composition kind {self.kind!r} takes no {name}, got {value!r}")
-        if self.kind == "gated":
-            if self.gate is None:
+    def __init__(self, kind: str = "additive", gate: np.ndarray | None = None,
+                 norm: str = "rms_norm", eps: float = 1e-6):
+        if kind not in ("additive", "gated", "postnorm"):
+            raise ValueError(f"unknown composition kind {kind!r}")
+        if kind != "gated" and gate is not None:
+            raise ValueError(f"composition kind {kind!r} takes no gate")
+        for name, value, default in (("norm", norm, "rms_norm"), ("eps", eps, 1e-6)):
+            if kind != "postnorm" and value != default:
+                raise ValueError(f"composition kind {kind!r} takes no {name}, got {value!r}")
+        if kind == "gated":
+            if gate is None:
                 raise ValueError("gated composition needs a gate matrix")
-            gate = np.asarray(self.gate, dtype=np.float64)
+            gate = np.asarray(gate, dtype=np.float64)
             if gate.ndim != 2 or gate.shape[0] != 2 * gate.shape[1]:
                 raise ValueError("gate matrix must have shape (2 d, d)")
-            object.__setattr__(self, "gate", gate)
-        if self.norm not in ("rms_norm", "layer_norm"):
-            raise ValueError(f"unknown postnorm kind {self.norm!r}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be strictly positive, got {self.eps!r}")
+        if norm not in ("rms_norm", "layer_norm"):
+            raise ValueError(f"unknown postnorm kind {norm!r}")
+        if not eps > 0:
+            raise ValueError(f"eps must be strictly positive, got {eps!r}")
+        self.__dict__.update(kind=kind, gate=gate, norm=norm, eps=eps)
 
 
-@dataclass(frozen=True)
-class StagedConfig:
-    chart: ChartSpec = ChartSpec()
-    comp: CompSpec = CompSpec()
-    zero_update_on_empty: bool = False
+class StagedConfig(Frozen):
+    def __init__(self, chart: ChartSpec = ChartSpec(), comp: CompSpec = CompSpec(),
+                 zero_update_on_empty: bool = False):
+        self.__dict__.update(chart=chart, comp=comp, zero_update_on_empty=zero_update_on_empty)
 
 
 def _normalize(r: np.ndarray, kind: str, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -177,18 +166,15 @@ def predecessor_sets(masks, t: int) -> list:
     return [set(np.flatnonzero(row).tolist()) for row in reach]
 
 
-@dataclass(frozen=True)
-class StageTrace:
+class StageTrace(Frozen):
     """Records R_0..R_T with the per-stage updates, masks, and carriers."""
 
-    records: tuple
-    updates: tuple
-    masks: tuple
-    carrier_ids: tuple
+    def __init__(self, records: tuple, updates: tuple, masks: tuple, carrier_ids: tuple):
+        self.__dict__.update(records=records, updates=updates, masks=masks,
+                             carrier_ids=carrier_ids)
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
+class ScheduleStep(Frozen):
     """One schedule entry: optional coarse-graining, then a stage.
 
     refine pools the records (mean within buckets) and pushes the
@@ -197,10 +183,9 @@ class ScheduleStep:
     neither given the previous working relation carries over.
     """
 
-    attn: AttentionParams
-    ffn: FfnParams
-    mask: np.ndarray | None = None
-    refine: RefinementMap | None = None
+    def __init__(self, attn: AttentionParams, ffn: FfnParams, mask: np.ndarray | None = None,
+                 refine: RefinementMap | None = None):
+        self.__dict__.update(attn=attn, ffn=ffn, mask=mask, refine=refine)
 
 
 def _pool_records(records: np.ndarray, refine: RefinementMap) -> np.ndarray:

@@ -96,6 +96,16 @@ def test_unparseable_config_exits_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_out_on_a_file_exits_2_and_names_out(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert main(["run", minimal_config(tmp_path), "--out", str(taken)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --out:")
+    assert taken.read_text() == "keep"
+
+
 def test_unknown_operation_exits_2(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -744,14 +754,26 @@ def run_stage(stage, **inputs):
          "inputs.k.note"),
         ("run", {"inputs": {"k": {"rows": EYE, "values": [1.0]}}, "stages": []},
          "inputs.k.values"),
+        # A file that is not UTF-8 or cannot be read is named by its path,
+        # as an input and as a file reference (a spec that is a string
+        # names a file in the test's directory: latin1.json or folder.json).
+        ("run", "latin1.json", "{tmp}/latin1.json"),
+        ("attn", "folder.json", "{tmp}/folder.json"),
+        ("run", {"inputs": {"k": {"file": "latin1.json"}}, "stages": []}, "{tmp}/latin1.json"),
+        ("run", {"inputs": {"k": {"file": "folder.json"}}, "stages": []}, "{tmp}/folder.json"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
-    path = write_config(tmp_path, "input.json", spec)
+    (tmp_path / "latin1.json").write_bytes(b'{"rows": [[1.0]], "note": "caf\xe9"}')
+    (tmp_path / "folder.json").mkdir()
+    if isinstance(spec, str):
+        path = str(tmp_path / spec)
+    else:
+        path = write_config(tmp_path, "input.json", spec)
     assert main([command, path]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: {field}:")
+    assert out.err.startswith(f"error: {field.format(tmp=tmp_path)}:")
 
 
 def test_refusals_say_what_is_wrong(tmp_path, capsys):

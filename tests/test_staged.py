@@ -467,13 +467,13 @@ class TestBarrier:
 class TestRunSchedule:
     def test_builds_no_conditional_family(self, monkeypatch):
         built = []
-        real = ConditionalFamily.__post_init__
+        real = ConditionalFamily.__init__
 
-        def spy(self):
+        def spy(self, values, mask):
+            real(self, values, mask)
             built.append(self.shape)
-            real(self)
 
-        monkeypatch.setattr(ConditionalFamily, "__post_init__", spy)
+        monkeypatch.setattr(ConditionalFamily, "__init__", spy)
         rng = np.random.default_rng(141)
         initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
         run_schedule(initial, schedule, cfg)
