@@ -24,20 +24,14 @@ from .carrier import (
 )
 from .gauge import (
     CenteredDecomposition,
-    GaugeGraph,
     center_scores,
-    coboundary,
-    cycle_sum,
     scale_kernel,
-    weighted_row_center,
 )
 from .lowrank import (
     LowRankChart,
     SvdResult,
-    reparameterize_chart,
     score_normal_form,
     svd,
-    truncate,
 )
 from .operator import (
     AttentionParams,

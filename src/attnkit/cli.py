@@ -169,6 +169,8 @@ def _finite(value, where: str) -> np.ndarray:
     values, mask = _matrix(value, where)
     if not mask.all():
         raise ConfigInvalid(where, "expected a fully finite matrix, without '-inf'")
+    if not values.size:
+        raise ConfigInvalid(where, f"expected a nonempty matrix, got shape {list(values.shape)}")
     return values
 
 

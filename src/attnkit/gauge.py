@@ -1,13 +1,13 @@
-"""Scaling actions, centering quotients, and the discrete gauge graph.
+"""Scaling actions and centering quotients.
 
 Row anchoring is blind to positive left scalings of the kernel, and
 balanced transport anchoring is blind to two-sided scalings; this
 module provides the group action and the unary-field quotients on
-score matrices (row, column, double, and weighted row centering).
+score matrices (row, column and double centering).
 
-The graph part is the 1-cochain picture of the same idea: an edge
-potential changes by a coboundary phi(v) - phi(u) under a vertex
-regauging, and sums around directed cycles are the invariants.
+Double centering keeps exactly the gauge invariants of a score matrix:
+the 2x2 cross differences S[x,y] - S[x,y'] - S[x',y] + S[x',y'], which
+are the cycle sums of the bipartite carrier graph.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ def center_scores(scores, mode: str = "double"):
     mode "row" subtracts row means, "col" subtracts column means (both
     return a matrix), and "double" returns the full decomposition whose
     interaction part has zero row and column sums. Masked or non-finite
-    input is rejected; use weighted_row_center with an explicit
-    reference weight instead of letting a convention be picked
-    silently.
+    input is rejected: arithmetic means are undefined under a mask, and
+    no reference weight is picked silently in their place.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
@@ -99,86 +98,3 @@ def center_scores(scores, mode: str = "double"):
         interaction=interaction,
         key_bias=col_means - grand_mean,
     )
-
-
-def weighted_row_center(scores, weights) -> np.ndarray:
-    """Subtract the weighted row mean under a nonnegative reference weight.
-
-    Only entries in supp(weights) are meaningful; the result is zeroed
-    elsewhere. Every row needs positive total weight.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if s.shape != w.shape or s.ndim != 2:
-        raise ValueError("scores and weights must be matrices of equal shape")
-    if (w < 0).any() or not np.isfinite(w).all():
-        raise ValueError("reference weights must be finite and nonnegative")
-    support = w > 0
-    if not np.isfinite(s[support]).all():
-        raise ValueError("scores must be finite on the weight support")
-    row_mass = w.sum(axis=1)
-    dead = np.flatnonzero(row_mass == 0)
-    if dead.size:
-        raise ValueError(f"reference weight row {int(dead[0])} has zero total mass")
-    masked_scores = np.where(support, s, 0.0)
-    mean = (w * masked_scores).sum(axis=1) / row_mass
-    return np.where(support, s - mean[:, None], 0.0)
-
-
-class GaugeGraph(Frozen):
-    """Directed graph with an edge potential and an optional vertex one."""
-
-    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...],
-                 edge_potential: np.ndarray, vertex_potential: np.ndarray | None = None):
-        edges = tuple((int(u), int(v)) for u, v in edges)
-        for u, v in edges:
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError(f"edge ({u},{v}) endpoint out of range")
-        a = np.array(edge_potential, dtype=np.float64, copy=True)
-        if a.shape != (len(edges),):
-            raise ValueError("edge potential length must equal edge count")
-        a.setflags(write=False)
-        phi = vertex_potential
-        if phi is not None:
-            phi = np.array(phi, dtype=np.float64, copy=True)
-            if phi.shape != (n_vertices,):
-                raise ValueError("vertex potential length must equal vertex count")
-            phi.setflags(write=False)
-        self.__dict__.update(n_vertices=n_vertices, edges=edges, edge_potential=a,
-                             vertex_potential=phi)
-
-    def regauged(self) -> "GaugeGraph":
-        """The same graph with A replaced by A + d(phi)."""
-        a = self.edge_potential + coboundary(self)
-        return GaugeGraph(self.n_vertices, self.edges, a, self.vertex_potential)
-
-
-def coboundary(graph: GaugeGraph) -> np.ndarray:
-    """Per-edge difference (d phi)(u -> v) = phi(v) - phi(u)."""
-    phi = graph.vertex_potential
-    if phi is None:
-        raise ValueError("graph carries no vertex potential")
-    heads = np.array([v for _, v in graph.edges], dtype=np.intp)
-    tails = np.array([u for u, _ in graph.edges], dtype=np.intp)
-    return phi[heads] - phi[tails]
-
-
-def cycle_sum(graph: GaugeGraph, cycle) -> float:
-    """Sum the edge potential along a directed cycle of edge indices.
-
-    The edge sequence must chain head-to-tail and close up; revisiting
-    vertices is allowed (non-simple cycles telescope just the same).
-    """
-    cycle = [int(e) for e in cycle]
-    if not cycle:
-        raise ValueError("empty edge sequence")
-    for e in cycle:
-        if not 0 <= e < len(graph.edges):
-            raise ValueError(f"edge index {e} out of range")
-    for here, there in zip(cycle, cycle[1:] + cycle[:1]):
-        if graph.edges[here][1] != graph.edges[there][0]:
-            raise ValueError(
-                f"edge {here} ends at {graph.edges[here][1]} but edge {there} "
-                f"starts at {graph.edges[there][0]}"
-            )
-    return float(graph.edge_potential[cycle].sum())

@@ -1,4 +1,4 @@
-"""SVD truncation, factor extraction, and the anchored score normal form.
+"""SVD, and the anchored score normal form.
 
 The factorization itself is delegated to LAPACK through numpy, kept
 behind a thin contract: singular values sorted nonincreasing, a fixed
@@ -6,11 +6,12 @@ column sign convention (largest-magnitude entry of each left singular
 vector nonnegative) so output is reproducible, and NoConvergence where
 the backend gives up.
 
-score_normal_form splits the singular values symmetrically across the
-two factors, Q = U sqrt(S) and L = V sqrt(S). Any invertible r x r map
-A moves between equivalent factor pairs (Q A^T, L A^{-1}) without
-touching the products q(x) . k(y); reparameterize_chart performs that
-move and refuses nearly singular maps.
+score_normal_form truncates the double-centered interaction at rank r
+(Eckart-Young: the best rank-r approximation in Frobenius norm) and
+splits the singular values symmetrically across the two factors,
+Q = U sqrt(S) and L = V sqrt(S). Any invertible r x r map A moves
+between equivalent factor pairs (Q A^T, L A^{-1}) without touching the
+products q(x) . k(y).
 """
 
 from __future__ import annotations
@@ -64,26 +65,6 @@ def svd(matrix) -> SvdResult:
     return SvdResult(u, s, v)
 
 
-def _svd_at_rank(matrix, rank: int) -> SvdResult:
-    result = svd(matrix)
-    if not 0 <= rank <= result.sigma.size:
-        raise ValueError(f"rank {rank} not in [0, {result.sigma.size}]")
-    return result
-
-
-def truncate(matrix, rank: int) -> tuple[np.ndarray, float]:
-    """Best rank-r approximation in Frobenius norm plus its residual.
-
-    The residual is measured directly as ||M - M_r||_F; it must agree
-    with the tail singular values, and the property tests hold it to
-    that.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    result = _svd_at_rank(m, rank)
-    approx = (result.U[:, :rank] * result.sigma[:rank]) @ result.V[:, :rank].T
-    return approx, _frobenius(m - approx)
-
-
 def _frobenius(diff: np.ndarray) -> float:
     """||diff||_F. Past ~1e154 the sum of squares overflows, so a finite
     diff whose norm is not is measured again as m ||diff / m||_F, m its
@@ -109,25 +90,6 @@ def degenerate_truncation(sigma, rank: int) -> bool:
     return float(sigma[rank - 1] - sigma[rank]) <= _DEGENERATE_REL_TOL * max(scale, 1e-300)
 
 
-def reparameterize_chart(q, l, a) -> tuple[np.ndarray, np.ndarray]:
-    """Move to the equivalent factor pair (Q A^T, L A^{-1}).
-
-    Row pairings are preserved: q'(x) . k'(y) = q(x) . k(y). Maps with
-    condition number at or above 1e8 are refused, since the inverse
-    would shred the product invariance this transform exists for.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    l = np.asarray(l, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    r = q.shape[1]
-    if a.shape != (r, r) or l.shape[1] != r:
-        raise ValueError("chart map must be r x r matching both factors")
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond >= 1e8:
-        raise ValueError(f"condition number {cond:.3e} too large")
-    return q @ a.T, l @ np.linalg.inv(a)
-
-
 class LowRankChart(Frozen):
     """Rank-r factor pair for an interaction matrix, plus the key bias.
 
@@ -150,7 +112,9 @@ def score_normal_form(scores, rank: int) -> LowRankChart:
     """
     decomposition = center_scores(scores, mode="double")
     interaction = decomposition.interaction
-    result = _svd_at_rank(interaction, rank)
+    result = svd(interaction)
+    if not 0 <= rank <= result.sigma.size:
+        raise ValueError(f"rank {rank} not in [0, {result.sigma.size}]")
     root = np.sqrt(result.sigma[:rank])
     q = result.U[:, :rank] * root
     l = result.V[:, :rank] * root

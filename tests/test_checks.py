@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import attnkit.checks as checks
+import attnkit.lowrank as lowrank
 from attnkit.anchor import TransportPlan, sinkhorn_balanced
 from attnkit.checks import (
     _cycle_perturbations,
     _feasible_transport_instance,
     _kl_gaps,
     _link_composition,
+    run_checks,
     run_criterion,
 )
+from attnkit.gauge import CenteredDecomposition, center_scores
+from attnkit.lowrank import LowRankChart
 from attnkit.score import EvidenceKernel, Link
 
 from test_anchor import generalized_kl
@@ -260,6 +264,54 @@ def test_sinkhorn_suite_catches_a_feasible_but_suboptimal_plan(monkeypatch):
     results = _by_name(run_criterion("transport_anchor", seed=0))
     assert results["sinkhorn_marginals"].passed
     assert not results["sinkhorn_kl_optimality"].passed
+
+
+def _failed_lines(suite):
+    (report,) = run_checks([suite], seed=0)
+    return {p.name for p in report.properties if not p.passed}
+
+
+def test_cycle_sum_suite_catches_an_interaction_that_drops_to_zero(monkeypatch):
+    # A zero interaction has zero margins and is blind to unary shifts,
+    # so only the cross differences can tell it from the real one.
+    def no_interaction(scores, mode="double"):
+        dec = center_scores(scores, mode)
+        zero = np.zeros_like(dec.interaction)
+        return CenteredDecomposition(dec.grand_mean, dec.row_means, dec.col_means, zero,
+                                     dec.key_bias)
+
+    monkeypatch.setattr(checks, "center_scores", no_interaction)
+    monkeypatch.setattr(lowrank, "center_scores", no_interaction)
+    assert _failed_lines("cycle-sum") == {"interaction_keeps_cross_differences"}
+
+
+def _whole_interaction_residual(chart, interaction):
+    return LowRankChart(chart.Q, chart.L, chart.rank, float(np.linalg.norm(interaction)),
+                        chart.key_bias, chart.degenerate)
+
+
+def _halved_factors(chart, interaction):
+    return LowRankChart(chart.Q / 2, chart.L / 2, chart.rank, chart.frobenius_residual,
+                        chart.key_bias, chart.degenerate)
+
+
+def _halved_factors_measured(chart, interaction):
+    q, l = chart.Q / 2, chart.L / 2
+    return LowRankChart(q, l, chart.rank, float(np.linalg.norm(interaction - q @ l.T)),
+                        chart.key_bias, chart.degenerate)
+
+
+@pytest.mark.parametrize(
+    "mutant", [_whole_interaction_residual, _halved_factors, _halved_factors_measured]
+)
+def test_eckart_young_suite_catches_a_wrong_normal_form(monkeypatch, mutant):
+    real = checks.score_normal_form
+
+    def wrong(scores, rank):
+        return mutant(real(scores, rank), center_scores(scores).interaction)
+
+    monkeypatch.setattr(checks, "score_normal_form", wrong)
+    assert "truncation_residual_identity" in _failed_lines("eckart-young")
 
 
 class TestLinkComposition:

@@ -761,6 +761,9 @@ def run_stage(stage, **inputs):
         ("attn", "folder.json", "{tmp}/folder.json"),
         ("run", {"inputs": {"k": {"file": "latin1.json"}}, "stages": []}, "{tmp}/latin1.json"),
         ("run", {"inputs": {"k": {"file": "folder.json"}}, "stages": []}, "{tmp}/folder.json"),
+        # A score matrix with no columns has no means and no singular values.
+        ("run", run_stage({"op": "center_scores", "scores": [[]]}), "stages[0].scores"),
+        ("chart", {"scores": [[]], "rank": 0}, "chart.scores"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):

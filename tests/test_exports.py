@@ -3,8 +3,10 @@ class, has a consumer inside the package; every error class has a
 caller that branches on it.
 
 The check parses the source: a use is a name read or an attribute in
-some module of src/attnkit other than __init__, outside the definition
-of the name itself. Docstrings, comments and import lines do not count,
+some module of src/attnkit other than __init__ and checks, outside the
+definition of the name itself. checks is the property harness: it reads
+library code to verify it, so code that only the harness reads has no
+consumer. Docstrings, comments and import lines do not count,
 nor does a local variable or an argument that shares the name, so a
 name that only tests call fails here. Nor does a use inside a
 module-level function or class that nothing reaches: one the package
@@ -23,7 +25,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "attnkit"
 MODULES = {
     path.stem: ast.parse(path.read_text())
     for path in sorted(SRC.glob("*.py"))
-    if path.name != "__init__.py"
+    if path.name not in ("__init__.py", "checks.py")
+}
+
+# Exports that only the harness reads, each with the op that will use it.
+HARNESS_ONLY = {
+    # the pending `ga run` op `mixture`
+    "gated_mixture_conditional",
+    "gated_mixture_plan",
 }
 
 
@@ -155,7 +164,10 @@ def test_the_walk_finds_the_exports():
 @pytest.mark.parametrize("module, name", exported(), ids=lambda v: v)
 def test_every_export_is_used_in_the_package(module, name):
     total = package_uses(name, definition(MODULES[module], name))
-    assert total > 0, f"{module}.{name} is exported but nothing in src/attnkit uses it"
+    if name in HARNESS_ONLY:
+        assert total == 0, f"{module}.{name} has a consumer now: drop it from HARNESS_ONLY"
+    else:
+        assert total > 0, f"{module}.{name} is exported but nothing in src/attnkit uses it"
 
 
 def test_a_local_variable_is_not_a_use():

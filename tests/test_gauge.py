@@ -1,18 +1,11 @@
-"""Scaling actions, centering, and cycle invariants on the gauge graph."""
+"""Scaling actions, centering, and the cross differences centering keeps."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from attnkit.anchor import row_anchor
-from attnkit.gauge import (
-    GaugeGraph,
-    center_scores,
-    coboundary,
-    cycle_sum,
-    scale_kernel,
-    weighted_row_center,
-)
+from attnkit.gauge import center_scores, scale_kernel
 from attnkit.score import EvidenceKernel
 
 
@@ -21,21 +14,6 @@ def oracle_scale(values, a, b):
     for i in range(values.shape[0]):
         for j in range(values.shape[1]):
             out[i, j] = a[i] * values[i, j] * b[j]
-    return out
-
-
-def oracle_weighted_center(scores, weights):
-    out = np.zeros_like(scores)
-    for i in range(scores.shape[0]):
-        mass = weights[i].sum()
-        mean = sum(
-            weights[i, j] * scores[i, j]
-            for j in range(scores.shape[1])
-            if weights[i, j] > 0
-        ) / mass
-        for j in range(scores.shape[1]):
-            if weights[i, j] > 0:
-                out[i, j] = scores[i, j] - mean
     return out
 
 
@@ -120,6 +98,20 @@ class TestCenterScores:
         after = center_scores(shifted).interaction
         assert np.abs(base - after).max() <= 1e-10
 
+    def test_interaction_keeps_every_cross_difference(self):
+        # S[x,y] - S[x,y'] - S[x',y] + S[x',y'] is a cycle sum of the
+        # bipartite carrier graph, blind to unary fields.
+        rng = np.random.default_rng(61)
+        s = rng.normal(size=(4, 5)) + rng.normal(size=4)[:, None] + rng.normal(size=5)
+        inter = center_scores(s).interaction
+        for x in range(4):
+            for x2 in range(4):
+                for y in range(5):
+                    for y2 in range(5):
+                        want = s[x, y] - s[x, y2] - s[x2, y] + s[x2, y2]
+                        got = inter[x, y] - inter[x, y2] - inter[x2, y] + inter[x2, y2]
+                        assert abs(got - want) <= 1e-12
+
     def test_separable_scores_have_no_interaction(self):
         r = np.array([0.0, 1.0, -2.0])
         c = np.array([3.0, -1.0])
@@ -138,129 +130,3 @@ class TestCenterScores:
             center_scores([[1.0, np.inf], [0.0, 2.0]])
         with pytest.raises(ValueError, match="plain centering needs fully finite scores"):
             center_scores([[1.0, np.nan]])
-
-
-class TestWeightedRowCenter:
-    def test_uniform_weights_reduce_to_plain_row_centering(self):
-        rng = np.random.default_rng(63)
-        s = rng.normal(size=(4, 5))
-        w = np.ones_like(s)
-        npt.assert_allclose(
-            weighted_row_center(s, w), center_scores(s, mode="row"), atol=1e-13
-        )
-
-    def test_point_mass_weight_zeroes_its_row(self):
-        s = np.array([[5.0, 9.0, -1.0]])
-        w = np.array([[0.0, 1.0, 0.0]])
-        npt.assert_allclose(weighted_row_center(s, w), [[0.0, 0.0, 0.0]])
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(69)
-        for _ in range(10):
-            s = rng.normal(size=(5, 6))
-            w = np.where(rng.random((5, 6)) < 0.7, rng.uniform(0.1, 2.0, (5, 6)), 0.0)
-            w[:, 0] = np.maximum(w[:, 0], 0.3)  # keep every row alive
-            npt.assert_allclose(
-                weighted_row_center(s, w), oracle_weighted_center(s, w), atol=1e-12
-            )
-
-    def test_centered_scores_have_zero_weighted_mean(self):
-        rng = np.random.default_rng(77)
-        s = rng.normal(size=(6, 6))
-        w = rng.uniform(0.1, 1.0, (6, 6))
-        centered = weighted_row_center(s, w)
-        npt.assert_allclose((w * centered).sum(axis=1), 0.0, atol=1e-12)
-
-    def test_off_support_garbage_is_ignored(self):
-        s = np.array([[2.0, np.inf], [1.0, 3.0]])
-        w = np.array([[1.0, 0.0], [1.0, 1.0]])
-        out = weighted_row_center(s, w)
-        npt.assert_allclose(out[0], [0.0, 0.0])
-
-    def test_dead_row_rejected(self):
-        with pytest.raises(ValueError, match="reference weight row 1 has zero total mass"):
-            weighted_row_center(np.ones((2, 2)), [[1.0, 1.0], [0.0, 0.0]])
-
-    def test_nonfinite_on_support_rejected(self):
-        with pytest.raises(ValueError, match="scores must be finite on the weight support"):
-            weighted_row_center([[np.nan, 1.0]], [[1.0, 1.0]])
-
-
-def triangle():
-    return GaugeGraph(
-        n_vertices=3,
-        edges=((0, 1), (1, 2), (2, 0)),
-        edge_potential=[1.0, 2.0, -3.0],
-        vertex_potential=[0.5, -1.0, 2.0],
-    )
-
-
-class TestGaugeGraph:
-    def test_coboundary_oracle(self):
-        g = triangle()
-        expected = [
-            g.vertex_potential[1] - g.vertex_potential[0],
-            g.vertex_potential[2] - g.vertex_potential[1],
-            g.vertex_potential[0] - g.vertex_potential[2],
-        ]
-        npt.assert_allclose(coboundary(g), expected, rtol=1e-15)
-
-    def test_coboundary_needs_a_potential(self):
-        g = GaugeGraph(2, ((0, 1),), [1.0])
-        with pytest.raises(ValueError, match="graph carries no vertex potential"):
-            coboundary(g)
-
-    def test_triangle_cycle_sums_to_zero(self):
-        assert cycle_sum(triangle(), [0, 1, 2]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_coboundary_telescopes_around_any_cycle(self):
-        rng = np.random.default_rng(83)
-        n = 6
-        edges = tuple(
-            (u, v) for u in range(n) for v in range(n) if u != v
-        )
-        g = GaugeGraph(
-            n,
-            edges,
-            rng.normal(size=len(edges)),
-            vertex_potential=rng.normal(size=n),
-        )
-        d_phi = coboundary(g)
-        lookup = {e: k for k, e in enumerate(edges)}
-        # Walk a non-simple closed loop 0->3->1->3->5->0.
-        loop_vertices = [0, 3, 1, 3, 5, 0]
-        loop = [
-            lookup[(a, b)] for a, b in zip(loop_vertices, loop_vertices[1:])
-        ]
-        total = float(d_phi[loop].sum())
-        assert abs(total) <= 1e-12
-
-    def test_cycle_sum_is_gauge_invariant(self):
-        rng = np.random.default_rng(89)
-        g = triangle()
-        regauged = g.regauged()
-        for cycle in ([0, 1, 2], [1, 2, 0]):
-            assert cycle_sum(g, cycle) == pytest.approx(
-                cycle_sum(regauged, cycle), abs=1e-12
-            )
-        # A fresh random potential on the same graph, same story.
-        g2 = GaugeGraph(
-            3, g.edges, rng.normal(size=3), vertex_potential=rng.normal(size=3)
-        )
-        assert cycle_sum(g2, [0, 1, 2]) == pytest.approx(
-            cycle_sum(g2.regauged(), [0, 1, 2]), abs=1e-12
-        )
-
-    def test_broken_chain_rejected(self):
-        g = GaugeGraph(3, ((0, 1), (0, 2)), [1.0, 1.0])
-        with pytest.raises(ValueError, match="edge 0 ends at 1 but edge 1 starts at 0"):
-            cycle_sum(g, [0, 1])
-        with pytest.raises(ValueError, match="empty edge sequence"):
-            cycle_sum(g, [])
-        with pytest.raises(ValueError, match="edge index 7 out of range"):
-            cycle_sum(g, [0, 7])
-
-    def test_open_path_rejected(self):
-        g = GaugeGraph(3, ((0, 1), (1, 2)), [1.0, 1.0])
-        with pytest.raises(ValueError, match="edge 1 ends at 2 but edge 0 starts at 0"):
-            cycle_sum(g, [0, 1])

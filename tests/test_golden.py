@@ -57,6 +57,15 @@ Every file here, and every `ga check --seed N` report in CHECK_DIGESTS,
 kept its bytes when GELU's erf moved from a numpy port of Cephes' to
 the C library's `math.erf`.
 
+The four `check_gauge_seed0` and `check_all_*` files and CHECK_DIGESTS
+were re-pinned once when the harness came to check the shipped code:
+the Eckart-Young lines check `score_normal_form` on the double-centered
+interaction, the cycle-sum suite's one line became
+`interaction_keeps_cross_differences` on `center_scores`, and the
+gauge suite lost `weighted_center_zero_mean`, which moves the later
+draws of its other three lines. Every other property kept its bytes,
+and `check_sinkhorn_barrier_seed0` did not change.
+
 `stage_run_refine` is a 4-step `ga stage-run` whose mask is given on
 step 0, carried on step 1, pushed through a refinement on step 2 and
 replaced on step 3: one mask object printed twice, then two others. It
@@ -95,18 +104,19 @@ CASES = {
 }
 
 
-# sha256 of the `ga check --seed N` report for N = 0..6, recorded before
-# the Cephes erf port gave way to the C library's erf. Seeds 0 and 5
-# are also whole golden files above; the others pin the same contract
-# on more draws. The bytes depend on the BLAS build's rounding.
+# sha256 of the `ga check --seed N` report for N = 0..6, recorded when
+# the Eckart-Young, centering and cycle-sum lines moved onto
+# score_normal_form and center_scores. Seeds 0 and 5 are also whole
+# golden files above; the others pin the same contract on more draws.
+# The bytes depend on the BLAS build's rounding.
 CHECK_DIGESTS = {
-    0: "5e32206f9e4c3f5d9f3d51e1ee1514a929d703e81ba7a919f23948a03cddabcc",
-    1: "e5f273ff83cc6849583e1d4153a56e7211dfa45e8e9c649d2e3dd67cc905dbb2",
-    2: "30055f4009ee66e374c96eae2948f4fd969a0d2cf416ffaf8dcc4e2d3d3a484b",
-    3: "a282a36b096be403bed2d36820449cbbacd0bbcd2139baed0cfb3c9aed9b8940",
-    4: "1682f491b760ac969b852e7f10eff7632a17725fab3ed7e667749adb6ad67a60",
-    5: "013f682819fd8a636e7e0689eb44a4b17903a20f0f56b01672b7565179afaa78",
-    6: "f089acfdd5920ce368eb7d23f7e109e4332726df399f8c532e6e52d2e520e4d8",
+    0: "83801e20b441a6d983ebd4fc9ee6b79d38aa33cb711851aeb480472fc730f8e7",
+    1: "ac5167d02905e615137f0eeec9206995d8bf6a0d20d827443d6b85dc888376a7",
+    2: "a6c885f62725e0062840f987afdefa1af2686fc1871c97b4f2d71782de634739",
+    3: "58a9fd8de0f05d88c97d21c3a1fed5834cd02e902bcee7b9bbe497f694b2669e",
+    4: "36241fd65bb32e99cf7bc49f78d0b1910572be856b031b940318eb81264910ad",
+    5: "8251c3eec2733c08512c95ed769f1d44a0771c065a3329bdbbc82128f4f3ec86",
+    6: "befe6c28a4b85e0e2b61862d1780b0a5c613aa9d77dab09b1f0f864b2bf4f770",
 }
 
 

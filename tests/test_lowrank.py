@@ -1,4 +1,4 @@
-"""SVD contract, truncation optimality, and chart reparameterization."""
+"""SVD contract, and Eckart-Young optimality of the score normal form."""
 
 import math
 
@@ -11,10 +11,8 @@ from attnkit.gauge import center_scores
 from attnkit.lowrank import (
     SvdResult,
     degenerate_truncation,
-    reparameterize_chart,
     score_normal_form,
     svd,
-    truncate,
 )
 
 
@@ -31,11 +29,10 @@ def oracle_top_singular_value(m, iters=5000):
     return math.sqrt(float(v @ gram @ v))
 
 
-def well_conditioned_map(rng, r):
-    """Random GL(r) element with singular values in [0.5, 2]."""
-    q1, _ = np.linalg.qr(rng.normal(size=(r, r)))
-    q2, _ = np.linalg.qr(rng.normal(size=(r, r)))
-    return q1 @ np.diag(rng.uniform(0.5, 2.0, r)) @ q2
+def oracle_truncation(m, rank):
+    """Best rank-r approximation straight from numpy's SVD."""
+    u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+    return (u[:, :rank] * sigma[:rank]) @ vt[:rank]
 
 
 class TestSvd:
@@ -109,53 +106,6 @@ class TestSvd:
             SvdResult(np.eye(2), np.array([1.0, 2.0]), np.eye(2))
 
 
-class TestTruncate:
-    def test_full_rank_is_lossless(self):
-        rng = np.random.default_rng(10)
-        m = rng.normal(size=(4, 5))
-        approx, residual = truncate(m, 4)
-        npt.assert_allclose(approx, m, atol=1e-12)
-        assert residual <= 1e-12
-
-    def test_diag_drop_smaller_value(self):
-        approx, residual = truncate(np.diag([3.0, 1.0]), 1)
-        npt.assert_allclose(approx, np.diag([3.0, 0.0]), atol=1e-14)
-        assert residual == pytest.approx(1.0, abs=1e-14)
-
-    def test_rank_zero(self):
-        m = np.array([[3.0, 4.0]])
-        approx, residual = truncate(m, 0)
-        npt.assert_array_equal(approx, np.zeros((1, 2)))
-        assert residual == pytest.approx(5.0, rel=1e-14)
-
-    def test_residual_equals_tail_energy(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            m = rng.normal(size=(7, 5))
-            sigma = svd(m).sigma
-            for rank in range(6):
-                _, residual = truncate(m, rank)
-                tail = math.sqrt(float((sigma[rank:] ** 2).sum()))
-                assert residual == pytest.approx(tail, abs=1e-10)
-
-    def test_beats_random_factorizations(self):
-        rng = np.random.default_rng(14)
-        m = rng.normal(size=(6, 6))
-        rank = 2
-        _, residual = truncate(m, rank)
-        for _ in range(200):
-            x = rng.normal(size=(6, rank))
-            y = rng.normal(size=(6, rank))
-            contender = float(np.linalg.norm(m - x @ y.T))
-            assert contender >= residual - 1e-12
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ValueError, match=r"rank 4 not in \[0, 3\]"):
-            truncate(np.eye(3), 4)
-        with pytest.raises(ValueError, match=r"rank -1 not in \[0, 3\]"):
-            truncate(np.eye(3), -1)
-
-
 class TestDegenerateTruncation:
     def test_tied_boundary_flags(self):
         assert degenerate_truncation([2.0, 1.0, 1.0], 2)
@@ -190,8 +140,9 @@ class TestNormalFormFactors:
         interaction = center_scores(m, mode="double").interaction
         for rank in (1, 3, 4):
             chart = score_normal_form(m, rank)
-            approx, _ = truncate(interaction, rank)
-            npt.assert_allclose(chart.Q @ chart.L.T, approx, atol=1e-10)
+            npt.assert_allclose(
+                chart.Q @ chart.L.T, oracle_truncation(interaction, rank), atol=1e-10
+            )
 
     def test_symmetric_energy_split(self):
         rng = np.random.default_rng(18)
@@ -199,43 +150,6 @@ class TestNormalFormFactors:
         npt.assert_allclose(
             (chart.Q**2).sum(axis=0), (chart.L**2).sum(axis=0), rtol=1e-10
         )
-
-
-class TestReparameterizeChart:
-    def test_identity_map(self):
-        rng = np.random.default_rng(20)
-        q = rng.normal(size=(5, 2))
-        l = rng.normal(size=(6, 2))
-        q2, l2 = reparameterize_chart(q, l, np.eye(2))
-        npt.assert_allclose(q2, q)
-        npt.assert_allclose(l2, l)
-
-    def test_scalar_map_moves_scale_between_factors(self):
-        q = np.array([[1.0, 0.0]])
-        l = np.array([[2.0, 4.0]])
-        q2, l2 = reparameterize_chart(q, l, 2.0 * np.eye(2))
-        npt.assert_allclose(q2, [[2.0, 0.0]])
-        npt.assert_allclose(l2, [[1.0, 2.0]])
-
-    def test_products_are_invariant(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            r = int(rng.integers(1, 5))
-            q = rng.normal(size=(6, r))
-            l = rng.normal(size=(4, r))
-            a = well_conditioned_map(rng, r)
-            q2, l2 = reparameterize_chart(q, l, a)
-            assert np.abs(q2 @ l2.T - q @ l.T).max() <= 1e-8
-
-    def test_singular_map_refused(self):
-        q = np.ones((3, 2))
-        l = np.ones((3, 2))
-        with pytest.raises(ValueError, match="condition number .* too large"):
-            reparameterize_chart(q, l, np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="chart map must be r x r matching both factors"):
-            reparameterize_chart(np.ones((3, 2)), np.ones((3, 2)), np.eye(3))
 
 
 class TestScoreNormalForm:
@@ -270,8 +184,29 @@ class TestScoreNormalForm:
         interaction = center_scores(scores, mode="double").interaction
         for rank in (1, 2, 4):
             chart = score_normal_form(scores, rank)
-            _, residual = truncate(interaction, rank)
+            residual = np.linalg.norm(interaction - oracle_truncation(interaction, rank))
             assert chart.frobenius_residual == pytest.approx(residual, abs=1e-12)
+
+    def test_residual_equals_tail_energy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            scores = rng.normal(size=(7, 5))
+            sigma = svd(center_scores(scores, mode="double").interaction).sigma
+            for rank in range(6):
+                tail = math.sqrt(float((sigma[rank:] ** 2).sum()))
+                residual = score_normal_form(scores, rank).frobenius_residual
+                assert residual == pytest.approx(tail, abs=1e-10)
+
+    def test_beats_random_factorizations(self):
+        rng = np.random.default_rng(14)
+        scores = rng.normal(size=(6, 6))
+        interaction = center_scores(scores, mode="double").interaction
+        residual = score_normal_form(scores, 2).frobenius_residual
+        for _ in range(200):
+            x = rng.normal(size=(6, 2))
+            y = rng.normal(size=(6, 2))
+            contender = float(np.linalg.norm(interaction - x @ y.T))
+            assert contender >= residual - 1e-12
 
     def test_degenerate_flag_propagates(self):
         scores = np.diag([1.0, 1.0, 1.0, 1.0]) * 4.0
@@ -283,6 +218,8 @@ class TestScoreNormalForm:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match=r"rank 5 not in \[0, 3\]"):
             score_normal_form(np.eye(3), 5)
+        with pytest.raises(ValueError, match=r"rank -1 not in \[0, 3\]"):
+            score_normal_form(np.eye(3), -1)
 
     def test_overflowing_factors_are_nonfinite(self):
         # Centering is exact; the singular value 2e308 is not a double.
@@ -291,12 +228,10 @@ class TestScoreNormalForm:
 
     def test_residual_past_the_largest_double_is_nonfinite(self):
         # Rank 0 keeps no factor, so the residual is the whole interaction,
-        # of norm 2e308; a finite truncation of it leaves the same residual.
+        # of norm 2e308.
         scores = [[1e308, -1e308], [-1e308, 1e308]]
         with pytest.raises(NonFinite, match="truncation residual overflowed"):
             score_normal_form(scores, 0)
-        with pytest.raises(NonFinite, match="truncation residual overflowed"):
-            truncate(scores, 0)
 
     def test_residual_past_the_range_of_squares_is_the_tail_energy(self):
         # Entries near 1e200 square past the largest double, but the
@@ -306,6 +241,4 @@ class TestScoreNormalForm:
         sigma = svd(scores).sigma
         tail = math.hypot(sigma[1], sigma[2])
         chart = score_normal_form(scores, 1)
-        _, residual = truncate(scores, 1)
         assert chart.frobenius_residual == pytest.approx(tail, rel=1e-12)
-        assert residual == pytest.approx(tail, rel=1e-12)
