@@ -23,7 +23,7 @@ from attnkit.checks import (
     run_criterion,
 )
 from attnkit.gauge import CenteredDecomposition, center_scores
-from attnkit.lowrank import LowRankChart
+from attnkit.lowrank import LowRankChart, SvdResult, svd
 from attnkit.score import EvidenceKernel, Link
 
 from test_anchor import generalized_kl
@@ -312,6 +312,93 @@ def test_eckart_young_suite_catches_a_wrong_normal_form(monkeypatch, mutant):
 
     monkeypatch.setattr(checks, "score_normal_form", wrong)
     assert "truncation_residual_identity" in _failed_lines("eckart-young")
+
+
+def _double_centering_mutant(change):
+    """center_scores whose "double" interaction is change(scores, decomposition)."""
+    def mutant(scores, mode="double"):
+        dec = center_scores(scores, mode)
+        if mode != "double":
+            return dec
+        return CenteredDecomposition(dec.grand_mean, dec.row_means, dec.col_means,
+                                     change(np.asarray(scores, dtype=np.float64), dec),
+                                     dec.key_bias)
+    return mutant
+
+
+def _row_centering_only(scores, dec):
+    return scores - dec.row_means[:, None]
+
+
+def _grand_mean_dropped(scores, dec):
+    return dec.interaction - dec.grand_mean
+
+
+@pytest.mark.parametrize("change", [_row_centering_only, _grand_mean_dropped])
+def test_gauge_suite_catches_a_unary_field_left_in(monkeypatch, change):
+    # Both keep every cross difference, so only the gauge suite sees them.
+    mutant = _double_centering_mutant(change)
+    monkeypatch.setattr(checks, "center_scores", mutant)
+    monkeypatch.setattr(lowrank, "center_scores", mutant)
+    assert _failed_lines("gauge") == {
+        "interaction_margins_vanish",
+        "unary_shift_invariance",
+        "separable_scores_center_to_zero",
+    }
+    assert _failed_lines("cycle-sum") == set()
+
+
+def test_a_scaled_interaction_passes_the_gauge_suite_but_not_cycle_sum(monkeypatch):
+    # Twice the interaction still has zero margins and ignores unary
+    # fields; its cross differences are twice those of the scores.
+    mutant = _double_centering_mutant(lambda scores, dec: 2.0 * dec.interaction)
+    monkeypatch.setattr(checks, "center_scores", mutant)
+    monkeypatch.setattr(lowrank, "center_scores", mutant)
+    assert _failed_lines("gauge") == set()
+    assert _failed_lines("cycle-sum") == {"interaction_keeps_cross_differences"}
+
+
+def _uncentred_factors(real, scores, rank):
+    chart = real(scores, rank)
+    result = svd(scores)
+    root = np.sqrt(result.sigma[:rank])
+    q, l = result.U[:, :rank] * root, result.V[:, :rank] * root
+    return LowRankChart(q, l, rank, float(np.linalg.norm(np.asarray(scores) - q @ l.T)),
+                        chart.key_bias, chart.degenerate)
+
+
+def _one_factor_too_many(real, scores, rank):
+    chart = real(scores, rank + 1)
+    return LowRankChart(chart.Q, chart.L, rank, chart.frobenius_residual, chart.key_bias,
+                        chart.degenerate)
+
+
+@pytest.mark.parametrize(
+    "mutant, failed",
+    [
+        (_uncentred_factors, {"truncation_residual_identity", "truncation_beats_random_factors"}),
+        (_one_factor_too_many, {"truncation_residual_identity"}),
+    ],
+)
+def test_eckart_young_suite_catches_a_chart_of_the_wrong_matrix_or_rank(
+    monkeypatch, mutant, failed
+):
+    real = checks.score_normal_form
+    monkeypatch.setattr(checks, "score_normal_form",
+                        lambda scores, rank: mutant(real, scores, rank))
+    assert _failed_lines("eckart-young") == failed
+
+
+def test_eckart_young_suite_catches_wrong_singular_values(monkeypatch):
+    def halved(matrix):
+        result = svd(matrix)
+        return SvdResult(result.U, result.sigma / 2, result.V)
+
+    monkeypatch.setattr(checks, "svd", halved)
+    assert _failed_lines("eckart-young") == {
+        "svd_reconstruction",
+        "truncation_residual_identity",
+    }
 
 
 class TestLinkComposition:

@@ -764,6 +764,19 @@ def run_stage(stage, **inputs):
         # A score matrix with no columns has no means and no singular values.
         ("run", run_stage({"op": "center_scores", "scores": [[]]}), "stages[0].scores"),
         ("chart", {"scores": [[]], "rank": 0}, "chart.scores"),
+        ("chart", {"scores": [[], []], "rank": 0}, "chart.scores"),
+        ("run", run_stage({"op": "score_normal_form", "scores": [[]], "rank": 0}),
+         "stages[0].scores"),
+        ("run", {"inputs": {"s": [[]]},
+                 "stages": [{"op": "center_scores", "scores": "s", "out": "c"}]},
+         "stages[0].scores"),
+        # Every other finite-matrix field refuses an empty side the same way.
+        ("attn", {**ATTN_2X2, "embeddings": [[]]}, "attn.embeddings"),
+        ("attn", {**ATTN_2X2, "w_q": [[]]}, "attn.w_q"),
+        ("run", run_stage({**ATTN_2X2, "op": "attention", "embeddings": [[], []]}),
+         "stages[0].embeddings"),
+        ("stage-run", {**STAGE_RUN_2X2, "initial": [[]]}, "stage-run.initial"),
+        ("ffn-check", {**FFN_2X2, "w1": [[]]}, "ffn-check.w1"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):

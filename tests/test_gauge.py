@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from attnkit.anchor import row_anchor
+from attnkit.errors import NonFinite
 from attnkit.gauge import center_scores, scale_kernel
 from attnkit.score import EvidenceKernel
 
@@ -15,6 +16,27 @@ def oracle_scale(values, a, b):
         for j in range(values.shape[1]):
             out[i, j] = a[i] * values[i, j] * b[j]
     return out
+
+
+def oracle_double_center(s):
+    """Entry by entry: S[x,y] - mean_y' S[x,y'] - mean_x' S[x',y] + mean S."""
+    n, m = s.shape
+    grand = sum(s[x, y] for x in range(n) for y in range(m)) / (n * m)
+    out = np.zeros_like(s)
+    for x in range(n):
+        row = sum(s[x, y] for y in range(m)) / m
+        for y in range(m):
+            col = sum(s[xx, y] for xx in range(n)) / n
+            out[x, y] = s[x, y] - row - col + grand
+    return out
+
+
+def cycle_sum(matrix, rows, cols):
+    """Alternating sum around the closed walk x0 y0 x1 y1 ... x_{k-1} y_{k-1}
+    of the bipartite carrier graph: + M[x_i, y_i] - M[x_{i+1}, y_i]."""
+    k = len(rows)
+    return sum(matrix[rows[i], cols[i]] - matrix[rows[(i + 1) % k], cols[i]]
+               for i in range(k))
 
 
 def random_kernel(rng, n_x, n_y):
@@ -130,3 +152,58 @@ class TestCenterScores:
             center_scores([[1.0, np.inf], [0.0, 2.0]])
         with pytest.raises(ValueError, match="plain centering needs fully finite scores"):
             center_scores([[1.0, np.nan]])
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(67)
+        for shape in [(1, 4), (4, 1), (3, 3), (5, 2)]:
+            s = rng.normal(size=shape) * 3.0
+            npt.assert_allclose(center_scores(s).interaction, oracle_double_center(s),
+                                atol=1e-12)
+
+    def test_row_and_col_modes_zero_their_own_margin(self):
+        rng = np.random.default_rng(71)
+        s = rng.normal(size=(4, 6)) + 5.0
+        npt.assert_allclose(center_scores(s, mode="row").sum(axis=1), 0.0, atol=1e-12)
+        npt.assert_allclose(center_scores(s, mode="col").sum(axis=0), 0.0, atol=1e-12)
+        # Each single centering keeps the other margin's spread.
+        npt.assert_allclose(center_scores(s, mode="row").sum(axis=0),
+                            s.sum(axis=0) - s.sum() / 6, atol=1e-12)
+
+    def test_longer_cycles_are_kept(self):
+        # A 6-cycle x0 y0 x1 y1 x2 y2 is no single 2x2 cross difference,
+        # but it is still blind to unary fields.
+        rng = np.random.default_rng(73)
+        s = rng.normal(size=(5, 5)) + rng.normal(size=5)[:, None] + rng.normal(size=5)
+        inter = center_scores(s).interaction
+        for rows, cols in [([0, 2, 4], [1, 3, 0]), ([4, 1], [2, 3]), ([3, 0, 1, 2], [0, 1, 4, 3])]:
+            assert cycle_sum(inter, rows, cols) == pytest.approx(cycle_sum(s, rows, cols),
+                                                                  abs=1e-12)
+
+    def test_separable_scores_have_zero_cycle_sums(self):
+        r = np.array([1.0, -4.0, 2.5])
+        c = np.array([0.5, 7.0, -1.0])
+        s = r[:, None] + c[None, :]
+        assert cycle_sum(s, [0, 1, 2], [0, 1, 2]) == 0.0
+        assert cycle_sum(s, [2, 0], [1, 2]) == 0.0
+
+    def test_key_bias_is_the_centered_column_field(self):
+        rng = np.random.default_rng(79)
+        s = rng.normal(size=(3, 5))
+        dec = center_scores(s)
+        npt.assert_allclose(dec.key_bias, s.mean(axis=0) - s.mean(), atol=1e-15)
+        assert abs(float(dec.key_bias.sum())) <= 1e-12
+
+    def test_single_row_is_all_key_bias(self):
+        # One query: every column difference is a column field.
+        dec = center_scores([[2.0, -1.0, 5.0]])
+        npt.assert_allclose(dec.interaction, 0.0, atol=1e-15)
+        npt.assert_allclose(dec.key_bias, [0.0, -3.0, 3.0], atol=1e-15)
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="scores must be a 2-d matrix"):
+            center_scores([1.0, 2.0])
+
+    def test_overflowing_means_are_nonfinite(self):
+        # Every entry is finite; the row sums are not.
+        with pytest.raises(NonFinite, match="centering overflowed"):
+            center_scores([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])

@@ -242,3 +242,90 @@ class TestScoreNormalForm:
         tail = math.hypot(sigma[1], sigma[2])
         chart = score_normal_form(scores, 1)
         assert chart.frobenius_residual == pytest.approx(tail, rel=1e-12)
+
+    def test_full_rank_is_lossless(self):
+        rng = np.random.default_rng(28)
+        scores = rng.normal(size=(4, 6))
+        interaction = center_scores(scores, mode="double").interaction
+        chart = score_normal_form(scores, 4)
+        assert chart.frobenius_residual <= 1e-10
+        npt.assert_allclose(chart.Q @ chart.L.T, interaction, atol=1e-10)
+
+    def test_rank_zero_keeps_no_factor(self):
+        rng = np.random.default_rng(30)
+        scores = rng.normal(size=(3, 5))
+        interaction = center_scores(scores, mode="double").interaction
+        chart = score_normal_form(scores, 0)
+        assert chart.Q.shape == (3, 0) and chart.L.shape == (5, 0)
+        assert chart.frobenius_residual == pytest.approx(
+            float(np.linalg.norm(interaction)), rel=1e-12
+        )
+
+    def test_rank_one_drops_the_smaller_value(self):
+        # Orthonormal zero-sum directions: the interaction is its own
+        # SVD, with singular values 3 and 1.
+        u1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
+        u2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
+        v1 = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2)
+        v2 = np.array([0.0, 1.0, 0.0, -1.0]) / math.sqrt(2)
+        scores = 3.0 * np.outer(u1, v1) + np.outer(u2, v2)
+        chart = score_normal_form(scores, 1)
+        assert chart.frobenius_residual == pytest.approx(1.0, abs=1e-12)
+        npt.assert_allclose(chart.Q @ chart.L.T, 3.0 * np.outer(u1, v1), atol=1e-12)
+        assert not chart.degenerate
+
+    def test_residual_never_grows_with_rank(self):
+        rng = np.random.default_rng(32)
+        scores = rng.normal(size=(6, 5))
+        residuals = [score_normal_form(scores, r).frobenius_residual for r in range(6)]
+        assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
+        assert residuals[-1] <= 1e-10
+
+    def test_factor_columns_are_orthogonal_with_singular_value_norms(self):
+        rng = np.random.default_rng(34)
+        scores = rng.normal(size=(7, 5))
+        sigma = svd(center_scores(scores, mode="double").interaction).sigma
+        chart = score_normal_form(scores, 3)
+        npt.assert_allclose(chart.Q.T @ chart.Q, np.diag(sigma[:3]), atol=1e-10)
+        npt.assert_allclose(chart.L.T @ chart.L, np.diag(sigma[:3]), atol=1e-10)
+
+    def test_factors_carry_no_unary_field(self):
+        # The interaction has zero margins, so each kept singular vector
+        # is orthogonal to the constant one.
+        rng = np.random.default_rng(36)
+        chart = score_normal_form(rng.normal(size=(5, 6)) + 4.0, 3)
+        npt.assert_allclose(chart.Q.sum(axis=0), 0.0, atol=1e-12)
+        npt.assert_allclose(chart.L.sum(axis=0), 0.0, atol=1e-12)
+
+    def test_unary_shifts_move_only_the_key_bias(self):
+        rng = np.random.default_rng(38)
+        scores = rng.normal(size=(5, 4))
+        r = rng.normal(size=5)
+        c = rng.normal(size=4)
+        base = score_normal_form(scores, 2)
+        shifted = score_normal_form(scores + r[:, None] + c[None, :], 2)
+        npt.assert_allclose(shifted.Q @ shifted.L.T, base.Q @ base.L.T, atol=1e-12)
+        assert shifted.frobenius_residual == pytest.approx(base.frobenius_residual, abs=1e-12)
+        npt.assert_allclose(shifted.key_bias, base.key_bias + c - c.mean(), atol=1e-12)
+
+
+class TestChartFreedom:
+    """Any invertible r x r map A takes a chart (Q, L) to (Q A^T, L A^{-1})
+    without touching the products q(x) . k(y)."""
+
+    def test_invertible_map_keeps_the_products(self):
+        rng = np.random.default_rng(40)
+        chart = score_normal_form(rng.normal(size=(6, 5)), 3)
+        a = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        q, l = chart.Q @ a.T, chart.L @ np.linalg.inv(a)
+        npt.assert_allclose(q @ l.T, chart.Q @ chart.L.T, atol=1e-10)
+
+    def test_scalar_map_moves_scale_between_factors(self):
+        rng = np.random.default_rng(42)
+        chart = score_normal_form(rng.normal(size=(4, 4)), 2)
+        a = 2.0 * np.eye(2)
+        q, l = chart.Q @ a.T, chart.L @ np.linalg.inv(a)
+        npt.assert_allclose(q, 2.0 * chart.Q, rtol=1e-15)
+        npt.assert_allclose(l, 0.5 * chart.L, rtol=1e-15)
+        # The normal form splits the energy evenly; a scaled chart does not.
+        assert float((q**2).sum()) == pytest.approx(16.0 * float((l**2).sum()), rel=1e-12)
