@@ -1,7 +1,8 @@
 """Anchoring rules that turn an evidence kernel into a canonical object.
 
 Two families are implemented. Row anchoring normalizes each row of a
-kernel (the softmax route) or a plan into a conditional distribution.
+kernel or a plan into a conditional distribution through _normalize_rows,
+the one row divide, which attention's masked softmax ends in too.
 Transport anchoring fits a nonnegative coupling to marginal data by
 Sinkhorn scaling, either with hard marginal constraints (balanced) or
 with KL penalties on the marginals (unbalanced).
@@ -31,15 +32,6 @@ import numpy as np
 
 from .errors import EmptyCol, EmptyRow, Infeasible, InvalidBudget, NoConvergence
 from .score import EvidenceKernel, Frozen, MaskedMatrix
-
-
-def _marginal_vectors(marginals: Marginals, shape) -> tuple[np.ndarray, np.ndarray]:
-    """The target masses, checked against the kernel shape; Marginals
-    has already checked that they are finite and strictly positive."""
-    for name, arr, n in zip(("mu_out", "mu_in"), (marginals.mu_out, marginals.mu_in), shape):
-        if arr.size != n:
-            raise ValueError(f"{name} must be a vector of length {n}")
-    return marginals.mu_out, marginals.mu_in
 
 
 class ConditionalFamily(MaskedMatrix):
@@ -104,22 +96,28 @@ class TransportPlan(MaskedMatrix):
                              col_marginal=col_marginal)
 
 
+def _normalize_rows(weights: np.ndarray, zero_empty: bool = False) -> np.ndarray:
+    """weights, each row divided in place by its total mass. A row with
+    zero mass raises EmptyRow, or stays zero with zero_empty; a row whose
+    sum overflows is normalized from its entries over its largest one."""
+    mass = weights.sum(axis=1)
+    if not (mass.all() and mass.max() < math.inf):
+        empty = np.flatnonzero(mass == 0)
+        if empty.size and not zero_empty:
+            raise EmptyRow(int(empty[0]), f"row {empty[0]} has zero total mass")
+        mass[empty] = 1.0
+        for row in np.flatnonzero(np.isinf(mass)):
+            weights[row] /= weights[row].max()
+            mass[row] = weights[row].sum()
+    weights /= mass[:, None]
+    return weights
+
+
 def row_anchor(matrix: MaskedMatrix) -> ConditionalFamily:
     """Normalize each row of a kernel or a plan into a conditional
-    distribution, a row whose sum overflows from its entries over its
-    largest one. A row with zero mass is fatal; there is no fallback.
-    """
+    distribution; a row with zero mass is fatal, with no fallback."""
     with np.errstate(over="ignore"):
-        mass = matrix.values.sum(axis=1)
-    empty = np.flatnonzero(mass == 0)
-    if empty.size:
-        row = int(empty[0])
-        raise EmptyRow(row, f"row {row} has zero total mass")
-    values = matrix.values / mass[:, None]
-    for row in np.flatnonzero(np.isinf(mass)):
-        scaled = matrix.values[row] / matrix.values[row].max()
-        values[row] = scaled / scaled.sum()
-    return ConditionalFamily(values, matrix.mask)
+        return ConditionalFamily(_normalize_rows(matrix.values.copy()), matrix.mask)
 
 
 _LOG_TINY = math.log(np.finfo(np.float64).tiny)
@@ -141,11 +139,18 @@ def _log_sum_exp(log_m: np.ndarray, axis: int) -> np.ndarray:
         return peak.squeeze(axis) + np.log(np.exp(log_m - peak).sum(axis=axis))
 
 
-def _check_budget(tol: float, max_iter: int) -> None:
+def _checked_masses(kernel, marginals: Marginals, tol: float, max_iter: int):
+    """The target masses, once the budget and their lengths against the
+    kernel check out (Marginals has checked the rest); a refusal is an
+    InvalidBudget on its field."""
     if max_iter < 1:
         raise InvalidBudget("max_iter", f"must be at least 1, got {max_iter}")
     if not tol >= 0:
         raise InvalidBudget("tol", f"must be nonnegative, got {tol!r}")
+    for name, arr, n in zip(("mu_out", "mu_in"), (marginals.mu_out, marginals.mu_in), kernel.shape):
+        if arr.size != n:
+            raise InvalidBudget(name, f"must be a vector of length {n}")
+    return marginals.mu_out, marginals.mu_in
 
 
 def _fold(log_k: np.ndarray, f: np.ndarray, g: np.ndarray):
@@ -269,12 +274,11 @@ def sinkhorn_balanced(
     iterations. The returned marginal_error and converged flag come
     from the plan's own row and column sums.
 
-    Raises InvalidBudget, a ValueError, for max_iter < 1 or a negative
-    or NaN tol, and NoConvergence if the scalings leave the range of
-    doubles.
+    Raises InvalidBudget, a ValueError, for max_iter < 1, a negative or
+    NaN tol or marginals of the wrong length, and NoConvergence if the
+    scalings leave the range of doubles.
     """
-    _check_budget(tol, max_iter)
-    mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)
+    mu_out, mu_in = _checked_masses(kernel, marginals, tol, max_iter)
     if not marginals.matched():
         total_out, total_in, scale = marginals._totals()
         raise Infeasible(
@@ -315,14 +319,13 @@ def sinkhorn_unbalanced(
     A row or column of the plan can fall far below the range of doubles
     here; K~ keeps it by a lift of up to e^220 (see _fold), and past
     that the scalings overflow and NoConvergence is raised. Raises
-    InvalidBudget, a ValueError, for a penalty that is not strictly
-    positive, max_iter < 1 or a negative or NaN tol.
+    InvalidBudget, a ValueError, for a penalty that is not > 0, max_iter
+    < 1, a negative or NaN tol or marginals of the wrong length.
     """
     for name, lam in (("lam_out", lam_out), ("lam_in", lam_in)):
         if not lam > 0:
             raise InvalidBudget(name, f"must be strictly positive, got {lam!r}")
-    _check_budget(tol, max_iter)
-    mu_out, mu_in = _marginal_vectors(marginals, kernel.shape)
+    mu_out, mu_in = _checked_masses(kernel, marginals, tol, max_iter)
     if not kernel.mask.any():
         raise EmptyRow(0, "kernel mask is empty; nothing to anchor")
     rows, cols = kernel.mask.any(axis=1), kernel.mask.any(axis=0)

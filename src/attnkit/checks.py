@@ -375,7 +375,7 @@ def check_ffn_equivalence(rng, tol=None):
             activation=activations[i % 3],
         )
         x = rng.normal(size=d_model)
-        direct, ga_form = ffn_as_ga(x, params)
+        direct, ga_form = ffn_as_ga(x[None, :], params)
         dev = float(np.abs(direct - ga_form).max())
         worst.see(dev, case=i, activation=activations[i % 3], deviation=dev)
     return [worst.result(cases, tol)]

@@ -126,9 +126,9 @@ def _resolve_input(spec, base_dir: Path, where: str):
 def _config_errors(where: str):
     """A ValueError that a constructor or an operation raises on the
     values it was given is a config error on where, or on where.<field>
-    for an InvalidBudget, which names its field (where.tol,
-    where.lam_in). Config and numeric errors pass through; NonFinite is
-    a ValueError but exits 3."""
+    for an InvalidBudget, which names its field (where.tol, where.mu_in,
+    where.a). Config and numeric errors pass through; NonFinite is a
+    ValueError but exits 3."""
     try:
         yield
     except _NUMERIC_ERRORS:
@@ -153,24 +153,24 @@ _JSON = (list, dict, int, float, type(None))
 
 
 def _matrix(value, where: str):
-    """(values, mask) of an inline matrix or of a bound matrix-shaped value."""
+    """(values, mask) of a nonempty inline matrix or bound matrix-shaped value."""
     if isinstance(value, _JSON):
-        return matrix_from_json(value, where)
-    if isinstance(value, MaskedMatrix):
-        return value.values, value.mask
-    if isinstance(value, tuple):  # an input, as matrix_from_json parsed it
-        return value
-    if isinstance(value, np.ndarray) and value.ndim == 2:
-        return value, np.ones(value.shape, dtype=bool)
-    raise ConfigInvalid(where, "value is not matrix-shaped")
+        value = matrix_from_json(value, where)
+    elif isinstance(value, MaskedMatrix):
+        value = value.values, value.mask
+    elif isinstance(value, np.ndarray) and value.ndim == 2:
+        value = value, np.ones(value.shape, dtype=bool)
+    elif not isinstance(value, tuple):  # a tuple is an input, as matrix_from_json parsed it
+        raise ConfigInvalid(where, "value is not matrix-shaped")
+    if not value[0].size:
+        raise ConfigInvalid(where, f"expected a nonempty matrix, got shape {list(value[0].shape)}")
+    return value
 
 
 def _finite(value, where: str) -> np.ndarray:
     values, mask = _matrix(value, where)
     if not mask.all():
         raise ConfigInvalid(where, "expected a fully finite matrix, without '-inf'")
-    if not values.size:
-        raise ConfigInvalid(where, f"expected a nonempty matrix, got shape {list(values.shape)}")
     return values
 
 
@@ -188,7 +188,7 @@ def _prior(value, where: str) -> BaselinePrior:
 
 def _mask(value, where: str) -> np.ndarray:
     if isinstance(value, _JSON):
-        return mask_from_json(value, where)
+        return _matrix(mask_from_json(value, where), where)[0]
     return _matrix(value, where)[1]
 
 
@@ -423,18 +423,15 @@ def _ffn_check(x=None, samples=None, seed=None, tolerance=1e-10, **ffn) -> dict:
         if samples < 1:
             raise ConfigInvalid("ffn-check.samples", f"must be at least 1, got {samples}")
         rng = np.random.default_rng(_seed_from_env(seed or 0, "ffn-check.seed"))
-        xs = [rng.normal(size=params.d_model) for _ in range(samples)]
+        xs = rng.normal(size=(samples, params.d_model))
     else:
         for key, value in (("samples", samples), ("seed", seed)):
             if value is not None:
                 raise ConfigInvalid(f"ffn-check.{key}", "not read when x is given")
-        xs = [x]
-    deviations = []
-    for x in xs:
-        with _config_errors("ffn-check.x"):  # only a given x can have the wrong length
-            direct, ga_form = ffn_as_ga(x, params)
-        deviations.append(float(np.abs(direct - ga_form).max()))
-    worst = max(deviations)
+        xs = x[None, :]
+    with _config_errors("ffn-check.x"):  # only a given x can have the wrong length
+        direct, ga_form = ffn_as_ga(xs, params)
+    worst = float(np.abs(direct - ga_form).max())
     return {"samples": len(xs), "max_deviation": worst, "tolerance": tolerance,
             "passed": worst <= tolerance}
 

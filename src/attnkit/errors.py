@@ -27,8 +27,9 @@ class ConfigInvalid(AttnKitError):
 
 
 class InvalidBudget(AttnKitError, ValueError):
-    """A solver parameter it cannot run with: an iteration budget
-    (max_iter or tol) or a marginal penalty (lam_out or lam_in)."""
+    """An argument the call cannot run with, named by its field: a budget
+    (max_iter, tol), a penalty (lam_out, lam_in), marginals (mu_out, mu_in)
+    of the wrong length, or scalings (a, b) of the wrong length or sign."""
 
     def __init__(self, field: str, message: str):
         self.field = field

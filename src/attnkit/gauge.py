@@ -14,24 +14,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import InvalidBudget, NonFinite
 from .score import EvidenceKernel, Frozen
 
 
-def _positive_vector(values, n: int, name: str) -> np.ndarray:
+def _positive_vector(values, n: int, field: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (n,):
-        raise ValueError(f"{name} must have length {n}")
+        raise InvalidBudget(field, f"must have length {n}")
     if not np.isfinite(arr).all() or (arr <= 0).any():
-        raise ValueError(f"{name} must be finite and strictly positive")
+        raise InvalidBudget(field, "must be finite and strictly positive")
     return arr
 
 
 def scale_kernel(kernel: EvidenceKernel, a, b) -> EvidenceKernel:
     """Two-sided scaling action: K'[i,j] = a[i] K[i,j] b[j]."""
     n_x, n_y = kernel.shape
-    a = _positive_vector(a, n_x, "row scaling a")
-    b = _positive_vector(b, n_y, "column scaling b")
+    a = _positive_vector(a, n_x, "a")
+    b = _positive_vector(b, n_y, "b")
     with np.errstate(over="ignore"):  # checked below
         scaled = a[:, None] * kernel.values * b[None, :]
     # Every factor is positive on the mask: inf there overflowed, 0 underflowed.

@@ -3,12 +3,14 @@
 An update integrates a value field against a weight matrix: a coupling,
 a row-stochastic family or a kernel. Scaled dot-product attention is
 the special case where the conditional comes from row-anchoring an
-exponential kernel built out of query/key products, and a two-layer
-feedforward block is a kernel update over a signed copy of its hidden
-layer (a positive and a negative copy of each hidden unit, side by
-side). Gated mixtures of either kind flatten into a single update over
-the branch-union carrier, the branches' key columns side by side, which
-is the whole point: composition never leaves the class.
+exponential kernel built out of query/key products; its masked softmax
+is a row gauge, exp, and row anchoring's own divide. A two-layer
+feedforward block (ffn_apply) is a kernel update over a signed copy of
+its hidden layer, a positive and a negative copy of each hidden unit
+side by side, and ffn_as_ga checks ffn_apply against that form. Gated
+mixtures of either kind flatten into a single update over the
+branch-union carrier, the branches' key columns side by side, which is
+the whole point: composition never leaves the class.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .anchor import ConditionalFamily
+from .anchor import ConditionalFamily, _normalize_rows
 from .errors import EmptyRow, NonFinite
 from .score import BaselinePrior, EvidenceKernel, Frozen, MaskedMatrix, _as_mask, _as_matrix
 
@@ -36,7 +38,7 @@ def update(weights: MaskedMatrix, values) -> np.ndarray:
 
 
 def masked_row_softmax(logits, mask, zero_empty: bool = False) -> np.ndarray:
-    """Row softmax restricted to the mask, with per-row max subtraction.
+    """Row softmax restricted to the mask: a row gauge, exp, _normalize_rows.
 
     Fully masked rows raise EmptyRow, or come back as all-zero rows
     with zero_empty (the staged zero-update convention).
@@ -47,19 +49,16 @@ def masked_row_softmax(logits, mask, zero_empty: bool = False) -> np.ndarray:
     dead = not live.all()
     if dead and not zero_empty:
         raise EmptyRow(int(np.flatnonzero(~live)[0]))
-    # One n x n array, worked in place: shift, exp (exp(-inf) is an
-    # exact 0), normalize. Dead rows shift by 0 and divide by 1.
+    # One n x n array, worked in place. Moving each row's peak to 0 (a dead
+    # row's by 0) keeps exp in range and is a row gauge, which row anchoring
+    # is blind to (row_gauge_invariance checks that law).
     weights = np.where(mask, logits, -np.inf)
     peak = weights.max(axis=1, initial=-np.inf)
     if dead:
         peak[~live] = 0.0
     weights -= peak[:, None]
     np.exp(weights, out=weights)
-    totals = weights.sum(axis=1)
-    if dead:
-        totals[~live] = 1.0
-    weights /= totals[:, None]
-    return weights
+    return _normalize_rows(weights, zero_empty)
 
 
 class AttentionParams(Frozen):
@@ -198,31 +197,22 @@ def ffn_apply(rows, params: FfnParams) -> np.ndarray:
     return _finite(out, "feedforward output")
 
 
-def ffn_as_ga(x, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the block directly and as a kernel update; return both.
-
-    The kernel route splits the activated hidden vector into its
-    positive and negative parts, uses them as evidence over the signed
-    hidden carrier (support = nonzero activations), and integrates the
-    value field that assigns +-(column j of w2) to the two copies of
-    hidden unit j. The two routes must agree to 1e-10.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d_model,):
-        raise ValueError(f"input must have length {params.d_model}")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite checks the output
-        hidden = _ACTIVATIONS[params.activation](params.w1 @ x + params.b1)
-        direct = params.w2 @ hidden + params.b2
-    # A non-finite hidden unit makes the direct output non-finite too.
-    direct = _finite(direct, "feedforward output")
-
-    positive = np.maximum(hidden, 0.0)
-    negative = np.maximum(-hidden, 0.0)
-    evidence = np.concatenate([positive, negative])[None, :]
+def ffn_as_ga(rows, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
+    """The block on a batch of rows by ffn_apply and as one kernel update:
+    each activated hidden row, split into its positive and negative
+    parts, is evidence over the signed hidden carrier (support = nonzero
+    activations), integrated against +-(column j of w2) on the two
+    copies of hidden unit j. The two routes must agree to 1e-10."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != params.d_model:
+        raise ValueError(f"input rows must have length {params.d_model}")
+    direct = ffn_apply(rows, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # ffn_apply has checked the output
+        hidden = _ACTIVATIONS[params.activation](rows @ params.w1.T + params.b1)
+    evidence = np.concatenate([np.maximum(hidden, 0.0), np.maximum(-hidden, 0.0)], axis=1)
     kernel = EvidenceKernel(evidence, evidence > 0)
     signed_values = np.concatenate([params.w2.T, -params.w2.T], axis=0)
-    ga_form = update(kernel, signed_values)[0] + params.b2
-    return direct, _finite(ga_form, "feedforward output")
+    return direct, _finite(update(kernel, signed_values) + params.b2, "feedforward output")
 
 
 def _mixture_gates(gates, branches) -> np.ndarray:

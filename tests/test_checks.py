@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import attnkit.checks as checks
 import attnkit.lowrank as lowrank
+import attnkit.operator as operator
 from attnkit.anchor import TransportPlan, sinkhorn_balanced
 from attnkit.checks import (
     _cycle_perturbations,
@@ -198,6 +199,19 @@ def test_barrier_suite_catches_a_dropped_predecessor(monkeypatch):
     results = _by_name(run_criterion("influence_barrier", seed=0))
     assert not results["barrier_outside_predecessors"].passed
     assert results["barrier_outside_predecessors"].max_deviation > 0
+
+
+def test_ffn_suite_catches_a_dropped_output_bias(monkeypatch):
+    # The suite's direct route is ffn_apply, the block ga stage-run runs.
+    real = operator.ffn_apply
+
+    def without_b2(rows, params):
+        return real(rows, params) - params.b2
+
+    monkeypatch.setattr(operator, "ffn_apply", without_b2)
+    (report,) = run_checks(["ffn"], seed=0)
+    assert not report.passed
+    assert report.properties[0].max_deviation > 1.0
 
 
 def test_barrier_runs_end_at_their_last_compared_stage(monkeypatch):

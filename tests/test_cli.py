@@ -542,14 +542,10 @@ def test_stage_run_converts_each_mask_object_once(monkeypatch, capsys):
 
 
 def test_ffn_check_passes_then_fails_on_forced_tolerance(tmp_path, capsys):
-    payload = {
-        "w1": [[0.3, 0.1], [0.0, 0.2], [0.1, 0.1]],
-        "b1": [0.0, 0.1, -0.2],
-        "w2": [[0.2, 0.0, 0.1], [0.0, 0.2, 0.3]],
-        "b2": [0.05, -0.05],
-        "activation": "gelu",
-        "samples": 8,
-    }
+    # The gelu block of the ffn_check_gelu golden case: six hidden units
+    # of both signs, so that the routes' sums meet terms in other orders.
+    payload = json.loads((Path(__file__).parent / "golden" / "ffn_check_gelu.json").read_text())
+    payload.update(samples=8, seed=0)
     path = write_config(tmp_path, "ffn.json", payload)
     assert main(["ffn-check", path]) == 0
     result = json.loads(capsys.readouterr().out)
@@ -777,6 +773,15 @@ def run_stage(stage, **inputs):
          "stages[0].embeddings"),
         ("stage-run", {**STAGE_RUN_2X2, "initial": [[]]}, "stage-run.initial"),
         ("ffn-check", {**FFN_2X2, "w1": [[]]}, "ffn-check.w1"),
+        # And so does every other matrix-shaped field: scores, a kernel.
+        ("run", run_stage({"op": "assemble_kernel", "scores": [[]]}), "stages[0].scores"),
+        ("run", run_stage({"op": "row_anchor", "kernel": [[]]}), "stages[0].kernel"),
+        ("anchor", {"kernel": [[]]}, "anchor.kernel"),
+        ("attn", {**ATTN_2X2, "mask": [[]]}, "attn.mask"),
+        ("anchor", {"mode": "balanced", "kernel": [[], []], "mu_out": [1.0, 1.0],
+                    "mu_in": [1.0]}, "anchor.kernel"),
+        ("run", {"inputs": {"k": [[]]},
+                 "stages": [{"op": "row_anchor", "kernel": "k", "out": "r"}]}, "stages[0].kernel"),
     ],
 )
 def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field):
@@ -864,13 +869,23 @@ def test_a_plan_row_without_mass_is_a_numeric_failure(tmp_path, capsys):
             {**STEP_2X2, "attn": {**STEP_2X2["attn"], "w_k": [[1.0], [0.0]]}}]},
          "stage-run.schedule[0].attn", ("w_q", "w_k")),
         ("ffn-check", {**FFN_2X2, "x": [1.0, 2.0, 3.0]}, "ffn-check.x", ("length 2",)),
-        # The solver checks marginal lengths against the kernel.
+        # The solver checks marginal lengths, and scale_kernel its scalings'
+        # lengths, against the kernel, and names the field that is off.
         ("anchor", {"mode": "balanced", "kernel": [[1.0, 2.0], [3.0, 4.0]],
                     "mu_out": [1.0, 1.0, 1.0],
-                    "mu_in": [1.0, 1.0]}, "anchor", ("mu_out", "length 2")),
+                    "mu_in": [1.0, 1.0]}, "anchor.mu_out", ("mu_out", "length 2")),
         ("run", run_stage({"op": "sinkhorn_unbalanced", "kernel": [[1.0, 2.0], [3.0, 4.0]],
                            "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0, 1.0]}),
-         "stages[0]", ("mu_in", "length 2")),
+         "stages[0].mu_in", ("mu_in", "length 2")),
+        ("run", run_stage({"op": "sinkhorn_balanced", "kernel": [[1.0, 2.0], [3.0, 4.0]],
+                           "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0, 1.0]}),
+         "stages[0].mu_in", ("mu_in", "length 2")),
+        ("run", run_stage({"op": "scale_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]],
+                           "a": [1.0, 1.0, 1.0], "b": [1.0, 1.0]}), "stages[0].a",
+         ("a must have length 2",)),
+        ("run", run_stage({"op": "scale_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]],
+                           "a": [1.0, 1.0], "b": [1.0]}), "stages[0].b",
+         ("b must have length 2",)),
     ],
 )
 def test_shape_errors_exit_2_and_name_the_field(tmp_path, capsys, command, spec, field, named):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import attnkit.anchor
+import attnkit.operator
 from attnkit.anchor import (
     ConditionalFamily,
     Marginals,
@@ -152,6 +154,21 @@ class TestMaskedRowSoftmax:
             masked_row_softmax(logits, mask)
         out = masked_row_softmax(logits, mask, zero_empty=True)
         npt.assert_array_equal(out[1], [0.0, 0.0])
+
+
+def test_row_anchor_and_the_softmax_share_one_divide(monkeypatch):
+    # A divide by the row maximum in place of the row mass shows on both
+    # routes: each of them normalizes through _normalize_rows.
+    def by_row_max(weights, zero_empty=False):
+        weights /= weights.max(axis=1)[:, None]
+        return weights
+
+    for module in (attnkit.anchor, attnkit.operator):
+        monkeypatch.setattr(module, "_normalize_rows", by_row_max)
+    full = np.ones((1, 2), dtype=bool)
+    with pytest.raises(ValueError, match=r"^row 0 sums to 1\.5, not 1"):
+        row_anchor(EvidenceKernel(np.array([[2.0, 1.0]]), full))
+    npt.assert_array_equal(masked_row_softmax(np.zeros((1, 2)), full), [[1.0, 1.0]])
 
 
 def out_of_place_softmax(logits, mask):
@@ -348,9 +365,9 @@ class TestFfn:
                 b2=b2,
                 activation=activation,
             )
-            direct, ga_form = ffn_as_ga(np.zeros(3), params)
-            npt.assert_allclose(direct, b2, atol=1e-14)
-            npt.assert_allclose(ga_form, b2, atol=1e-14)
+            direct, ga_form = ffn_as_ga(np.zeros((1, 3)), params)
+            npt.assert_allclose(direct, [b2], atol=1e-14)
+            npt.assert_allclose(ga_form, [b2], atol=1e-14)
 
     def test_signed_split_matches_direct_route(self):
         rng = np.random.default_rng(95)
@@ -365,10 +382,35 @@ class TestFfn:
                 b2=rng.normal(size=d_model),
                 activation=activation,
             )
-            x = rng.normal(size=d_model)
+            x = rng.normal(size=(1, d_model))
             direct, ga_form = ffn_as_ga(x, params)
             assert np.abs(direct - ga_form).max() <= 1e-10
-            npt.assert_allclose(direct, ffn_apply(x[None, :], params)[0], atol=1e-12)
+            # The direct route is the block that ga stage-run runs.
+            npt.assert_array_equal(direct, ffn_apply(x, params))
+
+    def test_each_row_of_a_batch_matches_its_one_row_call(self):
+        rng = np.random.default_rng(97)
+        for activation in ("relu", "gelu", "tanh"):
+            params = FfnParams(
+                w1=rng.normal(size=(9, 4)),
+                b1=rng.normal(size=9),
+                w2=rng.normal(size=(4, 9)),
+                b2=rng.normal(size=4),
+                activation=activation,
+            )
+            rows = rng.normal(size=(7, 4))
+            direct, ga_form = ffn_as_ga(rows, params)
+            assert direct.shape == ga_form.shape == (7, 4)
+            for i in range(7):
+                one_direct, one_ga = ffn_as_ga(rows[i : i + 1], params)
+                npt.assert_allclose(direct[i : i + 1], one_direct, rtol=0, atol=1e-13)
+                npt.assert_allclose(ga_form[i : i + 1], one_ga, rtol=0, atol=1e-13)
+
+    def test_a_vector_is_no_batch(self):
+        params = FfnParams(w1=np.eye(3), b1=np.zeros(3), w2=np.eye(3), b2=np.zeros(3))
+        for rows in (np.zeros(3), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="^input rows must have length 3$"):
+                ffn_as_ga(rows, params)
 
     def test_gelu_is_exact_at_known_points(self):
         params = FfnParams(
