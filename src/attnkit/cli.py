@@ -35,7 +35,6 @@ from .anchor import (
     sinkhorn_unbalanced,
 )
 from .carrier import RefinementMap, pushforward_kernel
-from .checks import SUITES, run_checks
 from .errors import (
     ConfigInvalid,
     EmptyCol,
@@ -140,12 +139,18 @@ def _config_errors(where: str):
 
 
 def _suites(names, where: str):
-    """names, each of them a suite of the check harness."""
+    """run_checks of the named suites of the check harness, every suite
+    when names is None. The harness is imported here, so only the
+    commands that run suites load it."""
+    from .checks import SUITES, run_checks
+
+    if names is None:
+        names = list(SUITES)
     for name in names:
         if name not in SUITES:
             known = ", ".join(sorted(SUITES))
             raise ConfigInvalid(where, f"unknown suite {name!r}; known: {known}")
-    return names
+    return lambda **kw: run_checks(names, **kw)
 
 
 # The JSON types: a field value of any other type was bound by name.
@@ -499,6 +504,8 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     config = _read(_RUN, _load_object(config_path), {}, "")
     base_dir = Path(config_path).parent
     seed = _seed_from_env(config.get("seed", 0), "seed")
+    checks = config.get("checks")
+    run_suites = _suites(checks, "checks") if checks else None
 
     ctx: dict = {}
     for name, spec in config.get("inputs", {}).items():
@@ -536,9 +543,8 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     }
 
     exit_code = 0
-    suites = config.get("checks")
-    if suites:
-        check_reports = run_checks(_suites(suites, "checks"), seed=seed)
+    if run_suites is not None:
+        check_reports = run_suites(seed=seed)
         report["checks"] = [r.as_json() for r in check_reports]
         if not all(r.passed for r in check_reports):
             exit_code = 4
@@ -583,10 +589,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     seed = _seed_from_env(args.seed, "--seed")
-    suites = _suites(args.suite or list(SUITES), "--suite")
+    run_suites = _suites(args.suite, "--suite")
     tol = None if args.tol is None else _tolerance(args.tol, "--tol")
     started = time.perf_counter()
-    reports = run_checks(suites, seed=seed, tol=tol)
+    reports = run_suites(seed=seed, tol=tol)
     payload = {
         "seed": seed,
         "passed": all(r.passed for r in reports),

@@ -260,6 +260,21 @@ def test_run_can_append_check_suites(tmp_path, capsys):
     assert report["checks"][0]["passed"] is True
 
 
+def test_run_rejects_an_unknown_suite_before_any_stage_runs(tmp_path, capsys):
+    # The stage would exit 3 on its empty row: the config error comes first.
+    config = write_config(tmp_path, "bad_checks.json", {
+        "stages": [{"op": "row_anchor", "kernel": [["-inf", "-inf"], [1, 1]], "out": "k"}],
+        "checks": ["nope"],
+    })
+    assert main(["run", config]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: checks: unknown suite 'nope'; known: barrier, composition, cycle-sum, "
+        "eckart-young, ffn, gauge, mixture, sinkhorn\n"
+    )
+
+
 def test_check_reports_are_byte_identical_for_fixed_seed(capsys):
     assert main(["check", "--suite", "gauge", "--seed", "11"]) == 0
     first = capsys.readouterr()
@@ -564,21 +579,39 @@ def test_ffn_check_passes_then_fails_on_forced_tolerance(tmp_path, capsys):
 def test_stage_run_never_imports_scipy():
     # Importing scipy.special would more than double ga's start-up time;
     # the library computes gelu's erf itself and keeps scipy for tests.
+    # The property harness is compiled only by the commands that run it.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
         "from attnkit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['stage-run', sys.argv[1]])\n"
+        "    code = main(sys.argv[1:])\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "print(json.dumps({'code': code, 'scipy': sorted(loaded)}))\n"
+        "print(json.dumps({'code': code, 'scipy': sorted(loaded),\n"
+        "                  'harness': 'attnkit.checks' in sys.modules}))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = {k: v for k, v in os.environ.items() if k != "GA_SEED"}
+    env["PYTHONPATH"] = str(root / "src")
+    for argv, harness in (
+        (["stage-run", "tests/golden/stage_run_causal.json"], False),
+        (["run", "tests/golden/run_pipeline.json"], False),
+        (["check", "--suite", "cycle-sum"], True),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], cwd=root,
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert json.loads(done.stdout) == {"code": 0, "scipy": [], "harness": harness}, argv
+
+
+def test_importing_the_cli_leaves_the_harness_out():
+    root = Path(__file__).resolve().parents[1]
+    script = "import sys, attnkit.cli\nprint('attnkit.checks' in sys.modules)\n"
     done = subprocess.run(
-        [sys.executable, "-c", script, str(root / "tests/golden/stage_run_causal.json")],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120, check=True,
     )
-    assert json.loads(done.stdout) == {"code": 0, "scipy": []}
+    assert done.stdout == "False\n"
 
 
 FFN_2X2 = {"w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0],

@@ -71,6 +71,11 @@ step 0, carried on step 1, pushed through a refinement on step 2 and
 replaced on step 3: one mask object printed twice, then two others. It
 was pinned just before the output writer came to format a repeated
 dict once and repeat its text.
+
+`run_with_checks` is `run_pipeline` with the cycle-sum and ffn suites
+appended. It was pinned while `attnkit.cli` still imported the harness
+at start-up, just before the import moved into the commands that run
+suites.
 """
 
 import hashlib
@@ -86,6 +91,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "run_pipeline": (["run", str(GOLDEN / "run_pipeline.json")], 0),
+    "run_with_checks": (["run", str(GOLDEN / "run_with_checks.json")], 0),
     "stage_run_causal": (["stage-run", str(GOLDEN / "stage_run_causal.json")], 0),
     "stage_run_refine": (["stage-run", str(GOLDEN / "stage_run_refine.json")], 0),
     "anchor_unbalanced": (["anchor", str(GOLDEN / "anchor_unbalanced.json")], 0),
