@@ -1,6 +1,9 @@
 """The property harness itself: its rewiring sampler and KL gaps, and that each
 suite fails when the code it verifies is broken."""
 
+import os
+import signal
+import time
 from itertools import combinations
 from unittest.mock import patch
 
@@ -16,6 +19,7 @@ import attnkit.lowrank as lowrank
 import attnkit.operator as operator
 from attnkit.anchor import TransportPlan, sinkhorn_balanced
 from attnkit.checks import (
+    SUITES,
     _cycle_perturbations,
     _feasible_transport_instance,
     _kl_gaps,
@@ -23,6 +27,7 @@ from attnkit.checks import (
     run_checks,
     run_criterion,
 )
+from attnkit.errors import NonFinite
 from attnkit.gauge import CenteredDecomposition, center_scores
 from attnkit.lowrank import LowRankChart, SvdResult, svd
 from attnkit.score import EvidenceKernel, Link
@@ -470,3 +475,146 @@ def test_link_forcing_line_records_the_shortfall_below_its_margin(monkeypatch):
     npt.assert_allclose(forced.max_deviation, 0.06, rtol=1e-12)
     assert forced.witness == {"violation": 0.04}
     assert results["exponential_link_composes"].passed
+
+
+# run_checks spreads its criteria over forked workers, one per CPU of
+# the affinity mask. The tests below set that mask and wrap os.fork.
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails the test if it leaves a child process, or if it has not
+    ended after 60 s, e.g. waiting on a child that never exits."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("run_checks did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _one_worker(monkeypatch):
+    def fork():
+        raise AssertionError("one worker forks nothing")
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _hold_back(monkeypatch, side):
+    """Two workers; side ("parent" or "child") sleeps 0.5 s after the
+    fork, so the other side claims every job of a short run."""
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if (pid == 0) == (side == "child"):
+            time.sleep(0.5)
+        return pid
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _raising(log, message):
+    """A criterion that logs the pid it runs in, then raises."""
+
+    def criterion(rng, tol=None):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        raise NonFinite(message)
+
+    return criterion
+
+
+def _as_json(reports):
+    return [r.as_json() for r in reports]
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(1, 12, 1), (2, 12, 2), (64, 12, 12), (3, 0, 1)])
+def test_workers_follow_the_affinity_mask_capped_at_the_jobs(monkeypatch, cpus, jobs, workers):
+    _cpus(monkeypatch, cpus)
+    assert checks._workers(jobs) == workers
+
+
+def test_workers_fall_back_to_the_cpu_count_and_to_one_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert checks._workers(12) == 3
+    monkeypatch.delattr(os, "fork")
+    assert checks._workers(12) == 1
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_one_worker_gives_the_report_of_the_default_run(monkeypatch, no_child_left, seed):
+    spread = _as_json(run_checks(list(SUITES), seed=seed))
+    _one_worker(monkeypatch)
+    assert _as_json(run_checks(list(SUITES), seed=seed)) == spread
+
+
+def test_repeated_suites_beyond_the_job_pipe_all_run(monkeypatch, no_child_left):
+    # 300 jobs make more than the pipe's 128 records: a record then
+    # claims a range of consecutive jobs.
+    suites = ["cycle-sum"] * 300
+    spread = run_checks(suites, seed=3)
+    assert len(spread) == 300
+    (line,) = {str(r.as_json()) for r in spread}
+    _one_worker(monkeypatch)
+    assert str(run_checks(["cycle-sum"], seed=3)[0].as_json()) == line
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_raising_criterion_raises_from_run_checks(monkeypatch, tmp_path, no_child_left, side):
+    # The held-back side runs nothing: the other one hits the raise
+    # first, and the re-run in report order raises it in the caller.
+    log = tmp_path / "pids"
+    monkeypatch.setitem(checks.CRITERIA, "kernel_pushforward", _raising(log, "x"))
+    _hold_back(monkeypatch, "parent" if side == "child" else "child")
+    with pytest.raises(NonFinite) as info:
+        run_checks(["composition", "cycle-sum"], seed=0)
+    assert type(info.value) is NonFinite and str(info.value) == "x"
+    first, rerun = (int(pid) for pid in log.read_text().split())
+    assert (first == os.getpid()) == (side == "parent")
+    assert rerun == os.getpid()
+
+
+def test_the_earlier_raising_criterion_wins(monkeypatch, tmp_path, no_child_left):
+    # The child runs the earlier one and stops; the parent, held back,
+    # claims the rest and hits the later one itself. Report order still
+    # decides which one run_checks raises.
+    log = tmp_path / "pids"
+    monkeypatch.setitem(checks.CRITERIA, "softmax_reduction", _raising(log, "early"))
+    monkeypatch.setitem(checks.CRITERIA, "cycle_sum_invariance", _raising(log, "late"))
+    _hold_back(monkeypatch, "parent")
+    with pytest.raises(NonFinite, match="^early$"):
+        run_checks(["composition", "cycle-sum"], seed=0)
+    child, late, rerun = (int(pid) for pid in log.read_text().split())
+    assert child != os.getpid() and late == rerun == os.getpid()
+
+
+def test_jobs_of_a_child_that_died_are_rerun(monkeypatch, no_child_left):
+    with monkeypatch.context() as m:
+        _one_worker(m)
+        expected = _as_json(run_checks(["composition", "cycle-sum"], seed=1))
+    parent = os.getpid()
+    real = checks.CRITERIA["link_compositionality"]
+
+    def dies_in_a_child(rng, tol=None):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(rng, tol)
+
+    monkeypatch.setitem(checks.CRITERIA, "link_compositionality", dies_in_a_child)
+    _hold_back(monkeypatch, "parent")
+    assert _as_json(run_checks(["composition", "cycle-sum"], seed=1)) == expected
