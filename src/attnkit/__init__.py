@@ -1,13 +1,13 @@
 """Masked-kernel attention operators with verified gauge and closure laws.
 
 The pipeline: build an evidence kernel from masked scores, a positive
-prior, and a link; anchor it into a conditional family (row softmax) or
-a transport plan (Sinkhorn); update value fields with it. Around that
-core sit the quotients that make scores identifiable (centering, low
-rank charts), the closure constructions (feedforward as a kernel
-update, gated mixtures), staged composition with influence tracking,
-and a seeded property-check harness exposed both to pytest and the
-`ga` command line tool.
+prior, and a temperature; anchor it into a conditional family (row
+softmax) or a transport plan (Sinkhorn); update value fields with it.
+Around that core sit the quotients that make scores identifiable
+(centering, low rank charts), the closure constructions (feedforward as
+a kernel update, gated mixtures), staged composition with influence
+tracking, and a seeded property-check harness exposed both to pytest
+and the `ga` command line tool.
 """
 
 from .anchor import (
@@ -45,7 +45,6 @@ from .operator import (
 from .score import (
     BaselinePrior,
     EvidenceKernel,
-    Link,
     MaskedMatrix,
     MaskedScore,
     assemble_kernel,

@@ -45,7 +45,7 @@ from .operator import (
     masked_row_softmax,
     update,
 )
-from .score import EvidenceKernel, Frozen, Link, MaskedScore, assemble_kernel
+from .score import EvidenceKernel, Frozen, MaskedScore, assemble_kernel
 from .staged import (
     ChartSpec,
     ScheduleStep,
@@ -152,14 +152,11 @@ def check_row_gauge_invariance(rng, tol=None):
     conditionals."""
     worst = _Worst("row_gauge_invariance", 1e-12)
     cases = 100
-    link = Link("exp")
     for i in range(cases):
         scores, mask = _masked_instance(rng, 64)
         shifts = rng.uniform(-3.0, 3.0, scores.shape[0])
-        base = row_anchor(assemble_kernel(MaskedScore(scores, mask), None, link))
-        shifted = row_anchor(
-            assemble_kernel(MaskedScore(scores + shifts[:, None], mask), None, link)
-        )
+        base = row_anchor(assemble_kernel(MaskedScore(scores, mask)))
+        shifted = row_anchor(assemble_kernel(MaskedScore(scores + shifts[:, None], mask)))
         dev = float(np.abs(base.values - shifted.values).max())
         worst.see(dev, case=i, n=scores.shape[0], deviation=dev)
     return [worst.result(cases, tol)]
@@ -505,31 +502,33 @@ def check_influence_barrier(rng, tol=None):
     return [barrier.result(checked, tol), oracle.result(cases, tol)]
 
 
-def _link_composition(name, link, grid) -> _Worst:
-    """The evidence factor must be multiplicative. The factor in work
-    coordinates is g(w) = link(-w); each grid pair (w1, w2) deviates by
-    |g(w1+w2) - g(w1) g(w2)| / (1 + |g(w1) g(w2)|), and the first worst
-    pair is the witness. Exponential-family links pass at rounding
-    level, anything else is expected to fail visibly."""
+def _link_composition(name, g, grid) -> _Worst:
+    """The evidence factor must be multiplicative. g maps an array of
+    works w to the factors of the scores -w, entry by entry; each grid
+    pair (w1, w2) deviates by |g(w1+w2) - g(w1) g(w2)| / (1 + |g(w1) g(w2)|),
+    and the first worst pair is the witness. Exponential factors pass at
+    rounding level, anything else is expected to fail visibly."""
     worst = _Worst(name, 1e-12)
-    grid = [float(w) for w in grid]
-
-    def g(w: float) -> float:
-        return float(link.evaluate(np.array(-w)))
-
-    for w1 in grid:
-        for w2 in grid:
-            rhs = g(w1) * g(w2)
-            worst.see(abs(g(w1 + w2) - rhs) / (1.0 + abs(rhs)), witness=[w1, w2])
+    works = [float(w) for w in grid]
+    single = g(np.array([works]))[0].tolist()
+    joint = g(np.add.outer(works, works)).tolist()
+    for w1, g1, row in zip(works, single, joint):
+        for w2, g2, g12 in zip(works, single, row):
+            rhs = g1 * g2
+            worst.see(abs(g12 - rhs) / (1.0 + abs(rhs)), witness=[w1, w2])
     return worst
 
 
 def check_link_compositionality(rng, tol=None):
-    """The exponential family composes over work; 1 + s^2 must fail by a
-    margin of 0.1: that line records the shortfall below it."""
+    """The kernel that assemble_kernel builds composes over work; 1 + s^2
+    must fail by a margin of 0.1: that line records the shortfall below it."""
     grid = np.linspace(0.2, 5.0, 25)
-    composes = _link_composition("exponential_link_composes", Link("exp", tau=1.0), grid)
-    violation = _link_composition("square_link", Link("square-plus-one"), grid).value
+
+    def shipped(w):
+        return assemble_kernel(MaskedScore(-w, np.ones(w.shape, dtype=bool))).values
+
+    composes = _link_composition("exponential_link_composes", shipped, grid)
+    violation = _link_composition("square_link", lambda w: 1.0 + w * w, grid).value
     forced = _Worst("square_link_fails_to_compose", 0.0)
     forced.see(0.1 - violation, violation=violation)
     return [composes.result(grid.size, tol), forced.result(grid.size, tol)]

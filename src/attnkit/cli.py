@@ -67,7 +67,6 @@ from .score import (
     BaselinePrior,
     EvidenceKernel,
     Frozen,
-    Link,
     MaskedMatrix,
     MaskedScore,
     assemble_kernel,
@@ -343,7 +342,6 @@ def _attention(embeddings, mask=None, **params):
     return {"weights": ConditionalFamily(weights, mask), "output": out}
 
 
-_LINK = _Row("link", Link, {}, {"kind": "string", "tau": "number", "slope": "number"})
 _REFINEMENT = _Row(
     "refinement",
     lambda map, n_coarse, fine="fine", coarse="coarse": RefinementMap(fine, coarse, map, n_coarse),
@@ -359,7 +357,7 @@ _BUDGET = {"tol": "number", "max_iter": "integer"}
 
 _OPS = {row.name: row for row in (
     _Row("assemble_kernel", lambda scores, **kw: assemble_kernel(MaskedScore(*scores), **kw),
-         {"scores": "matrix"}, {"prior": "prior", "link": _LINK}),
+         {"scores": "matrix"}, {"prior": "prior", "tau": "number"}),
     _Row("row_anchor", lambda kernel: row_anchor(kernel), {"kernel": "kernel"}),
     _Row("sinkhorn_balanced", lambda kernel, mu_out, mu_in, **kw: sinkhorn_balanced(
         kernel, Marginals(mu_out, mu_in), **kw), _TRANSPORT, _BUDGET),

@@ -28,8 +28,9 @@ class ConfigInvalid(AttnKitError):
 
 class InvalidBudget(AttnKitError, ValueError):
     """An argument the call cannot run with, named by its field: a budget
-    (max_iter, tol), a penalty (lam_out, lam_in), marginals (mu_out, mu_in)
-    of the wrong length, or scalings (a, b) of the wrong length or sign."""
+    (max_iter, tol), a temperature (tau), a penalty (lam_out, lam_in),
+    marginals (mu_out, mu_in) of the wrong length, or scalings (a, b) of
+    the wrong length or sign."""
 
     def __init__(self, field: str, message: str):
         self.field = field

@@ -66,8 +66,8 @@ def center_scores(scores, mode: str = "double"):
     no reference weight is picked silently in their place.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ValueError("scores must be a 2-d matrix")
+    if s.ndim != 2 or not s.size:
+        raise ValueError("scores must be a 2-d matrix with at least one entry")
     if not np.isfinite(s).all():
         raise ValueError(
             "plain centering needs fully finite scores; arithmetic means are "
@@ -75,26 +75,33 @@ def center_scores(scores, mode: str = "double"):
         )
     if mode not in ("row", "col", "double"):
         raise ValueError(f"unknown centering mode {mode!r}")
-    # A mean of finite scores can overflow in its sum, and a difference
-    # of finite ones past the range of doubles; either shows in the result.
-    with np.errstate(over="ignore", invalid="ignore"):
+    parts = _centered(s, mode)
+    if not all(np.isfinite(part).all() for part in parts):
+        # A mean of finite scores can overflow in its sum, and a difference
+        # of finite ones past the range of doubles. Centering s / m, m the
+        # largest absolute entry, and scaling back by m is the same in
+        # exact arithmetic; only a result past the doubles is refused.
+        m = np.abs(s).max()
+        with np.errstate(over="ignore"):
+            parts = [m * part for part in _centered(s / m, mode)]
+        if not all(np.isfinite(part).all() for part in parts):
+            raise NonFinite("centering overflowed to a non-finite value")
+    if mode != "double":
+        return parts[0]
+    interaction, grand_mean, row_means, col_means, key_bias = parts
+    return CenteredDecomposition(float(grand_mean), row_means, col_means, interaction, key_bias)
+
+
+def _centered(s: np.ndarray, mode: str) -> list:
+    """The interaction of s under mode; for "double", followed by the
+    grand mean, the row and column means and the key bias."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
+        if mode == "row":
+            return [s - s.mean(axis=1)[:, None]]
+        if mode == "col":
+            return [s - s.mean(axis=0)[None, :]]
         row_means = s.mean(axis=1)
         col_means = s.mean(axis=0)
-        if mode == "row":
-            interaction = s - row_means[:, None]
-        elif mode == "col":
-            interaction = s - col_means[None, :]
-        else:
-            grand_mean = float(s.mean())
-            interaction = s - row_means[:, None] - col_means[None, :] + grand_mean
-    if not np.isfinite(interaction).all():
-        raise NonFinite("centering overflowed to a non-finite value")
-    if mode != "double":
-        return interaction
-    return CenteredDecomposition(
-        grand_mean=grand_mean,
-        row_means=row_means,
-        col_means=col_means,
-        interaction=interaction,
-        key_bias=col_means - grand_mean,
-    )
+        grand_mean = s.mean()
+        interaction = s - row_means[:, None] - col_means[None, :] + grand_mean
+        return [interaction, grand_mean, row_means, col_means, col_means - grand_mean]

@@ -1,4 +1,4 @@
-"""Masked scores, baseline priors, links, and evidence-kernel assembly.
+"""Masked scores, baseline priors, and evidence-kernel assembly.
 
 Hard exclusions live in an explicit boolean mask. Score arrays hold
 finite numbers only; entries that arrive as the JSON token "-inf" are
@@ -6,17 +6,16 @@ converted to mask=False at the I/O boundary (see matio) and zeroed
 here. Keeping infinities out of the numeric arrays avoids NaN traps in
 downstream sums.
 
-A link maps finite scores to strictly positive weights. The exponential
-family exp(s/tau) is the one that survives the multiplicative
-composition law; the named custom links exist so the admissibility
-check has both passing and failing witnesses to chew on.
+The kernel is the Gibbs form prior * exp(s/tau): the exponential link
+is the only one whose factors compose multiplicatively over added
+scores, and the temperature tau is its one knob.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import InvalidBudget, NonFinite
 
 
 def _as_matrix(values, name: str) -> np.ndarray:
@@ -89,43 +88,6 @@ class BaselinePrior(Frozen):
         return self.values.shape
 
 
-_LINK_KINDS = ("exp", "softplus", "square-plus-one", "exp-with-slope")
-
-
-class Link(Frozen):
-    """Map from finite scores to positive weights.
-
-    kind "exp" is exp(s/tau). The remaining kinds are named built-ins
-    used by the compositionality check: "exp-with-slope" is another
-    member of the exponential family, "softplus" and "square-plus-one"
-    are positive but not multiplicative. Only "exp" reads tau and only
-    "exp-with-slope" reads slope; other kinds refuse a value but 1.
-    """
-
-    def __init__(self, kind: str = "exp", tau: float = 1.0, slope: float = 1.0):
-        if kind not in _LINK_KINDS:
-            raise ValueError(f"unknown link kind {kind!r}")
-        if kind == "exp" and not tau > 0:
-            raise ValueError("temperature tau must be strictly positive")
-        if kind != "exp" and tau != 1:
-            raise ValueError(f"link kind {kind!r} takes no tau, got {tau!r}")
-        if kind != "exp-with-slope" and slope != 1:
-            raise ValueError(f"link kind {kind!r} takes no slope, got {slope!r}")
-        self.__dict__.update(kind=kind, tau=tau, slope=slope)
-
-    def evaluate(self, scores) -> np.ndarray:
-        """Apply the link elementwise. Every kind is strictly positive in
-        exact arithmetic, so a 0 in the output is underflow."""
-        s = np.asarray(scores, dtype=np.float64)
-        if self.kind == "exp":
-            return np.exp(s / self.tau)
-        if self.kind == "exp-with-slope":
-            return np.exp(self.slope * s)
-        if self.kind == "softplus":
-            return np.logaddexp(0.0, s)
-        return 1.0 + s * s  # square-plus-one
-
-
 class MaskedMatrix(Frozen):
     """Nonnegative weights on the carrier, supported on the admissible mask.
 
@@ -163,19 +125,21 @@ class EvidenceKernel(MaskedMatrix):
 
 
 def assemble_kernel(
-    score: MaskedScore, prior: BaselinePrior | None = None, link: Link = Link()
+    score: MaskedScore, prior: BaselinePrior | None = None, tau: float = 1.0
 ) -> EvidenceKernel:
-    """K = prior * link(score) on the mask, exact zero off the mask; no
-    prior is a prior of ones."""
+    """K = prior * exp(score / tau) on the mask, exact zero off the mask;
+    no prior is a prior of ones."""
+    if not tau > 0:
+        raise InvalidBudget("tau", f"must be strictly positive, got {tau!r}")
     if prior is not None and prior.shape != score.shape:
         raise ValueError(f"prior shape {prior.shape} != score shape {score.shape}")
     mask = score.mask
     out = np.zeros(score.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        weights = link.evaluate(score.values[mask])
+        weights = np.exp(score.values[mask] / tau)
         if prior is not None:
             weights = prior.values[mask] * weights
-    # Link and prior are strictly positive in exact arithmetic: an
+    # exp and the prior are strictly positive in exact arithmetic: an
     # admitted entry that is inf overflowed, one that is 0 underflowed.
     if not np.isfinite(weights).all():
         raise NonFinite("link overflowed to a non-finite kernel entry")
@@ -183,4 +147,3 @@ def assemble_kernel(
         raise NonFinite("kernel entry underflowed to 0 on the mask")
     out[mask] = weights
     return EvidenceKernel(out, mask)
-

@@ -30,7 +30,7 @@ from attnkit.checks import (
 from attnkit.errors import NonFinite
 from attnkit.gauge import CenteredDecomposition, center_scores
 from attnkit.lowrank import LowRankChart, SvdResult, svd
-from attnkit.score import EvidenceKernel, Link
+from attnkit.score import EvidenceKernel
 
 from test_anchor import generalized_kl
 
@@ -423,36 +423,40 @@ def test_eckart_young_suite_catches_wrong_singular_values(monkeypatch):
 class TestLinkComposition:
     grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
 
+    @staticmethod
+    def square(w):
+        return 1.0 + w * w
+
     def test_exponential_passes_exactly(self):
-        worst = _link_composition("link", Link(tau=2.0), self.grid)
+        worst = _link_composition("link", lambda w: np.exp(-w / 2.0), self.grid)
         assert worst.result(len(self.grid), None).passed
         assert worst.value <= 1e-12
 
     def test_square_plus_one_fails_with_frozen_violation(self):
         # Single-point grid isolates the witness pair (1, 1):
         # g(2) = 5 against g(1)^2 = 4 gives |5-4| / (1+4) = 0.2.
-        result = _link_composition("link", Link(kind="square-plus-one"), [1.0]).result(1, None)
+        result = _link_composition("link", self.square, [1.0]).result(1, None)
         assert not result.passed
         npt.assert_allclose(result.max_deviation, 0.2, rtol=1e-15)
         assert result.witness == {"witness": [1.0, 1.0]}
 
     def test_square_plus_one_fails_on_full_grid(self):
-        worst = _link_composition("link", Link(kind="square-plus-one"), self.grid)
+        worst = _link_composition("link", self.square, self.grid)
         assert not worst.result(len(self.grid), None).passed
         assert worst.value >= 0.1
 
     def test_exp_with_slope_passes(self):
-        worst = _link_composition("link", Link(kind="exp-with-slope", slope=3.0), self.grid)
+        worst = _link_composition("link", lambda w: np.exp(-3.0 * w), self.grid)
         assert worst.result(len(self.grid), None).passed
 
     def test_softplus_fails(self):
-        worst = _link_composition("link", Link(kind="softplus"), self.grid)
+        worst = _link_composition("link", lambda w: np.logaddexp(0.0, -w), self.grid)
         assert not worst.result(len(self.grid), None).passed
 
     def test_the_witness_is_the_first_worst_pair(self):
         # On [-1, 1], 1 + s^2 violates most at (-1, 1) and at (1, -1):
         # g(0) = 1 against g(-1) g(1) = 4 gives 3/5. The first pair stays.
-        worst = _link_composition("link", Link(kind="square-plus-one"), [-1.0, 1.0])
+        worst = _link_composition("link", self.square, [-1.0, 1.0])
         npt.assert_allclose(worst.value, 0.6, rtol=1e-15)
         assert worst.witness == {"witness": [-1.0, 1.0]}
 
@@ -462,9 +466,9 @@ def test_link_forcing_line_records_the_shortfall_below_its_margin(monkeypatch):
     # of 0.1 minus its violation, with the violation as witness.
     real = checks._link_composition
 
-    def weak(name, link, grid):
-        worst = real(name, link, grid)
-        if link.kind == "square-plus-one":
+    def weak(name, g, grid):
+        worst = real(name, g, grid)
+        if name == "square_link":
             worst.value = 0.04
         return worst
 
@@ -475,6 +479,21 @@ def test_link_forcing_line_records_the_shortfall_below_its_margin(monkeypatch):
     npt.assert_allclose(forced.max_deviation, 0.06, rtol=1e-12)
     assert forced.witness == {"violation": 0.04}
     assert results["exponential_link_composes"].passed
+
+
+def test_link_line_checks_the_kernel_that_assemble_kernel_builds(monkeypatch):
+    # A kernel of softplus entries log(1 + e^s) is positive but does not
+    # compose; the line must see it through assemble_kernel.
+    assert _by_name(run_criterion("link_compositionality", seed=0))[
+        "exponential_link_composes"].passed
+
+    def softplus_kernel(score, prior=None, tau=1.0):
+        values = np.where(score.mask, np.log1p(np.exp(score.values)), 0.0)
+        return EvidenceKernel(values, score.mask)
+
+    monkeypatch.setattr(checks, "assemble_kernel", softplus_kernel)
+    assert not _by_name(run_criterion("link_compositionality", seed=0))[
+        "exponential_link_composes"].passed
 
 
 # run_checks spreads its criteria over forked workers, one per CPU of

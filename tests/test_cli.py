@@ -205,7 +205,7 @@ def test_full_demo_pipeline_outputs_are_finite(tmp_path, capsys):
                 {
                     "op": "assemble_kernel",
                     "scores": "scores",
-                    "link": {"kind": "exp", "tau": 0.7},
+                    "tau": 0.7,
                     "out": "kernel",
                 },
                 {
@@ -672,8 +672,7 @@ def run_stage(stage, **inputs):
         ("attn", {**ATTN_2X2, "tau": True}, "attn.tau"),
         ("attn", {**ATTN_2X2, "tau": []}, "attn.tau"),
         ("attn", {**ATTN_2X2, "prior": [[1.0, 0.0], [1.0, 1.0]]}, "attn.prior"),
-        ("run", run_stage({"op": "assemble_kernel", "scores": EYE, "link": {"slope": "1"}}),
-         "stages[0].link.slope"),
+        ("run", run_stage({"op": "assemble_kernel", "scores": EYE, "tau": "1"}), "stages[0].tau"),
         ("run", run_stage({"op": []}), "stages[0].op"),
         ("run", {"inputs": [], "stages": []}, "inputs"),
         ("anchor", {"mode": 3, "kernel": EYE}, "anchor.mode"),
@@ -749,15 +748,14 @@ def run_stage(stage, **inputs):
                  "stages": [{**ATTN_2X2, "op": "attention", "out": "a"},
                             {"op": "center_scores", "scores": "a_weights", "out": "c"}]},
          "stages[0].out"),
-        # A field the command or the link kind would not read is refused.
+        # A field the command would not read is refused.
         ("ffn-check", {**FFN_2X2, "x": [1, 2], "samples": 0, "seed": -5}, "ffn-check.samples"),
         ("ffn-check", {**FFN_2X2, "x": [1, 2], "seed": 3}, "ffn-check.seed"),
         ("run", run_stage({"op": "assemble_kernel", "scores": EYE,
-                           "link": {"kind": "softplus", "tau": -3}}), "stages[0].link"),
-        ("run", run_stage({"op": "assemble_kernel", "scores": EYE,
-                           "link": {"kind": "exp", "slope": 7}}), "stages[0].link"),
-        ("run", run_stage({"op": "assemble_kernel", "scores": EYE,
-                           "link": {"kind": "exp-with-slope", "tau": 2}}), "stages[0].link"),
+                           "link": {"kind": "exp", "tau": 0.7}}), "stages[0].link"),
+        ("run", run_stage({"op": "assemble_kernel", "scores": EYE, "slope": 2}), "stages[0].slope"),
+        # A temperature that is not > 0.
+        ("run", run_stage({"op": "assemble_kernel", "scores": EYE, "tau": 0}), "stages[0].tau"),
         ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "additive", "gate": GATE_2X2}}},
          "stage-run.cfg.comp"),
         ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "additive",
@@ -834,12 +832,10 @@ def test_refusals_say_what_is_wrong(tmp_path, capsys):
     cases = [
         ({"inputs": {"a_weights": EYE}, "stages": [{**ATTN_2X2, "op": "attention", "out": "a"}]},
          "error: stages[0].out: name 'a_weights' already bound\n"),
-        (run_stage({"op": "assemble_kernel", "scores": EYE,
-                    "link": {"kind": "softplus", "tau": -3}}),
-         "error: stages[0].link: link kind 'softplus' takes no tau, got -3.0\n"),
-        (run_stage({"op": "assemble_kernel", "scores": EYE,
-                    "link": {"kind": "exp", "slope": 7}}),
-         "error: stages[0].link: link kind 'exp' takes no slope, got 7.0\n"),
+        (run_stage({"op": "assemble_kernel", "scores": EYE, "link": {"kind": "softplus"}}),
+         "error: stages[0].link: unknown field; assemble_kernel takes scores, prior, tau\n"),
+        (run_stage({"op": "assemble_kernel", "scores": EYE, "tau": -3}),
+         "error: stages[0].tau: tau must be strictly positive, got -3.0\n"),
     ]
     for spec, message in cases:
         assert main(["run", write_config(tmp_path, "input.json", spec)]) == 2
@@ -967,8 +963,10 @@ HUGE_W1 = [[1e308, 1e308], [1e308, 1e308]]
         # Scores stay finite; the value row 10 * 1e308 does not.
         pytest.param("attn", {**ATTN_2X2, "embeddings": [[10.0, 0.0], [0.0, 1.0]],
                               "w_v": [[1e308, 0.0], [0.0, 1.0]]}, id="attn-output"),
-        # The row sum 2e308 of finite scores overflows.
-        pytest.param("chart", {"scores": [[1e308, 1e308], [-1e308, 1e308]], "rank": 1},
+        # The interaction entry 16M/9, M = 1.7e308, is past the largest double.
+        pytest.param("chart", {"scores": [[1.7e308, -1.7e308, -1.7e308],
+                                          [-1.7e308, 1.7e308, 1.7e308],
+                                          [-1.7e308, 1.7e308, 1.7e308]], "rank": 1},
                      id="chart-centering"),
         # Centering is exact here; the singular value 2e308 is not.
         pytest.param("chart", {"scores": [[1e308, -1e308], [-1e308, 1e308]], "rank": 1},
@@ -994,6 +992,17 @@ def test_overflow_and_empty_kernel_are_numeric_failures(tmp_path, capsys, comman
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("numeric failure: ") and out.err.count("\n") == 1
+
+
+def test_centering_whose_sums_overflow_succeeds(tmp_path, capsys):
+    # Every mean and interaction entry is a double; the sums 2e308 are not.
+    spec = run_stage({"op": "center_scores", "scores": [[1e308, 1e308], [1e308, 1e308]]})
+    assert main(["run", write_config(tmp_path, "run.json", spec)]) == 0
+    centered = json.loads(capsys.readouterr().out)["stages"][0]["result"]
+    assert centered["grand_mean"] == 1e308 and centered["key_bias"] == [0.0, 0.0]
+    spec = {"scores": [[1e308, -1e308], [1e308, 1e308]], "rank": 1}
+    assert main(["chart", write_config(tmp_path, "chart.json", spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["key_bias"] == [5e307, -5e307]
 
 
 @pytest.mark.parametrize("flag, code", [("no", 2), (None, 3), (True, 0)])
@@ -1068,7 +1077,7 @@ SWEEP_INPUTS = [
                    "s": [[0.5, -0.5], [0.25, 0.0]], "p": [[1.0, 2.0], [0.5, 1.0]]},
         "stages": [
             {"op": "assemble_kernel", "scores": "s", "prior": "p", "out": "k2",
-             "link": {"kind": "exp-with-slope", "slope": 0.5}},
+             "tau": 2.0},
             {"op": "row_anchor", "kernel": "k", "out": "c"},
             {"op": "conditional_update", "family": "c", "values": "v", "out": "u"},
             {"op": "sinkhorn_unbalanced", "kernel": "k2", "mu_out": [1.0, 1.0],

@@ -228,7 +228,7 @@ def methods():
 
 
 def test_the_walk_finds_the_methods():
-    assert ("score", "Link", "evaluate") in methods()
+    assert ("anchor", "Marginals", "matched") in methods()
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ SIGNATURES = {
     "ConditionalFamily": "(values, mask)",
     "EvidenceKernel": "(values, mask)",
     "FfnParams": "(w1, b1, w2, b2, activation='gelu')",
-    "Link": "(kind='exp', tau=1.0, slope=1.0)",
     "LowRankChart": "(Q, L, rank, frobenius_residual, key_bias=None, degenerate=False)",
     "Marginals": "(mu_out, mu_in)",
     "MaskedMatrix": "(values, mask)",
@@ -58,7 +57,6 @@ def instances() -> dict:
         "ConditionalFamily": attnkit.row_anchor(kernel),
         "EvidenceKernel": kernel,
         "FfnParams": ffn,
-        "Link": attnkit.Link(),
         "LowRankChart": attnkit.score_normal_form(EYE, 1),
         "Marginals": marginals,
         "MaskedMatrix": attnkit.MaskedMatrix(EYE, EYE),

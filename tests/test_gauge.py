@@ -203,7 +203,39 @@ class TestCenterScores:
         with pytest.raises(ValueError, match="scores must be a 2-d matrix"):
             center_scores([1.0, 2.0])
 
-    def test_overflowing_means_are_nonfinite(self):
-        # Every entry is finite; the row sums are not.
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            center_scores(np.zeros((0, 3)))
+
+    def test_overflowing_sums_are_centered_at_scale(self):
+        # Every entry, mean and interaction entry is a double; the row
+        # and column sums are not, so centering runs on s / 1e308.
+        dec = center_scores([[1e308, 1e308], [1e308, 1e308]])
+        assert dec.grand_mean == 1e308
+        npt.assert_array_equal(dec.row_means, [1e308, 1e308])
+        npt.assert_array_equal(dec.col_means, [1e308, 1e308])
+        npt.assert_array_equal(dec.interaction, np.zeros((2, 2)))
+        npt.assert_array_equal(dec.key_bias, [0.0, 0.0])
+        dec = center_scores([[1e308, -1e308], [1e308, 1e308]])
+        assert dec.grand_mean == 5e307
+        npt.assert_array_equal(dec.row_means, [0.0, 1e308])
+        npt.assert_array_equal(dec.col_means, [1e308, 0.0])
+        npt.assert_array_equal(dec.interaction, [[5e307, -5e307], [-5e307, 5e307]])
+        npt.assert_array_equal(dec.key_bias, [5e307, -5e307])
+        rows = center_scores([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]], mode="row")
+        npt.assert_array_equal(rows, np.zeros((2, 2)))
+
+    def test_interaction_past_the_largest_double_is_nonfinite(self):
+        # The interaction entry 16M/9 is past the largest double, at any scale.
+        m = 1.7e308
         with pytest.raises(NonFinite, match="centering overflowed"):
-            center_scores([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+            center_scores([[m, -m, -m], [-m, m, m], [-m, m, m]])
+
+    def test_scores_that_do_not_overflow_keep_the_plain_bits(self):
+        s = np.random.default_rng(43).normal(scale=1e3, size=(6, 9))
+        row, col, grand = s.mean(axis=1), s.mean(axis=0), s.mean()
+        dec = center_scores(s)
+        npt.assert_array_equal(dec.interaction, s - row[:, None] - col[None, :] + grand)
+        npt.assert_array_equal(dec.key_bias, col - grand)
+        npt.assert_array_equal(center_scores(s, mode="row"), s - row[:, None])
+        npt.assert_array_equal(center_scores(s, mode="col"), s - col[None, :])

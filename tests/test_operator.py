@@ -32,7 +32,7 @@ from attnkit.operator import (
     masked_row_softmax,
     update,
 )
-from attnkit.score import BaselinePrior, EvidenceKernel
+from attnkit.score import BaselinePrior, EvidenceKernel, MaskedScore, assemble_kernel
 
 
 def oracle_attention_weights(e, params, mask):
@@ -336,6 +336,33 @@ class TestAttention:
         kernel_values = np.where(mask, np.exp(scores - scores.max()), 0.0)
         anchored = row_anchor(EvidenceKernel(kernel_values, mask))
         assert np.abs(weights - anchored.values).max() <= 1e-12
+
+    def test_weights_are_the_anchored_gibbs_kernel_at_any_temperature(self):
+        # attention's softmax of s/tau + log(prior) and the row-anchored
+        # kernel prior * exp(s/tau) that assemble_kernel builds are one
+        # conditional family, with a key bias and a prior, for tau in [0.3, 3].
+        rng = np.random.default_rng(85)
+        for _ in range(200):
+            n = int(rng.integers(2, 17))
+            d_model, d_k, d_v = (int(d) for d in rng.integers(1, 9, size=3))
+            e = rng.normal(size=(n, d_model))
+            mask = rng.random((n, n)) < rng.uniform(0.2, 1.0)
+            mask[np.arange(n), rng.integers(n, size=n)] = True
+            params = AttentionParams(
+                w_q=rng.normal(size=(d_model, d_k)),
+                w_k=rng.normal(size=(d_model, d_k)),
+                w_v=rng.normal(size=(d_model, d_v)),
+                tau=float(rng.uniform(0.3, 3.0)),
+                key_bias=rng.normal(size=n),
+                prior=BaselinePrior(rng.uniform(0.1, 5.0, (n, n))),
+            )
+            weights, _ = attention(e, params, mask)
+            q, k = e @ params.w_q, e @ params.w_k
+            scores = (q @ k.T) / math.sqrt(d_k) + params.key_bias[None, :]
+            kernel = assemble_kernel(MaskedScore(scores, mask), params.prior, params.tau)
+            want = row_anchor(kernel).values
+            assert (weights[~mask] == 0).all()
+            npt.assert_allclose(weights[mask], want[mask], rtol=1e-13, atol=0)
 
 
 class TestFfn:

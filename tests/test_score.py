@@ -1,4 +1,4 @@
-"""Kernel assembly, the support law, and links."""
+"""Kernel assembly, the support law, and the temperature."""
 
 import math
 
@@ -7,11 +7,10 @@ import numpy.testing as npt
 import pytest
 
 from attnkit.anchor import ConditionalFamily, TransportPlan
-from attnkit.errors import NonFinite
+from attnkit.errors import InvalidBudget, NonFinite
 from attnkit.score import (
     BaselinePrior,
     EvidenceKernel,
-    Link,
     MaskedMatrix,
     MaskedScore,
     assemble_kernel,
@@ -36,13 +35,13 @@ def dense(values) -> MaskedScore:
 
 def test_zero_scores_unit_prior_gives_all_ones():
     score = dense(np.zeros((3, 4)))
-    kernel = assemble_kernel(score, BaselinePrior(np.ones((3, 4))), Link(tau=1.0))
+    kernel = assemble_kernel(score, BaselinePrior(np.ones((3, 4))), tau=1.0)
     npt.assert_array_equal(kernel.values, np.ones((3, 4)))
 
 
 def test_log_scores_exponentiate():
     score = dense([[math.log(2.0), 0.0]])
-    kernel = assemble_kernel(score, BaselinePrior(np.ones((1, 2))), Link(tau=1.0))
+    kernel = assemble_kernel(score, BaselinePrior(np.ones((1, 2))), tau=1.0)
     npt.assert_allclose(kernel.values, [[2.0, 1.0]], rtol=1e-15)
 
 
@@ -52,9 +51,7 @@ def test_assemble_matches_per_entry_oracle():
     mask = rng.random((5, 5)) < 0.4
     prior = rng.uniform(0.5, 2.0, size=(5, 5))
     tau = 0.5
-    kernel = assemble_kernel(
-        MaskedScore(scores, mask), BaselinePrior(prior), Link(tau=tau)
-    )
+    kernel = assemble_kernel(MaskedScore(scores, mask), BaselinePrior(prior), tau)
     expected = oracle_assemble(scores, mask, prior, lambda s: math.exp(s / tau))
     npt.assert_allclose(kernel.values, expected, rtol=1e-15)
     npt.assert_array_equal(kernel.mask, mask)
@@ -67,15 +64,13 @@ def test_support_equals_mask_exactly():
         mask = rng.random((n, m)) < rng.uniform(0.2, 1.0)
         scores = rng.normal(scale=3.0, size=(n, m))
         prior = rng.uniform(0.1, 5.0, size=(n, m))
-        kernel = assemble_kernel(
-            MaskedScore(scores, mask), BaselinePrior(prior), Link(tau=0.7)
-        )
+        kernel = assemble_kernel(MaskedScore(scores, mask), BaselinePrior(prior), tau=0.7)
         npt.assert_array_equal(kernel.values > 0, mask)
 
 
-def test_assemble_without_prior_is_link_only():
+def test_assemble_without_prior_is_exp_only():
     score = dense([[1.0, -1.0]])
-    kernel = assemble_kernel(score, None, Link(tau=1.0))
+    kernel = assemble_kernel(score)
     npt.assert_allclose(kernel.values, [[math.e, 1.0 / math.e]], rtol=1e-15)
 
 
@@ -84,29 +79,36 @@ def test_assemble_shape_mismatch():
         assemble_kernel(
             dense(np.zeros((2, 2))),
             BaselinePrior(np.ones((2, 3))),
-            Link(),
         )
 
 
-def test_softplus_underflow_is_a_numeric_failure():
-    score = dense([[-1000.0]])
+def test_exp_underflow_is_a_numeric_failure():
+    # exp(-800) is below the smallest subnormal double.
+    score = dense([[-800.0]])
     with pytest.raises(NonFinite, match="underflowed to 0"):
-        assemble_kernel(score, None, Link(kind="softplus"))
+        assemble_kernel(score)
 
 
-def test_prior_times_link_underflow_is_a_numeric_failure():
+def test_prior_times_exp_underflow_is_a_numeric_failure():
     # exp(-700) ~ 1e-304 is a normal double, but 1e-300 times it is 0.
     score = dense([[-700.0, 0.0], [0.0, 1.0]])
     prior = BaselinePrior([[1e-300, 1.0], [1.0, 1.0]])
     with pytest.raises(NonFinite, match="underflowed to 0"):
-        assemble_kernel(score, prior, Link())
+        assemble_kernel(score, prior)
 
 
-def test_link_validation():
-    with pytest.raises(ValueError):
-        Link(tau=0.0)
-    with pytest.raises(ValueError):
-        Link(kind="sigmoid")
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+def test_temperature_must_be_strictly_positive(tau):
+    with pytest.raises(InvalidBudget, match="tau must be strictly positive") as info:
+        assemble_kernel(dense([[0.0]]), tau=tau)
+    assert info.value.field == "tau"
+
+
+def test_dividing_by_the_temperature_keeps_the_bits_of_the_unit_one():
+    # exp(s / 1.0) is exp(s) to the bit, and exp(s / 0.5) is exp(2 s).
+    s = np.random.default_rng(3).normal(scale=5.0, size=(4, 6))
+    npt.assert_array_equal(assemble_kernel(dense(s)).values, np.exp(s))
+    npt.assert_array_equal(assemble_kernel(dense(s), tau=0.5).values, np.exp(2.0 * s))
 
 
 def test_masked_score_rejects_nonfinite_on_mask():
