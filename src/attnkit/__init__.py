@@ -51,9 +51,7 @@ from .score import (
 )
 from .staged import (
     ChartSpec,
-    CompSpec,
     ScheduleStep,
-    StagedConfig,
     StageTrace,
     predecessor_sets,
     run_schedule,

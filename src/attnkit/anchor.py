@@ -96,16 +96,15 @@ class TransportPlan(MaskedMatrix):
                              col_marginal=col_marginal)
 
 
-def _normalize_rows(weights: np.ndarray, zero_empty: bool = False) -> np.ndarray:
+def _normalize_rows(weights: np.ndarray) -> np.ndarray:
     """weights, each row divided in place by its total mass. A row with
-    zero mass raises EmptyRow, or stays zero with zero_empty; a row whose
-    sum overflows is normalized from its entries over its largest one."""
+    zero mass raises EmptyRow; a row whose sum overflows is normalized
+    from its entries over its largest one."""
     mass = weights.sum(axis=1)
     if not (mass.all() and mass.max() < math.inf):
         empty = np.flatnonzero(mass == 0)
-        if empty.size and not zero_empty:
+        if empty.size:
             raise EmptyRow(int(empty[0]), f"row {empty[0]} has zero total mass")
-        mass[empty] = 1.0
         for row in np.flatnonzero(np.isinf(mass)):
             weights[row] /= weights[row].max()
             mass[row] = weights[row].sum()

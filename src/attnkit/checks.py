@@ -46,13 +46,7 @@ from .operator import (
     update,
 )
 from .score import EvidenceKernel, Frozen, MaskedScore, assemble_kernel
-from .staged import (
-    ChartSpec,
-    ScheduleStep,
-    StagedConfig,
-    predecessor_sets,
-    run_schedule,
-)
+from .staged import ScheduleStep, predecessor_sets, run_schedule
 
 
 class PropertyResult(Frozen):
@@ -478,7 +472,6 @@ def check_influence_barrier(rng, tol=None):
                 )
             )
         initial = rng.normal(size=(n, d))
-        cfg = StagedConfig(chart=ChartSpec("rms_norm"))
         masks = [step.mask for step in schedule]
         adjacency = _adjacency(masks)
         outside = {}
@@ -490,11 +483,11 @@ def check_influence_barrier(rng, tol=None):
                     if u not in pre:
                         outside.setdefault(u, []).append((x, t))
         last = {u: max(t for _, t in pairs) for u, pairs in outside.items()}
-        base = run_schedule(initial, schedule[: max(last.values(), default=0)], cfg).updates
+        base = run_schedule(initial, schedule[: max(last.values(), default=0)]).updates
         for u in sorted(outside):
             perturbed = initial.copy()
             perturbed[u] = perturbed[u] + rng.normal(size=d)
-            bumped = run_schedule(perturbed, schedule[: last[u]], cfg).updates
+            bumped = run_schedule(perturbed, schedule[: last[u]]).updates
             for x, t in outside[u]:
                 checked += 1
                 if not np.array_equal(base[t - 1][x], bumped[t - 1][x]):

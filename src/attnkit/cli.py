@@ -71,14 +71,7 @@ from .score import (
     MaskedScore,
     assemble_kernel,
 )
-from .staged import (
-    ChartSpec,
-    CompSpec,
-    ScheduleStep,
-    StagedConfig,
-    predecessor_sets,
-    run_schedule,
-)
+from .staged import ChartSpec, ScheduleStep, predecessor_sets, run_schedule
 
 _NUMERIC_ERRORS = (NoConvergence, Infeasible, EmptyRow, EmptyCol, NonFinite)
 
@@ -381,8 +374,8 @@ _OPS = {row.name: row for row in (
 )}
 
 
-def _stage_run(initial, schedule, **kw) -> dict:
-    trace = run_schedule(initial, schedule, **kw)
+def _stage_run(initial, schedule, cfg=None, **kw) -> dict:
+    trace = run_schedule(initial, schedule, **(cfg or {}), **kw)
     # A carried mask is one array object over several stages: one payload
     # for it, which dump_canonical then formats once.
     distinct = {id(m): m for m in trace.masks}
@@ -405,11 +398,8 @@ def _stage_run(initial, schedule, **kw) -> dict:
 
 _STEP = _Row("step", ScheduleStep, {"attn": _ATTN, "ffn": _FFN},
              {"mask": "mask", "refine": _REFINEMENT})
-_CFG = _Row("cfg", StagedConfig, {}, {
+_CFG = _Row("cfg", dict, {}, {
     "chart": _Row("cfg.chart", ChartSpec, {}, {"kind": "string", "eps": "number"}),
-    "comp": _Row("cfg.comp", CompSpec, {},
-                 {"kind": "string", "gate": "finite matrix", "norm": "string", "eps": "number"}),
-    "zero_update_on_empty": "boolean",
 })
 _STAGE_RUN = _Row("stage-run", _stage_run, {"initial": "finite matrix", "schedule": [_STEP]},
                   {"cfg": _CFG, "carrier": "string"})

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .anchor import ConditionalFamily, _normalize_rows
-from .errors import EmptyRow, NonFinite
+from .errors import EmptyRow, InvalidBudget, NonFinite
 from .score import BaselinePrior, EvidenceKernel, Frozen, MaskedMatrix, _as_mask, _as_matrix
 
 
@@ -37,28 +37,23 @@ def update(weights: MaskedMatrix, values) -> np.ndarray:
     return weights.values @ values
 
 
-def masked_row_softmax(logits, mask, zero_empty: bool = False) -> np.ndarray:
+def masked_row_softmax(logits, mask) -> np.ndarray:
     """Row softmax restricted to the mask: a row gauge, exp, _normalize_rows.
 
-    Fully masked rows raise EmptyRow, or come back as all-zero rows
-    with zero_empty (the staged zero-update convention).
+    A fully masked row raises EmptyRow.
     """
     logits = np.asarray(logits, dtype=np.float64)
     mask = _as_mask(mask, logits.shape)
     live = mask.any(axis=1)
-    dead = not live.all()
-    if dead and not zero_empty:
+    if not live.all():
         raise EmptyRow(int(np.flatnonzero(~live)[0]))
-    # One n x n array, worked in place. Moving each row's peak to 0 (a dead
-    # row's by 0) keeps exp in range and is a row gauge, which row anchoring
-    # is blind to (row_gauge_invariance checks that law).
+    # One n x n array, worked in place. Moving each row's peak to 0 keeps
+    # exp in range and is a row gauge, which row anchoring is blind to
+    # (row_gauge_invariance checks that law).
     weights = np.where(mask, logits, -np.inf)
-    peak = weights.max(axis=1, initial=-np.inf)
-    if dead:
-        peak[~live] = 0.0
-    weights -= peak[:, None]
+    weights -= weights.max(axis=1, initial=-np.inf)[:, None]
     np.exp(weights, out=weights)
-    return _normalize_rows(weights, zero_empty)
+    return _normalize_rows(weights)
 
 
 class AttentionParams(Frozen):
@@ -80,7 +75,7 @@ class AttentionParams(Frozen):
         if w_v.shape[0] != w_q.shape[0]:
             raise ValueError("w_v input dimension must match w_q")
         if not tau > 0:
-            raise ValueError("temperature tau must be strictly positive")
+            raise InvalidBudget("tau", f"must be strictly positive, got {tau!r}")
         self.__dict__.update(w_q=w_q, w_k=w_k, w_v=w_v, tau=tau, key_bias=key_bias, prior=prior)
 
     @property
@@ -103,9 +98,7 @@ def _finite(out: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def attention(
-    embeddings, params: AttentionParams, mask=None, zero_empty: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def attention(embeddings, params: AttentionParams, mask=None) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention as an anchored kernel update.
 
     Scores are q_i . k_j / sqrt(d_k) + key_bias(j); the weights are the
@@ -136,7 +129,7 @@ def attention(
             logits = logits + np.log(params.prior.values)
         if mask is None:
             mask = np.ones((n, n), dtype=bool)
-        weights = masked_row_softmax(logits, mask, zero_empty)
+        weights = masked_row_softmax(logits, mask)
         out = weights @ v
     # Softmax entries lie in [0, 1] or are NaN (an infinite or NaN
     # logit), so one sum tells whether a ConditionalFamily would refuse

@@ -142,7 +142,7 @@ def assemble_kernel(
     # exp and the prior are strictly positive in exact arithmetic: an
     # admitted entry that is inf overflowed, one that is 0 underflowed.
     if not np.isfinite(weights).all():
-        raise NonFinite("link overflowed to a non-finite kernel entry")
+        raise NonFinite("kernel entry overflowed to a non-finite value")
     if not weights.all():
         raise NonFinite("kernel entry underflowed to 0 on the mask")
     out[mask] = weights

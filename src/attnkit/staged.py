@@ -1,11 +1,11 @@
 """Depth as staged composition, plus the influence bookkeeping it admits.
 
 One stage charts the current record (identity or a norm), computes an
-anchored attention update, composes it back (additive residual, gated
-residual, or post-norm), then does the same with a rowwise feedforward
-update. Stacking stages gives the usual pre-norm block tower; a
-schedule may also coarse-grain the carrier between stages, pooling
-records within buckets and pushing the admissible relation forward.
+anchored attention update and adds it back, then does the same with a
+rowwise feedforward update: the pre-norm residual block. Stacking
+stages gives the usual pre-norm block tower; a schedule may also
+coarse-grain the carrier between stages, pooling records within
+buckets and pushing the admissible relation forward.
 A schedule without coarse-graining steps keeps the carrier fixed, which
 is the plain fixed-token stack; run_schedule runs both.
 
@@ -32,51 +32,16 @@ from .score import EvidenceKernel, Frozen
 class ChartSpec(Frozen):
     """How a record is charted before the update reads it."""
 
+    KINDS = ("identity", "rms_norm", "layer_norm")
+
     def __init__(self, kind: str = "rms_norm", eps: float = 1e-6):
-        if kind not in ("identity", "rms_norm", "layer_norm"):
+        if kind not in self.KINDS:
             raise ValueError(f"unknown chart kind {kind!r}")
         if kind == "identity" and eps != 1e-6:
             raise ValueError(f"chart kind 'identity' takes no eps, got {eps!r}")
         if not eps > 0:
             raise ValueError(f"eps must be strictly positive, got {eps!r}")
         self.__dict__.update(kind=kind, eps=eps)
-
-
-class CompSpec(Frozen):
-    """How an update is composed back into the record.
-
-    Only gated reads gate, a matrix of shape (2 d, d): the gate is an
-    elementwise sigmoid of its linear map of record and update
-    concatenated. Only postnorm reads norm and eps, to renormalize the
-    sum; other kinds refuse them unless they hold the default.
-    """
-
-    def __init__(self, kind: str = "additive", gate: np.ndarray | None = None,
-                 norm: str = "rms_norm", eps: float = 1e-6):
-        if kind not in ("additive", "gated", "postnorm"):
-            raise ValueError(f"unknown composition kind {kind!r}")
-        if kind != "gated" and gate is not None:
-            raise ValueError(f"composition kind {kind!r} takes no gate")
-        for name, value, default in (("norm", norm, "rms_norm"), ("eps", eps, 1e-6)):
-            if kind != "postnorm" and value != default:
-                raise ValueError(f"composition kind {kind!r} takes no {name}, got {value!r}")
-        if kind == "gated":
-            if gate is None:
-                raise ValueError("gated composition needs a gate matrix")
-            gate = np.asarray(gate, dtype=np.float64)
-            if gate.ndim != 2 or gate.shape[0] != 2 * gate.shape[1]:
-                raise ValueError("gate matrix must have shape (2 d, d)")
-        if norm not in ("rms_norm", "layer_norm"):
-            raise ValueError(f"unknown postnorm kind {norm!r}")
-        if not eps > 0:
-            raise ValueError(f"eps must be strictly positive, got {eps!r}")
-        self.__dict__.update(kind=kind, gate=gate, norm=norm, eps=eps)
-
-
-class StagedConfig(Frozen):
-    def __init__(self, chart: ChartSpec = ChartSpec(), comp: CompSpec = CompSpec(),
-                 zero_update_on_empty: bool = False):
-        self.__dict__.update(chart=chart, comp=comp, zero_update_on_empty=zero_update_on_empty)
 
 
 def _normalize(r: np.ndarray, kind: str, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -107,39 +72,15 @@ def apply_chart(records, chart: ChartSpec) -> np.ndarray:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def apply_comp(records, update, comp: CompSpec) -> np.ndarray:
-    r = np.asarray(records, dtype=np.float64)
-    delta = np.asarray(update, dtype=np.float64)
-    if r.shape != delta.shape:
-        raise ValueError("record and update shapes disagree")
-    if comp.kind == "additive":
-        return r + delta
-    if comp.kind == "gated":
-        if comp.gate.shape != (2 * r.shape[1], r.shape[1]):
-            raise ValueError("gate matrix does not match the record width")
-        eta = _sigmoid(np.concatenate([r, delta], axis=1) @ comp.gate)
-        return r + eta * delta
-    return apply_chart(r + delta, ChartSpec(comp.norm, comp.eps))
-
-
-def _block_with_update(records, attn, ffn, cfg, mask) -> tuple[np.ndarray, np.ndarray]:
-    """The next records and the stage update, attending under mask."""
+def _block_with_update(records, attn, ffn, chart, mask) -> tuple[np.ndarray, np.ndarray]:
+    """The next records and the stage update, attending under mask: the
+    pre-norm residual block, each update read off the charted record
+    and added back to it."""
     r = np.asarray(records, dtype=np.float64)
     if attn.d_v != r.shape[1] or ffn.d_model != r.shape[1]:
         raise ValueError("attention and feedforward widths must match the record")
-    _, attn_update = attention(apply_chart(r, cfg.chart), attn, mask, cfg.zero_update_on_empty)
-    mid = apply_comp(r, attn_update, cfg.comp)
-    ffn_update = ffn_apply(apply_chart(mid, cfg.chart), ffn)
-    out = apply_comp(mid, ffn_update, cfg.comp)
+    mid = r + attention(apply_chart(r, chart), attn, mask)[1]
+    out = mid + ffn_apply(apply_chart(mid, chart), ffn)
     return out, out - r
 
 
@@ -205,10 +146,10 @@ def _push_mask(mask: np.ndarray, refine: RefinementMap) -> np.ndarray:
 
 
 def run_schedule(
-    initial, schedule, cfg: StagedConfig = StagedConfig(), carrier: str = "base"
+    initial, schedule, chart: ChartSpec = ChartSpec(), carrier: str = "base"
 ) -> StageTrace:
     """Execute a schedule of stages with optional carrier merges, starting
-    on the carrier named carrier."""
+    on the carrier named carrier, each stage charting by chart."""
     current = np.asarray(initial, dtype=np.float64)
     if current.ndim != 2:
         raise ValueError("initial records must be an n x d matrix")
@@ -240,7 +181,7 @@ def run_schedule(
                 f"working mask shape {stage_mask.shape} does not fit carrier of "
                 f"size {current.shape[0]}"
             )
-        nxt, update = _block_with_update(current, step.attn, step.ffn, cfg, stage_mask)
+        nxt, update = _block_with_update(current, step.attn, step.ffn, chart, stage_mask)
         records.append(nxt)
         updates.append(update)
         masks.append(stage_mask)

@@ -224,9 +224,9 @@ def test_barrier_runs_end_at_their_last_compared_stage(monkeypatch):
     blocks = []
     real = checks.run_schedule
 
-    def counting(initial, schedule, cfg):
+    def counting(initial, schedule):
         blocks.append(len(schedule))
-        return real(initial, schedule, cfg)
+        return real(initial, schedule)
 
     monkeypatch.setattr(checks, "run_schedule", counting)
     results = _by_name(run_criterion("influence_barrier", seed=0))

@@ -620,7 +620,6 @@ EYE = [[1.0, 0.0], [0.0, 1.0]]
 ATTN_2X2 = {"embeddings": EYE, "w_q": EYE, "w_k": EYE, "w_v": EYE}
 STEP_2X2 = {"attn": {"w_q": EYE, "w_k": EYE, "w_v": EYE}, "ffn": FFN_2X2}
 STAGE_RUN_2X2 = {"initial": EYE, "schedule": [STEP_2X2]}
-GATE_2X2 = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 PUSHFORWARD = {"op": "pushforward_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]], "out": "k",
                "map_x": {"map": [0, 0], "n_coarse": 1}}
 
@@ -679,7 +678,6 @@ def run_stage(stage, **inputs):
         ("ffn-check", {**FFN_2X2, "activation": []}, "ffn-check.activation"),
         ("stage-run", {**STAGE_RUN_2X2, "cfg": 3}, "stage-run.cfg"),
         ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": "rms"}}, "stage-run.cfg.chart"),
-        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": []}}, "stage-run.cfg.comp"),
         ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": {"eps": "0"}}},
          "stage-run.cfg.chart.eps"),
         ("stage-run", {**STAGE_RUN_2X2, "schedule": [{**STEP_2X2, "attn": True}]},
@@ -756,13 +754,16 @@ def run_stage(stage, **inputs):
         ("run", run_stage({"op": "assemble_kernel", "scores": EYE, "slope": 2}), "stages[0].slope"),
         # A temperature that is not > 0.
         ("run", run_stage({"op": "assemble_kernel", "scores": EYE, "tau": 0}), "stages[0].tau"),
-        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "additive", "gate": GATE_2X2}}},
+        ("attn", {**ATTN_2X2, "tau": 0}, "attn.tau"),
+        ("run", run_stage({**ATTN_2X2, "op": "attention", "tau": -1}), "stages[0].tau"),
+        ("stage-run", {**STAGE_RUN_2X2, "schedule": [
+            {**STEP_2X2, "attn": {**STEP_2X2["attn"], "tau": 0}}]},
+         "stage-run.schedule[0].attn.tau"),
+        # The staged block is the pre-norm residual one: cfg takes a chart only.
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "additive"}}},
          "stage-run.cfg.comp"),
-        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "additive",
-                                                         "norm": "layer_norm", "eps": 5}}},
-         "stage-run.cfg.comp"),
-        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"comp": {"kind": "gated", "gate": GATE_2X2,
-                                                         "eps": 3}}}, "stage-run.cfg.comp"),
+        ("stage-run", {**STAGE_RUN_2X2, "cfg": {"zero_update_on_empty": False}},
+         "stage-run.cfg.zero_update_on_empty"),
         ("stage-run", {**STAGE_RUN_2X2, "cfg": {"chart": {"kind": "identity", "eps": 7}}},
          "stage-run.cfg.chart"),
         # A tolerance below 0 never passes.
@@ -836,18 +837,16 @@ def test_refusals_say_what_is_wrong(tmp_path, capsys):
          "error: stages[0].link: unknown field; assemble_kernel takes scores, prior, tau\n"),
         (run_stage({"op": "assemble_kernel", "scores": EYE, "tau": -3}),
          "error: stages[0].tau: tau must be strictly positive, got -3.0\n"),
+        (run_stage({**ATTN_2X2, "op": "attention", "tau": 0}),
+         "error: stages[0].tau: tau must be strictly positive, got 0.0\n"),
     ]
     for spec, message in cases:
         assert main(["run", write_config(tmp_path, "input.json", spec)]) == 2
         assert capsys.readouterr().err == message
     cases = [
-        ({"comp": {"kind": "additive", "gate": GATE_2X2}},
-         "error: stage-run.cfg.comp: composition kind 'additive' takes no gate\n"),
-        ({"comp": {"kind": "additive", "norm": "layer_norm"}},
-         "error: stage-run.cfg.comp: composition kind 'additive' takes no norm, "
-         "got 'layer_norm'\n"),
-        ({"comp": {"kind": "gated", "gate": GATE_2X2, "eps": 3}},
-         "error: stage-run.cfg.comp: composition kind 'gated' takes no eps, got 3.0\n"),
+        ({"comp": {"kind": "gated"}}, "error: stage-run.cfg.comp: unknown field; cfg takes chart\n"),
+        ({"zero_update_on_empty": True},
+         "error: stage-run.cfg.zero_update_on_empty: unknown field; cfg takes chart\n"),
         ({"chart": {"kind": "identity", "eps": 7}},
          "error: stage-run.cfg.chart: chart kind 'identity' takes no eps, got 7.0\n"),
     ]
@@ -1005,22 +1004,21 @@ def test_centering_whose_sums_overflow_succeeds(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["key_bias"] == [5e307, -5e307]
 
 
-@pytest.mark.parametrize("flag, code", [("no", 2), (None, 3), (True, 0)])
-def test_stage_run_reads_zero_update_on_empty_as_a_json_boolean(tmp_path, capsys, flag, code):
-    # Row 1 of the mask is empty: without zero-updates that is EmptyRow.
-    step = {
-        "attn": {"w_q": [[1.0, 0.0], [0.0, 1.0]], "w_k": [[1.0, 0.0], [0.0, 1.0]],
-                 "w_v": [[1.0, 0.0], [0.0, 1.0]]},
-        "ffn": FFN_2X2,
-        "mask": [[1, 0], [0, 0]],
-    }
-    spec = {"initial": [[1.0, 0.0], [0.0, 1.0]], "schedule": [step]}
-    if flag is not None:
-        spec["cfg"] = {"zero_update_on_empty": flag}
-    assert main(["stage-run", write_config(tmp_path, "stage.json", spec)]) == code
-    err = capsys.readouterr().err
-    if code == 2:
-        assert err.startswith("error: stage-run.cfg.zero_update_on_empty:")
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        # Row 1 of the stage mask is empty.
+        ("stage-run", {**STAGE_RUN_2X2, "schedule": [{**STEP_2X2, "mask": [[1, 0], [0, 0]]}]},
+         "row 1 has no admissible entries"),
+        ("run", run_stage({"op": "assemble_kernel", "scores": [[1131.4]]}),
+         "kernel entry overflowed to a non-finite value"),
+    ],
+)
+def test_numeric_failures_exit_3_and_say_what_failed(tmp_path, capsys, command, spec, message):
+    assert main([command, write_config(tmp_path, "input.json", spec)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"numeric failure: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1061,10 +1059,7 @@ SWEEP_INPUTS = [
     ("stage-run", {
         "initial": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, -0.3]],
         "carrier": "base",
-        "cfg": {"chart": {"kind": "layer_norm", "eps": 1e-5},
-                "comp": {"kind": "gated", "norm": "rms_norm", "eps": 1e-6,
-                         "gate": [[0.1, 0.0], [0.0, 0.1], [0.2, 0.0], [0.0, 0.2]]},
-                "zero_update_on_empty": True},
+        "cfg": {"chart": {"kind": "layer_norm", "eps": 1e-5}},
         "schedule": [
             {**STEP_2X2, "mask": [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]},
             {**STEP_2X2, "refine": {"fine": "base", "coarse": "pairs",

@@ -20,7 +20,6 @@ SIGNATURES = {
     "BaselinePrior": "(values)",
     "CenteredDecomposition": "(grand_mean, row_means, col_means, interaction, key_bias)",
     "ChartSpec": "(kind='rms_norm', eps=1e-06)",
-    "CompSpec": "(kind='additive', gate=None, norm='rms_norm', eps=1e-06)",
     "ConditionalFamily": "(values, mask)",
     "EvidenceKernel": "(values, mask)",
     "FfnParams": "(w1, b1, w2, b2, activation='gelu')",
@@ -31,7 +30,6 @@ SIGNATURES = {
     "RefinementMap": "(fine, coarse, map, n_coarse)",
     "ScheduleStep": "(attn, ffn, mask=None, refine=None)",
     "StageTrace": "(records, updates, masks, carrier_ids)",
-    "StagedConfig": "(chart=ChartSpec(), comp=CompSpec(), zero_update_on_empty=False)",
     "SvdResult": "(U, sigma, V)",
     "TransportPlan": "(values, mask, converged, iterations, marginal_error=0.0)",
 }
@@ -53,7 +51,6 @@ def instances() -> dict:
         "BaselinePrior": attnkit.BaselinePrior(FULL),
         "CenteredDecomposition": attnkit.center_scores(EYE),
         "ChartSpec": attnkit.ChartSpec(),
-        "CompSpec": attnkit.CompSpec("gated", gate=np.ones((4, 2))),
         "ConditionalFamily": attnkit.row_anchor(kernel),
         "EvidenceKernel": kernel,
         "FfnParams": ffn,
@@ -64,7 +61,6 @@ def instances() -> dict:
         "RefinementMap": attnkit.RefinementMap("fine", "coarse", [0, 1, 1], 2),
         "ScheduleStep": step,
         "StageTrace": attnkit.run_schedule(EYE, [step]),
-        "StagedConfig": attnkit.StagedConfig(),
         "SvdResult": attnkit.svd(EYE),
         "TransportPlan": attnkit.sinkhorn_balanced(kernel, marginals),
     }

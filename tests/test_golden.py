@@ -76,6 +76,18 @@ dict once and repeat its text.
 appended. It was pinned while `attnkit.cli` still imported the harness
 at start-up, just before the import moved into the commands that run
 suites.
+
+`run_every_op` is the README's minimal config (assemble_kernel,
+row_anchor, conditional_update) with pushforward_kernel, scale_kernel
+and sinkhorn_unbalanced stages appended, and `stage_run_layer_norm`
+and `stage_run_identity_refine` are 2 x 2 `ga stage-run` inputs under
+the two charts other than the default, one with a non-default `eps`,
+the other with a refinement step. All three were pinned just before
+the composition kinds and the zero-update switch left `ga stage-run`,
+so that the pre-norm residual block that remains keeps its bytes.
+test_every_op_and_chart_kind_has_a_golden keeps every `ga run`
+operation and every chart kind other than the default in some golden
+input.
 """
 
 import hashlib
@@ -84,16 +96,23 @@ from pathlib import Path
 
 import pytest
 
+from attnkit import cli
 from attnkit.cli import main
 from attnkit.matio import dump_canonical
+from attnkit.staged import ChartSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "run_pipeline": (["run", str(GOLDEN / "run_pipeline.json")], 0),
     "run_with_checks": (["run", str(GOLDEN / "run_with_checks.json")], 0),
+    "run_every_op": (["run", str(GOLDEN / "run_every_op.json")], 0),
     "stage_run_causal": (["stage-run", str(GOLDEN / "stage_run_causal.json")], 0),
     "stage_run_refine": (["stage-run", str(GOLDEN / "stage_run_refine.json")], 0),
+    "stage_run_layer_norm": (["stage-run", str(GOLDEN / "stage_run_layer_norm.json")], 0),
+    "stage_run_identity_refine": (
+        ["stage-run", str(GOLDEN / "stage_run_identity_refine.json")], 0
+    ),
     "anchor_unbalanced": (["anchor", str(GOLDEN / "anchor_unbalanced.json")], 0),
     "anchor_row_huge": (["anchor", str(GOLDEN / "anchor_row_huge.json")], 0),
     "anchor_balanced_huge": (["anchor", str(GOLDEN / "anchor_balanced_huge.json")], 0),
@@ -167,3 +186,24 @@ def test_run_out_stage_files_are_the_canonical_stage_results(tmp_path, capsys, c
     for stage in report["stages"]:
         expected = dump_canonical(stage["result"]).encode()
         assert (out_dir / f"{stage['out']}.json").read_bytes() == expected
+
+
+def test_every_op_and_chart_kind_has_a_golden():
+    # The op a golden input runs: each `ga run` stage's, the one `ga attn`
+    # and `ga chart` run, and the one `ga anchor` picks by mode.
+    ops, charts = set(), set()
+    for argv, _ in CASES.values():
+        if not argv[-1].endswith(".json"):
+            continue
+        spec = json.loads(Path(argv[-1]).read_text())
+        command = argv[0]
+        if command == "run":
+            ops.update(stage["op"] for stage in spec["stages"])
+        elif command in ("attn", "chart"):
+            ops.add({"attn": "attention", "chart": "score_normal_form"}[command])
+        elif command == "anchor":
+            ops.add(cli._ANCHOR_OPS[spec.get("mode", "row")])
+        elif command == "stage-run":
+            charts.add(spec.get("cfg", {}).get("chart", {}).get("kind"))
+    assert sorted(set(cli._OPS) - ops) == []
+    assert sorted(set(ChartSpec.KINDS) - {ChartSpec().kind} - charts) == []

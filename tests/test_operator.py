@@ -147,19 +147,17 @@ class TestMaskedRowSoftmax:
         assert np.isfinite(out).all()
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty_row_policies(self):
-        logits = np.zeros((2, 2))
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(EmptyRow):
+    def test_an_empty_row_raises(self):
+        logits = np.zeros((3, 2))
+        mask = np.array([[True, True], [False, False], [False, False]])
+        with pytest.raises(EmptyRow, match="^row 1 has no admissible entries$"):
             masked_row_softmax(logits, mask)
-        out = masked_row_softmax(logits, mask, zero_empty=True)
-        npt.assert_array_equal(out[1], [0.0, 0.0])
 
 
 def test_row_anchor_and_the_softmax_share_one_divide(monkeypatch):
     # A divide by the row maximum in place of the row mass shows on both
     # routes: each of them normalizes through _normalize_rows.
-    def by_row_max(weights, zero_empty=False):
+    def by_row_max(weights):
         weights /= weights.max(axis=1)[:, None]
         return weights
 
@@ -172,16 +170,19 @@ def test_row_anchor_and_the_softmax_share_one_divide(monkeypatch):
 
 
 def out_of_place_softmax(logits, mask):
-    """masked_row_softmax as it was written before it worked in place,
-    with dead rows coming back as zeros; the bitwise reference."""
-    live = mask.any(axis=1)
+    """masked_row_softmax as it was written before it worked in place;
+    the bitwise reference on masks without empty rows."""
     shifted = np.where(mask, logits, -np.inf)
-    peak = shifted.max(axis=1, initial=-np.inf)
-    peak = np.where(live, peak, 0.0)
-    weights = np.exp(shifted - peak[:, None])
-    totals = weights.sum(axis=1)
-    totals = np.where(live, totals, 1.0)
-    return weights / totals[:, None]
+    weights = np.exp(shifted - shifted.max(axis=1)[:, None])
+    return weights / weights.sum(axis=1)[:, None]
+
+
+def live_mask(rng, shape, density):
+    """A random mask of about density, with one admitted entry forced
+    into each row so that no row is empty."""
+    mask = rng.random(shape) < density
+    mask[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = True
+    return mask
 
 
 class TestMaskedRowSoftmaxBits:
@@ -191,16 +192,13 @@ class TestMaskedRowSoftmaxBits:
         m=st.integers(1, 40),
         density=st.floats(0.0, 1.0),
         scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
-        drop_rows=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_out_of_place_formula(self, n, m, density, scale, drop_rows, seed):
+    def test_matches_the_out_of_place_formula(self, n, m, density, scale, seed):
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=(n, m)) * scale
-        mask = rng.random((n, m)) < density
-        if drop_rows:
-            mask[rng.random(n) < 0.3] = False
-        got = masked_row_softmax(logits, mask, zero_empty=True)
+        mask = live_mask(rng, (n, m), density)
+        got = masked_row_softmax(logits, mask)
         assert_same_bits(got, out_of_place_softmax(logits, mask))
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 1000), (300, 300), (1000, 3)])
@@ -208,8 +206,8 @@ class TestMaskedRowSoftmaxBits:
         rng = np.random.default_rng(sum(shape))
         logits = rng.normal(size=shape) * 10.0
         for density in (0.05, 0.5, 1.0):
-            mask = rng.random(shape) < density
-            got = masked_row_softmax(logits, mask, zero_empty=True)
+            mask = live_mask(rng, shape, density)
+            got = masked_row_softmax(logits, mask)
             assert_same_bits(got, out_of_place_softmax(logits, mask))
 
 
@@ -237,18 +235,6 @@ class TestAttentionReturnsArrays:
             full = np.ones((n, n), dtype=bool) if mask is None else mask
             assert_same_bits(ConditionalFamily(weights, full).values, weights)
             assert_same_bits(out, weights @ (e @ params.w_v))
-
-    def test_empty_rows_under_zero_are_zero_rows_of_a_family(self):
-        rng = np.random.default_rng(77)
-        e = rng.normal(size=(5, 3))
-        mask = rng.random((5, 5)) < 0.5
-        mask[2] = False
-        params = AttentionParams(
-            w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)), w_v=np.eye(3)
-        )
-        weights, out = attention(e, params, mask, "zero")
-        assert (weights[2] == 0).all() and (out[2] == 0).all()
-        assert_same_bits(ConditionalFamily(weights, mask).values, weights)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_weights_are_a_numeric_failure(self):

@@ -14,16 +14,7 @@ from attnkit.anchor import ConditionalFamily
 from attnkit.carrier import RefinementMap
 from attnkit.errors import EmptyRow
 from attnkit.operator import AttentionParams, FfnParams
-from attnkit.staged import (
-    ChartSpec,
-    CompSpec,
-    ScheduleStep,
-    StagedConfig,
-    apply_chart,
-    apply_comp,
-    predecessor_sets,
-    run_schedule,
-)
+from attnkit.staged import ChartSpec, ScheduleStep, apply_chart, predecessor_sets, run_schedule
 
 
 def make_attn(rng, d, zero_values=False):
@@ -78,9 +69,9 @@ def manual_softmax_rows(logits, mask):
     return out
 
 
-def one_block(records, attn, ffn, cfg, mask=None):
+def one_block(records, attn, ffn, chart, mask=None):
     """One two-sublayer stage, run as a one-step schedule."""
-    return run_schedule(records, [ScheduleStep(attn, ffn, mask=mask)], cfg).records[1]
+    return run_schedule(records, [ScheduleStep(attn, ffn, mask=mask)], chart).records[1]
 
 
 def oracle_pre(masks, x, t):
@@ -147,9 +138,9 @@ class TestCharts:
         # both runs. A huge row charted to 0 would change them.
         rng = np.random.default_rng(116)
         step = ScheduleStep(make_attn(rng, 2), make_ffn(rng, 2))
-        cfg = StagedConfig(chart=ChartSpec("rms_norm", eps=1e-300))
-        huge = run_schedule([[1e200, 1e200], [1.0, 2.0]], [step], cfg)
-        unit = run_schedule([[1.0, 1.0], [1.0, 2.0]], [step], cfg)
+        chart = ChartSpec("rms_norm", eps=1e-300)
+        huge = run_schedule([[1e200, 1e200], [1.0, 2.0]], [step], chart)
+        unit = run_schedule([[1.0, 1.0], [1.0, 2.0]], [step], chart)
         assert np.array_equal(huge.updates[0][1], unit.updates[0][1])
         assert np.isfinite(huge.records[1]).all()
 
@@ -173,45 +164,13 @@ class TestCharts:
             ChartSpec("batch_norm")
 
 
-class TestComps:
-    def test_additive(self):
-        out = apply_comp([[1.0, 1.0]], [[0.5, -0.5]], CompSpec("additive"))
-        npt.assert_allclose(out, [[1.5, 0.5]])
-
-    def test_gated_interpolates_between_skip_and_sum(self):
-        rng = np.random.default_rng(113)
-        d = 3
-        r = rng.normal(size=(4, d))
-        delta = rng.normal(size=(4, d))
-        comp = CompSpec("gated", gate=rng.normal(size=(2 * d, d)))
-        out = apply_comp(r, delta, comp)
-        lo = np.minimum(r, r + delta)
-        hi = np.maximum(r, r + delta)
-        assert ((out >= lo - 1e-12) & (out <= hi + 1e-12)).all()
-
-    def test_gated_needs_a_gate(self):
-        with pytest.raises(ValueError):
-            CompSpec("gated")
-
-    def test_postnorm_renormalizes(self):
-        rng = np.random.default_rng(115)
-        r = rng.normal(size=(3, 5)) * 10
-        delta = rng.normal(size=(3, 5))
-        out = apply_comp(r, delta, CompSpec("postnorm", norm="rms_norm", eps=1e-6))
-        npt.assert_allclose(out, manual_chart(r + delta, "rms_norm"), atol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="record and update shapes disagree"):
-            apply_comp(np.ones((2, 2)), np.ones((2, 3)), CompSpec("additive"))
-
-
 class TestRunBlock:
     def test_zero_operators_fix_the_record(self):
         rng = np.random.default_rng(117)
         r = rng.normal(size=(4, 3))
-        cfg = StagedConfig(chart=ChartSpec("identity"))
+        chart = ChartSpec("identity")
         out = one_block(
-            r, make_attn(rng, 3, zero_values=True), make_ffn(rng, 3, zero=True), cfg
+            r, make_attn(rng, 3, zero_values=True), make_ffn(rng, 3, zero=True), chart
         )
         npt.assert_allclose(out, r, atol=1e-15)
 
@@ -224,8 +183,8 @@ class TestRunBlock:
         mask = diagonal_mask(rng, 5)
         attn = make_attn(rng, d)
         ffn = make_ffn(rng, d)
-        cfg = StagedConfig(chart=ChartSpec("rms_norm"))
-        got = one_block(r, attn, ffn, cfg, mask)
+        chart = ChartSpec("rms_norm")
+        got = one_block(r, attn, ffn, chart, mask)
 
         h = manual_chart(r, "rms_norm")
         q, k, v = h @ attn.w_q, h @ attn.w_k, h @ attn.w_v
@@ -251,8 +210,8 @@ class TestRunBlock:
             activation="relu",
         )
         for kind in ("identity", "rms_norm", "layer_norm"):
-            cfg = StagedConfig(chart=ChartSpec(kind))
-            got = one_block(r, attn, ffn, cfg, mask)
+            chart = ChartSpec(kind)
+            got = one_block(r, attn, ffn, chart, mask)
             h = manual_chart(r, kind)
             q, k, v = h @ attn.w_q, h @ attn.w_k, h @ attn.w_v
             weights = manual_softmax_rows((q @ k.T) / np.sqrt(d), mask)
@@ -260,21 +219,6 @@ class TestRunBlock:
             h2 = manual_chart(mid, kind)
             f = np.maximum(h2 @ ffn.w1.T + ffn.b1, 0.0) @ ffn.w2.T + ffn.b2
             assert np.abs(got - (mid + f)).max() <= 1e-12
-
-    def test_empty_row_policy_flows_through(self):
-        rng = np.random.default_rng(123)
-        r = rng.normal(size=(2, 3))
-        mask = np.array([[True, True], [False, False]])
-        attn = make_attn(rng, 3)
-        ffn = make_ffn(rng, 3, zero=True)
-        with pytest.raises(EmptyRow):
-            one_block(r, attn, ffn, StagedConfig(chart=ChartSpec("identity")), mask)
-        cfg = StagedConfig(chart=ChartSpec("identity"), zero_update_on_empty=True)
-        out = one_block(r, attn, ffn, cfg, mask)
-        assert np.isfinite(out).all()
-        # Row 1 received a zero attention update and a zero feedforward,
-        # so it is carried through unchanged.
-        npt.assert_allclose(out[1], r[1], atol=1e-15)
 
 
 def chain_mask(n):
@@ -345,8 +289,7 @@ def build_schedule(rng, n, d, depth, chart="identity"):
         )
         for _ in range(depth)
     ]
-    cfg = StagedConfig(chart=ChartSpec(chart))
-    return rng.normal(size=(n, d)), schedule, cfg
+    return rng.normal(size=(n, d)), schedule, ChartSpec(chart)
 
 
 def perturb(initial, u, delta):
@@ -357,18 +300,15 @@ def perturb(initial, u, delta):
 
 
 def prefix_case(rng, kind):
-    """A depth-4 schedule on 6 rows of width 3, composed as kind says:
-    additive, gated or postnorm; dead-row (row 0 attends to nothing, its
-    attention update is zero); refine (stage 2 pools pairs of rows)."""
+    """A depth-4 schedule on 6 rows of width 3, as kind says: additive
+    (rms_norm charts) or layer_norm charts; dead-row (row 0 attends to
+    nothing, so every stage raises EmptyRow); refine (stage 2 pools
+    pairs of rows)."""
     n, d = 6, 3
-    initial, schedule, cfg = build_schedule(rng, n, d, 4, chart="rms_norm")
-    if kind == "gated":
-        gate = rng.normal(size=(2 * d, d))
-        cfg = StagedConfig(ChartSpec("rms_norm"), CompSpec("gated", gate=gate))
-    elif kind == "postnorm":
-        cfg = StagedConfig(ChartSpec("layer_norm"), CompSpec("postnorm", norm="layer_norm"))
+    initial, schedule, chart = build_schedule(rng, n, d, 4, chart="rms_norm")
+    if kind == "layer_norm":
+        chart = ChartSpec("layer_norm")
     elif kind == "dead-row":
-        cfg = StagedConfig(ChartSpec("rms_norm"), zero_update_on_empty=True)
         for step in schedule:
             step.mask[0] = False
     elif kind == "refine":
@@ -376,28 +316,33 @@ def prefix_case(rng, kind):
         schedule[1] = ScheduleStep(schedule[1].attn, schedule[1].ffn, refine=refine)
         schedule[2] = ScheduleStep(schedule[2].attn, schedule[2].ffn, mask=diagonal_mask(rng, 3))
         schedule[3] = ScheduleStep(schedule[3].attn, schedule[3].ffn)
-    return initial, schedule, cfg
+    return initial, schedule, chart
 
 
 class TestBarrier:
     def test_trace_updates_are_record_differences(self):
         rng = np.random.default_rng(131)
-        initial, schedule, cfg = build_schedule(rng, 4, 3, 3)
-        trace = run_schedule(initial, schedule, cfg)
+        initial, schedule, chart = build_schedule(rng, 4, 3, 3)
+        trace = run_schedule(initial, schedule, chart)
         assert len(trace.records) == 4 and len(trace.updates) == 3
         for s in range(3):
             npt.assert_allclose(
                 trace.updates[s], trace.records[s + 1] - trace.records[s], atol=0
             )
 
-    @pytest.mark.parametrize("kind", ["additive", "gated", "postnorm", "dead-row", "refine"])
+    @pytest.mark.parametrize("kind", ["additive", "layer_norm", "dead-row", "refine"])
     def test_stopping_early_leaves_earlier_updates_bitwise_equal(self, kind):
         # The barrier suite stops each run at the last stage it compares.
         for seed in range(5):
-            initial, schedule, cfg = prefix_case(np.random.default_rng([150, seed]), kind)
-            full = run_schedule(initial, schedule, cfg).updates
+            initial, schedule, chart = prefix_case(np.random.default_rng([150, seed]), kind)
+            if kind == "dead-row":
+                for t in range(1, len(schedule) + 1):
+                    with pytest.raises(EmptyRow, match="row 0 has no admissible entries"):
+                        run_schedule(initial, schedule[:t], chart)
+                continue
+            full = run_schedule(initial, schedule, chart).updates
             for t in range(len(schedule) + 1):
-                stopped = run_schedule(initial, schedule[:t], cfg).updates
+                stopped = run_schedule(initial, schedule[:t], chart).updates
                 assert len(stopped) == t
                 for a, b in zip(stopped, full):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -412,23 +357,23 @@ class TestBarrier:
             for _ in range(2)
         ]
         initial = rng.normal(size=(n, d))
-        cfg = StagedConfig(chart=ChartSpec("identity"))
+        chart = ChartSpec("identity")
         delta = rng.normal(size=d)
-        base = run_schedule(initial, schedule, cfg).updates
-        bumped_2 = run_schedule(perturb(initial, 2, delta), schedule, cfg).updates
-        bumped_3 = run_schedule(perturb(initial, 3, delta), schedule, cfg).updates
+        base = run_schedule(initial, schedule, chart).updates
+        bumped_2 = run_schedule(perturb(initial, 2, delta), schedule, chart).updates
+        bumped_3 = run_schedule(perturb(initial, 3, delta), schedule, chart).updates
         assert np.array_equal(base[0][0], bumped_2[0][0])
         assert np.array_equal(base[1][0], bumped_3[1][0])
         # Inside the predecessor set the update does move for a generic
         # perturbation.
-        bumped_1 = run_schedule(perturb(initial, 1, delta), schedule, cfg).updates
+        bumped_1 = run_schedule(perturb(initial, 1, delta), schedule, chart).updates
         assert not np.array_equal(base[0][2], bumped_1[0][2])
 
     def test_zero_perturbation_never_moves_anything(self):
         rng = np.random.default_rng(135)
-        initial, schedule, cfg = build_schedule(rng, 3, 2, 2)
-        base = run_schedule(initial, schedule, cfg).updates
-        bumped = run_schedule(perturb(initial, 0, np.zeros(2)), schedule, cfg).updates
+        initial, schedule, chart = build_schedule(rng, 3, 2, 2)
+        base = run_schedule(initial, schedule, chart).updates
+        bumped = run_schedule(perturb(initial, 0, np.zeros(2)), schedule, chart).updates
         assert all(np.array_equal(a, b) for a, b in zip(base, bumped))
 
     def test_outside_predecessors_is_always_bitwise_clean(self):
@@ -437,12 +382,12 @@ class TestBarrier:
             n = int(rng.integers(2, 6))
             d = int(rng.integers(2, 4))
             depth = int(rng.integers(1, 4))
-            initial, schedule, cfg = build_schedule(rng, n, d, depth, chart="rms_norm")
+            initial, schedule, chart = build_schedule(rng, n, d, depth, chart="rms_norm")
             masks = [step.mask for step in schedule]
-            base = run_schedule(initial, schedule, cfg).updates
+            base = run_schedule(initial, schedule, chart).updates
             for u in range(n):
                 bumped = run_schedule(
-                    perturb(initial, u, rng.normal(size=d)), schedule, cfg
+                    perturb(initial, u, rng.normal(size=d)), schedule, chart
                 ).updates
                 for t in range(1, depth + 1):
                     for x, pre in enumerate(predecessor_sets(masks, t)):
@@ -457,9 +402,9 @@ class TestBarrier:
         refine = RefinementMap("base", "half", [0, 0, 1, 1], 2)
         schedule = [ScheduleStep(make_attn(rng, d), make_ffn(rng, d), refine=refine)]
         initial = rng.normal(size=(4, d))
-        cfg = StagedConfig(chart=ChartSpec("identity"))
-        base = run_schedule(initial, schedule, cfg).updates[0]
-        bumped = run_schedule(perturb(initial, 3, np.ones(d)), schedule, cfg).updates[0]
+        chart = ChartSpec("identity")
+        base = run_schedule(initial, schedule, chart).updates[0]
+        bumped = run_schedule(perturb(initial, 3, np.ones(d)), schedule, chart).updates[0]
         assert base.shape == bumped.shape == (2, d)
         assert not np.array_equal(base[1], bumped[1])
 
@@ -475,8 +420,8 @@ class TestRunSchedule:
 
         monkeypatch.setattr(ConditionalFamily, "__init__", spy)
         rng = np.random.default_rng(141)
-        initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
-        run_schedule(initial, schedule, cfg)
+        initial, schedule, chart = build_schedule(rng, 5, 3, 4, chart="rms_norm")
+        run_schedule(initial, schedule, chart)
         assert built == []
         # The CLI attention op wraps the weights for printing and binding.
         attn = schedule[0].attn
@@ -489,14 +434,14 @@ class TestRunSchedule:
         seen = []
         real = staged.attention
 
-        def counting(embeddings, params, mask=None, zero_empty=False):
+        def counting(embeddings, params, mask=None):
             seen.append((params, mask))
-            return real(embeddings, params, mask, zero_empty)
+            return real(embeddings, params, mask)
 
         monkeypatch.setattr(staged, "attention", counting)
         rng = np.random.default_rng(144)
-        initial, schedule, cfg = build_schedule(rng, 5, 3, 4, chart="rms_norm")
-        trace = run_schedule(initial, schedule, cfg)
+        initial, schedule, chart = build_schedule(rng, 5, 3, 4, chart="rms_norm")
+        trace = run_schedule(initial, schedule, chart)
         assert len(seen) == len(schedule) == 4
         for (params, mask), step, stage_mask in zip(seen, schedule, trace.masks):
             assert params is step.attn
@@ -505,16 +450,16 @@ class TestRunSchedule:
     def test_flat_schedule_equals_repeated_blocks(self):
         rng = np.random.default_rng(143)
         d, n = 3, 4
-        cfg = StagedConfig(chart=ChartSpec("rms_norm"))
+        chart = ChartSpec("rms_norm")
         steps = [
             ScheduleStep(attn=make_attn(rng, d), ffn=make_ffn(rng, d))
             for _ in range(3)
         ]
         initial = rng.normal(size=(n, d))
-        trace = run_schedule(initial, steps, cfg)
+        trace = run_schedule(initial, steps, chart)
         current = initial
         for step, got in zip(steps, trace.records[1:]):
-            current = one_block(current, step.attn, step.ffn, cfg)
+            current = one_block(current, step.attn, step.ffn, chart)
             npt.assert_allclose(got, current, atol=1e-13)
 
     def test_pooling_duplicated_rows_recovers_them(self):
@@ -523,13 +468,13 @@ class TestRunSchedule:
         base = rng.normal(size=(2, d))
         doubled = np.repeat(base, 2, axis=0)  # rows 0,0,1,1
         refine = RefinementMap("base", "half", [0, 0, 1, 1], 2)
-        cfg = StagedConfig(chart=ChartSpec("identity"))
+        chart = ChartSpec("identity")
         step = ScheduleStep(
             attn=make_attn(rng, d, zero_values=True),
             ffn=make_ffn(rng, d, zero=True),
             refine=refine,
         )
-        trace = run_schedule(doubled, [step], cfg)
+        trace = run_schedule(doubled, [step], chart)
         npt.assert_allclose(trace.records[1], base, atol=1e-15)
         assert trace.carrier_ids == ("base", "half")
 
@@ -548,7 +493,7 @@ class TestRunSchedule:
                 attn=make_attn(rng, d), ffn=make_ffn(rng, d), refine=refine
             ),
         ]
-        trace = run_schedule(rng.normal(size=(4, d)), steps, StagedConfig(chart=ChartSpec("identity")))
+        trace = run_schedule(rng.normal(size=(4, d)), steps, ChartSpec("identity"))
         # The fine relation only connects within and between the first
         # bucket, so the coarse mask is diagonal plus nothing else off
         # bucket 0's diagonal entry.
@@ -563,7 +508,7 @@ class TestRunSchedule:
             attn=make_attn(rng, 2), ffn=make_ffn(rng, 2), refine=refine
         )
         with pytest.raises(ValueError, match="refinement leaves 'other' but the run is on 'base'"):
-            run_schedule(rng.normal(size=(2, 2)), [step], StagedConfig(chart=ChartSpec("identity")))
+            run_schedule(rng.normal(size=(2, 2)), [step], ChartSpec("identity"))
 
     def test_stale_mask_size_rejected(self):
         rng = np.random.default_rng(151)
@@ -584,4 +529,4 @@ class TestRunSchedule:
         ]
         message = r"working mask shape \(3, 3\) does not fit carrier of size 2"
         with pytest.raises(ValueError, match=message):
-            run_schedule(rng.normal(size=(3, d)), steps, StagedConfig(chart=ChartSpec("identity")))
+            run_schedule(rng.normal(size=(3, d)), steps, ChartSpec("identity"))
