@@ -236,6 +236,19 @@ class TestAttentionReturnsArrays:
             assert_same_bits(ConditionalFamily(weights, full).values, weights)
             assert_same_bits(out, weights @ (e @ params.w_v))
 
+    def test_an_empty_mask_row_raises(self):
+        rng = np.random.default_rng(77)
+        e = rng.normal(size=(5, 3))
+        mask = rng.random((5, 5)) < 0.5
+        mask[:, 0] = True
+        mask[2] = False
+        params = AttentionParams(
+            w_q=rng.normal(size=(3, 3)), w_k=rng.normal(size=(3, 3)), w_v=np.eye(3)
+        )
+        with pytest.raises(EmptyRow, match="^row 2 has no admissible entries$") as exc:
+            attention(e, params, mask)
+        assert exc.value.row == 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_weights_are_a_numeric_failure(self):
         params = AttentionParams(w_q=np.eye(2) * 1e200, w_k=np.eye(2) * 1e200, w_v=np.eye(2))

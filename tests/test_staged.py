@@ -13,7 +13,7 @@ from attnkit import cli, staged
 from attnkit.anchor import ConditionalFamily
 from attnkit.carrier import RefinementMap
 from attnkit.errors import EmptyRow
-from attnkit.operator import AttentionParams, FfnParams
+from attnkit.operator import AttentionParams, FfnParams, attention, ffn_apply
 from attnkit.staged import ChartSpec, ScheduleStep, apply_chart, predecessor_sets, run_schedule
 
 
@@ -163,6 +163,15 @@ class TestCharts:
         with pytest.raises(ValueError):
             ChartSpec("batch_norm")
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, float("nan")])
+    def test_eps_must_be_strictly_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be strictly positive"):
+            ChartSpec("rms_norm", eps=eps)
+
+    def test_identity_takes_no_eps(self):
+        with pytest.raises(ValueError, match="chart kind 'identity' takes no eps, got 0.01"):
+            ChartSpec("identity", eps=0.01)
+
 
 class TestRunBlock:
     def test_zero_operators_fix_the_record(self):
@@ -219,6 +228,37 @@ class TestRunBlock:
             h2 = manual_chart(mid, kind)
             f = np.maximum(h2 @ ffn.w1.T + ffn.b1, 0.0) @ ffn.w2.T + ffn.b2
             assert np.abs(got - (mid + f)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ChartSpec.KINDS)
+    def test_a_stage_is_the_pre_norm_block_bitwise(self, kind):
+        # Chart, add the attention update, chart again, add the
+        # feedforward update: any other composition moves some bits.
+        rng = np.random.default_rng(125)
+        d = 3
+        r = rng.normal(size=(6, d))
+        mask = diagonal_mask(rng, 6)
+        attn, ffn, chart = make_attn(rng, d), make_ffn(rng, d), ChartSpec(kind)
+        trace = run_schedule(r, [ScheduleStep(attn, ffn, mask=mask)], chart)
+        mid = r + attention(apply_chart(r, chart), attn, mask)[1]
+        out = mid + ffn_apply(apply_chart(mid, chart), ffn)
+        assert trace.records[1].tobytes() == out.tobytes()
+        assert trace.updates[0].tobytes() == (out - r).tobytes()
+
+    @pytest.mark.parametrize("sublayer", ["attention", "feedforward"])
+    def test_widths_must_match_the_record(self, sublayer):
+        rng = np.random.default_rng(127)
+        attn = make_attn(rng, 2 if sublayer == "attention" else 3)
+        ffn = make_ffn(rng, 2 if sublayer == "feedforward" else 3)
+        with pytest.raises(ValueError, match="attention and feedforward widths must match"):
+            one_block(rng.normal(size=(4, 3)), attn, ffn, ChartSpec("identity"))
+
+    def test_an_empty_row_raises_through_the_block(self):
+        rng = np.random.default_rng(123)
+        mask = np.array([[True, True, False], [True, True, True], [False, False, False]])
+        with pytest.raises(EmptyRow, match="^row 2 has no admissible entries$") as exc:
+            one_block(rng.normal(size=(3, 3)), make_attn(rng, 3), make_ffn(rng, 3),
+                      ChartSpec("identity"), mask)
+        assert exc.value.row == 2
 
 
 def chain_mask(n):
@@ -301,13 +341,13 @@ def perturb(initial, u, delta):
 
 def prefix_case(rng, kind):
     """A depth-4 schedule on 6 rows of width 3, as kind says: additive
-    (rms_norm charts) or layer_norm charts; dead-row (row 0 attends to
+    (rms_norm charts), layer_norm or identity charts; dead-row (row 0 attends to
     nothing, so every stage raises EmptyRow); refine (stage 2 pools
     pairs of rows)."""
     n, d = 6, 3
     initial, schedule, chart = build_schedule(rng, n, d, 4, chart="rms_norm")
-    if kind == "layer_norm":
-        chart = ChartSpec("layer_norm")
+    if kind in ("layer_norm", "identity"):
+        chart = ChartSpec(kind)
     elif kind == "dead-row":
         for step in schedule:
             step.mask[0] = False
@@ -330,7 +370,7 @@ class TestBarrier:
                 trace.updates[s], trace.records[s + 1] - trace.records[s], atol=0
             )
 
-    @pytest.mark.parametrize("kind", ["additive", "layer_norm", "dead-row", "refine"])
+    @pytest.mark.parametrize("kind", ["additive", "layer_norm", "identity", "dead-row", "refine"])
     def test_stopping_early_leaves_earlier_updates_bitwise_equal(self, kind):
         # The barrier suite stops each run at the last stage it compares.
         for seed in range(5):
@@ -446,6 +486,15 @@ class TestRunSchedule:
         for (params, mask), step, stage_mask in zip(seen, schedule, trace.masks):
             assert params is step.attn
             assert np.array_equal(mask, stage_mask)
+
+    def test_the_default_chart_is_rms_norm(self):
+        rng = np.random.default_rng(145)
+        initial, schedule, _ = build_schedule(rng, 4, 3, 2)
+        default = run_schedule(initial, schedule).records
+        rms = run_schedule(initial, schedule, ChartSpec("rms_norm")).records
+        plain = run_schedule(initial, schedule, ChartSpec("identity")).records
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(default, rms))
+        assert not np.array_equal(default[-1], plain[-1])
 
     def test_flat_schedule_equals_repeated_blocks(self):
         rng = np.random.default_rng(143)
