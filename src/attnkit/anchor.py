@@ -74,9 +74,9 @@ class Marginals(Frozen):
         scale = max(self.mu_out.max(), self.mu_in.max())
         return float((self.mu_out / scale).sum()), float((self.mu_in / scale).sum()), float(scale)
 
-    def matched(self, rel_tol: float = 1e-9) -> bool:
+    def matched(self) -> bool:
         total_out, total_in, _ = self._totals()
-        return abs(total_out - total_in) <= rel_tol * total_out
+        return abs(total_out - total_in) <= 1e-9 * total_out
 
 
 class TransportPlan(MaskedMatrix):

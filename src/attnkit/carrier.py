@@ -1,9 +1,9 @@
 """Refinement maps between carrier scales, and kernel pushforward.
 
 A carrier is an ordered index set 0..n-1 at one scale, named by a
-string id. A refinement map sends every fine bucket onto a coarse one
-(surjectively); kernels follow along by summing their admissible
-entries into the coarse cells.
+string id. A refinement map sends every bucket of the carrier it is
+applied to onto one of a coarse carrier (surjectively); kernels follow
+along by summing their admissible entries into the coarse cells.
 
 After a pushforward the caller re-anchors from the pushed kernel; that
 is the one aggregation regime implemented here.
@@ -17,12 +17,13 @@ from .score import EvidenceKernel, Frozen
 
 
 class RefinementMap(Frozen):
-    """Surjective bucket map from a fine carrier onto a coarse one.
+    """Surjective bucket map onto the coarse carrier named coarse.
 
-    map[i] is the coarse index that fine index i lands in.
+    map[i] is the coarse index that fine index i lands in; the fine
+    carrier is whichever one has map.size rows when the map is applied.
     """
 
-    def __init__(self, fine: str, coarse: str, map: np.ndarray, n_coarse: int):
+    def __init__(self, map: np.ndarray, n_coarse: int, coarse: str = "coarse"):
         try:
             arr = np.array(map, dtype=np.intp, copy=True)
         except OverflowError as exc:  # an entry no index can hold
@@ -34,9 +35,9 @@ class RefinementMap(Frozen):
         # More buckets than entries cannot all be hit; bincount would
         # allocate every one of them first.
         if n_coarse > arr.size or not np.bincount(arr, minlength=n_coarse).all():
-            raise ValueError(f"refinement {fine!r}->{coarse!r} misses a coarse bucket")
+            raise ValueError(f"refinement onto {coarse!r} misses a coarse bucket")
         arr.setflags(write=False)
-        self.__dict__.update(fine=fine, coarse=coarse, map=arr, n_coarse=n_coarse)
+        self.__dict__.update(map=arr, n_coarse=n_coarse, coarse=coarse)
 
     @property
     def n_fine(self) -> int:

@@ -542,7 +542,7 @@ def check_kernel_pushforward(rng, tol=None):
         n_c = int(rng.integers(1, n + 1))
         assignment = rng.integers(0, n_c, size=n)
         assignment[:n_c] = np.arange(n_c)  # keep the quotient surjective
-        rho = RefinementMap("fine", "coarse", assignment, n_c)
+        rho = RefinementMap(assignment, n_c)
         coarse = pushforward_kernel(kernel, rho, rho)
         total = float(values.sum())
         dev = abs(float(coarse.values.sum()) - total) / max(total, 1e-300)

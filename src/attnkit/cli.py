@@ -264,7 +264,6 @@ _KINDS = {
     "integers": (_typed("a list of integers", list, int), False),
     "string": (_typed("a string", str), False),
     "strings": (_typed("a list of strings", list, str), False),
-    "boolean": (_typed("true or false", bool), False),
     "object": (_typed("a JSON object", dict), False),
     "list": (_typed("a list", list), False),
 }
@@ -335,10 +334,8 @@ def _attention(embeddings, mask=None, **params):
     return {"weights": ConditionalFamily(weights, mask), "output": out}
 
 
-_REFINEMENT = _Row(
-    "refinement",
-    lambda map, n_coarse, fine="fine", coarse="coarse": RefinementMap(fine, coarse, map, n_coarse),
-    {"map": "integers", "n_coarse": "integer"}, {"fine": "string", "coarse": "string"})
+_REFINEMENT = _Row("refinement", RefinementMap, {"map": "integers", "n_coarse": "integer"},
+                   {"coarse": "string"})
 _ATTN = _Row("attn", AttentionParams,
              {"w_q": "finite matrix", "w_k": "finite matrix", "w_v": "finite matrix"},
              {"tau": "number", "key_bias": "vector", "prior": "prior"})
@@ -361,8 +358,7 @@ _OPS = {row.name: row for row in (
          {"plan": "plan", "values": "finite matrix"}, at="values"),
     _Row("conditional_update", lambda family, values: update(family, values),
          {"family": "family", "values": "finite matrix"}, at="values"),
-    _Row("center_scores", center_scores, {"scores": "finite matrix"}, {"mode": "string"},
-         at="mode"),
+    _Row("center_scores", center_scores, {"scores": "finite matrix"}),
     _Row("score_normal_form", score_normal_form, {"scores": "finite matrix", "rank": "integer"},
          at="rank"),
     _Row("pushforward_kernel", lambda kernel, map_x, map_y=None: pushforward_kernel(
@@ -374,8 +370,8 @@ _OPS = {row.name: row for row in (
 )}
 
 
-def _stage_run(initial, schedule, cfg=None, **kw) -> dict:
-    trace = run_schedule(initial, schedule, **(cfg or {}), **kw)
+def _stage_run(initial, schedule, cfg=None) -> dict:
+    trace = run_schedule(initial, schedule, **(cfg or {}))
     # A carried mask is one array object over several stages: one payload
     # for it, which dump_canonical then formats once.
     distinct = {id(m): m for m in trace.masks}
@@ -402,7 +398,7 @@ _CFG = _Row("cfg", dict, {}, {
     "chart": _Row("cfg.chart", ChartSpec, {}, {"kind": "string", "eps": "number"}),
 })
 _STAGE_RUN = _Row("stage-run", _stage_run, {"initial": "finite matrix", "schedule": [_STEP]},
-                  {"cfg": _CFG, "carrier": "string"})
+                  {"cfg": _CFG})
 
 
 def _ffn_check(x=None, samples=None, seed=None, tolerance=1e-10, **ffn) -> dict:
@@ -474,8 +470,6 @@ def _serialize(obj):
     arr = np.asarray(obj)
     if arr.ndim == 2:
         return {"kind": "matrix", "matrix": matrix_to_json(arr)}
-    if arr.ndim == 1:
-        return {"kind": "vector", "values": vector_to_json(arr)}
     raise ConfigInvalid("output", f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -543,28 +537,11 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
         try:
             out_path.mkdir(parents=True, exist_ok=True)
             (out_path / "report.json").write_text(text)
-            for entry, stage_text in zip(stage_reports, _stage_results(text)):
-                (out_path / f"{entry['out']}.json").write_text(stage_text)
+            for entry in stage_reports:
+                (out_path / f"{entry['out']}.json").write_text(dump_canonical(entry["result"]))
         except OSError as exc:
             raise ConfigInvalid("--out", f"cannot write to {out_dir!r}: {exc.strerror}") from exc
     return text, exit_code
-
-
-def _stage_results(text: str):
-    """Yield dump_canonical(result) of each stage, in order, cut from
-    the report text instead of formatting every float again.
-
-    A stage result opens after the six-space key `"result": ` and closes
-    before the four-space `}` of its stage; every line inside it is
-    indented deeper, and no canonical string holds a raw newline, so
-    dropping six spaces after each newline re-indents it to the top.
-    """
-    key = '\n      "result": '
-    pos = text.find('\n  "stages": [')
-    while (pos := text.find(key, pos)) >= 0:
-        end = text.index("\n    }", pos)
-        yield text[pos + len(key) : end].replace("\n      ", "\n") + "\n"
-        pos = end
 
 
 def _cmd_run(args) -> int:

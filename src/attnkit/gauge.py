@@ -2,8 +2,8 @@
 
 Row anchoring is blind to positive left scalings of the kernel, and
 balanced transport anchoring is blind to two-sided scalings; this
-module provides the group action and the unary-field quotients on
-score matrices (row, column and double centering).
+module provides the group action and the quotient of a score matrix by
+both unary fields (double centering).
 
 Double centering keeps exactly the gauge invariants of a score matrix:
 the 2x2 cross differences S[x,y] - S[x,y'] - S[x',y] + S[x',y'], which
@@ -56,14 +56,13 @@ class CenteredDecomposition(Frozen):
                              interaction=interaction, key_bias=key_bias)
 
 
-def center_scores(scores, mode: str = "double"):
-    """Remove unary fields from a fully finite score matrix.
+def center_scores(scores) -> CenteredDecomposition:
+    """Remove both unary fields from a fully finite score matrix.
 
-    mode "row" subtracts row means, "col" subtracts column means (both
-    return a matrix), and "double" returns the full decomposition whose
-    interaction part has zero row and column sums. Masked or non-finite
-    input is rejected: arithmetic means are undefined under a mask, and
-    no reference weight is picked silently in their place.
+    Returns the full decomposition, whose interaction part has zero row
+    and column sums. Masked or non-finite input is rejected: arithmetic
+    means are undefined under a mask, and no reference weight is picked
+    silently in their place.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or not s.size:
@@ -73,9 +72,7 @@ def center_scores(scores, mode: str = "double"):
             "plain centering needs fully finite scores; arithmetic means are "
             "undefined under a mask"
         )
-    if mode not in ("row", "col", "double"):
-        raise ValueError(f"unknown centering mode {mode!r}")
-    parts = _centered(s, mode)
+    parts = _centered(s)
     if not all(np.isfinite(part).all() for part in parts):
         # A mean of finite scores can overflow in its sum, and a difference
         # of finite ones past the range of doubles. Centering s / m, m the
@@ -83,23 +80,17 @@ def center_scores(scores, mode: str = "double"):
         # exact arithmetic; only a result past the doubles is refused.
         m = np.abs(s).max()
         with np.errstate(over="ignore"):
-            parts = [m * part for part in _centered(s / m, mode)]
+            parts = [m * part for part in _centered(s / m)]
         if not all(np.isfinite(part).all() for part in parts):
             raise NonFinite("centering overflowed to a non-finite value")
-    if mode != "double":
-        return parts[0]
     interaction, grand_mean, row_means, col_means, key_bias = parts
     return CenteredDecomposition(float(grand_mean), row_means, col_means, interaction, key_bias)
 
 
-def _centered(s: np.ndarray, mode: str) -> list:
-    """The interaction of s under mode; for "double", followed by the
-    grand mean, the row and column means and the key bias."""
+def _centered(s: np.ndarray) -> list:
+    """The double-centered interaction of s, the grand mean, the row and
+    column means and the key bias."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
-        if mode == "row":
-            return [s - s.mean(axis=1)[:, None]]
-        if mode == "col":
-            return [s - s.mean(axis=0)[None, :]]
         row_means = s.mean(axis=1)
         col_means = s.mean(axis=0)
         grand_mean = s.mean()

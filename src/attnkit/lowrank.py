@@ -110,7 +110,7 @@ def score_normal_form(scores, rank: int) -> LowRankChart:
     key_bias(y) + Q[x] . L[y] approximates the row-centered scores with
     Frobenius error equal to the truncation residual.
     """
-    decomposition = center_scores(scores, mode="double")
+    decomposition = center_scores(scores)
     interaction = decomposition.interaction
     result = svd(interaction)
     if not 0 <= rank <= result.sigma.size:

@@ -145,11 +145,11 @@ def _push_mask(mask: np.ndarray, refine: RefinementMap) -> np.ndarray:
     return pushforward_kernel(indicator, refine, refine).mask
 
 
-def run_schedule(
-    initial, schedule, chart: ChartSpec = ChartSpec(), carrier: str = "base"
-) -> StageTrace:
-    """Execute a schedule of stages with optional carrier merges, starting
-    on the carrier named carrier, each stage charting by chart."""
+def run_schedule(initial, schedule, chart: ChartSpec = ChartSpec()) -> StageTrace:
+    """Execute a schedule of stages with optional carrier merges, each
+    stage charting by chart. The run starts on the carrier "base"; a
+    refinement maps the rows of the carrier the run is on, and the run
+    continues on the refinement's coarse carrier."""
     current = np.asarray(initial, dtype=np.float64)
     if current.ndim != 2:
         raise ValueError("initial records must be an n x d matrix")
@@ -157,14 +157,10 @@ def run_schedule(
     records = [current]
     updates = []
     masks = []
+    carrier = "base"
     carrier_ids = [carrier]
     for step in schedule:
         if step.refine is not None:
-            if step.refine.fine != carrier:
-                raise ValueError(
-                    f"refinement leaves {step.refine.fine!r} but the run is on "
-                    f"{carrier!r}"
-                )
             current = _pool_records(current, step.refine)
             if working_mask is not None:
                 working_mask = _push_mask(working_mask, step.refine)

@@ -293,8 +293,8 @@ def _failed_lines(suite):
 def test_cycle_sum_suite_catches_an_interaction_that_drops_to_zero(monkeypatch):
     # A zero interaction has zero margins and is blind to unary shifts,
     # so only the cross differences can tell it from the real one.
-    def no_interaction(scores, mode="double"):
-        dec = center_scores(scores, mode)
+    def no_interaction(scores):
+        dec = center_scores(scores)
         zero = np.zeros_like(dec.interaction)
         return CenteredDecomposition(dec.grand_mean, dec.row_means, dec.col_means, zero,
                                      dec.key_bias)
@@ -334,11 +334,9 @@ def test_eckart_young_suite_catches_a_wrong_normal_form(monkeypatch, mutant):
 
 
 def _double_centering_mutant(change):
-    """center_scores whose "double" interaction is change(scores, decomposition)."""
-    def mutant(scores, mode="double"):
-        dec = center_scores(scores, mode)
-        if mode != "double":
-            return dec
+    """center_scores whose interaction is change(scores, decomposition)."""
+    def mutant(scores):
+        dec = center_scores(scores)
         return CenteredDecomposition(dec.grand_mean, dec.row_means, dec.col_means,
                                      change(np.asarray(scores, dtype=np.float64), dec),
                                      dec.key_bias)

@@ -65,6 +65,12 @@ def test_minimal_pipeline_reports_uniform_weights(tmp_path, capsys):
     assert weights["result"]["matrix"]["rows"] == [[0.5, 0.5], [0.5, 0.5]]
 
 
+def test_run_reports_the_config_version(tmp_path, capsys):
+    config = write_config(tmp_path, "v.json", {"version": "2", "stages": []})
+    assert main(["run", config]) == 0
+    assert json.loads(capsys.readouterr().out)["version"] == "2"
+
+
 def test_missing_input_file_exits_2_and_names_the_input(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -369,6 +375,16 @@ def test_attn_subcommand(tmp_path, capsys):
     assert result["output"]["kind"] == "matrix"
 
 
+def test_attn_without_a_mask_admits_every_pair(tmp_path, capsys):
+    # Row 0's score on key 1 is about -1131 below its peak, so its weight
+    # underflows to 0; the pair stays admissible, not a hole.
+    spec = {"embeddings": [[40.0, 0.0], [0.0, 0.0]], "w_q": [[1.0, 0.0], [0.0, 1.0]],
+            "w_k": [[1.0, 0.0], [0.0, 1.0]], "w_v": [[1.0, 0.0], [0.0, 1.0]]}
+    assert main(["attn", write_config(tmp_path, "attn.json", spec)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["weights"]["matrix"]["rows"] == [[1.0, 0.0], [0.5, 0.5]]
+
+
 def test_anchor_subcommand_row_mode(tmp_path, capsys):
     path = write_config(
         tmp_path, "anchor.json", {"kernel": [[1.0, 3.0], ["-inf", 2.0]]}
@@ -556,6 +572,27 @@ def test_stage_run_converts_each_mask_object_once(monkeypatch, capsys):
     assert [s for s in shapes if s[0] == s[1]] == [(4, 4), (2, 2), (2, 2)]
 
 
+def test_stage_run_refinement_must_fit_the_current_carrier(tmp_path, capsys):
+    # The golden schedule pools 4 records into 2 on step 2; a map of 3
+    # entries there fits no carrier the run is on.
+    spec = json.loads((Path(__file__).parent / "golden" / "stage_run_refine.json").read_text())
+    spec["schedule"][2]["refine"]["map"] = [0, 0, 1]
+    assert main(["stage-run", write_config(tmp_path, "stage.json", spec)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: stage-run: records have 4 rows, refinement expects 3\n"
+
+
+def test_ffn_check_defaults_to_20_samples_from_seed_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GA_SEED", raising=False)
+    assert main(["ffn-check", write_config(tmp_path, "ffn.json", FFN_2X2)]) == 0
+    default = capsys.readouterr().out
+    spec = {**FFN_2X2, "samples": 20, "seed": 0}
+    assert main(["ffn-check", write_config(tmp_path, "ffn.json", spec)]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["samples"] == 20
+
+
 def test_ffn_check_passes_then_fails_on_forced_tolerance(tmp_path, capsys):
     # The gelu block of the ffn_check_gelu golden case: six hidden units
     # of both signs, so that the routes' sums meet terms in other orders.
@@ -664,6 +701,13 @@ def run_stage(stage, **inputs):
             {"stages": [{"op": "row_anchor", "kernel": [[1.0, 1.0]], "out": "c"},
                         {"op": "conditional_update", "family": "c", "values": [[1.0]],
                          "out": "u"}]},
+            "stages[1].values",
+        ),
+        (
+            "run",
+            {"stages": [{"op": "sinkhorn_balanced", "kernel": [[1.0, 1.0]] * 2,
+                         "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0], "out": "p"},
+                        {"op": "plan_update", "plan": "p", "values": [[1.0]], "out": "u"}]},
             "stages[1].values",
         ),
         # Numbers, strings and objects read strictly.
@@ -839,6 +883,10 @@ def test_refusals_say_what_is_wrong(tmp_path, capsys):
          "error: stages[0].tau: tau must be strictly positive, got -3.0\n"),
         (run_stage({**ATTN_2X2, "op": "attention", "tau": 0}),
          "error: stages[0].tau: tau must be strictly positive, got 0.0\n"),
+        (run_stage({"op": "center_scores", "scores": EYE, "mode": "row"}),
+         "error: stages[0].mode: unknown field; center_scores takes scores\n"),
+        (run_stage({**PUSHFORWARD, "map_x": {"map": [0, 0], "n_coarse": 1, "fine": "base"}}),
+         "error: stages[0].map_x.fine: unknown field; refinement takes map, n_coarse, coarse\n"),
     ]
     for spec, message in cases:
         assert main(["run", write_config(tmp_path, "input.json", spec)]) == 2
@@ -852,6 +900,17 @@ def test_refusals_say_what_is_wrong(tmp_path, capsys):
     ]
     for cfg, message in cases:
         spec = {**STAGE_RUN_2X2, "cfg": cfg}
+        assert main(["stage-run", write_config(tmp_path, "input.json", spec)]) == 2
+        assert capsys.readouterr().err == message
+    cases = [
+        ({**STAGE_RUN_2X2, "carrier": "base"},
+         "error: stage-run.carrier: unknown field; stage-run takes initial, schedule, cfg\n"),
+        ({**STAGE_RUN_2X2, "schedule": [
+            {**STEP_2X2, "refine": {"map": [0, 0], "n_coarse": 1, "fine": "base"}}]},
+         "error: stage-run.schedule[0].refine.fine: unknown field; "
+         "refinement takes map, n_coarse, coarse\n"),
+    ]
+    for spec, message in cases:
         assert main(["stage-run", write_config(tmp_path, "input.json", spec)]) == 2
         assert capsys.readouterr().err == message
     spec = {**FFN_2X2, "tolerance": -1}
@@ -1058,12 +1117,10 @@ SWEEP_INPUTS = [
     # and the ops the golden pipeline does not run.
     ("stage-run", {
         "initial": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, -0.3]],
-        "carrier": "base",
         "cfg": {"chart": {"kind": "layer_norm", "eps": 1e-5}},
         "schedule": [
             {**STEP_2X2, "mask": [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 1]]},
-            {**STEP_2X2, "refine": {"fine": "base", "coarse": "pairs",
-                                    "map": [0, 0, 1, 1], "n_coarse": 2}},
+            {**STEP_2X2, "refine": {"coarse": "pairs", "map": [0, 0, 1, 1], "n_coarse": 2}},
         ],
     }),
     ("run", {
@@ -1083,10 +1140,10 @@ SWEEP_INPUTS = [
             {"op": "scale_kernel", "kernel": "k2", "a": [1.0, 2.0], "b": [0.5, 1.0],
              "out": "ks"},
             {**PUSHFORWARD, "kernel": "k2", "out": "kp",
-             "map_y": {"fine": "f", "coarse": "c", "map": [0, 1], "n_coarse": 2}},
+             "map_y": {"coarse": "c", "map": [0, 1], "n_coarse": 2}},
             {**ATTN_2X2, "op": "attention", "key_bias": [0.1, 0.0], "prior": "p",
              "mask": "k", "tau": 2.0, "out": "at"},
-            {"op": "center_scores", "scores": "s", "mode": "row", "out": "cs"},
+            {"op": "center_scores", "scores": "s", "out": "cs"},
         ],
     }),
 ]

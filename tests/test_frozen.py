@@ -27,7 +27,7 @@ SIGNATURES = {
     "Marginals": "(mu_out, mu_in)",
     "MaskedMatrix": "(values, mask)",
     "MaskedScore": "(values, mask)",
-    "RefinementMap": "(fine, coarse, map, n_coarse)",
+    "RefinementMap": "(map, n_coarse, coarse='coarse')",
     "ScheduleStep": "(attn, ffn, mask=None, refine=None)",
     "StageTrace": "(records, updates, masks, carrier_ids)",
     "SvdResult": "(U, sigma, V)",
@@ -58,7 +58,7 @@ def instances() -> dict:
         "Marginals": marginals,
         "MaskedMatrix": attnkit.MaskedMatrix(EYE, EYE),
         "MaskedScore": attnkit.MaskedScore(EYE, [[1, 0], [1, 1]]),
-        "RefinementMap": attnkit.RefinementMap("fine", "coarse", [0, 1, 1], 2),
+        "RefinementMap": attnkit.RefinementMap([0, 1, 1], 2),
         "ScheduleStep": step,
         "StageTrace": attnkit.run_schedule(EYE, [step]),
         "SvdResult": attnkit.svd(EYE),

@@ -140,13 +140,6 @@ class TestCenterScores:
         dec = center_scores(r[:, None] + c[None, :])
         npt.assert_allclose(dec.interaction, 0.0, atol=1e-14)
 
-    def test_row_and_col_modes(self):
-        s = np.array([[1.0, 3.0], [2.0, 6.0]])
-        npt.assert_allclose(center_scores(s, mode="row"), [[-1.0, 1.0], [-2.0, 2.0]])
-        npt.assert_allclose(center_scores(s, mode="col"), [[-0.5, -1.5], [0.5, 1.5]])
-        with pytest.raises(ValueError):
-            center_scores(s, mode="diag")
-
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ValueError, match="plain centering needs fully finite scores"):
             center_scores([[1.0, np.inf], [0.0, 2.0]])
@@ -159,15 +152,6 @@ class TestCenterScores:
             s = rng.normal(size=shape) * 3.0
             npt.assert_allclose(center_scores(s).interaction, oracle_double_center(s),
                                 atol=1e-12)
-
-    def test_row_and_col_modes_zero_their_own_margin(self):
-        rng = np.random.default_rng(71)
-        s = rng.normal(size=(4, 6)) + 5.0
-        npt.assert_allclose(center_scores(s, mode="row").sum(axis=1), 0.0, atol=1e-12)
-        npt.assert_allclose(center_scores(s, mode="col").sum(axis=0), 0.0, atol=1e-12)
-        # Each single centering keeps the other margin's spread.
-        npt.assert_allclose(center_scores(s, mode="row").sum(axis=0),
-                            s.sum(axis=0) - s.sum() / 6, atol=1e-12)
 
     def test_longer_cycles_are_kept(self):
         # A 6-cycle x0 y0 x1 y1 x2 y2 is no single 2x2 cross difference,
@@ -222,8 +206,6 @@ class TestCenterScores:
         npt.assert_array_equal(dec.col_means, [1e308, 0.0])
         npt.assert_array_equal(dec.interaction, [[5e307, -5e307], [-5e307, 5e307]])
         npt.assert_array_equal(dec.key_bias, [5e307, -5e307])
-        rows = center_scores([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]], mode="row")
-        npt.assert_array_equal(rows, np.zeros((2, 2)))
 
     def test_interaction_past_the_largest_double_is_nonfinite(self):
         # The interaction entry 16M/9 is past the largest double, at any scale.
@@ -237,5 +219,3 @@ class TestCenterScores:
         dec = center_scores(s)
         npt.assert_array_equal(dec.interaction, s - row[:, None] - col[None, :] + grand)
         npt.assert_array_equal(dec.key_bias, col - grand)
-        npt.assert_array_equal(center_scores(s, mode="row"), s - row[:, None])
-        npt.assert_array_equal(center_scores(s, mode="col"), s - col[None, :])

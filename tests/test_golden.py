@@ -85,13 +85,27 @@ the two charts other than the default, one with a non-default `eps`,
 the other with a refinement step. All three were pinned just before
 the composition kinds and the zero-update switch left `ga stage-run`,
 so that the pre-norm residual block that remains keeps its bytes.
-test_every_op_and_chart_kind_has_a_golden keeps every `ga run`
-operation and every chart kind other than the default in some golden
-input.
+
+`run_prior_budgets` runs `assemble_kernel` with a `prior`, then both
+Sinkhorn anchors with their own `tol` and `max_iter`, each converging
+in fewer than `max_iter` iterations; `stage_run_bias_prior` is a
+fixed-carrier 3 x 3 `ga stage-run` whose two steps' `attn` carry a
+`key_bias` and a `prior`; `ffn_check_x` is `ga ffn-check` of a tanh
+block on one given `x` against `tolerance` 1e-12. All three were
+pinned just before one-sided centering and the source-carrier names
+left `ga`. The inputs of `run_every_op`, `stage_run_refine` and
+`stage_run_identity_refine` then lost their refinements' `fine` keys,
+and every stdout file kept its bytes.
+
+test_every_field_and_kind_is_set_by_a_golden_input walks each golden
+input through the rows its command reads. It fails when no golden
+input sets some field of those rows, or names some `ga run` operation,
+`ga anchor` mode, activation or chart kind other than the default.
 """
 
 import hashlib
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -99,6 +113,7 @@ import pytest
 from attnkit import cli
 from attnkit.cli import main
 from attnkit.matio import dump_canonical
+from attnkit.operator import _ACTIVATIONS
 from attnkit.staged import ChartSpec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,18 +122,21 @@ CASES = {
     "run_pipeline": (["run", str(GOLDEN / "run_pipeline.json")], 0),
     "run_with_checks": (["run", str(GOLDEN / "run_with_checks.json")], 0),
     "run_every_op": (["run", str(GOLDEN / "run_every_op.json")], 0),
+    "run_prior_budgets": (["run", str(GOLDEN / "run_prior_budgets.json")], 0),
     "stage_run_causal": (["stage-run", str(GOLDEN / "stage_run_causal.json")], 0),
     "stage_run_refine": (["stage-run", str(GOLDEN / "stage_run_refine.json")], 0),
     "stage_run_layer_norm": (["stage-run", str(GOLDEN / "stage_run_layer_norm.json")], 0),
     "stage_run_identity_refine": (
         ["stage-run", str(GOLDEN / "stage_run_identity_refine.json")], 0
     ),
+    "stage_run_bias_prior": (["stage-run", str(GOLDEN / "stage_run_bias_prior.json")], 0),
     "anchor_unbalanced": (["anchor", str(GOLDEN / "anchor_unbalanced.json")], 0),
     "anchor_row_huge": (["anchor", str(GOLDEN / "anchor_row_huge.json")], 0),
     "anchor_balanced_huge": (["anchor", str(GOLDEN / "anchor_balanced_huge.json")], 0),
     "attn_masked": (["attn", str(GOLDEN / "attn_masked.json")], 0),
     "chart_rank1": (["chart", str(GOLDEN / "chart_rank1.json")], 0),
     "ffn_check_gelu": (["ffn-check", str(GOLDEN / "ffn_check_gelu.json")], 0),
+    "ffn_check_x": (["ffn-check", str(GOLDEN / "ffn_check_x.json")], 0),
     "check_all_seed0": (["check", "--seed", "0"], 0),
     "check_all_seed0_tol0": (["check", "--seed", "0", "--tol", "0"], 4),
     "check_all_seed5": (["check", "--seed", "5"], 0),
@@ -188,22 +206,62 @@ def test_run_out_stage_files_are_the_canonical_stage_results(tmp_path, capsys, c
         assert (out_dir / f"{stage['out']}.json").read_bytes() == expected
 
 
-def test_every_op_and_chart_kind_has_a_golden():
-    # The op a golden input runs: each `ga run` stage's, the one `ga attn`
-    # and `ga chart` run, and the one `ga anchor` picks by mode.
-    ops, charts = set(), set()
+def _reachable_fields():
+    """(row, field) of every field of every row a command reads, nested
+    rows included."""
+    fields, todo = set(), [cli._RUN, *cli._OPS.values(), cli._STAGE_RUN, cli._FFN_CHECK]
+    while todo:
+        row = todo.pop()
+        for key, kind in {**row.required, **row.optional}.items():
+            fields.add((row.name, key))
+            if isinstance(kind, list):
+                kind = kind[0]
+            if isinstance(kind, cli._Row):
+                todo.append(kind)
+    return fields
+
+
+def _set_fields(row, spec, found):
+    """Add to found[row, field] the value, if a string, else None, of
+    every field spec sets, walking the nested rows; keys the row does
+    not list belong to the caller."""
+    for key, value in spec.items():
+        kind = {**row.required, **row.optional}.get(key)
+        if kind is None:
+            continue
+        found[row.name, key].add(value if isinstance(value, str) else None)
+        if isinstance(kind, cli._Row):
+            _set_fields(kind, value, found)
+        elif isinstance(kind, list):
+            for item in value:
+                _set_fields(kind[0], item, found)
+
+
+def test_every_field_and_kind_is_set_by_a_golden_input():
+    # Each golden input walked through the rows its command reads: each
+    # `ga run` stage through its op's row, and a `ga anchor` input
+    # through the row its mode picks.
+    command_rows = {"attn": cli._OPS["attention"], "chart": cli._OPS["score_normal_form"],
+                    "stage-run": cli._STAGE_RUN, "ffn-check": cli._FFN_CHECK}
+    found, rows, modes = defaultdict(set), set(), set()
     for argv, _ in CASES.values():
         if not argv[-1].endswith(".json"):
             continue
         spec = json.loads(Path(argv[-1]).read_text())
-        command = argv[0]
-        if command == "run":
-            ops.update(stage["op"] for stage in spec["stages"])
-        elif command in ("attn", "chart"):
-            ops.add({"attn": "attention", "chart": "score_normal_form"}[command])
-        elif command == "anchor":
-            ops.add(cli._ANCHOR_OPS[spec.get("mode", "row")])
-        elif command == "stage-run":
-            charts.add(spec.get("cfg", {}).get("chart", {}).get("kind"))
-    assert sorted(set(cli._OPS) - ops) == []
-    assert sorted(set(ChartSpec.KINDS) - {ChartSpec().kind} - charts) == []
+        if argv[0] == "run":
+            walks = [(cli._RUN, spec), *((cli._OPS[s["op"]], s) for s in spec["stages"])]
+        elif argv[0] == "anchor":
+            modes.add(spec.get("mode", "row"))
+            walks = [(cli._OPS[cli._ANCHOR_OPS[spec.get("mode", "row")]], spec)]
+        else:
+            walks = [(command_rows[argv[0]], spec)]
+        for row, obj in walks:
+            rows.add(row.name)
+            _set_fields(row, obj, found)
+    assert sorted(_reachable_fields() - set(found)) == []
+    assert sorted(set(cli._OPS) - rows) == []
+    assert sorted(set(cli._ANCHOR_OPS) - modes) == []
+    charts = found["cfg.chart", "kind"] | {ChartSpec().kind}
+    assert sorted(set(ChartSpec.KINDS) - charts) == []
+    activations = found["ffn", "activation"] | found["ffn-check", "activation"]
+    assert sorted(set(_ACTIVATIONS) - activations) == []

@@ -137,7 +137,7 @@ class TestNormalFormFactors:
     def test_product_reproduces_truncation(self):
         rng = np.random.default_rng(16)
         m = rng.normal(size=(5, 7))
-        interaction = center_scores(m, mode="double").interaction
+        interaction = center_scores(m).interaction
         for rank in (1, 3, 4):
             chart = score_normal_form(m, rank)
             npt.assert_allclose(
@@ -176,12 +176,12 @@ class TestScoreNormalForm:
         scores = rng.normal(size=(5, 6))
         chart = score_normal_form(scores, 5)
         rebuilt = chart.key_bias[None, :] + chart.Q @ chart.L.T
-        npt.assert_allclose(rebuilt, center_scores(scores, mode="row"), atol=1e-10)
+        npt.assert_allclose(rebuilt, scores - scores.mean(axis=1)[:, None], atol=1e-10)
 
     def test_residual_matches_direct_truncation(self):
         rng = np.random.default_rng(26)
         scores = rng.normal(size=(6, 6))
-        interaction = center_scores(scores, mode="double").interaction
+        interaction = center_scores(scores).interaction
         for rank in (1, 2, 4):
             chart = score_normal_form(scores, rank)
             residual = np.linalg.norm(interaction - oracle_truncation(interaction, rank))
@@ -191,7 +191,7 @@ class TestScoreNormalForm:
         rng = np.random.default_rng(12)
         for _ in range(10):
             scores = rng.normal(size=(7, 5))
-            sigma = svd(center_scores(scores, mode="double").interaction).sigma
+            sigma = svd(center_scores(scores).interaction).sigma
             for rank in range(6):
                 tail = math.sqrt(float((sigma[rank:] ** 2).sum()))
                 residual = score_normal_form(scores, rank).frobenius_residual
@@ -200,7 +200,7 @@ class TestScoreNormalForm:
     def test_beats_random_factorizations(self):
         rng = np.random.default_rng(14)
         scores = rng.normal(size=(6, 6))
-        interaction = center_scores(scores, mode="double").interaction
+        interaction = center_scores(scores).interaction
         residual = score_normal_form(scores, 2).frobenius_residual
         for _ in range(200):
             x = rng.normal(size=(6, 2))
@@ -210,7 +210,7 @@ class TestScoreNormalForm:
 
     def test_degenerate_flag_propagates(self):
         scores = np.diag([1.0, 1.0, 1.0, 1.0]) * 4.0
-        interaction = center_scores(scores, mode="double").interaction
+        interaction = center_scores(scores).interaction
         sigma = svd(interaction).sigma
         chart = score_normal_form(scores, 1)
         assert chart.degenerate == degenerate_truncation(sigma, 1)
@@ -237,7 +237,7 @@ class TestScoreNormalForm:
         # Entries near 1e200 square past the largest double, but the
         # factors and the residual are in range.
         rng = np.random.default_rng(5)
-        scores = center_scores(rng.normal(size=(3, 3)) * 1e200, mode="double").interaction
+        scores = center_scores(rng.normal(size=(3, 3)) * 1e200).interaction
         sigma = svd(scores).sigma
         tail = math.hypot(sigma[1], sigma[2])
         chart = score_normal_form(scores, 1)
@@ -246,7 +246,7 @@ class TestScoreNormalForm:
     def test_full_rank_is_lossless(self):
         rng = np.random.default_rng(28)
         scores = rng.normal(size=(4, 6))
-        interaction = center_scores(scores, mode="double").interaction
+        interaction = center_scores(scores).interaction
         chart = score_normal_form(scores, 4)
         assert chart.frobenius_residual <= 1e-10
         npt.assert_allclose(chart.Q @ chart.L.T, interaction, atol=1e-10)
@@ -254,7 +254,7 @@ class TestScoreNormalForm:
     def test_rank_zero_keeps_no_factor(self):
         rng = np.random.default_rng(30)
         scores = rng.normal(size=(3, 5))
-        interaction = center_scores(scores, mode="double").interaction
+        interaction = center_scores(scores).interaction
         chart = score_normal_form(scores, 0)
         assert chart.Q.shape == (3, 0) and chart.L.shape == (5, 0)
         assert chart.frobenius_residual == pytest.approx(
@@ -284,7 +284,7 @@ class TestScoreNormalForm:
     def test_factor_columns_are_orthogonal_with_singular_value_norms(self):
         rng = np.random.default_rng(34)
         scores = rng.normal(size=(7, 5))
-        sigma = svd(center_scores(scores, mode="double").interaction).sigma
+        sigma = svd(center_scores(scores).interaction).sigma
         chart = score_normal_form(scores, 3)
         npt.assert_allclose(chart.Q.T @ chart.Q, np.diag(sigma[:3]), atol=1e-10)
         npt.assert_allclose(chart.L.T @ chart.L, np.diag(sigma[:3]), atol=1e-10)

@@ -352,7 +352,7 @@ def prefix_case(rng, kind):
         for step in schedule:
             step.mask[0] = False
     elif kind == "refine":
-        refine = RefinementMap("base", "pairs", [0, 0, 1, 1, 2, 2], 3)
+        refine = RefinementMap([0, 0, 1, 1, 2, 2], 3, coarse="pairs")
         schedule[1] = ScheduleStep(schedule[1].attn, schedule[1].ffn, refine=refine)
         schedule[2] = ScheduleStep(schedule[2].attn, schedule[2].ffn, mask=diagonal_mask(rng, 3))
         schedule[3] = ScheduleStep(schedule[3].attn, schedule[3].ffn)
@@ -439,7 +439,7 @@ class TestBarrier:
         # in coarse row 1, and the stage-1 update has no row 2.
         rng = np.random.default_rng(142)
         d = 2
-        refine = RefinementMap("base", "half", [0, 0, 1, 1], 2)
+        refine = RefinementMap([0, 0, 1, 1], 2, coarse="half")
         schedule = [ScheduleStep(make_attn(rng, d), make_ffn(rng, d), refine=refine)]
         initial = rng.normal(size=(4, d))
         chart = ChartSpec("identity")
@@ -516,7 +516,7 @@ class TestRunSchedule:
         d = 3
         base = rng.normal(size=(2, d))
         doubled = np.repeat(base, 2, axis=0)  # rows 0,0,1,1
-        refine = RefinementMap("base", "half", [0, 0, 1, 1], 2)
+        refine = RefinementMap([0, 0, 1, 1], 2, coarse="half")
         chart = ChartSpec("identity")
         step = ScheduleStep(
             attn=make_attn(rng, d, zero_values=True),
@@ -533,7 +533,7 @@ class TestRunSchedule:
         fine_mask = np.zeros((4, 4), dtype=bool)
         fine_mask[0, 1] = True
         fine_mask[np.arange(4), np.arange(4)] = True
-        refine = RefinementMap("base", "pair", [0, 0, 1, 1], 2)
+        refine = RefinementMap([0, 0, 1, 1], 2, coarse="pair")
         steps = [
             ScheduleStep(
                 attn=make_attn(rng, d), ffn=make_ffn(rng, d), mask=fine_mask
@@ -550,19 +550,33 @@ class TestRunSchedule:
         npt.assert_array_equal(trace.masks[1], expected)
         assert trace.records[2].shape == (2, d)
 
-    def test_refinement_id_chain_checked(self):
+    def test_a_refinement_maps_the_rows_of_the_current_carrier(self):
+        # The row count is the one check that a refinement fits: a map of
+        # 3 entries does not fit 4 records, and a second map of 4 entries
+        # does not fit the 2 rows the first one left.
         rng = np.random.default_rng(149)
-        refine = RefinementMap("other", "c", [0, 0], 1)
-        step = ScheduleStep(
-            attn=make_attn(rng, 2), ffn=make_ffn(rng, 2), refine=refine
-        )
-        with pytest.raises(ValueError, match="refinement leaves 'other' but the run is on 'base'"):
-            run_schedule(rng.normal(size=(2, 2)), [step], ChartSpec("identity"))
+
+        def step(refine):
+            return ScheduleStep(attn=make_attn(rng, 2), ffn=make_ffn(rng, 2), refine=refine)
+
+        initial = rng.normal(size=(4, 2))
+        with pytest.raises(ValueError, match="records have 4 rows, refinement expects 3"):
+            run_schedule(initial, [step(RefinementMap([0, 0, 1], 2))])
+        halves = RefinementMap([0, 0, 1, 1], 2)
+        with pytest.raises(ValueError, match="records have 2 rows, refinement expects 4"):
+            run_schedule(initial, [step(halves), step(halves)])
+
+    @pytest.mark.parametrize("initial", [[1.0, 2.0], [[[1.0, 2.0]]]])
+    def test_initial_records_must_be_a_matrix(self, initial):
+        rng = np.random.default_rng(150)
+        step = ScheduleStep(attn=make_attn(rng, 2), ffn=make_ffn(rng, 2))
+        with pytest.raises(ValueError, match="initial records must be an n x d matrix"):
+            run_schedule(initial, [step])
 
     def test_stale_mask_size_rejected(self):
         rng = np.random.default_rng(151)
         d = 2
-        refine = RefinementMap("base", "c", [0, 0, 1], 2)
+        refine = RefinementMap([0, 0, 1], 2, coarse="c")
         steps = [
             ScheduleStep(
                 attn=make_attn(rng, d),
