@@ -5,9 +5,9 @@ prior, and a temperature; anchor it into a conditional family (row
 softmax) or a transport plan (Sinkhorn); update value fields with it.
 Around that core sit the quotients that make scores identifiable
 (centering, low rank charts), the closure constructions (feedforward as
-a kernel update, gated mixtures), staged composition with influence
-tracking, and a seeded property-check harness exposed both to pytest
-and the `ga` command line tool.
+a kernel update, a gated mixture flattened to one weight matrix), staged
+composition with influence tracking, and a seeded property-check harness
+exposed both to pytest and the `ga` command line tool.
 """
 
 from .anchor import (
@@ -38,8 +38,7 @@ from .operator import (
     FfnParams,
     attention,
     ffn_as_ga,
-    gated_mixture_conditional,
-    gated_mixture_plan,
+    flatten_mixture,
     update,
 )
 from .score import (

@@ -55,16 +55,17 @@ class ConditionalFamily(MaskedMatrix):
 
 
 class Marginals(Frozen):
-    """Target row and column masses, all strictly positive."""
+    """Target row and column masses: nonempty vectors of finite, strictly
+    positive entries. InvalidBudget names the one that is not."""
 
     def __init__(self, mu_out: np.ndarray, mu_in: np.ndarray):
         mu_out = np.array(mu_out, dtype=np.float64, copy=True)
         mu_in = np.array(mu_in, dtype=np.float64, copy=True)
         for name, arr in (("mu_out", mu_out), ("mu_in", mu_in)):
             if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"{name} must be a nonempty vector")
+                raise InvalidBudget(name, "must be a nonempty vector")
             if not np.isfinite(arr).all() or (arr <= 0).any():
-                raise ValueError(f"{name} entries must be finite and strictly positive")
+                raise InvalidBudget(name, "entries must be finite and strictly positive")
             arr.setflags(write=False)
         self.__dict__.update(mu_out=mu_out, mu_in=mu_in)
 

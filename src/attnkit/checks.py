@@ -40,8 +40,7 @@ from .operator import (
     FfnParams,
     attention,
     ffn_as_ga,
-    gated_mixture_conditional,
-    gated_mixture_plan,
+    flatten_mixture,
     masked_row_softmax,
     update,
 )
@@ -376,6 +375,15 @@ def check_ffn_equivalence(rng, tol=None):
     return [worst.result(cases, tol)]
 
 
+def _mixed_update(gates, branches) -> np.ndarray:
+    """sum_b gate(., b) * update(W_b, v_b), summed in branch order: the
+    mixture that updating with the flattened weights must reproduce."""
+    out = np.zeros((gates.shape[0], branches[0][1].shape[1]))
+    for b, (weights, values) in enumerate(branches):
+        out += gates[:, b : b + 1] * update(weights, values)
+    return out
+
+
 def check_mixture_flattening(rng, tol=None):
     """Mixtures of updates equal one update over the branch union."""
     cases = 50
@@ -398,18 +406,17 @@ def check_mixture_flattening(rng, tol=None):
             field_values = rng.normal(size=(n_y, d))
             cond_branches.append((ConditionalFamily(family_values, mask), field_values))
             plan_branches.append((EvidenceKernel(raw, mask), field_values))
+        stacked = np.concatenate([v for _, v in cond_branches], axis=0)
 
         raw_gates = rng.uniform(0.05, 1.0, (n_x, n_branches))
         gates = raw_gates / raw_gates.sum(axis=1, keepdims=True)
-        out, flattened = gated_mixture_conditional(gates, cond_branches)
-        stacked = np.concatenate([v for _, v in cond_branches], axis=0)
-        dev = float(np.abs(update(flattened, stacked) - out).max())
+        flattened = ConditionalFamily(*flatten_mixture(gates, [w for w, _ in cond_branches]))
+        dev = float(np.abs(update(flattened, stacked) - _mixed_update(gates, cond_branches)).max())
         cond.see(dev, case=i, branches=n_branches, deviation=dev)
 
         beta = rng.uniform(0.0, 2.0, (n_x, n_branches))
-        plan_out, plan_flat = gated_mixture_plan(beta, plan_branches)
-        plan_stacked = np.concatenate([v for _, v in plan_branches], axis=0)
-        dev = float(np.abs(update(plan_flat, plan_stacked) - plan_out).max())
+        plan_flat = EvidenceKernel(*flatten_mixture(beta, [w for w, _ in plan_branches]))
+        dev = float(np.abs(update(plan_flat, stacked) - _mixed_update(beta, plan_branches)).max())
         plan.see(dev, case=i, branches=n_branches, deviation=dev)
     return [cond.result(cases, tol), plan.result(cases, tol)]
 

@@ -197,13 +197,6 @@ def _vector(value, where: str) -> np.ndarray:
     raise ConfigInvalid(where, "value is not a vector")
 
 
-def _masses(value, where: str) -> np.ndarray:
-    masses = _vector(value, where)
-    if masses.size == 0 or not (masses > 0).all():
-        raise ConfigInvalid(where, "expected a nonempty vector of finite, positive masses")
-    return masses
-
-
 def _plan(value, where: str) -> TransportPlan:
     if isinstance(value, TransportPlan):
         return value
@@ -256,7 +249,6 @@ _KINDS = {
     "prior": (_prior, True),
     "mask": (_mask, True),
     "vector": (_vector, True),
-    "masses": (_masses, True),
     "plan": (_plan, True),
     "family": (_family, True),
     "number": (_number, False),
@@ -342,7 +334,7 @@ _ATTN = _Row("attn", AttentionParams,
 _FFN = _Row("ffn", FfnParams,
             {"w1": "finite matrix", "b1": "vector", "w2": "finite matrix", "b2": "vector"},
             {"activation": "string"})
-_TRANSPORT = {"kernel": "kernel", "mu_out": "masses", "mu_in": "masses"}
+_TRANSPORT = {"kernel": "kernel", "mu_out": "vector", "mu_in": "vector"}
 _BUDGET = {"tol": "number", "max_iter": "integer"}
 
 _OPS = {row.name: row for row in (
@@ -364,7 +356,7 @@ _OPS = {row.name: row for row in (
     _Row("pushforward_kernel", lambda kernel, map_x, map_y=None: pushforward_kernel(
         kernel, map_x, map_x if map_y is None else map_y),
          {"kernel": "kernel", "map_x": _REFINEMENT}, {"map_y": _REFINEMENT}),
-    _Row("scale_kernel", scale_kernel, {"kernel": "kernel", "a": "masses", "b": "masses"}),
+    _Row("scale_kernel", scale_kernel, {"kernel": "kernel", "a": "vector", "b": "vector"}),
     _Row("attention", _attention, {"embeddings": "finite matrix", **_ATTN.required},
          {"mask": "mask", **_ATTN.optional}),
 )}
@@ -460,7 +452,7 @@ def _serialize(obj):
             "l": matrix_to_json(obj.L),
             "rank": obj.rank,
             "frobenius_residual": obj.frobenius_residual,
-            "key_bias": None if obj.key_bias is None else vector_to_json(obj.key_bias),
+            "key_bias": vector_to_json(obj.key_bias),
             "degenerate": obj.degenerate,
         }
     if isinstance(obj, dict):

@@ -4,7 +4,7 @@ A class exists only if some caller branches on it: `ga` exits 2 on
 ConfigInvalid and 3 on the numeric failures (NoConvergence, Infeasible,
 EmptyRow, EmptyCol, NonFinite), and InvalidBudget names
 the field it rejects. Any other bad argument (a wrong shape, a rank out
-of range, a non-stochastic gate) is a plain ValueError with a message.
+of range, a negative gate) is a plain ValueError with a message.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ class ConfigInvalid(AttnKitError):
 class InvalidBudget(AttnKitError, ValueError):
     """An argument the call cannot run with, named by its field: a budget
     (max_iter, tol), a temperature (tau), a penalty (lam_out, lam_in),
-    marginals (mu_out, mu_in) of the wrong length, or scalings (a, b) of
-    the wrong length or sign."""
+    marginals (mu_out, mu_in) that are not a nonempty vector, hold an
+    entry that is not finite and positive, or have the wrong length, or
+    scalings (a, b) of the wrong length or sign."""
 
     def __init__(self, field: str, message: str):
         self.field = field

@@ -99,7 +99,7 @@ class LowRankChart(Frozen):
     """
 
     def __init__(self, Q: np.ndarray, L: np.ndarray, rank: int, frobenius_residual: float,
-                 key_bias: np.ndarray | None = None, degenerate: bool = False):
+                 key_bias: np.ndarray, degenerate: bool):
         self.__dict__.update(Q=Q, L=L, rank=rank, frobenius_residual=frobenius_residual,
                              key_bias=key_bias, degenerate=degenerate)
 

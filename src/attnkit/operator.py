@@ -7,10 +7,10 @@ exponential kernel built out of query/key products; its masked softmax
 is a row gauge, exp, and row anchoring's own divide. A two-layer
 feedforward block (ffn_apply) is a kernel update over a signed copy of
 its hidden layer, a positive and a negative copy of each hidden unit
-side by side, and ffn_as_ga checks ffn_apply against that form. Gated
-mixtures of either kind flatten into a single update over the
-branch-union carrier, the branches' key columns side by side, which is
-the whole point: composition never leaves the class.
+side by side, and ffn_as_ga checks ffn_apply against that form. A gated
+mixture of updates is a single update over the branch-union carrier:
+flatten_mixture puts the gated branches' key columns side by side, which
+is the whole point: composition never leaves the class.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .anchor import ConditionalFamily, _normalize_rows
+from .anchor import _normalize_rows
 from .errors import EmptyRow, InvalidBudget, NonFinite
 from .score import BaselinePrior, EvidenceKernel, Frozen, MaskedMatrix, _as_mask, _as_matrix
 
@@ -208,57 +208,29 @@ def ffn_as_ga(rows, params: FfnParams) -> tuple[np.ndarray, np.ndarray]:
     return direct, _finite(update(kernel, signed_values) + params.b2, "feedforward output")
 
 
-def _mixture_gates(gates, branches) -> np.ndarray:
+def flatten_mixture(gates, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of a gated mixture on the branch-union carrier: the
+    blocks gate(x, b) * W_b(x, y) side by side, and their mask, where the
+    gate is positive and W_b admits (x, y).
+
+    weights lists the branches' weight matrices, all on one query
+    carrier; gates is n_x by branches, nonnegative and finite. The caller
+    wraps the result in the type whose law it claims: a ConditionalFamily
+    for row-stochastic gates over conditional families, an EvidenceKernel
+    over kernels. Updating with it against the branches' value fields,
+    stacked in branch order, gives sum_b gate(., b) * (W_b @ v_b) up to
+    summation order.
+    """
     g = np.asarray(gates, dtype=np.float64)
-    if not branches:
+    if not weights:
         raise ValueError("a mixture needs at least one branch")
-    if g.ndim != 2 or g.shape[1] != len(branches):
+    if g.ndim != 2 or g.shape[1] != len(weights):
         raise ValueError("gates must be n_x by number of branches")
     if (g < 0).any() or not np.isfinite(g).all():
         raise ValueError("gates must be nonnegative and finite")
-    return g
-
-
-def _flatten_mixture(gates: np.ndarray, branches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mixed update sum_b gate(., b) * (W_b @ v_b), plus the
-    flattened weights gate(x, b) * W_b(x, y) and their mask on the
-    branch-union carrier."""
-    n_x = gates.shape[0]
-    parts = [update(weights, values) for weights, values in branches]
-    blocks, masks = [], []
-    out = np.zeros((n_x, parts[0].shape[1]))
-    for b, ((weights, _), part) in enumerate(zip(branches, parts)):
-        if weights.shape[0] != n_x:
-            raise ValueError("branches must share the query carrier")
-        if part.shape[1] != out.shape[1]:
-            raise ValueError("branch value fields must share the feature dimension")
-        gate = gates[:, b : b + 1]
-        out += gate * part
-        blocks.append(gate * weights.values)
-        masks.append((gate > 0) & weights.mask)
-    return out, np.concatenate(blocks, axis=1), np.concatenate(masks, axis=1)
-
-
-def gated_mixture_conditional(gates, branches) -> tuple[np.ndarray, ConditionalFamily]:
-    """Mix conditional updates and flatten them into one conditional.
-
-    gates is row-stochastic over branches. The flattened family on the
-    branch-union carrier has entries gate(x,b) * pi_b(y|x); updating
-    with it reproduces the mixed output up to summation order.
-    """
-    alpha = _mixture_gates(gates, branches)
-    if (np.abs(alpha.sum(axis=1) - 1.0) > 1e-12).any():
-        raise ValueError("gate rows must sum to 1 within 1e-12")
-    out, values, mask = _flatten_mixture(alpha, branches)
-    return out, ConditionalFamily(values, mask)
-
-
-def gated_mixture_plan(gates, branches) -> tuple[np.ndarray, EvidenceKernel]:
-    """Mix plan-style kernel updates and flatten to one kernel.
-
-    gates only needs to be nonnegative. Flattened kernel entries are
-    gate(x,b) * K_b(x,y) over the branch-union carrier.
-    """
-    beta = _mixture_gates(gates, branches)
-    out, values, mask = _flatten_mixture(beta, branches)
-    return out, EvidenceKernel(values, mask)
+    if any(w.shape[0] != g.shape[0] for w in weights):
+        raise ValueError("branches must share the query carrier")
+    gated = [(g[:, b : b + 1], w) for b, w in enumerate(weights)]
+    values = np.concatenate([gate * w.values for gate, w in gated], axis=1)
+    mask = np.concatenate([(gate > 0) & w.mask for gate, w in gated], axis=1)
+    return values, mask

@@ -17,7 +17,7 @@ from attnkit.anchor import (
     sinkhorn_balanced,
     sinkhorn_unbalanced,
 )
-from attnkit.errors import EmptyCol, EmptyRow, Infeasible, NoConvergence
+from attnkit.errors import EmptyCol, EmptyRow, Infeasible, InvalidBudget, NoConvergence
 from attnkit.score import EvidenceKernel
 
 
@@ -811,6 +811,24 @@ class TestConstructors:
     def test_marginals_must_be_positive(self):
         with pytest.raises(ValueError):
             Marginals([1.0, 0.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("field", ["mu_out", "mu_in"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones((2, 1)), "must be a nonempty vector"),
+            (np.array(1.0), "must be a nonempty vector"),
+            (np.array([]), "must be a nonempty vector"),
+            ([1.0, np.inf], "entries must be finite and strictly positive"),
+            ([1.0, -1.0], "entries must be finite and strictly positive"),
+        ],
+        ids=["matrix", "scalar", "empty", "inf", "negative"],
+    )
+    def test_marginals_name_the_field_they_refuse(self, field, bad, message):
+        masses = {"mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0], field: bad}
+        with pytest.raises(InvalidBudget, match=f"^{field} {message}$") as info:
+            Marginals(**masses)
+        assert info.value.field == field
 
     def test_marginals_matched_predicate(self):
         assert Marginals([1.0, 2.0], [1.5, 1.5]).matched()

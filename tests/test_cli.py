@@ -266,6 +266,23 @@ def test_run_can_append_check_suites(tmp_path, capsys):
     assert report["checks"][0]["passed"] is True
 
 
+def test_run_with_a_failing_suite_exits_4_and_reports_it(tmp_path, capsys, monkeypatch):
+    # The forked workers inherit the patched criterion.
+    def failing(rng, tol=None):
+        return [checks.PropertyResult("ffn_equivalence", 1, 1.0, 0.0, False)]
+
+    monkeypatch.setitem(checks.CRITERIA, "ffn_equivalence", failing)
+    config = write_config(tmp_path, "failing_checks.json", {
+        "stages": [{"op": "row_anchor", "kernel": [[1.0, 2.0], [3.0, 4.0]], "out": "w"}],
+        "checks": ["gauge", "ffn"],
+    })
+    assert main(["run", config]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert [(r["suite"], r["passed"]) for r in report["checks"]] == [
+        ("gauge", True), ("ffn", False)]
+    assert report["stages"][0]["out"] == "w"
+
+
 def test_run_rejects_an_unknown_suite_before_any_stage_runs(tmp_path, capsys):
     # The stage would exit 3 on its empty row: the config error comes first.
     config = write_config(tmp_path, "bad_checks.json", {
@@ -452,6 +469,56 @@ def test_anchor_rejects_bad_sinkhorn_fields_with_exit_2(tmp_path, capsys, mode, 
     out = capsys.readouterr()
     assert out.out == ""
     assert f"error: {field}:" in out.err
+
+
+@pytest.mark.parametrize("command", ["run", "attn"])
+def test_a_json_root_that_is_not_an_object_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "root.json"
+    path.write_text("[1, 2]")
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {path}: input root must be an object\n"
+
+
+def test_a_stage_output_may_not_rebind_an_input(tmp_path, capsys):
+    config = write_config(tmp_path, "rebind.json", {
+        "inputs": {"k": [[1.0, 2.0], [3.0, 4.0]]},
+        "stages": [{"op": "row_anchor", "kernel": "k", "out": "k"}],
+    })
+    assert main(["run", config]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: stages[0].out: name 'k' already bound\n"
+
+
+def test_an_input_vector_object_reads_as_its_values(tmp_path, capsys):
+    stage = {"op": "scale_kernel", "kernel": [[1.0, 2.0], [3.0, 4.0]], "a": "a", "b": "b"}
+    outputs = []
+    for a in ({"values": [2.0, 0.5]}, [2.0, 0.5]):
+        config = write_config(tmp_path, "vector.json", run_stage(stage, a=a, b=[1.0, 3.0]))
+        assert main(["run", config]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["stages"][0]["result"]["matrix"]["rows"] == [[2.0, 12.0], [1.5, 6.0]]
+
+
+def test_a_bound_family_reads_as_a_matrix(tmp_path, capsys):
+    # A matrix-shaped field takes a bound conditional family's values and
+    # mask, as if they were written inline with "-inf" at its holes.
+    kernel = [[1.0, 3.0], ["-inf", 2.0]]
+    config = write_config(tmp_path, "bound.json", {"stages": [
+        {"op": "row_anchor", "kernel": kernel, "out": "w"},
+        {"op": "assemble_kernel", "scores": "w", "out": "k"},
+    ]})
+    assert main(["run", config]) == 0
+    bound = json.loads(capsys.readouterr().out)["stages"][1]["result"]
+    inline = write_config(tmp_path, "inline.json", {"stages": [
+        {"op": "assemble_kernel", "scores": [[0.25, 0.75], ["-inf", 1.0]], "out": "k"},
+    ]})
+    assert main(["run", inline]) == 0
+    assert bound == json.loads(capsys.readouterr().out)["stages"][0]["result"]
+    assert bound["matrix"]["rows"][1][0] == "-inf"
 
 
 def test_run_names_the_stage_field_of_a_zero_marginal(tmp_path, capsys):

@@ -30,9 +30,8 @@ MODULES = {
 
 # Exports that only the harness reads, each with the op that will use it.
 HARNESS_ONLY = {
-    # the pending `ga run` op `mixture`
-    "gated_mixture_conditional",
-    "gated_mixture_plan",
+    # multi-head attention, whose heads are unit-gate mixture branches
+    "flatten_mixture",
 }
 
 

@@ -23,7 +23,7 @@ SIGNATURES = {
     "ConditionalFamily": "(values, mask)",
     "EvidenceKernel": "(values, mask)",
     "FfnParams": "(w1, b1, w2, b2, activation='gelu')",
-    "LowRankChart": "(Q, L, rank, frobenius_residual, key_bias=None, degenerate=False)",
+    "LowRankChart": "(Q, L, rank, frobenius_residual, key_bias, degenerate)",
     "Marginals": "(mu_out, mu_in)",
     "MaskedMatrix": "(values, mask)",
     "MaskedScore": "(values, mask)",

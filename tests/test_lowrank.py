@@ -91,6 +91,12 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd([[1.0, np.nan]])
 
+    @pytest.mark.parametrize("m", [[1.0, 2.0], 3.0, np.ones((2, 2, 2))],
+                             ids=["vector", "scalar", "3-d"])
+    def test_input_must_be_a_matrix(self, m):
+        with pytest.raises(ValueError, match="^svd input must be a matrix$"):
+            svd(m)
+
     def test_backend_failure_maps_to_no_convergence(self, monkeypatch):
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
@@ -98,6 +104,20 @@ class TestSvd:
         monkeypatch.setattr(np.linalg, "svd", explode)
         with pytest.raises(NoConvergence):
             svd(np.eye(2))
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            (np.eye(2), np.eye(2)[:, :1]),
+            (np.eye(2)[:, :1], np.eye(2)),
+            (np.ones(2), np.eye(2)[:, :1]),
+            (np.eye(2)[:, :1], np.ones(2)),
+        ],
+        ids=["u-columns", "v-columns", "u-not-a-matrix", "v-not-a-matrix"],
+    )
+    def test_result_refuses_factor_shapes_that_disagree(self, u, v):
+        with pytest.raises(ValueError, match="^factor shapes disagree with the singular values$"):
+            SvdResult(u, np.array([1.0]), v)
 
     def test_result_validates_orthonormality(self):
         with pytest.raises(ValueError):

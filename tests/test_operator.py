@@ -27,8 +27,7 @@ from attnkit.operator import (
     attention,
     ffn_apply,
     ffn_as_ga,
-    gated_mixture_conditional,
-    gated_mixture_plan,
+    flatten_mixture,
     masked_row_softmax,
     update,
 )
@@ -258,6 +257,30 @@ class TestAttentionReturnsArrays:
 
 
 class TestAttention:
+    def test_params_refuse_a_value_projection_of_another_input_width(self):
+        with pytest.raises(ValueError, match="^w_v input dimension must match w_q$"):
+            AttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.ones((3, 2)))
+
+    @pytest.mark.parametrize(
+        "embeddings, shape",
+        [
+            (np.ones((2, 3)), r"\(2, 3\)"),
+            (np.ones(2), r"\(2,\)"),
+            (np.ones((1, 2, 2)), r"\(1, 2, 2\)"),
+        ],
+        ids=["width", "vector", "3-d"],
+    )
+    def test_embeddings_must_be_n_by_d_model(self, embeddings, shape):
+        params = AttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
+        with pytest.raises(ValueError, match=f"^embeddings must be n x 2, got {shape}$"):
+            attention(embeddings, params)
+
+    def test_prior_must_be_n_by_n(self):
+        params = AttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2),
+                                 prior=BaselinePrior(np.ones((3, 3))))
+        with pytest.raises(ValueError, match="^prior shape must match the token count$"):
+            attention(np.ones((2, 2)), params)
+
     def test_single_token_attends_to_itself(self):
         params = AttentionParams(w_q=np.eye(2), w_k=np.eye(2), w_v=np.eye(2))
         weights, out = attention(np.array([[1.0, 2.0]]), params)
@@ -432,6 +455,13 @@ class TestFfn:
                 npt.assert_allclose(direct[i : i + 1], one_direct, rtol=0, atol=1e-13)
                 npt.assert_allclose(ga_form[i : i + 1], one_ga, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("which", ["w1", "w2"])
+    def test_weights_must_be_matrices(self, which):
+        fields = {"w1": np.eye(2), "b1": np.zeros(2), "w2": np.eye(2), "b2": np.zeros(2)}
+        fields[which] = np.ones(2)
+        with pytest.raises(ValueError, match="^w1 and w2 must be matrices$"):
+            FfnParams(**fields)
+
     def test_a_vector_is_no_batch(self):
         params = FfnParams(w1=np.eye(3), b1=np.zeros(3), w2=np.eye(3), b2=np.zeros(3))
         for rows in (np.zeros(3), np.zeros((1, 2))):
@@ -575,27 +605,48 @@ class TestErf:
         )
 
 
+def mixed_update(gates, branches):
+    """sum_b gate(., b) * (W_b @ v_b), one branch at a time."""
+    return sum(gates[:, b : b + 1] * (w.values @ v) for b, (w, v) in enumerate(branches))
+
+
 class TestMixtures:
     def test_single_branch_is_transparent(self):
         rng = np.random.default_rng(97)
         family = random_conditional(rng, 3, 4)
         values = rng.normal(size=(4, 2))
-        out, flattened = gated_mixture_conditional(
-            np.ones((3, 1)), [(family, values)]
-        )
-        npt.assert_allclose(out, update(family, values), atol=1e-14)
-        npt.assert_allclose(flattened.values, family.values, atol=1e-15)
+        flattened = ConditionalFamily(*flatten_mixture(np.ones((3, 1)), [family]))
+        assert_same_bits(flattened.values, family.values)
+        npt.assert_array_equal(flattened.mask, family.mask)
+        npt.assert_allclose(update(flattened, values), update(family, values), atol=1e-14)
 
     def test_one_hot_gate_selects_a_branch(self):
         rng = np.random.default_rng(99)
         families = [random_conditional(rng, 3, 4) for _ in range(2)]
         fields = [rng.normal(size=(4, 2)) for _ in range(2)]
         gates = np.tile([0.0, 1.0], (3, 1))
-        out, flattened = gated_mixture_conditional(
-            gates, list(zip(families, fields))
-        )
+        flattened = ConditionalFamily(*flatten_mixture(gates, families))
+        out = update(flattened, np.concatenate(fields, axis=0))
         npt.assert_allclose(out, update(families[1], fields[1]), atol=1e-14)
         assert not flattened.mask[:, : families[0].shape[1]].any()
+
+    def test_mask_is_the_positive_gates_and_each_branch_mask(self):
+        rng = np.random.default_rng(107)
+        kernels = [weight_matrices(rng, 4, n_y)["kernel"] for n_y in (3, 5)]
+        gates = rng.uniform(0.5, 2.0, (4, 2))
+        gates[[0, 2], 0] = 0.0
+        gates[3, 1] = 0.0
+        values, mask = flatten_mixture(gates, kernels)
+        expected = np.concatenate(
+            [(gates[:, b : b + 1] > 0) & k.mask for b, k in enumerate(kernels)], axis=1
+        )
+        npt.assert_array_equal(mask, expected)
+        assert_same_bits(
+            values,
+            np.concatenate([gates[:, b : b + 1] * k.values for b, k in enumerate(kernels)], axis=1),
+        )
+        # A zero gate prunes its block, and the support still equals the mask.
+        EvidenceKernel(values, mask)
 
     def test_flattened_family_reproduces_the_mixture(self):
         rng = np.random.default_rng(101)
@@ -606,9 +657,9 @@ class TestMixtures:
             branches.append((family, rng.normal(size=(family.shape[1], 3))))
         raw = rng.uniform(0.1, 1.0, (n_x, 3))
         gates = raw / raw.sum(axis=1, keepdims=True)
-        out, flattened = gated_mixture_conditional(gates, branches)
+        flattened = ConditionalFamily(*flatten_mixture(gates, [w for w, _ in branches]))
         stacked = np.concatenate([v for _, v in branches], axis=0)
-        assert np.abs(update(flattened, stacked) - out).max() <= 1e-12
+        assert np.abs(update(flattened, stacked) - mixed_update(gates, branches)).max() <= 1e-12
 
     def test_flattened_plan_reproduces_the_mixture(self):
         rng = np.random.default_rng(103)
@@ -621,9 +672,19 @@ class TestMixtures:
             kernel = EvidenceKernel(values, mask)
             branches.append((kernel, rng.normal(size=(n_y, 2))))
         gates = rng.uniform(0.0, 2.0, (n_x, 2))
-        out, flattened = gated_mixture_plan(gates, branches)
+        flattened = EvidenceKernel(*flatten_mixture(gates, [w for w, _ in branches]))
         stacked = np.concatenate([v for _, v in branches], axis=0)
-        assert np.abs(update(flattened, stacked) - out).max() <= 1e-12
+        assert np.abs(update(flattened, stacked) - mixed_update(gates, branches)).max() <= 1e-12
+
+    def test_flattening_computes_no_branch_update(self, monkeypatch):
+        def no_update(weights, values):
+            raise AssertionError("flatten_mixture called update")
+
+        monkeypatch.setattr(attnkit.operator, "update", no_update)
+        rng = np.random.default_rng(109)
+        families = [random_conditional(rng, 3, n_y) for n_y in (2, 4)]
+        values, mask = flatten_mixture(np.full((3, 2), 0.5), families)
+        assert values.shape == mask.shape == (3, 6)
 
     def test_residual_stream_is_a_two_branch_plan_mixture(self):
         # x + attention(x) is itself a gated plan mixture: an identity
@@ -638,55 +699,41 @@ class TestMixtures:
         weights, attn_out = attention(e, params)
         identity_kernel = EvidenceKernel(np.eye(4), np.eye(4, dtype=bool))
         attn_kernel = EvidenceKernel(weights, np.ones((4, 4), dtype=bool))
-        out, _ = gated_mixture_plan(
-            np.ones((4, 2)),
-            [
-                (identity_kernel, e),
-                (attn_kernel, e @ params.w_v),
-            ],
-        )
+        gates = np.ones((4, 2))
+        flattened = EvidenceKernel(*flatten_mixture(gates, [identity_kernel, attn_kernel]))
+        out = update(flattened, np.concatenate([e, e @ params.w_v], axis=0))
         npt.assert_allclose(out, e + attn_out, atol=1e-12)
 
     def test_gate_row_sums_enforced(self):
+        # The conditional law is the family's own row-sum check.
         family = ConditionalFamily(np.array([[1.0]]), np.array([[True]]))
-        field = np.array([[1.0]])
-        with pytest.raises(ValueError, match="gate rows must sum to 1 within 1e-12"):
-            gated_mixture_conditional(np.array([[0.5]]), [(family, field)])
+        with pytest.raises(ValueError, match="^row 0 sums to 0.5, not 1 within 1e-12$"):
+            ConditionalFamily(*flatten_mixture(np.array([[0.5]]), [family]))
         with pytest.raises(ValueError, match="gates must be nonnegative and finite"):
-            gated_mixture_conditional(np.array([[-1.0, 2.0]]), [(family, field), (family, field)])
+            flatten_mixture(np.array([[-1.0, 2.0]]), [family, family])
 
     def test_plan_gates_must_be_nonnegative(self):
         kernel = EvidenceKernel(np.array([[1.0]]), np.array([[True]]))
-        field = np.array([[1.0]])
         with pytest.raises(ValueError, match="^gates must be nonnegative and finite$"):
-            gated_mixture_plan(np.array([[-0.5]]), [(kernel, field)])
+            flatten_mixture(np.array([[-0.5]]), [kernel])
         with pytest.raises(ValueError, match="^gates must be nonnegative and finite$"):
-            gated_mixture_plan(np.array([[np.nan]]), [(kernel, field)])
+            flatten_mixture(np.array([[np.nan]]), [kernel])
+        with pytest.raises(ValueError, match="^gates must be nonnegative and finite$"):
+            flatten_mixture(np.array([[np.inf]]), [kernel])
 
     @pytest.mark.parametrize(
-        "mix, weights_type",
-        [
-            (gated_mixture_conditional, ConditionalFamily),
-            (gated_mixture_plan, EvidenceKernel),
-        ],
-        ids=["conditional", "plan"],
+        "weights_type", [ConditionalFamily, EvidenceKernel], ids=["conditional", "plan"]
     )
-    @pytest.mark.parametrize(
-        "case", ["no_branches", "gate_width", "query_size", "value_width"]
-    )
-    def test_branch_shapes_are_checked(self, mix, weights_type, case):
-        field = np.array([[1.0]])
-        one_row = (weights_type(np.array([[1.0]]), np.array([[True]])), field)
-        two_rows = (weights_type(np.ones((2, 1)), np.ones((2, 1), dtype=bool)), field)
-        wide = (one_row[0], np.array([[1.0, 2.0]]))
-        gates, branches, message = {
+    @pytest.mark.parametrize("case", ["no_branches", "gate_width", "query_size"])
+    def test_branch_shapes_are_checked(self, weights_type, case):
+        one_row = weights_type(np.array([[1.0]]), np.array([[True]]))
+        two_rows = weights_type(np.ones((2, 1)), np.ones((2, 1), dtype=bool))
+        gates, weights, message = {
             "no_branches": (np.zeros((2, 0)), [], "a mixture needs at least one branch"),
             "gate_width": (np.array([[0.5, 0.5]]), [one_row],
                            "gates must be n_x by number of branches"),
             "query_size": (np.array([[0.5, 0.5]]), [one_row, two_rows],
                            "branches must share the query carrier"),
-            "value_width": (np.array([[0.5, 0.5]]), [one_row, wide],
-                            "branch value fields must share the feature dimension"),
         }[case]
         with pytest.raises(ValueError, match=message):
-            mix(gates, branches)
+            flatten_mixture(gates, weights)

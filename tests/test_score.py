@@ -162,6 +162,14 @@ def test_masked_matrix_types_share_the_base_checks(build, values, mask, error, m
 
 
 @pytest.mark.parametrize("build", MASKED_TYPES.values(), ids=MASKED_TYPES.keys())
+@pytest.mark.parametrize("values", [[1.0, 2.0], np.ones((1, 2, 2))], ids=["vector", "3-d"])
+def test_masked_matrix_values_must_be_2d(build, values):
+    message = rf"^(matrix|kernel|conditional|plan) values must be 2-d, got ndim={np.ndim(values)}$"
+    with pytest.raises(ValueError, match=message):
+        build(values, np.ones(np.shape(values), dtype=bool))
+
+
+@pytest.mark.parametrize("build", MASKED_TYPES.values(), ids=MASKED_TYPES.keys())
 def test_masked_matrix_types_store_read_only_float64_copies(build):
     values = np.array([[1, 0], [0, 1]])
     mask = np.array([[1, 0], [0, 1]])
