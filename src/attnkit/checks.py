@@ -8,8 +8,8 @@ flattening, the influence barrier, link compositionality, pushforward
 accounting, the cross differences that centering keeps, and chart
 freedom. Each verifier draws its instances from a generator
 seeded per criterion, so a fixed seed reproduces the exact report, and
-run_checks can spread the criteria over forked worker processes in any
-order.
+run_checks spreads the criteria over forked worker processes with
+attnkit.spread, in any order.
 
 Deviations are always "should be small" numbers compared against a
 tolerance; forcing-style criteria (where a named non-example must fail
@@ -20,8 +20,6 @@ passing still means deviation <= tolerance.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import time
 
 import numpy as np
@@ -33,6 +31,7 @@ from .anchor import (
     sinkhorn_balanced,
 )
 from .carrier import RefinementMap, pushforward_kernel
+from .errors import NonFinite
 from .gauge import center_scores, scale_kernel
 from .lowrank import score_normal_form, svd
 from .operator import (
@@ -45,6 +44,7 @@ from .operator import (
     update,
 )
 from .score import EvidenceKernel, Frozen, MaskedScore, assemble_kernel
+from .spread import spread
 from .staged import ScheduleStep, predecessor_sets, run_schedule
 
 
@@ -649,97 +649,19 @@ def run_criterion(name: str, seed: int, tol: float | None = None):
     return CRITERIA[name](rng, tol)
 
 
-# The job pipe holds at most _CLAIMS records of _RECORD bytes: 512, the
-# smallest pipe buffer POSIX allows, so filling it never blocks.
-_CLAIMS = 128
-_RECORD = 4
-
-
-def _workers(jobs: int) -> int:
-    """One worker per CPU this process may run on, at most one per job;
-    one when os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, jobs))
-
-
 def _timed(criterion, seed, tol):
+    """(properties, seconds) of one criterion. A ValueError other than
+    NonFinite, a library type refusing what the code under check built,
+    is one failed property named after the criterion: no cases, and the
+    error's message as its witness."""
     start = time.perf_counter()
-    return run_criterion(criterion, seed, tol), time.perf_counter() - start
-
-
-def _run_jobs(claims, jobs, seed, tol) -> dict:
-    """{index: (properties, seconds)} of every job in claims, an
-    iterable of index ranges, up to the first criterion that raises:
-    the jobs left out are re-run in report order, where that one raises
-    again."""
-    done = {}
     try:
-        for claim in claims:
-            for k in claim:
-                done[k] = _timed(jobs[k], seed, tol)
-    except Exception:
-        pass
-    return done
-
-
-def _spread(jobs, seed, tol) -> dict:
-    """_run_jobs over every job, in this process and W - 1 forked
-    children, which claim ranges of jobs from one pipe as they go.
-
-    A child pickles what it ran into its own pipe and leaves through
-    os._exit, so no atexit handler or stdio flush runs in it. Every
-    child is read and reaped before this returns or raises; a child
-    that died delivers nothing.
-    """
-    workers = _workers(len(jobs))
-    if workers == 1:
-        return _run_jobs([range(len(jobs))], jobs, seed, tol)
-    per_claim = -(-len(jobs) // _CLAIMS)
-    job_r, job_w = os.pipe()
-    starts = range(0, len(jobs), per_claim)
-    os.write(job_w, b"".join(k.to_bytes(_RECORD, "little") for k in starts))
-    os.close(job_w)
-
-    def claims():
-        while record := os.read(job_r, _RECORD):
-            k = int.from_bytes(record, "little")
-            yield range(k, min(k + per_claim, len(jobs)))
-
-    children = {}
-    done = {}
-    try:
-        for _ in range(workers - 1):
-            out_r, out_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no room for another process: fewer workers
-                os.close(out_r)
-                os.close(out_w)
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    with open(out_w, "wb") as out:
-                        pickle.dump(_run_jobs(claims(), jobs, seed, tol), out)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(out_w)
-            children[pid] = out_r
-        done = _run_jobs(claims(), jobs, seed, tol)
-    finally:
-        os.close(job_r)
-        for pid, out_r in children.items():
-            with open(out_r, "rb") as out:
-                data = out.read()
-            if os.waitpid(pid, 0)[1] == 0:
-                done.update(pickle.loads(data))
-    return done
+        properties = run_criterion(criterion, seed, tol)
+    except NonFinite:
+        raise
+    except ValueError as exc:
+        properties = [PropertyResult(criterion, 0, 1.0, 0.0, False, {"error": str(exc)})]
+    return properties, time.perf_counter() - start
 
 
 def run_checks(suites, seed: int = 0, tol: float | None = None) -> list[SuiteReport]:
@@ -751,24 +673,15 @@ def run_checks(suites, seed: int = 0, tol: float | None = None) -> list[SuiteRep
     demand (tol=0).
 
     The criteria of every suite, repeats included, are jobs spread over
-    the CPUs this process may run on (_spread). A job that no worker
-    delivered, because its criterion raised or its worker died, is
-    re-run here in report order, so the first criterion that raises
-    raises as it would in one process. A suite's seconds are the sum of
-    its criteria's own times.
+    the CPUs this process may run on (spread), so the first criterion
+    that raises raises as it would in one process. A suite's seconds are
+    the sum of its criteria's own times.
     """
     jobs = [criterion for suite in suites for criterion in SUITES[suite]]
-    ran = _spread(jobs, seed, tol)
+    ran = iter(spread(lambda k: _timed(jobs[k], seed, tol), len(jobs)))
     reports = []
-    k = 0
     for suite in suites:
-        properties = []
-        seconds = 0.0
-        for criterion in SUITES[suite]:
-            if k not in ran:
-                ran[k] = _timed(criterion, seed, tol)
-            properties.extend(ran[k][0])
-            seconds += ran[k][1]
-            k += 1
-        reports.append(SuiteReport(suite=suite, properties=tuple(properties), seconds=seconds))
+        done = [next(ran) for _ in SUITES[suite]]
+        reports.append(SuiteReport(suite=suite, properties=tuple(p for ps, _ in done for p in ps),
+                                   seconds=sum(seconds for _, seconds in done)))
     return reports

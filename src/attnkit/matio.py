@@ -10,7 +10,8 @@ accepted as shorthand on input; output always writes the full schema.
 Every report is printed by `dump_canonical`, whose output is exactly
 `json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` plus one
 newline; a property test holds it to that, and golden files pin the
-`ga` stdout.
+`ga` stdout. Its number lists are formatted on every CPU through the
+fork pool of attnkit.spread; the bytes never depend on how many.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid, NonFinite
+from .spread import spread
 
 
 def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -162,29 +164,39 @@ def dump_canonical(obj) -> str:
     where that call raises ValueError (a NaN or an infinity, which JSON
     cannot hold), this raises NonFinite.
 
-    Dict keys must be strings. Lists of scalars (matrix rows, vectors)
-    go to json's C encoder in one call each, with the item separator
-    carrying the newline and indent; the indenting pure-Python encoder
-    would otherwise visit every number. A dict object met again at the
-    same depth, such as a mask carried over several stages, is not
-    formatted again: a memo that lives for this call only maps it to
-    the run of pieces its first occurrence appended, and those pieces
-    are appended once more. The pieces are joined once.
+    Dict keys must be strings. _encode walks obj and leaves a
+    placeholder for each list of scalars (a matrix row, a vector); the
+    leaves then go to json's C encoder, one call each, with the item
+    separator carrying the newline and indent, spread over the CPUs
+    (attnkit.spread), and fill their placeholders when the pieces are
+    joined. A dict object met again at the same depth, such as a mask
+    carried over several stages, is not walked again: a memo that lives
+    for this call only maps it to the run of pieces, placeholders
+    included, that its first occurrence appended, and those pieces are
+    appended once more.
     """
-    parts = []
+    parts, leaves = [], []
     try:
-        _encode(obj, "\n", parts, {})
+        _encode(obj, "\n", parts, {}, leaves)
+        texts = spread(lambda k: _leaf(*leaves[k]), len(leaves))
     except ValueError as exc:
         raise NonFinite("the output holds a NaN or an infinity, which JSON cannot hold") from exc
     parts.append("\n")
-    return "".join(parts)
+    return "".join(texts[p] if type(p) is int else p for p in parts)
 
 
-def _encode(obj, newline: str, parts: list, done: dict) -> None:
+def _leaf(items, separator: str) -> str:
+    """The items of a list of scalars, as dump_canonical prints them."""
+    return json.dumps(items, separators=(separator, ": "), allow_nan=False)[1:-1]
+
+
+def _encode(obj, newline: str, parts: list, done: dict, leaves: list) -> None:
     """Append the text of obj to parts; `newline` starts each of its
-    lines at the current depth. done maps (id, depth) of each dict
-    already encoded to the slice of parts that holds its text; every
-    such dict lives inside the object being dumped, so no id is reused."""
+    lines at the current depth. A list of scalars goes to leaves with
+    its item separator, and its index in leaves stands in parts for its
+    items. done maps (id, depth) of each dict already encoded to the
+    slice of parts that holds its text; every such dict lives inside
+    the object being dumped, so no id is reused."""
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -198,7 +210,7 @@ def _encode(obj, newline: str, parts: list, done: dict) -> None:
         opener = "{" + inner
         for key in sorted(obj):
             parts.append(opener + json.encoder.encode_basestring_ascii(key) + ": ")
-            _encode(obj[key], inner, parts, done)
+            _encode(obj[key], inner, parts, done, leaves)
             opener = "," + inner
         parts.append(newline + "}")
         done[slot] = slice(start, len(parts))
@@ -209,12 +221,12 @@ def _encode(obj, newline: str, parts: list, done: dict) -> None:
             opener = "[" + inner
             for item in obj:
                 parts.append(opener)
-                _encode(item, inner, parts, done)
+                _encode(item, inner, parts, done, leaves)
                 opener = "," + inner
             parts.append(newline + "]")
         else:
-            text = json.dumps(obj, separators=("," + inner, ": "), allow_nan=False)
-            parts += ("[" + inner, text[1:-1], newline + "]")
+            leaves.append((obj, "," + inner))
+            parts += ("[" + inner, len(leaves) - 1, newline + "]")
     else:
         parts.append(json.dumps(obj, allow_nan=False))
 

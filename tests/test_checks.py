@@ -2,8 +2,6 @@
 suite fails when the code it verifies is broken."""
 
 import os
-import signal
-import time
 from itertools import combinations
 from unittest.mock import patch
 
@@ -33,6 +31,7 @@ from attnkit.lowrank import LowRankChart, SvdResult, svd
 from attnkit.score import EvidenceKernel
 
 from test_anchor import generalized_kl
+from test_spread import _hold_back, _one_worker, no_child_left  # noqa: F401
 
 
 def _rewired(plan, rewirings):
@@ -495,53 +494,8 @@ def test_link_line_checks_the_kernel_that_assemble_kernel_builds(monkeypatch):
 
 
 # run_checks spreads its criteria over forked workers, one per CPU of
-# the affinity mask. The tests below set that mask and wrap os.fork.
-
-
-@pytest.fixture
-def no_child_left():
-    """Fails the test if it leaves a child process, or if it has not
-    ended after 60 s, e.g. waiting on a child that never exits."""
-
-    def timeout(signum, frame):
-        raise TimeoutError("run_checks did not return within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def _one_worker(monkeypatch):
-    def fork():
-        raise AssertionError("one worker forks nothing")
-
-    _cpus(monkeypatch, 1)
-    monkeypatch.setattr(os, "fork", fork)
-
-
-def _hold_back(monkeypatch, side):
-    """Two workers; side ("parent" or "child") sleeps 0.5 s after the
-    fork, so the other side claims every job of a short run."""
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if (pid == 0) == (side == "child"):
-            time.sleep(0.5)
-        return pid
-
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", fork)
+# the affinity mask (attnkit.spread). The tests below set that mask and
+# wrap os.fork with the helpers of test_spread.
 
 
 def _raising(log, message):
@@ -557,20 +511,6 @@ def _raising(log, message):
 
 def _as_json(reports):
     return [r.as_json() for r in reports]
-
-
-@pytest.mark.parametrize("cpus, jobs, workers", [(1, 12, 1), (2, 12, 2), (64, 12, 12), (3, 0, 1)])
-def test_workers_follow_the_affinity_mask_capped_at_the_jobs(monkeypatch, cpus, jobs, workers):
-    _cpus(monkeypatch, cpus)
-    assert checks._workers(jobs) == workers
-
-
-def test_workers_fall_back_to_the_cpu_count_and_to_one_without_fork(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert checks._workers(12) == 3
-    monkeypatch.delattr(os, "fork")
-    assert checks._workers(12) == 1
 
 
 @pytest.mark.parametrize("seed", range(7))
@@ -635,3 +575,24 @@ def test_jobs_of_a_child_that_died_are_rerun(monkeypatch, no_child_left):
     monkeypatch.setitem(checks.CRITERIA, "link_compositionality", dies_in_a_child)
     _hold_back(monkeypatch, "parent")
     assert _as_json(run_checks(["composition", "cycle-sum"], seed=1)) == expected
+
+
+def _refusing(rng, tol=None):
+    raise ValueError("refused")
+
+
+@pytest.mark.parametrize("workers", ["one", "two"])
+def test_a_criterion_that_refuses_is_one_failed_property(monkeypatch, no_child_left, workers):
+    # A plain ValueError, a library type refusing what the code under
+    # check built, is a broken law, not a crash. With two workers the
+    # child runs the refusing criterion.
+    monkeypatch.setitem(checks.CRITERIA, "mixture_flattening", _refusing)
+    if workers == "one":
+        _one_worker(monkeypatch)
+    else:
+        _hold_back(monkeypatch, "parent")
+    mixture, cycle_sum = run_checks(["mixture", "cycle-sum"], seed=0)
+    assert mixture.as_json() == {"suite": "mixture", "passed": False, "properties": [{
+        "name": "mixture_flattening", "cases": 0, "max_deviation": 1.0, "tolerance": 0.0,
+        "passed": False, "witness": {"error": "refused"}}]}
+    assert cycle_sum.passed

@@ -12,6 +12,7 @@ import pytest
 
 from attnkit import checks, cli
 from attnkit.cli import main
+from attnkit.errors import NonFinite
 
 
 def write_config(tmp_path, name, payload):
@@ -341,6 +342,25 @@ def test_check_refuses_a_tolerance_that_cannot_decide_before_any_suite_runs(
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: --tol: must be a finite number >= 0, got {float(tol)!r}\n"
+
+
+@pytest.mark.parametrize("error, code", [(ValueError("refused"), 4), (NonFinite("overflow"), 3)])
+def test_check_reports_a_refusing_criterion_and_exits_3_on_a_numeric_one(
+    monkeypatch, capsys, error, code
+):
+    # The forked workers inherit the patched criterion.
+    def raising(rng, tol=None):
+        raise error
+
+    monkeypatch.setitem(checks.CRITERIA, "mixture_flattening", raising)
+    assert main(["check", "--suite", "mixture", "--suite", "cycle-sum"]) == code
+    out = capsys.readouterr()
+    if code == 3:
+        assert out.out == "" and out.err == "numeric failure: overflow\n"
+    else:
+        (line,) = json.loads(out.out)["suites"][0]["properties"]
+        assert line["name"] == "mixture_flattening" and not line["passed"]
+        assert line["witness"] == {"error": "refused"}
 
 
 def test_check_zero_tolerance_exits_4_with_witnesses(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import attnkit.matio as matio
 from attnkit.errors import ConfigInvalid, NonFinite
 from attnkit.matio import (
     dump_canonical,
@@ -21,6 +23,8 @@ from attnkit.matio import (
     vector_from_json,
     vector_to_json,
 )
+
+from test_spread import _cpus, _hold_back, _one_worker, no_child_left  # noqa: F401
 
 
 def test_bare_list_shorthand():
@@ -266,3 +270,92 @@ def test_a_failed_dump_leaves_the_next_one_exact():
         fresh = {"j": -i}
         obj = [fresh, fresh]
         assert dump_canonical(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# dump_canonical formats its leaves, the lists of scalars, through the
+# fork pool (attnkit.spread); the helpers of test_spread set the
+# affinity mask and wrap os.fork.
+
+
+def _report(leaves):
+    """A report of the given number of leaves, 7 doubles each, inside
+    stage dicts."""
+    rng = np.random.default_rng(5)
+    return {"stages": [{"rows": rng.normal(size=(10, 7)).tolist(), "t": t}
+                       for t in range(leaves // 10)], "sizes": [10, 7]}
+
+
+def _canonical(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("workers", ["one", 2, 3, "no fork"])
+def test_the_bytes_do_not_depend_on_the_workers(monkeypatch, no_child_left, workers):
+    obj = _report(400)
+    if workers == "one":
+        _one_worker(monkeypatch)
+    elif workers == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        _cpus(monkeypatch, workers)
+    assert dump_canonical(obj) == _canonical(obj)
+
+
+def test_a_nan_in_a_leaf_the_child_claims_raises_nonfinite(monkeypatch, tmp_path, no_child_left):
+    # The parent is held back, so the child meets the NaN, stops and
+    # delivers what it ran; the re-run here raises.
+    log = tmp_path / "pids"
+    real = matio._leaf
+
+    def logged(items, separator):
+        if any(x != x for x in items):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return real(items, separator)
+
+    obj = _report(40)
+    obj["stages"][2]["rows"][3][4] = math.nan
+    monkeypatch.setattr(matio, "_leaf", logged)
+    _hold_back(monkeypatch, "parent")
+    with pytest.raises(NonFinite):
+        dump_canonical(obj)
+    child, rerun = (int(pid) for pid in log.read_text().split())
+    assert child != os.getpid() and rerun == os.getpid()
+
+
+@pytest.mark.parametrize("when", ["at the fork", "after its first leaves"])
+def test_a_worker_that_dies_leaves_exact_bytes(monkeypatch, no_child_left, when):
+    parent = os.getpid()
+    _hold_back(monkeypatch, "parent")
+    real_fork, real_leaf = os.fork, matio._leaf
+    formatted = []
+
+    def fork():
+        pid = real_fork()
+        if pid == 0 and when == "at the fork":
+            os._exit(1)
+        return pid
+
+    def leaf(items, separator):
+        formatted.append(items)
+        if os.getpid() != parent and len(formatted) == 5:
+            os._exit(1)
+        return real_leaf(items, separator)
+
+    obj = _report(200)
+    monkeypatch.setattr(matio, "_leaf", leaf)
+    monkeypatch.setattr(os, "fork", fork)
+    assert dump_canonical(obj) == _canonical(obj)
+
+
+def test_a_mask_carried_over_stages_is_exact_under_the_spread(monkeypatch, no_child_left):
+    # As in a stage-run report: one mask dict in every stage, at one
+    # depth. Its pieces, placeholders included, are re-appended through
+    # the memo, and the held-back parent fills them from what the child
+    # formatted.
+    mask = {"shape": [6, 6], "rows": np.tril(np.ones((6, 6))).tolist()}
+    rng = np.random.default_rng(2)
+    obj = {"stages": [{"mask": mask, "records": rng.normal(size=(6, 4)).tolist(), "t": t}
+                      for t in range(8)]}
+    _hold_back(monkeypatch, "parent")
+    assert dump_canonical(obj) == _canonical(obj)
