@@ -10,8 +10,9 @@ accepted as shorthand on input; output always writes the full schema.
 Every report is printed by `dump_canonical`, whose output is exactly
 `json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` plus one
 newline; a property test holds it to that, and golden files pin the
-`ga` stdout. Its number lists are formatted on every CPU through the
-fork pool of attnkit.spread; the bytes never depend on how many.
+`ga` stdout. Output matrices and vectors stay float64 arrays until the
+fork pool of attnkit.spread turns them into text on every CPU; the
+bytes never depend on how many.
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigInvalid, NonFinite
 from .spread import spread
+
+_BLOCK = 16  # matrix rows per spread job of dump_canonical
 
 
 def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -143,19 +148,24 @@ def refuse_unknown_keys(obj: dict, noun: str, keys: tuple, where: str) -> None:
             raise ConfigInvalid(f"{where}.{key}", f"unknown field; {noun} takes {', '.join(keys)}")
 
 
+class _Rows(NamedTuple):
+    """An output matrix's float64 values and mask (None: no holes)."""
+    values: np.ndarray
+    mask: np.ndarray | None
+
+
 def matrix_to_json(values, mask=None) -> dict:
-    values = np.asarray(values, dtype=np.float64)
-    if mask is None:
-        rows = values.tolist()
-    else:
-        cells = values.astype(object)
-        cells[~np.asarray(mask, dtype=bool)] = "-inf"
-        rows = cells.tolist()
-    return {"shape": list(values.shape), "rows": rows}
+    """The matrix schema for dump_canonical, whose jobs turn the rows,
+    copied here as float64 arrays, into lists, a hole into "-inf"; the
+    rows of a matrix without entries are empty lists from the start."""
+    values = np.array(values, dtype=np.float64)
+    rows = _Rows(values, None if mask is None else np.array(mask, dtype=bool))
+    return {"shape": list(values.shape), "rows": rows if values.size else [[]] * len(values)}
 
 
-def vector_to_json(values) -> list:
-    return np.asarray(values, dtype=np.float64).tolist()
+def vector_to_json(values) -> np.ndarray:
+    """A float64 copy of values, which dump_canonical prints as a list."""
+    return np.array(values, dtype=np.float64)
 
 
 def dump_canonical(obj) -> str:
@@ -164,21 +174,23 @@ def dump_canonical(obj) -> str:
     where that call raises ValueError (a NaN or an infinity, which JSON
     cannot hold), this raises NonFinite.
 
-    Dict keys must be strings. _encode walks obj and leaves a
-    placeholder for each list of scalars (a matrix row, a vector); the
-    leaves then go to json's C encoder, one call each, with the item
-    separator carrying the newline and indent, spread over the CPUs
-    (attnkit.spread), and fill their placeholders when the pieces are
-    joined. A dict object met again at the same depth, such as a mask
-    carried over several stages, is not walked again: a memo that lives
-    for this call only maps it to the run of pieces, placeholders
-    included, that its first occurrence appended, and those pieces are
-    appended once more.
+    Dict keys must be strings; matrix_to_json's rows and vector_to_json's
+    arrays print as lists. _encode walks obj and leaves a placeholder
+    for each list of scalars, vector, and block of _BLOCK matrix rows.
+    Each is a job, spread over the CPUs (attnkit.spread), that turns
+    the numbers into Python values and passes each list to json's C
+    encoder, with the item separator carrying the newline and indent;
+    the texts fill the placeholders when the pieces are joined. A dict
+    object met again at the same depth, such as a mask carried over
+    several stages, is not walked again: a memo that lives for this
+    call only maps it to the run of pieces, placeholders included, that
+    its first occurrence appended, and those pieces are appended once
+    more.
     """
-    parts, leaves = [], []
+    parts, jobs = [], []
     try:
-        _encode(obj, "\n", parts, {}, leaves)
-        texts = spread(lambda k: _leaf(*leaves[k]), len(leaves))
+        _encode(obj, "\n", parts, {}, jobs)
+        texts = spread(lambda k: jobs[k](), len(jobs))
     except ValueError as exc:
         raise NonFinite("the output holds a NaN or an infinity, which JSON cannot hold") from exc
     parts.append("\n")
@@ -186,17 +198,29 @@ def dump_canonical(obj) -> str:
 
 
 def _leaf(items, separator: str) -> str:
-    """The items of a list of scalars, as dump_canonical prints them."""
+    """The items of a list of scalars or a vector, as dump_canonical prints them."""
+    items = items.tolist() if isinstance(items, np.ndarray) else items
     return json.dumps(items, separators=(separator, ": "), allow_nan=False)[1:-1]
 
 
-def _encode(obj, newline: str, parts: list, done: dict, leaves: list) -> None:
+def _block(rows: _Rows, start: int, newline: str) -> str:
+    """Matrix rows start to start + _BLOCK, as dump_canonical prints them."""
+    block = rows.values[start:start + _BLOCK]
+    if rows.mask is not None:
+        block = block.astype(object)
+        block[~rows.mask[start:start + _BLOCK]] = "-inf"
+    inner = newline + "  "
+    return ("," + newline).join(
+        "[" + inner + _leaf(row, "," + inner) + newline + "]" for row in block.tolist())
+
+
+def _encode(obj, newline: str, parts: list, done: dict, jobs: list) -> None:
     """Append the text of obj to parts; `newline` starts each of its
-    lines at the current depth. A list of scalars goes to leaves with
-    its item separator, and its index in leaves stands in parts for its
-    items. done maps (id, depth) of each dict already encoded to the
-    slice of parts that holds its text; every such dict lives inside
-    the object being dumped, so no id is reused."""
+    lines at the current depth. A list of scalars, a vector and a block
+    of matrix rows each become a job, whose index in jobs stands in
+    parts for its text. done maps (id, depth) of each dict already
+    encoded to the slice of parts that holds its text; every such dict
+    lives inside the object being dumped, so no id is reused."""
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -210,23 +234,29 @@ def _encode(obj, newline: str, parts: list, done: dict, leaves: list) -> None:
         opener = "{" + inner
         for key in sorted(obj):
             parts.append(opener + json.encoder.encode_basestring_ascii(key) + ": ")
-            _encode(obj[key], inner, parts, done, leaves)
+            _encode(obj[key], inner, parts, done, jobs)
             opener = "," + inner
         parts.append(newline + "}")
         done[slot] = slice(start, len(parts))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    elif isinstance(obj, _Rows):
+        for start in range(0, len(obj.values), _BLOCK):
+            jobs.append(partial(_block, obj, start, inner))
+            parts += ("," + inner if start else "[" + inner, len(jobs) - 1)
+        parts.append(newline + "]")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             parts.append("[]")
-        elif any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, obj))):
+        elif type(obj) is not np.ndarray and any(
+                issubclass(kind, (list, tuple, dict)) for kind in set(map(type, obj))):
             opener = "[" + inner
             for item in obj:
                 parts.append(opener)
-                _encode(item, inner, parts, done, leaves)
+                _encode(item, inner, parts, done, jobs)
                 opener = "," + inner
             parts.append(newline + "]")
         else:
-            leaves.append((obj, "," + inner))
-            parts += ("[" + inner, len(leaves) - 1, newline + "]")
+            jobs.append(partial(_leaf, obj, "," + inner))
+            parts += ("[" + inner, len(jobs) - 1, newline + "]")
     else:
         parts.append(json.dumps(obj, allow_nan=False))
 

@@ -1,6 +1,6 @@
-"""The one fork pool, which spreads the criteria of run_checks and the
-number lists of dump_canonical over the CPUs; no output depends on
-which process ran what, or on how many ran."""
+"""The one fork pool: it spreads run_checks' criteria, and the jobs in
+which dump_canonical turns output arrays and number lists into text,
+over the CPUs; no output depends on which process ran what, or how many."""
 
 import os
 import pickle

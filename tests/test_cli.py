@@ -703,7 +703,9 @@ def test_ffn_check_passes_then_fails_on_forced_tolerance(tmp_path, capsys):
 def test_stage_run_never_imports_scipy():
     # Importing scipy.special would more than double ga's start-up time;
     # the library computes gelu's erf itself and keeps scipy for tests.
-    # The property harness is compiled only by the commands that run it.
+    # The property harness is compiled only by the commands that run it,
+    # and so is numpy.random (about 16 ms and 18 modules), which only
+    # they and ffn-check draw from.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
@@ -712,7 +714,8 @@ def test_stage_run_never_imports_scipy():
         "    code = main(sys.argv[1:])\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(json.dumps({'code': code, 'scipy': sorted(loaded),\n"
-        "                  'harness': 'attnkit.checks' in sys.modules}))\n"
+        "                  'harness': 'attnkit.checks' in sys.modules,\n"
+        "                  'random': 'numpy.random' in sys.modules}))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "GA_SEED"}
     env["PYTHONPATH"] = str(root / "src")
@@ -725,7 +728,8 @@ def test_stage_run_never_imports_scipy():
             [sys.executable, "-c", script, *argv], cwd=root,
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert json.loads(done.stdout) == {"code": 0, "scipy": [], "harness": harness}, argv
+        assert json.loads(done.stdout) == {
+            "code": 0, "scipy": [], "harness": harness, "random": harness}, argv
 
 
 def test_importing_the_cli_leaves_the_harness_out():

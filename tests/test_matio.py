@@ -60,7 +60,9 @@ def test_non_finite_entries_are_reported_in_reading_order():
 def test_round_trip_preserves_exclusions():
     values = np.array([[1.5, 0.0], [0.0, 2.0]])
     mask = np.array([[True, False], [False, True]])
-    back_values, back_mask = matrix_from_json(matrix_to_json(values, mask))
+    # The payload is for dump_canonical; the round trip goes through its text.
+    text = dump_canonical(matrix_to_json(values, mask))
+    back_values, back_mask = matrix_from_json(json.loads(text))
     npt.assert_array_equal(back_values, np.where(mask, values, 0.0))
     npt.assert_array_equal(back_mask, mask)
 
@@ -107,7 +109,7 @@ def test_vector_parsing():
     for bad in (-math.inf, math.inf, math.nan):
         with pytest.raises(ConfigInvalid, match=r"non-finite entry at 1$"):
             vector_from_json([1, bad])
-    assert vector_to_json(np.array([1.0])) == [1.0]
+    assert dump_canonical(vector_to_json(np.array([1.0]))) == "[\n  1.0\n]\n"
 
 
 def test_dump_canonical_is_key_order_independent():
@@ -359,3 +361,103 @@ def test_a_mask_carried_over_stages_is_exact_under_the_spread(monkeypatch, no_ch
                       for t in range(8)]}
     _hold_back(monkeypatch, "parent")
     assert dump_canonical(obj) == _canonical(obj)
+
+
+# matrix_to_json and vector_to_json keep float64 arrays; the jobs of
+# dump_canonical turn them into Python values, a block of matrix rows
+# (matio._BLOCK) per job.
+
+
+def _list_form(values, mask=None):
+    """matrix_to_json's payload as plain lists, built entry by entry:
+    the reference for the array path."""
+    rows = [[x if mask is None or mask[i, j] else "-inf" for j, x in enumerate(row)]
+            for i, row in enumerate(values.tolist())]
+    return {"shape": list(values.shape), "rows": rows}
+
+
+_EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623155e308]
+
+
+@st.composite
+def _output_matrices(draw):
+    """(values, mask or None, depth): row counts on both sides of
+    multiples of the block, and 0xm and nx0 shapes."""
+    rows = draw(st.one_of(st.integers(0, 3 * matio._BLOCK + 2),
+                          st.sampled_from([matio._BLOCK - 1, matio._BLOCK, matio._BLOCK + 1])))
+    shape = (rows, draw(st.integers(0, 4)))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_DOUBLES)
+    values = draw(arrays(np.float64, shape, elements=finite))
+    mask = draw(st.none() | arrays(np.bool_, shape))
+    return values, mask, draw(st.integers(0, 2))
+
+
+@example((np.zeros((3, 0)), None, 0))
+@example((np.zeros((3, 0)), np.ones((3, 0), dtype=bool), 1))
+@example((np.zeros((0, 3)), None, 1))
+@example((np.arange(34.0).reshape(17, 2), np.tri(17, 2, dtype=bool), 0))
+@settings(deadline=None)
+@given(_output_matrices())
+def test_output_arrays_print_as_their_list_form(case):
+    values, mask, depth = case
+    obj = {"matrix": matrix_to_json(values, mask), "vector": vector_to_json(values.ravel())}
+    expected = {"matrix": _list_form(values, mask), "vector": values.ravel().tolist()}
+    for _ in range(depth):
+        obj, expected = [{"k": obj}, 1], [{"k": expected}, 1]
+    assert dump_canonical(obj) == _canonical(expected)
+
+
+@pytest.mark.parametrize("workers", ["one", "two, the child meeting it"])
+@pytest.mark.parametrize("where", ["admitted cell", "unmasked matrix", "vector"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_output_entry_raises_nonfinite(monkeypatch, no_child_left, workers, where,
+                                                    bad):
+    # The bad entry sits in the last block. A hole over a NaN prints
+    # "-inf" and raises nothing, and a payload built before the entry
+    # went bad holds a copy.
+    values = np.arange(40 * 3, dtype=np.float64).reshape(40, 3)
+    mask = np.ones_like(values, dtype=bool)
+    mask[38, 1] = False
+    values[38, 1] = math.nan
+    if workers == "one":
+        _one_worker(monkeypatch)
+    else:
+        _hold_back(monkeypatch, "parent")
+    holed = matrix_to_json(values, mask)
+    values[39, 2] = bad
+    assert json.loads(dump_canonical(holed))["rows"][38:] == [[114.0, "-inf", 116.0],
+                                                              [117.0, 118.0, 119.0]]
+    obj = {"admitted cell": lambda: matrix_to_json(values, mask),
+           "unmasked matrix": lambda: matrix_to_json(np.where(mask, values, 0.0)),
+           "vector": lambda: vector_to_json(values[39])}[where]()
+    with pytest.raises(NonFinite, match="^the output holds a NaN or an infinity"):
+        dump_canonical({"stages": [holed, obj]})
+
+
+def test_a_mask_carried_over_stages_is_exact_when_the_child_formats_every_block(
+        monkeypatch, tmp_path, no_child_left):
+    # As ga stage-run builds it: one mask payload in all eight stages,
+    # whose block placeholders the memo re-appends.
+    log = tmp_path / "pids"
+    real = matio._block
+
+    def logged(rows, start, newline):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(rows, start, newline)
+
+    n = 2 * matio._BLOCK + 3
+    causal = np.tril(np.ones((n, n)))
+    rng = np.random.default_rng(2)
+    records = [rng.normal(size=(n, 4)) for _ in range(8)]
+    mask = matrix_to_json(causal)
+    obj = {"stages": [{"mask": mask, "records": matrix_to_json(r, r > -1.0), "t": t}
+                      for t, r in enumerate(records)]}
+    expected = {"stages": [{"mask": _list_form(causal), "records": _list_form(r, r > -1.0), "t": t}
+                           for t, r in enumerate(records)]}
+    monkeypatch.setattr(matio, "_block", logged)
+    _hold_back(monkeypatch, "parent")
+    assert dump_canonical(obj) == _canonical(expected)
+    pids = log.read_text().split()
+    assert len(pids) == 9 * 3 and str(os.getpid()) not in pids
