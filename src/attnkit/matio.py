@@ -262,11 +262,26 @@ def _encode(obj, newline: str, parts: list, done: dict, jobs: list) -> None:
 
 
 def load_json(path: str | Path):
-    """The value of a UTF-8 JSON file; a file that cannot be read or
-    holds no JSON value is a ConfigInvalid that names the path."""
+    """The value of a UTF-8 JSON file, as json.loads reads it (save the
+    README's integer rule), or a ConfigInvalid that names the path."""
+    import orjson  # here, so that commands that read no JSON never load it
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
+        data = Path(path).read_bytes()
+        value = orjson.loads(data)
+        if _nested_within(value):  # orjson reads any depth; json.loads decides deeper ones
+            return value
     except OSError as exc:
         raise ConfigInvalid(str(path), f"cannot read input file: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except orjson.JSONDecodeError:
+        pass  # json.loads decides what orjson refuses
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigInvalid(str(path), f"invalid JSON: {exc}") from exc
+
+
+def _nested_within(value, levels: int = 100) -> bool:
+    """Whether value nests lists and objects at most levels deep."""
+    items = value.values() if type(value) is dict else value if type(value) is list else ()
+    return not {list, dict} & set(map(type, items)) or levels > 1 and all(
+        _nested_within(item, levels - 1) for item in items)

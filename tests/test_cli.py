@@ -103,6 +103,23 @@ def test_unparseable_config_exits_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"inputs": {"x": ' + "[" * 2000 + "]" * 2000 + '}, "stages": []}',
+    '{"inputs": {"x": {"file": "deep.json"}}, "stages": []}',
+])
+def test_a_config_nested_past_the_recursion_limit_exits_2_and_names_the_file(
+        tmp_path, capsys, text):
+    (tmp_path / "deep.json").write_text("[" * 5000 + "]" * 5000)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    named = tmp_path / "deep.json" if "file" in text else path
+    assert out.err.startswith(f"error: {named}: invalid JSON: maximum recursion depth exceeded")
+
+
 def test_out_on_a_file_exits_2_and_names_out(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep")
@@ -705,7 +722,8 @@ def test_stage_run_never_imports_scipy():
     # the library computes gelu's erf itself and keeps scipy for tests.
     # The property harness is compiled only by the commands that run it,
     # and so is numpy.random (about 16 ms and 18 modules), which only
-    # they and ffn-check draw from.
+    # they and ffn-check draw from. orjson is imported by the first
+    # JSON file read, so ga check, which reads none, never loads it.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
@@ -715,7 +733,8 @@ def test_stage_run_never_imports_scipy():
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(json.dumps({'code': code, 'scipy': sorted(loaded),\n"
         "                  'harness': 'attnkit.checks' in sys.modules,\n"
-        "                  'random': 'numpy.random' in sys.modules}))\n"
+        "                  'random': 'numpy.random' in sys.modules,\n"
+        "                  'orjson': 'orjson' in sys.modules}))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "GA_SEED"}
     env["PYTHONPATH"] = str(root / "src")
@@ -728,18 +747,19 @@ def test_stage_run_never_imports_scipy():
             [sys.executable, "-c", script, *argv], cwd=root,
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert json.loads(done.stdout) == {
-            "code": 0, "scipy": [], "harness": harness, "random": harness}, argv
+        assert json.loads(done.stdout) == {"code": 0, "scipy": [], "harness": harness,
+                                           "random": harness, "orjson": not harness}, argv
 
 
 def test_importing_the_cli_leaves_the_harness_out():
     root = Path(__file__).resolve().parents[1]
-    script = "import sys, attnkit.cli\nprint('attnkit.checks' in sys.modules)\n"
+    script = ("import sys, attnkit.cli\n"
+              "print('attnkit.checks' in sys.modules, 'orjson' in sys.modules)\n")
     done = subprocess.run(
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 FFN_2X2 = {"w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0],
@@ -962,6 +982,39 @@ def test_bad_fields_exit_2_and_name_the_field(tmp_path, capsys, command, spec, f
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"error: {field.format(tmp=tmp_path)}:")
+
+
+@pytest.mark.parametrize("command, spec, field", [
+    ("run", {"seed": 2**64, "stages": []}, "seed"),
+    ("run", {"seed": -(2**63) - 1, "stages": []}, "seed"),
+    ("run", run_stage({"op": "sinkhorn_balanced", "kernel": [[1.0, 1.0]] * 2, "mu_out": [1.0, 1.0],
+                       "mu_in": [1.0, 1.0], "max_iter": 2**64}), "stages[0].max_iter"),
+    ("chart", {"scores": EYE, "rank": 2**70}, "chart.rank"),
+    ("run", run_stage({**PUSHFORWARD, "map_x": {"map": [0, 2**64], "n_coarse": 1}}),
+     "stages[0].map_x.map"),
+    ("run", run_stage({**PUSHFORWARD, "map_x": {"map": [0, 0], "n_coarse": 10**30}}),
+     "stages[0].map_x.n_coarse"),
+    ("ffn-check", {**FFN_2X2, "samples": 2**64}, "ffn-check.samples"),
+    ("ffn-check", {**FFN_2X2, "seed": 2**64}, "ffn-check.seed"),
+    ("run", run_stage({"op": "row_anchor", "kernel": {"rows": EYE, "shape": [2**64, 2]}}),
+     "stages[0].kernel.shape"),
+])
+def test_an_integer_field_refuses_a_literal_outside_64_bits(
+        tmp_path, capsys, command, spec, field):
+    # Such a literal reads as the nearest double, which is no JSON integer.
+    assert main([command, write_config(tmp_path, "input.json", spec)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field}: expected ")
+    assert "e+" in out.err
+
+
+def test_an_integer_field_reads_the_ends_of_the_64_bit_range(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GA_SEED", raising=False)
+    assert main(["run", write_config(tmp_path, "top.json", {"seed": 2**64 - 1, "stages": []})]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+    assert main(["run", write_config(tmp_path, "low.json", {"seed": -(2**63), "stages": []})]) == 2
+    assert capsys.readouterr().err == "error: seed: must be nonnegative, got -9223372036854775808\n"
 
 
 def test_refusals_say_what_is_wrong(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """JSON matrix schema: exclusions, masks, and canonical dumps."""
 
+import decimal
 import json
 import math
 import os
+import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -120,15 +123,143 @@ def test_dump_canonical_is_key_order_independent():
 
 
 def test_load_json_diagnostics(tmp_path):
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigInvalid, match="cannot read input file: No such file"):
         load_json(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigInvalid):
-        load_json(bad)
     good = tmp_path / "good.json"
     good.write_text('{"k": [1, 2]}')
     assert load_json(good) == {"k": [1, 2]}
+    # orjson refuses each of these, and json.loads too: the message is
+    # json.loads's, as it was before orjson read the files.
+    for name, data in [
+        ("bad", b"{not json"), ("empty", b""), ("blank", b" \n"), ("comma", b"[1,]"),
+        ("extra", b"[1] 2"), ("zero", b"01"), ("control", b'"a\x01"'), ("bom", b"\xef\xbb\xbf{}"),
+        ("latin1", b'{"note": "caf\xe9"}'), ("utf8_surrogate", b'"\xed\xa0\x80"'),
+        # Nested past Python's recursion limit, by itself and with a NaN.
+        ("deep", b"[" * 100000 + b"]" * 100000), ("deep_nan", b"[" * 2000 + b"NaN" + b"]" * 2000),
+        ("deep_object", b'{"a": ' * 2000 + b"1" + b"}" * 2000),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        with pytest.raises((UnicodeDecodeError, ValueError, RecursionError)) as refused:
+            json.loads(data.decode("utf-8"))
+        with pytest.raises(ConfigInvalid) as caught:
+            load_json(path)
+        assert str(caught.value) == f"{path}: invalid JSON: {refused.value}", name
+
+
+def _exact(value):
+    """value as nested tuples that compare equal only if the types, the
+    key order and every float's bits agree."""
+    if type(value) is dict:
+        return ("object", tuple((key, _exact(item)) for key, item in value.items()))
+    if type(value) is list:
+        return ("list", tuple(_exact(item) for item in value))
+    if type(value) is float:
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def _same_as_json_loads(path) -> None:
+    expected = json.loads(Path(path).read_bytes().decode("utf-8"))
+    assert _exact(load_json(path)) == _exact(expected)
+
+
+def test_load_json_reads_every_golden_input_as_json_loads_does():
+    inputs = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    assert len(inputs) >= 15
+    for path in inputs:
+        _same_as_json_loads(path)
+
+
+def _decimal(digits: str, exponent: int, negative: bool) -> str:
+    """A decimal literal: 1 to 40 significant digits, one before the point."""
+    point = f"{digits[0]}.{digits[1:]}" if len(digits) > 1 else digits
+    return f"{'-' if negative else ''}{point}e{exponent}"
+
+
+def _halfway(x: float, negative: bool) -> str:
+    """The exact decimal midpoint of x and the next double up: rounding
+    to nearest, ties to even, must pick the one with an even mantissa."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1000
+        middle = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+    return f"{-middle if negative else middle:e}"
+
+
+_NUMBER_LITERALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(_decimal, st.text("0123456789", min_size=1, max_size=40),
+              st.integers(-345, 307), st.booleans()),
+    st.builds(_halfway, st.floats(0.0, 1e308), st.booleans()),
+    st.integers(-(2**63), 2**64 - 1).map(str),
+    st.sampled_from([str(2**63 - 1), str(2**63), str(2**64 - 1), str(-(2**63)), "-0", "-0.0",
+                     "1E2", "1e+2", "5e-324", "2.4703282292062328e-324", "1.7976931348623157e308"]),
+)
+
+# Strings and literals that orjson refuses and json.loads reads, so the
+# documents that hold them are json.loads's to decide.
+_REFUSED_LITERALS = st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1.8e308", str(10**400), '"\\ud800"',
+     '"a\\udfffb"'])
+
+_JSON_TEXTS = st.recursive(
+    _NUMBER_LITERALS | st.sampled_from(["true", "false", "null"])
+    | st.text(max_size=5).map(json.dumps),
+    lambda inner: st.lists(inner, max_size=6).map(lambda items: "[" + ", ".join(items) + "]")
+    | st.lists(st.tuples(st.text(max_size=3).map(json.dumps), inner), max_size=6).map(
+        lambda pairs: "{" + ", ".join(f"{key}: {item}" for key, item in pairs) + "}"),
+    max_leaves=40,
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_json(tmp_path_factory):
+    return tmp_path_factory.mktemp("load_json") / "doc.json"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_NUMBER_LITERALS, min_size=1, max_size=50))
+def test_load_json_reads_numbers_bit_for_bit_as_json_loads(scratch_json, literals):
+    scratch_json.write_text("[" + ",".join(literals) + "]")
+    _same_as_json_loads(scratch_json)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_JSON_TEXTS, st.lists(_REFUSED_LITERALS, max_size=2))
+def test_load_json_reads_documents_as_json_loads(scratch_json, text, refused):
+    # A repeated key takes its last value at the place of its first.
+    scratch_json.write_text(f'{{"doc": {text}, "x": [{", ".join(refused)}], "doc": [{text}]}}')
+    _same_as_json_loads(scratch_json)
+
+
+def test_json_loads_reads_only_what_orjson_refuses(monkeypatch, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"k": [[1.5, "-inf"]], "n": 2}')
+    monkeypatch.setattr(json, "loads", None)
+    assert load_json(path) == {"k": [[1.5, "-inf"]], "n": 2}
+
+
+def test_load_json_leaves_deep_documents_to_json_loads(tmp_path):
+    # orjson reads any depth, so past 100 levels json.loads decides;
+    # these stay within Python's recursion limit, and it reads them.
+    for depth in (99, 100, 101, 300):
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text("[" * depth + "1" + "]" * depth)
+        _same_as_json_loads(path)
+
+
+@settings(deadline=None)
+@given(st.integers(-(10**308), -(2**63) - 1) | st.integers(2**64, 10**308))
+@example(2**64)
+@example(-(2**63) - 1)
+def test_an_integer_outside_64_bits_reads_as_the_nearest_double(scratch_json, n):
+    # The one value orjson reads otherwise than json.loads, so that an
+    # integer field refuses it. Past the largest double orjson refuses
+    # the document, and json.loads reads the integer.
+    scratch_json.write_text(f"[{n}]")
+    assert _exact(load_json(scratch_json)) == _exact([float(n)])
+    scratch_json.write_text(f"[{n * 10**400}]")
+    assert _exact(load_json(scratch_json)) == _exact([n * 10**400])
 
 
 def _reference_matrix_from_json(rows, where="matrix"):
