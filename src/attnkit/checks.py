@@ -57,16 +57,8 @@ class PropertyResult(Frozen):
                              tolerance=tolerance, passed=passed, witness=witness)
 
     def as_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "cases": self.cases,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        """The fields; witness only when there is one."""
+        return {key: v for key, v in vars(self).items() if key != "witness" or v is not None}
 
 
 class SuiteReport(Frozen):

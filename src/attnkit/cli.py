@@ -3,8 +3,7 @@
 Everything on stdout is canonical JSON (sorted keys, fixed layout) so a
 fixed config and seed produce byte-identical output; progress lines and
 wall times go to stderr. Exit codes: 0 success, 2 configuration error,
-3 numeric or convergence failure, 4 invariant failure. The GA_SEED
-environment variable overrides every other seed source.
+3 numeric or convergence failure, 4 invariant failure.
 
 Every JSON object a command reads is described by one _Row: the kind of
 each field and whether it is required. One reader walks a row, rejects a
@@ -16,7 +15,6 @@ build; an absent optional field takes the default of the library call.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -53,6 +51,7 @@ from .matio import (
     matrix_from_json,
     matrix_to_json,
     refuse_unknown_keys,
+    shown,
     vector_from_json,
     vector_to_json,
 )
@@ -76,16 +75,8 @@ from .staged import ChartSpec, ScheduleStep, predecessor_sets, run_schedule
 _NUMERIC_ERRORS = (NoConvergence, Infeasible, EmptyRow, EmptyCol, NonFinite)
 
 
-def _seed_from_env(seed: int, where: str) -> int:
-    """GA_SEED if it is set, else seed, read from where; the one used
-    must be a nonnegative integer."""
-    raw = os.environ.get("GA_SEED")
-    if raw is not None:
-        where = "GA_SEED"
-        try:
-            seed = int(raw)
-        except ValueError as exc:
-            raise ConfigInvalid(where, f"not an integer: {raw!r}") from exc
+def _seed(seed: int, where: str) -> int:
+    """seed, read from where, if it is nonnegative."""
     if seed < 0:
         raise ConfigInvalid(where, f"must be nonnegative, got {seed}")
     return seed
@@ -213,7 +204,7 @@ def _family(value, where: str) -> ConditionalFamily:
 
 def _number(value, where: str) -> float:
     if type(value) not in (int, float):
-        raise ConfigInvalid(where, f"expected a number, got {value!r}")
+        raise ConfigInvalid(where, f"expected a number, got {shown(value)}")
     if not abs(value) <= sys.float_info.max:
         raise ConfigInvalid(where, f"expected a finite number, got {value!r}")
     return float(value)
@@ -234,7 +225,7 @@ def _typed(noun: str, kind: type, item: type | None = None):
         if type(value) is not kind or (
             item is not None and any(type(v) is not item for v in value)
         ):
-            raise ConfigInvalid(where, f"expected {noun}, got {value!r}")
+            raise ConfigInvalid(where, f"expected {noun}, got {shown(value)}")
         return value
 
     return read
@@ -374,7 +365,9 @@ def _stage_run(initial, schedule, cfg=None) -> dict:
         "masks": [masks[id(m)] for m in trace.masks],
         "carrier_ids": list(trace.carrier_ids),
     }
-    if len({m.shape[0] for m in trace.masks}) == 1:
+    # predecessor_sets composes square relations on one carrier: a
+    # refining step pools rows, which no mask of the trace records.
+    if all(step.refine is None for step in schedule):
         depth = len(trace.masks)
         payload["influence"] = {
             "mode": "markov",
@@ -403,7 +396,7 @@ def _ffn_check(x=None, samples=None, seed=None, tolerance=1e-10, **ffn) -> dict:
         samples = 20 if samples is None else samples
         if samples < 1:
             raise ConfigInvalid("ffn-check.samples", f"must be at least 1, got {samples}")
-        rng = np.random.default_rng(_seed_from_env(seed or 0, "ffn-check.seed"))
+        rng = np.random.default_rng(_seed(seed or 0, "ffn-check.seed"))
         xs = rng.normal(size=(samples, params.d_model))
     else:
         for key, value in (("samples", samples), ("seed", seed)):
@@ -477,7 +470,7 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
     exit code. With out_dir, the same text goes to report.json."""
     config = _read(_RUN, _load_object(config_path), {}, "")
     base_dir = Path(config_path).parent
-    seed = _seed_from_env(config.get("seed", 0), "seed")
+    seed = _seed(config.get("seed", 0), "seed")
     checks = config.get("checks")
     run_suites = _suites(checks, "checks") if checks else None
 
@@ -498,6 +491,10 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
             raise ConfigInvalid(f"{where}.out", "stage needs an output name")
         if out_name in ctx:
             raise ConfigInvalid(f"{where}.out", f"name {out_name!r} already bound")
+        # With --out, <out>.json goes next to report.json, inside DIR.
+        if out_dir is not None and (out_name in ("report", ".", "..")
+                                    or set(out_name) & {"/", "\\", "\0"}):
+            raise ConfigInvalid(f"{where}.out", f"{out_name!r} cannot name a stage file in --out")
         result = _read(_OPS[op], stage, ctx, where, skip=("op", "out"))
         bound = {out_name: result}
         if isinstance(result, dict):  # the output, and <out>_<key> for each other part
@@ -545,7 +542,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    seed = _seed_from_env(args.seed, "--seed")
+    seed = _seed(args.seed, "--seed")
     run_suites = _suites(args.suite, "--suite")
     tol = None if args.tol is None else _tolerance(args.tol, "--tol")
     started = time.perf_counter()

@@ -45,7 +45,8 @@ def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray
         if "shape" in obj and not (
             type(shape) is list and len(shape) == 2 and all(type(v) is int for v in shape)
         ):
-            raise ConfigInvalid(f"{where}.shape", f"expected a list of two integers, got {shape!r}")
+            raise ConfigInvalid(f"{where}.shape",
+                                f"expected a list of two integers, got {shown(shape)}")
     else:
         raise ConfigInvalid(where, "expected a matrix object with a 'rows' field")
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
@@ -146,6 +147,14 @@ def refuse_unknown_keys(obj: dict, noun: str, keys: tuple, where: str) -> None:
     for key in obj:
         if key not in keys:
             raise ConfigInvalid(f"{where}.{key}", f"unknown field; {noun} takes {', '.join(keys)}")
+
+
+def shown(value) -> str:
+    """value as a refusal names it: its repr, or, for a list, an object or
+    a string whose repr passes 80 characters, its type and length."""
+    text = repr(value)
+    noun = {list: "a list", dict: "an object", str: "a string"}.get(type(value))
+    return text if noun is None or len(text) <= 80 else f"{noun} of length {len(value)}"
 
 
 class _Rows(NamedTuple):

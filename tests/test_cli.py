@@ -130,6 +130,19 @@ def test_out_on_a_file_exits_2_and_names_out(tmp_path, capsys):
     assert taken.read_text() == "keep"
 
 
+@pytest.mark.parametrize("name", ["report", ".", "..", "../escaped", "sub/k", "a\\b", "a\0b"])
+def test_run_out_refuses_a_stage_name_that_is_no_file_in_dir(tmp_path, capsys, name):
+    config = write_config(tmp_path, "config.json",
+                          run_stage({"op": "center_scores", "scores": EYE, "out": name}))
+    assert main(["run", config, "--out", str(tmp_path / "dir")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: stages[0].out: {name!r} cannot name a stage file in --out\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    # Without --out the name only binds the stage's result.
+    assert main(["run", config]) == 0
+
+
 def test_unknown_operation_exits_2(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -395,21 +408,6 @@ def test_check_zero_tolerance_exits_4_with_witnesses(capsys):
     assert failed and all("witness" in p for p in failed)
 
 
-def test_ga_seed_env_overrides_flag(monkeypatch, capsys):
-    monkeypatch.setenv("GA_SEED", "11")
-    assert main(["check", "--suite", "gauge", "--seed", "99"]) == 0
-    via_env = capsys.readouterr().out
-    monkeypatch.delenv("GA_SEED")
-    assert main(["check", "--suite", "gauge", "--seed", "11"]) == 0
-    assert via_env == capsys.readouterr().out
-
-
-def test_ga_seed_must_be_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("GA_SEED", "soon")
-    assert main(["check", "--suite", "gauge"]) == 2
-    assert "GA_SEED" in capsys.readouterr().err
-
-
 def test_attn_subcommand(tmp_path, capsys):
     path = write_config(
         tmp_path,
@@ -656,6 +654,21 @@ def test_stage_run_emits_trace_and_influence(tmp_path, capsys):
     assert trace["influence"]["predecessors"] == [[0], [0, 1], [0, 1, 2]]
 
 
+def test_stage_run_reports_no_influence_after_a_refinement(tmp_path, capsys):
+    # The step pools initial rows {0, 1} into row 0 and {2, 3} into row 1,
+    # then attends under the identity mask. Update row 0 reads initial
+    # row 1, which no relation on the 2 rows of the mask can say.
+    step = {**STEP_2X2, "mask": [[1, 0], [0, 1]], "refine": {"map": [0, 0, 1, 1], "n_coarse": 2}}
+    spec = {"initial": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.75]], "schedule": [step]}
+    assert main(["stage-run", write_config(tmp_path, "stage.json", spec)]) == 0
+    trace = json.loads(capsys.readouterr().out)
+    assert "influence" not in trace
+    spec["initial"][1] = [4.0, -3.0]
+    assert main(["stage-run", write_config(tmp_path, "perturbed.json", spec)]) == 0
+    perturbed = json.loads(capsys.readouterr().out)
+    assert perturbed["updates"][0]["rows"][0] != trace["updates"][0]["rows"][0]
+
+
 def test_stage_run_converts_each_mask_object_once(monkeypatch, capsys):
     # The golden schedule's masks are A, A (carried), pushed A, and a
     # new one: three objects, so three square payloads among the
@@ -687,8 +700,7 @@ def test_stage_run_refinement_must_fit_the_current_carrier(tmp_path, capsys):
     assert out.err == "error: stage-run: records have 4 rows, refinement expects 3\n"
 
 
-def test_ffn_check_defaults_to_20_samples_from_seed_0(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GA_SEED", raising=False)
+def test_ffn_check_defaults_to_20_samples_from_seed_0(tmp_path, capsys):
     assert main(["ffn-check", write_config(tmp_path, "ffn.json", FFN_2X2)]) == 0
     default = capsys.readouterr().out
     spec = {**FFN_2X2, "samples": 20, "seed": 0}
@@ -736,8 +748,7 @@ def test_stage_run_never_imports_scipy():
         "                  'random': 'numpy.random' in sys.modules,\n"
         "                  'orjson': 'orjson' in sys.modules}))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "GA_SEED"}
-    env["PYTHONPATH"] = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for argv, harness in (
         (["stage-run", "tests/golden/stage_run_causal.json"], False),
         (["run", "tests/golden/run_pipeline.json"], False),
@@ -1009,8 +1020,7 @@ def test_an_integer_field_refuses_a_literal_outside_64_bits(
     assert "e+" in out.err
 
 
-def test_an_integer_field_reads_the_ends_of_the_64_bit_range(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GA_SEED", raising=False)
+def test_an_integer_field_reads_the_ends_of_the_64_bit_range(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, "top.json", {"seed": 2**64 - 1, "stages": []})]) == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
     assert main(["run", write_config(tmp_path, "low.json", {"seed": -(2**63), "stages": []})]) == 2
@@ -1224,22 +1234,46 @@ def test_numeric_failures_exit_3_and_say_what_failed(tmp_path, capsys, command, 
     assert out.err == f"numeric failure: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "env, argv, field",
-    [
-        ("-1", ["check", "--suite", "gauge"], "GA_SEED"),
-        (None, ["check", "--suite", "gauge", "--seed", "-1"], "--seed"),
-    ],
-)
-def test_negative_seed_exits_2_and_names_its_source(monkeypatch, capsys, env, argv, field):
-    if env is None:
-        monkeypatch.delenv("GA_SEED", raising=False)
-    else:
-        monkeypatch.setenv("GA_SEED", env)
+@pytest.mark.parametrize("argv, spec, field", [
+    (["check", "--suite", "gauge", "--seed", "-1"], None, "--seed"),
+    (["run"], {"seed": -1, "stages": []}, "seed"),
+    (["ffn-check"], {**FFN_2X2, "seed": -1}, "ffn-check.seed"),
+])
+def test_negative_seed_exits_2_and_names_its_source(tmp_path, capsys, argv, spec, field):
+    if spec is not None:
+        argv = [*argv, write_config(tmp_path, "input.json", spec)]
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: {field}:")
+    assert out.err == f"error: {field}: must be nonnegative, got -1\n"
+
+
+BIG = [[0.5] * 256] * 256
+
+
+@pytest.mark.parametrize("spec, field, shown", [
+    ({"seed": BIG, "stages": []}, "seed", "a list of length 256"),
+    ({"version": BIG, "stages": []}, "version", "a list of length 256"),
+    ({"version": {str(i): i for i in range(256)}, "stages": []}, "version",
+     "an object of length 256"),
+    ({"checks": BIG, "stages": []}, "checks", "a list of length 256"),
+    ({"checks": "x" * 100000, "stages": []}, "checks", "a string of length 100000"),
+    (run_stage({"op": "sinkhorn_balanced", "kernel": [[1.0, 2.0], [3.0, 4.0]],
+                "mu_out": [1.0, 1.0], "mu_in": [1.0, 1.0], "tol": BIG}),
+     "stages[0].tol", "a list of length 256"),
+    ({"inputs": {"k": {"shape": BIG, "rows": EYE}}, "stages": []}, "inputs.k.shape",
+     "a list of length 256"),
+])
+def test_a_refusal_names_a_large_value_by_its_length(tmp_path, capsys, spec, field, shown):
+    # Printed whole, a 256 x 256 value makes a 328 KB line. A short value
+    # is still printed whole, as in
+    # test_an_integer_field_refuses_a_literal_outside_64_bits.
+    assert main(["run", write_config(tmp_path, "config.json", spec)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {field}: expected ")
+    assert out.err.endswith(f", got {shown}\n")
+    assert out.err.count("\n") == 1 and len(out.err.encode()) < 200
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1307,8 +1341,7 @@ def field_paths(obj, path=()):
         yield from field_paths(value, path + (key,))
 
 
-def test_any_value_in_any_field_exits_with_a_contract_code(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("GA_SEED", raising=False)
+def test_any_value_in_any_field_exits_with_a_contract_code(tmp_path, capsys):
     path = tmp_path / "input.json"
     for command, spec in SWEEP_INPUTS:
         for field in field_paths(spec):

@@ -163,11 +163,6 @@ CHECK_DIGESTS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _no_seed_override(monkeypatch):
-    monkeypatch.delenv("GA_SEED", raising=False)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden_bytes(name, capsys):
     argv, code = CASES[name]
@@ -181,6 +176,18 @@ def test_check_report_keeps_its_bytes(seed, capsys):
     assert main(["check", "--seed", str(seed)]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == CHECK_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("value", ["11", "soon"])
+def test_ga_seed_in_the_environment_changes_nothing(monkeypatch, capsys, value):
+    # The seed comes from argv and the config alone: ga reads no
+    # environment variable, GA_SEED included.
+    for argv in (["check", "--suite", "gauge", "--seed", "99"], CASES["run_with_checks"][0]):
+        monkeypatch.delenv("GA_SEED", raising=False)
+        unset = main(argv), capsys.readouterr().out
+        monkeypatch.setenv("GA_SEED", value)
+        assert (main(argv), capsys.readouterr().out) == unset, argv
+    assert unset == (0, (GOLDEN / "run_with_checks.stdout").read_text())
 
 
 def test_run_out_writes_the_stdout_bytes(tmp_path, capsys):
