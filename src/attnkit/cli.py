@@ -132,7 +132,7 @@ def _suites(names, where: str):
     for name in names:
         if name not in SUITES:
             known = ", ".join(sorted(SUITES))
-            raise ConfigInvalid(where, f"unknown suite {name!r}; known: {known}")
+            raise ConfigInvalid(where, f"unknown suite {shown(name)}; known: {known}")
     return lambda **kw: run_checks(names, **kw)
 
 
@@ -265,7 +265,8 @@ class _Row(Frozen):
 
 
 def _field(where: str, key: str) -> str:
-    """where.key, or the one of them that is not empty."""
+    """where.key, or the one of them that is not empty; a long key as shown(key)."""
+    key = min(key, shown(key), key=len)
     return f"{where}.{key}" if where and key else where or key
 
 
@@ -300,7 +301,7 @@ def _value(kind, value, ctx: dict, where: str):
     read, bindable = _KINDS[kind]
     if bindable and isinstance(value, str):
         if value not in ctx:
-            raise ConfigInvalid(where, f"unknown input {value!r}")
+            raise ConfigInvalid(where, f"unknown input {shown(value)}")
         value = ctx[value]
     return read(value, where)
 
@@ -485,16 +486,17 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
         op = _value("string", stage.get("op"), ctx, f"{where}.op")
         if op not in _OPS:
             known = ", ".join(sorted(_OPS))
-            raise ConfigInvalid(f"{where}.op", f"unknown operation {op!r}; known: {known}")
+            raise ConfigInvalid(f"{where}.op", f"unknown operation {shown(op)}; known: {known}")
         out_name = stage.get("out")
         if not isinstance(out_name, str) or not out_name:
             raise ConfigInvalid(f"{where}.out", "stage needs an output name")
         if out_name in ctx:
-            raise ConfigInvalid(f"{where}.out", f"name {out_name!r} already bound")
+            raise ConfigInvalid(f"{where}.out", f"name {shown(out_name)} already bound")
         # With --out, <out>.json goes next to report.json, inside DIR.
         if out_dir is not None and (out_name in ("report", ".", "..")
                                     or set(out_name) & {"/", "\\", "\0"}):
-            raise ConfigInvalid(f"{where}.out", f"{out_name!r} cannot name a stage file in --out")
+            raise ConfigInvalid(f"{where}.out",
+                                f"{shown(out_name)} cannot name a stage file in --out")
         result = _read(_OPS[op], stage, ctx, where, skip=("op", "out"))
         bound = {out_name: result}
         if isinstance(result, dict):  # the output, and <out>_<key> for each other part
@@ -502,7 +504,7 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
                      for key, value in result.items()}
         for name in bound:
             if name in ctx:
-                raise ConfigInvalid(f"{where}.out", f"name {name!r} already bound")
+                raise ConfigInvalid(f"{where}.out", f"name {shown(name)} already bound")
         ctx.update(bound)
         stage_reports.append({"op": op, "out": out_name, "result": _serialize(result)})
 
@@ -522,14 +524,19 @@ def _run_pipeline(config_path: str, out_dir: str | None) -> tuple[str, int]:
 
     text = dump_canonical(report)
     if out_dir is not None:
-        out_path = Path(out_dir)
         try:
-            out_path.mkdir(parents=True, exist_ok=True)
-            (out_path / "report.json").write_text(text)
-            for entry in stage_reports:
-                (out_path / f"{entry['out']}.json").write_text(dump_canonical(entry["result"]))
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ConfigInvalid("--out", f"cannot write to {out_dir!r}: {exc.strerror}") from exc
+            raise ConfigInvalid("--out", f"cannot make {shown(out_dir)}: {exc.strerror}") from exc
+        # report.json last, so that a refused stage file leaves no report.
+        files = [(f"stages[{i}].out", f"{entry['out']}.json", entry["result"])
+                 for i, entry in enumerate(stage_reports)] + [("--out", "report.json", None)]
+        for where, name, result in files:
+            try:
+                Path(out_dir, name).write_text(text if result is None else dump_canonical(result))
+            except OSError as exc:
+                raise ConfigInvalid(where, f"cannot write {shown(name)} in {shown(out_dir)}: "
+                                           f"{exc.strerror}") from exc
     return text, exit_code
 
 
@@ -579,7 +586,7 @@ def _cmd_input(args) -> int:
     if row is None:
         mode = _value("string", spec.get("mode", "row"), {}, "anchor.mode")
         if mode not in _ANCHOR_OPS:
-            raise ConfigInvalid("anchor.mode", f"unknown mode {mode!r}")
+            raise ConfigInvalid("anchor.mode", f"unknown mode {shown(mode)}")
         row, skip = _OPS[_ANCHOR_OPS[mode]], ("mode",)
     result = _serialize(_read(row, spec, {}, args.command, skip))
     sys.stdout.write(dump_canonical(result))

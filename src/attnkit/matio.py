@@ -10,9 +10,9 @@ accepted as shorthand on input; output always writes the full schema.
 Every report is printed by `dump_canonical`, whose output is exactly
 `json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` plus one
 newline; a property test holds it to that, and golden files pin the
-`ga` stdout. Output matrices and vectors stay float64 arrays until the
-fork pool of attnkit.spread turns them into text on every CPU; the
-bytes never depend on how many.
+`ga` stdout. Output matrices and vectors stay float64 arrays until orjson
+prints them in this process, with repr's digits and layout; if orjson fails
+a probe of that, json prints them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from functools import partial
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -28,9 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, NonFinite
-from .spread import spread
 
-_BLOCK = 16  # matrix rows per spread job of dump_canonical
+_BLOCK = 16  # matrix rows per orjson call of dump_canonical
 
 
 def matrix_from_json(obj, where: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +145,8 @@ def refuse_unknown_keys(obj: dict, noun: str, keys: tuple, where: str) -> None:
     """ConfigInvalid on <where>.<key> for the first key of obj not in keys."""
     for key in obj:
         if key not in keys:
-            raise ConfigInvalid(f"{where}.{key}", f"unknown field; {noun} takes {', '.join(keys)}")
+            raise ConfigInvalid(f"{where}.{min(key, shown(key), key=len)}",
+                                f"unknown field; {noun} takes {', '.join(keys)}")
 
 
 def shown(value) -> str:
@@ -158,17 +158,17 @@ def shown(value) -> str:
 
 
 class _Rows(NamedTuple):
-    """An output matrix's float64 values and mask (None: no holes)."""
+    """An output matrix's float64 values, and where its holes are."""
     values: np.ndarray
-    mask: np.ndarray | None
+    holes: np.ndarray
 
 
 def matrix_to_json(values, mask=None) -> dict:
-    """The matrix schema for dump_canonical, whose jobs turn the rows,
-    copied here as float64 arrays, into lists, a hole into "-inf"; the
-    rows of a matrix without entries are empty lists from the start."""
+    """The matrix schema for dump_canonical, which prints the rows,
+    copied here as float64 arrays, as lists, a hole as "-inf"; the rows
+    of a matrix without entries are empty lists from the start."""
     values = np.array(values, dtype=np.float64)
-    rows = _Rows(values, None if mask is None else np.array(mask, dtype=bool))
+    rows = _Rows(values, np.zeros(values.shape, bool) if mask is None else ~np.array(mask, bool))
     return {"shape": list(values.shape), "rows": rows if values.size else [[]] * len(values)}
 
 
@@ -184,52 +184,86 @@ def dump_canonical(obj) -> str:
     cannot hold), this raises NonFinite.
 
     Dict keys must be strings; matrix_to_json's rows and vector_to_json's
-    arrays print as lists. _encode walks obj and leaves a placeholder
-    for each list of scalars, vector, and block of _BLOCK matrix rows.
-    Each is a job, spread over the CPUs (attnkit.spread), that turns
-    the numbers into Python values and passes each list to json's C
-    encoder, with the item separator carrying the newline and indent;
-    the texts fill the placeholders when the pieces are joined. A dict
-    object met again at the same depth, such as a mask carried over
-    several stages, is not walked again: a memo that lives for this
-    call only maps it to the run of pieces, placeholders included, that
-    its first occurrence appended, and those pieces are appended once
-    more.
+    arrays print as lists (_orjson_array). _encode appends the text of
+    each piece to one list. A dict object met again at the same depth,
+    such as a mask carried over several stages, is not walked again: a
+    memo for this call maps it to the pieces its first occurrence
+    appended, and those are appended once more.
     """
-    parts, jobs = [], []
+    parts = []
     try:
-        _encode(obj, "\n", parts, {}, jobs)
-        texts = spread(lambda k: jobs[k](), len(jobs))
+        _encode(obj, "\n", parts, {})
     except ValueError as exc:
         raise NonFinite("the output holds a NaN or an infinity, which JSON cannot hold") from exc
     parts.append("\n")
-    return "".join(texts[p] if type(p) is int else p for p in parts)
+    return "".join(parts)
 
 
 def _leaf(items, separator: str) -> str:
-    """The items of a list of scalars or a vector, as dump_canonical prints them."""
-    items = items.tolist() if isinstance(items, np.ndarray) else items
+    """The items of a list of scalars, as dump_canonical prints them."""
     return json.dumps(items, separators=(separator, ": "), allow_nan=False)[1:-1]
 
 
-def _block(rows: _Rows, start: int, newline: str) -> str:
-    """Matrix rows start to start + _BLOCK, as dump_canonical prints them."""
-    block = rows.values[start:start + _BLOCK]
-    if rows.mask is not None:
-        block = block.astype(object)
-        block[~rows.mask[start:start + _BLOCK]] = "-inf"
-    inner = newline + "  "
-    return ("," + newline).join(
-        "[" + inner + _leaf(row, "," + inner) + newline + "]" for row in block.tolist())
+def _orjson_array(values: np.ndarray, holes: np.ndarray, newline: str) -> list:
+    """Pieces of values' text as lists at newline's depth, holes as "-inf", printed by orjson
+    _BLOCK rows a call; holes and entries _repr_tokens relays go as NaN (null), filled after."""
+    import orjson  # here, so that commands that print no array never load it
+    if not (np.isfinite(values) | holes).all():
+        raise ValueError("an admitted entry is not finite")
+    magnitude = np.abs(values)
+    redo = ((magnitude >= 1e-9) & (magnitude < 1e-4) | (magnitude >= 1e16)) & ~holes
+    nulls = redo | holes
+    printed = np.ascontiguousarray(np.where(nulls, np.nan, values))  # as orjson takes arrays
+    fill = np.repeat(np.array([b'"-inf"'], dtype=object), np.count_nonzero(nulls))
+    if redo.any():  # np.strings.replace refuses an empty array
+        fill[redo[nulls]] = _repr_tokens(values[redo], orjson)
+    tokens, at, pieces, step = fill.tolist(), 0, ["["], _BLOCK if values.ndim == 2 else len(values)
+    for k in range(0, len(values), step):
+        text = orjson.dumps(printed[k:k + step],
+                            option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+        cuts = text.split(b"null")
+        spliced = [b""] * (2 * len(cuts) - 1)
+        spliced[::2], spliced[1::2] = cuts, tokens[at:at + len(cuts) - 1]
+        at += len(cuts) - 1
+        text = b"".join(spliced)[1:-2].replace(b"\n", newline.encode())
+        pieces += ("," if k else "", text.decode())
+    return pieces + [newline + "]"]
 
 
-def _encode(obj, newline: str, parts: list, done: dict, jobs: list) -> None:
+def _repr_tokens(doubles: np.ndarray, orjson) -> np.ndarray:
+    """repr's text of doubles of magnitude in [1e-9, 1e-4) or from 1e16, from orjson's
+    with the same digits: 1.234e-05, 3e-07 and 1e+16 for 0.00001234, 3e-7 and 1e16."""
+    text = orjson.dumps(doubles, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    tokens = np.array(text.split(b","), dtype="S24")  # orjson prints 23 bytes at most
+    magnitude = np.abs(doubles)
+    fixed, big = (magnitude >= 1e-5) & (magnitude < 1e-4), magnitude >= 1e16
+    head = np.strings.lstrip(tokens, b"-0.").astype("S1")
+    old = np.where(fixed, b"0.0000" + head, np.where(big, b"e", b"e-"))
+    new = np.where(fixed, head + b".", np.where(big, b"e+", b"e-0"))
+    tokens = np.strings.rstrip(np.strings.replace(tokens, old, new, 1), b".")
+    return tokens + np.where(fixed, b"e-05", b"")  # np.strings sizes each result to fit
+
+
+@cache
+def _orjson_agrees() -> bool:
+    """Whether _orjson_array prints this probe as json does; another orjson version may not."""
+    probe = np.array([[0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e-10, -2.5e-9, 3.25e-7],
+                      [-1e-5, 9.87e-5, 1e-4, math.nan, 123456789.25, 1e15, -6.02e23]])
+    listed = np.where(np.isnan(probe), "-inf", probe.astype(object)).tolist()
+    try:
+        matrix = "".join(_orjson_array(probe, np.isnan(probe), "\n  "))
+        vector = "".join(_orjson_array(probe[0], np.isnan(probe[0]), "\n"))
+    except TypeError:  # orjson refused the probe
+        return False
+    return (matrix == json.dumps([listed], indent=2)[4:-2]
+            and vector == json.dumps(listed[0], indent=2))
+
+
+def _encode(obj, newline: str, parts: list, done: dict) -> None:
     """Append the text of obj to parts; `newline` starts each of its
-    lines at the current depth. A list of scalars, a vector and a block
-    of matrix rows each become a job, whose index in jobs stands in
-    parts for its text. done maps (id, depth) of each dict already
-    encoded to the slice of parts that holds its text; every such dict
-    lives inside the object being dumped, so no id is reused."""
+    lines at the current depth. done maps (id, depth) of each dict
+    already encoded to the slice of parts that holds its text; every
+    such dict lives inside the object being dumped, so no id is reused."""
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -243,29 +277,28 @@ def _encode(obj, newline: str, parts: list, done: dict, jobs: list) -> None:
         opener = "{" + inner
         for key in sorted(obj):
             parts.append(opener + json.encoder.encode_basestring_ascii(key) + ": ")
-            _encode(obj[key], inner, parts, done, jobs)
+            _encode(obj[key], inner, parts, done)
             opener = "," + inner
         parts.append(newline + "}")
         done[slot] = slice(start, len(parts))
-    elif isinstance(obj, _Rows):
-        for start in range(0, len(obj.values), _BLOCK):
-            jobs.append(partial(_block, obj, start, inner))
-            parts += ("," + inner if start else "[" + inner, len(jobs) - 1)
-        parts.append(newline + "]")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        if not len(obj):
+    elif isinstance(obj, (_Rows, np.ndarray)):
+        values, holes = obj if isinstance(obj, _Rows) else (obj, np.zeros(obj.shape, bool))
+        if len(values) and values.dtype == np.float64 and _orjson_agrees():
+            parts += _orjson_array(values, holes, newline)
+        else:
+            _encode(np.where(holes, "-inf", values.astype(object)).tolist(), newline, parts, done)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             parts.append("[]")
-        elif type(obj) is not np.ndarray and any(
-                issubclass(kind, (list, tuple, dict)) for kind in set(map(type, obj))):
+        elif any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, obj))):
             opener = "[" + inner
             for item in obj:
                 parts.append(opener)
-                _encode(item, inner, parts, done, jobs)
+                _encode(item, inner, parts, done)
                 opener = "," + inner
             parts.append(newline + "]")
         else:
-            jobs.append(partial(_leaf, obj, "," + inner))
-            parts += ("[" + inner, len(jobs) - 1, newline + "]")
+            parts.append("[" + inner + _leaf(obj, "," + inner) + newline + "]")
     else:
         parts.append(json.dumps(obj, allow_nan=False))
 

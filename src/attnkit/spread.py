@@ -1,6 +1,6 @@
-"""The one fork pool: it spreads run_checks' criteria, and the jobs in
-which dump_canonical turns output arrays and number lists into text,
-over the CPUs; no output depends on which process ran what, or how many."""
+"""The one fork pool: it spreads run_checks' criteria over the CPUs, for
+ga check and a ga run with checks; no output depends on which process ran
+what, or how many."""
 
 import os
 import pickle

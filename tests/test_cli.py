@@ -1276,6 +1276,56 @@ def test_a_refusal_names_a_large_value_by_its_length(tmp_path, capsys, spec, fie
     assert out.err.count("\n") == 1 and len(out.err.encode()) < 200
 
 
+LONG = "x" * 1_000_000
+SHOWN = "a string of length 1000000"
+RUN_KEYS = "stages, version, seed, inputs, checks"
+
+
+@pytest.mark.parametrize("argv, spec, message", [
+    (["run"], run_stage({"op": LONG}),
+     f"stages[0].op: unknown operation {SHOWN}; known: "),
+    (["run"], run_stage({"op": "center_scores", "scores": LONG}),
+     f"stages[0].scores: unknown input {SHOWN}"),
+    (["run"], {"checks": [LONG], "stages": []}, f"checks: unknown suite {SHOWN}; known: "),
+    (["run"], {"inputs": {LONG: EYE}, "stages": [{"op": "center_scores", "scores": EYE,
+                                                  "out": LONG}]},
+     f"stages[0].out: name {SHOWN} already bound"),
+    (["run"], {"inputs": {LONG + "_weights": EYE},
+               "stages": [{**ATTN_2X2, "op": "attention", "out": LONG}]},
+     "stages[0].out: name a string of length 1000008 already bound"),
+    (["run"], {"stages": [], LONG: 1}, f"{SHOWN}: unknown field; run takes {RUN_KEYS}"),
+    (["run"], {"inputs": {"k": {"rows": EYE, LONG: 1}}, "stages": []},
+     f"inputs.k.{SHOWN}: unknown field; a matrix object takes rows, shape"),
+    (["anchor"], {"mode": LONG, "kernel": EYE}, f"anchor.mode: unknown mode {SHOWN}"),
+    (["run", "--out", "od"], run_stage({"op": "center_scores", "scores": EYE, "out": "/" + LONG}),
+     "stages[0].out: a string of length 1000001 cannot name a stage file in --out"),
+], ids=["operation", "input", "suite", "out", "out part", "field", "matrix field", "mode",
+        "out file"])
+def test_a_refusal_names_a_long_string_by_its_length(tmp_path, capsys, argv, spec, message):
+    # Printed whole, each of these strings makes a 1 MB line on stderr.
+    config = write_config(tmp_path, "config.json", spec)
+    assert main([argv[0], config, *(str(tmp_path / a) if a == "od" else a for a in argv[1:])]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {message}") and out.err.endswith("\n")
+    assert out.err.count("\n") == 1 and len(out.err) < 300
+
+
+def test_run_out_writes_report_json_after_every_stage_file(tmp_path, capsys):
+    # A stage file the file system refuses (here a name past NAME_MAX)
+    # exits 2 on that stage's out, and leaves no report.json in DIR.
+    name = "s" * 300
+    spec = {"stages": [{"op": "center_scores", "scores": EYE, "out": "first"},
+                       {"op": "center_scores", "scores": EYE, "out": name}]}
+    out_dir = tmp_path / "od"
+    assert main(["run", write_config(tmp_path, "config.json", spec), "--out", str(out_dir)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: stages[1].out: cannot write a string of length 305 in "
+                       f"{str(out_dir)!r}: File name too long\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["first.json"]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 # Integers beyond every double go in lists only: a bare one as samples
 # would run that many samples.

@@ -105,6 +105,7 @@ input sets some field of those rows, or names some `ga run` operation,
 
 import hashlib
 import json
+import os
 from collections import defaultdict
 from pathlib import Path
 
@@ -169,6 +170,21 @@ def test_stdout_matches_golden_bytes(name, capsys):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (argv, _) in CASES.items()
+                                         if argv[0] in ("run", "stage-run")
+                                         and name != "run_with_checks"))
+def test_run_and_stage_run_start_no_process(monkeypatch, capsys, name):
+    # They print every array in the ga process; only the suites of a
+    # ga run with checks fork (attnkit.spread).
+    def fork():
+        raise AssertionError("ga run and ga stage-run start no process")
+
+    monkeypatch.setattr(os, "fork", fork)
+    argv, code = CASES[name]
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
 @pytest.mark.parametrize("seed", sorted(CHECK_DIGESTS))

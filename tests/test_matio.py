@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from attnkit.matio import (
     vector_to_json,
 )
 
-from test_spread import _cpus, _hold_back, _one_worker, no_child_left  # noqa: F401
+from test_spread import _cpus
 
 
 def test_bare_list_shorthand():
@@ -405,9 +406,27 @@ def test_a_failed_dump_leaves_the_next_one_exact():
         assert dump_canonical(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# dump_canonical formats its leaves, the lists of scalars, through the
-# fork pool (attnkit.spread); the helpers of test_spread set the
-# affinity mask and wrap os.fork.
+# dump_canonical prints in the calling process: _no_fork makes os.fork
+# raise, so a worker started anywhere in it fails the test.
+
+
+def _no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("dump_canonical starts no process")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@contextmanager
+def _printed_by(path):
+    """dump_canonical's arrays printed by orjson, or by json as when
+    orjson fails the probe."""
+    real = matio._orjson_agrees
+    matio._orjson_agrees = real if path == "orjson" else lambda: False
+    try:
+        yield
+    finally:
+        matio._orjson_agrees = real
 
 
 def _report(leaves):
@@ -423,80 +442,41 @@ def _canonical(obj):
 
 
 @pytest.mark.parametrize("workers", ["one", 2, 3, "no fork"])
-def test_the_bytes_do_not_depend_on_the_workers(monkeypatch, no_child_left, workers):
-    obj = _report(400)
-    if workers == "one":
-        _one_worker(monkeypatch)
-    elif workers == "no fork":
+def test_the_bytes_do_not_depend_on_the_workers(monkeypatch, workers):
+    # On any number of CPUs, lists and arrays print in this process.
+    values = np.random.default_rng(3).normal(size=(40, 7)) * 1e-5
+    obj = {**_report(400), "plan": matrix_to_json(values, values > 0)}
+    expected = {**_report(400), "plan": _list_form(values, values > 0)}
+    if workers == "no fork":
         monkeypatch.delattr(os, "fork")
     else:
-        _cpus(monkeypatch, workers)
-    assert dump_canonical(obj) == _canonical(obj)
+        _cpus(monkeypatch, 1 if workers == "one" else workers)
+        _no_fork(monkeypatch)
+    assert dump_canonical(obj) == _canonical(expected)
 
 
-def test_a_nan_in_a_leaf_the_child_claims_raises_nonfinite(monkeypatch, tmp_path, no_child_left):
-    # The parent is held back, so the child meets the NaN, stops and
-    # delivers what it ran; the re-run here raises.
-    log = tmp_path / "pids"
-    real = matio._leaf
-
-    def logged(items, separator):
-        if any(x != x for x in items):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-        return real(items, separator)
-
+def test_a_nan_in_a_leaf_raises_nonfinite_in_this_process(monkeypatch):
     obj = _report(40)
     obj["stages"][2]["rows"][3][4] = math.nan
-    monkeypatch.setattr(matio, "_leaf", logged)
-    _hold_back(monkeypatch, "parent")
+    _no_fork(monkeypatch)
     with pytest.raises(NonFinite):
         dump_canonical(obj)
-    child, rerun = (int(pid) for pid in log.read_text().split())
-    assert child != os.getpid() and rerun == os.getpid()
 
 
-@pytest.mark.parametrize("when", ["at the fork", "after its first leaves"])
-def test_a_worker_that_dies_leaves_exact_bytes(monkeypatch, no_child_left, when):
-    parent = os.getpid()
-    _hold_back(monkeypatch, "parent")
-    real_fork, real_leaf = os.fork, matio._leaf
-    formatted = []
-
-    def fork():
-        pid = real_fork()
-        if pid == 0 and when == "at the fork":
-            os._exit(1)
-        return pid
-
-    def leaf(items, separator):
-        formatted.append(items)
-        if os.getpid() != parent and len(formatted) == 5:
-            os._exit(1)
-        return real_leaf(items, separator)
-
-    obj = _report(200)
-    monkeypatch.setattr(matio, "_leaf", leaf)
-    monkeypatch.setattr(os, "fork", fork)
-    assert dump_canonical(obj) == _canonical(obj)
-
-
-def test_a_mask_carried_over_stages_is_exact_under_the_spread(monkeypatch, no_child_left):
+def test_a_mask_carried_over_stages_is_exact(monkeypatch):
     # As in a stage-run report: one mask dict in every stage, at one
-    # depth. Its pieces, placeholders included, are re-appended through
-    # the memo, and the held-back parent fills them from what the child
-    # formatted.
+    # depth, whose pieces the memo appends again.
     mask = {"shape": [6, 6], "rows": np.tril(np.ones((6, 6))).tolist()}
     rng = np.random.default_rng(2)
     obj = {"stages": [{"mask": mask, "records": rng.normal(size=(6, 4)).tolist(), "t": t}
                       for t in range(8)]}
-    _hold_back(monkeypatch, "parent")
+    _no_fork(monkeypatch)
     assert dump_canonical(obj) == _canonical(obj)
 
 
-# matrix_to_json and vector_to_json keep float64 arrays; the jobs of
-# dump_canonical turn them into Python values, a block of matrix rows
-# (matio._BLOCK) per job.
+# matrix_to_json and vector_to_json keep float64 arrays, which
+# dump_canonical prints as lists, a block of matrix rows (matio._BLOCK)
+# per orjson call.
 
 
 def _list_form(values, mask=None):
@@ -539,11 +519,77 @@ def test_output_arrays_print_as_their_list_form(case):
     assert dump_canonical(obj) == _canonical(expected)
 
 
-@pytest.mark.parametrize("workers", ["one", "two, the child meeting it"])
+# orjson prints the shortest digits of a double, as repr does, but lays
+# out those of magnitude in [1e-9, 1e-5) (3e-7), [1e-5, 1e-4)
+# (0.00001234) and from 1e16 (1e16) otherwise; raw bit patterns cover
+# every finite double, subnormals included.
+_MAGNITUDES = st.one_of(
+    st.floats(1e-9, 1e-5, exclude_max=True),
+    st.floats(1e-5, 1e-4, exclude_max=True),
+    st.floats(1e16, sys.float_info.max),
+    st.floats(1e-4, 1e16),
+    st.floats(0, 1e-9),
+    st.floats(0, sys.float_info.min),
+    st.integers(0, 0x7FEFFFFFFFFFFFFF).map(lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]),
+    st.sampled_from([1e-9, 1e-5, 1e-4, 1e16, 9.999999999999999e-05, 9.999999999999999e-06,
+                     9.999999999999999e-10, 9999999999999998.0, 5e-324, 0.0]),
+)
+_DOUBLES = st.tuples(_MAGNITUDES, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+@st.composite
+def _printed_arrays(draw):
+    """(values, mask or None, depth): a vector, or a matrix on both sides
+    of a multiple of the block; NaN and infinities sit under holes only."""
+    rows = draw(st.sampled_from([1, 2, matio._BLOCK - 1, matio._BLOCK, 2 * matio._BLOCK + 3]))
+    shape = draw(st.sampled_from([(rows,), (rows, draw(st.integers(1, 5)))]))
+    values = draw(arrays(np.float64, shape, elements=_DOUBLES))
+    mask = None if len(shape) == 1 else draw(st.none() | arrays(np.bool_, shape))
+    if mask is not None:
+        values[~mask] = draw(st.sampled_from([0.0, 5e-5, math.nan, math.inf, -math.inf]))
+    return values, mask, draw(st.integers(0, 3))
+
+
+@pytest.mark.parametrize("path", ["orjson", "json"])
+@settings(deadline=None, max_examples=200)
+@given(case=_printed_arrays())
+def test_arrays_print_as_json_dumps_at_every_depth(path, case):
+    values, mask, depth = case
+    if values.ndim == 1:
+        obj, expected = vector_to_json(values), values.tolist()
+    else:
+        obj, expected = matrix_to_json(values, mask), _list_form(values, mask)
+    for _ in range(depth):
+        obj, expected = {"k": obj}, {"k": expected}
+    with _printed_by(path):
+        assert dump_canonical(obj) == _canonical(expected)
+
+
+def test_an_orjson_that_lays_numbers_out_otherwise_leaves_the_bytes(monkeypatch):
+    # A later orjson may print another layout, which the probe sees:
+    # then json prints the arrays, as it prints lists, to the same bytes.
+    import orjson
+
+    values = np.array([[1e-5, 3e-7, 1e16, 0.5], [-2.5e-5, 1e-10, -1e300, 7.0]])
+    mask = np.array([[True, True, False, True], [True, True, True, True]])
+    obj = {"m": matrix_to_json(values, mask), "v": vector_to_json(values[1])}
+    expected = _canonical({"m": _list_form(values, mask), "v": values[1].tolist()})
+    real = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **kw: real(*a, **kw).replace(b"e", b"E"))
+    matio._orjson_agrees.cache_clear()
+    try:
+        assert not matio._orjson_agrees()
+        assert dump_canonical(obj) == expected
+    finally:
+        monkeypatch.undo()
+        matio._orjson_agrees.cache_clear()
+    assert dump_canonical(obj) == expected
+
+
+@pytest.mark.parametrize("path", ["orjson", "json"])
 @pytest.mark.parametrize("where", ["admitted cell", "unmasked matrix", "vector"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_a_non_finite_output_entry_raises_nonfinite(monkeypatch, no_child_left, workers, where,
-                                                    bad):
+def test_a_non_finite_output_entry_raises_nonfinite(monkeypatch, path, where, bad):
     # The bad entry sits in the last block. A hole over a NaN prints
     # "-inf" and raises nothing, and a payload built before the entry
     # went bad holds a copy.
@@ -551,32 +597,29 @@ def test_a_non_finite_output_entry_raises_nonfinite(monkeypatch, no_child_left, 
     mask = np.ones_like(values, dtype=bool)
     mask[38, 1] = False
     values[38, 1] = math.nan
-    if workers == "one":
-        _one_worker(monkeypatch)
-    else:
-        _hold_back(monkeypatch, "parent")
+    _no_fork(monkeypatch)
     holed = matrix_to_json(values, mask)
     values[39, 2] = bad
-    assert json.loads(dump_canonical(holed))["rows"][38:] == [[114.0, "-inf", 116.0],
-                                                              [117.0, 118.0, 119.0]]
     obj = {"admitted cell": lambda: matrix_to_json(values, mask),
            "unmasked matrix": lambda: matrix_to_json(np.where(mask, values, 0.0)),
            "vector": lambda: vector_to_json(values[39])}[where]()
-    with pytest.raises(NonFinite, match="^the output holds a NaN or an infinity"):
-        dump_canonical({"stages": [holed, obj]})
+    with _printed_by(path):
+        assert json.loads(dump_canonical(holed))["rows"][38:] == [[114.0, "-inf", 116.0],
+                                                                  [117.0, 118.0, 119.0]]
+        with pytest.raises(NonFinite, match="^the output holds a NaN or an infinity"):
+            dump_canonical({"stages": [holed, obj]})
 
 
-def test_a_mask_carried_over_stages_is_exact_when_the_child_formats_every_block(
-        monkeypatch, tmp_path, no_child_left):
+def test_a_mask_carried_over_stages_is_printed_once(monkeypatch):
     # As ga stage-run builds it: one mask payload in all eight stages,
-    # whose block placeholders the memo re-appends.
-    log = tmp_path / "pids"
-    real = matio._block
+    # whose text the memo appends again, so orjson prints 9 matrices.
+    matio._orjson_agrees()  # the probe prints arrays of its own
+    calls = []
+    real = matio._orjson_array
 
-    def logged(rows, start, newline):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(rows, start, newline)
+    def counted(values, holes, newline):
+        calls.append(values.shape)
+        return real(values, holes, newline)
 
     n = 2 * matio._BLOCK + 3
     causal = np.tril(np.ones((n, n)))
@@ -587,8 +630,7 @@ def test_a_mask_carried_over_stages_is_exact_when_the_child_formats_every_block(
                       for t, r in enumerate(records)]}
     expected = {"stages": [{"mask": _list_form(causal), "records": _list_form(r, r > -1.0), "t": t}
                            for t, r in enumerate(records)]}
-    monkeypatch.setattr(matio, "_block", logged)
-    _hold_back(monkeypatch, "parent")
+    monkeypatch.setattr(matio, "_orjson_array", counted)
+    _no_fork(monkeypatch)
     assert dump_canonical(obj) == _canonical(expected)
-    pids = log.read_text().split()
-    assert len(pids) == 9 * 3 and str(os.getpid()) not in pids
+    assert calls == [(n, n)] + [(n, 4)] * 8

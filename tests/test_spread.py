@@ -2,7 +2,7 @@
 job order whatever ran where, and no child left behind.
 
 The helpers here set the affinity mask and wrap os.fork; the pool's
-consumers (run_checks, dump_canonical) are tested with them too."""
+consumer, run_checks, is tested with them too."""
 
 import os
 import signal
@@ -81,3 +81,27 @@ def test_spread_is_fn_over_the_indices_in_order(monkeypatch, no_child_left, cpus
     _cpus(monkeypatch, cpus)
     assert spread(lambda k: (k, str(k) * 3), count) == [(k, str(k) * 3) for k in range(count)]
 
+
+
+@pytest.mark.parametrize("when", ["at the fork", "after its first jobs"])
+def test_a_worker_that_dies_leaves_every_result(monkeypatch, no_child_left, when):
+    # The parent is held back, so the child claims the first jobs; what
+    # it ran dies with it, and this process runs those jobs again.
+    parent = os.getpid()
+    _hold_back(monkeypatch, "parent")
+    real_fork, ran = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid == 0 and when == "at the fork":
+            os._exit(1)
+        return pid
+
+    def job(k):
+        ran.append(k)
+        if os.getpid() != parent and len(ran) == 5:
+            os._exit(1)
+        return k * k
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert spread(job, 300) == [k * k for k in range(300)]
